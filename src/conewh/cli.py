@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 domain error (category on stderr), 2 I/O or usage.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -47,6 +48,8 @@ from .wiener_hopf import classical_index, hierarchy_fredholm
 COMMANDS = ("lattice", "strata", "spectrum", "trivialize", "index1d",
             "hierarchy2d", "pklimit")
 SAMPLING_COMMANDS = ("trivialize",)
+# --tol keys each command reads; any other key is a configuration error.
+TOLERANCE_KEYS = {"hierarchy2d": ("margin_tol",), "pklimit": ("eps",)}
 
 
 @dataclass
@@ -64,8 +67,20 @@ def _parse_tolerances(pairs):
         if "=" not in item:
             raise ConfigError(f"--tol expects key=val, got '{item}'")
         key, val = item.split("=", 1)
-        tols[key] = float(val)
+        try:
+            tols[key] = float(val)
+        except ValueError:
+            raise ConfigError(f"--tol {key} expects a number, got '{val}'") from None
     return tols
+
+
+def _check_tolerances(config):
+    allowed = TOLERANCE_KEYS.get(config.command, ())
+    unknown = sorted(set(config.tolerances) - set(allowed))
+    if unknown:
+        accepted = ", ".join(allowed) or "none"
+        raise ConfigError(f"unknown --tol key(s) for '{config.command}': "
+                          f"{', '.join(unknown)} (accepted: {accepted})")
 
 
 def _resolve_input(name, kind):
@@ -81,6 +96,22 @@ def _resolve_input(name, kind):
 
         return json.loads(ref.read_text())
     raise FileNotFoundError(f"no such spec file or preset: {name}")
+
+
+def _grid(spec):
+    """(h, T, truncations) of an experiment spec: h and T finite, N a list of
+    integers."""
+    missing = [key for key in ("h", "T", "N") if key not in spec]
+    if missing:
+        raise ConfigError(f"spec is missing grid key(s): {', '.join(missing)}")
+    try:
+        h, T = float(spec["h"]), float(spec["T"])
+        truncations = tuple(int(n) for n in spec["N"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad grid value in spec: {exc}") from None
+    if not (math.isfinite(h) and math.isfinite(T)):
+        raise ConfigError(f"grid step h and window T must be finite, got h={h}, T={T}")
+    return h, T, truncations
 
 
 def _load_cone(config):
@@ -230,8 +261,7 @@ def _cmd_trivialize(config):
 def _cmd_index1d(config):
     spec = _resolve_input(config.input, "experiments")
     name = spec.get("name", "index1d")
-    h, T = float(spec["h"]), float(spec["T"])
-    truncations = tuple(int(n) for n in spec["N"])
+    h, T, truncations = _grid(spec)
     symbol = resolve_symbol(spec["symbol"], h, T)
     report_obj = classical_index(symbol, truncations=truncations)
 
@@ -267,8 +297,7 @@ def _cmd_index1d(config):
 def _cmd_hierarchy2d(config):
     spec = _resolve_input(config.input, "experiments")
     name = spec.get("name", "hierarchy2d")
-    h, T = float(spec["h"]), float(spec["T"])
-    truncations = tuple(int(n) for n in spec["N"])
+    h, T, truncations = _grid(spec)
     symbol = resolve_symbol(spec["symbol"], h, T)
     kwargs = {}
     if "margin_tol" in config.tolerances:
@@ -363,6 +392,7 @@ def run(config: RunConfig) -> int:
             raise ConfigError(f"unknown command '{config.command}'")
         if config.command in SAMPLING_COMMANDS and config.seed is None:
             raise ConfigError(f"--seed is required for '{config.command}'")
+        _check_tolerances(config)
         os.makedirs(config.outdir, exist_ok=True)
         return _DISPATCH[config.command](config)
     except DomainError as exc:

@@ -209,10 +209,6 @@ def is_solid(cone: PolyhedralCone) -> bool:
     return rank(list(cone.generators)) == cone.ambient_dim
 
 
-def lineality_basis(cone: PolyhedralCone):
-    return nullspace(list(cone.inequalities), cone.ambient_dim)
-
-
 def negate_cone(cone: PolyhedralCone) -> PolyhedralCone:
     gens = _dedupe_sorted(vneg(g) for g in cone.generators)
     ineqs = _dedupe_sorted(vneg(a) for a in cone.inequalities)

@@ -113,13 +113,11 @@ class HPolytopeBody(ConvexBody):
             return cls([[1.0], [-1.0]], [hi, -lo], vertices=V)
         hull = ConvexHull(V)
         eqs = hull.equations  # rows (a, c) with a.x + c <= 0
-        rows, offs = [], []
+        rows = []
         for a_c in eqs:
-            a, c = a_c[:-1], a_c[-1]
-            key = np.round(np.concatenate([a, [c]]), 12)
+            key = np.round(a_c, 12)
             if not any(np.allclose(key, k) for k in rows):
                 rows.append(key)
-                offs.append(None)
         A = np.array([r[:-1] for r in rows])
         b = np.array([-r[-1] for r in rows])
         return cls(A, b, vertices=V[hull.vertices])

@@ -3,6 +3,9 @@ finite sections on cones, winding numbers, kernel/cokernel index estimation,
 face-restricted symbols, fibre representations, and the stratified
 Fredholm report for the quarter plane.
 
+The index pipeline factors each finite section once per truncation, and a
+section with no imaginary part is factored in real arithmetic.
+
 Conventions, fixed once: Fourier transform with kernel e^{-2*pi*i*<x,xi>}.
 With this transform the half-line space maps to the Hardy space of the
 *lower* half plane, so the symbol curve is traversed with xi decreasing
@@ -53,9 +56,6 @@ class SymbolGrid:
     def l1_norm(self):
         """Discrete L1 norm h^dim * sum |f|."""
         return float(np.sum(np.abs(self.kernel)) * self.h**self.dim)
-
-    def kernel_at_index(self, *idx):
-        return self.kernel[idx]
 
 
 def _axis(h, T):
@@ -226,6 +226,18 @@ class FredholmReport:
     verdict: str = ""
 
 
+def _real_section(W):
+    """W itself, or W.real when its imaginary part is exactly zero, so that a
+    real section is factored in real arithmetic (same singular values, real
+    singular vectors)."""
+    return W.real if not W.imag.any() else W
+
+
+def _sigma_min(Wop):
+    """Smallest singular value from one values-only factorization."""
+    return float(svdvals(_real_section(Wop))[-1])
+
+
 def _small_singular_split(Wop, delta_factor, gap_ratio):
     """SVD split of a finite section: near-kernel count and side classification.
 
@@ -235,7 +247,7 @@ def _small_singular_split(Wop, delta_factor, gap_ratio):
     is (adjoint kernel vectors are left singular vectors).
     """
     N = len(Wop)
-    U, S, Vh = np.linalg.svd(Wop)
+    U, S, Vh = np.linalg.svd(_real_section(Wop))
     smax = S[0] if S[0] > 0 else 1.0
     delta = delta_factor * smax
     k = int(np.sum(S < delta))
@@ -284,7 +296,8 @@ def classical_index(symbol: SymbolGrid, truncations=(512, 1024)) -> FredholmRepo
     """Nonvanishing test of 1 + fhat, winding, and the finite-section index.
 
     Non-Fredholm symbols get a report (not an error) with the sigma_min trend
-    recorded at the requested truncations.
+    recorded at the requested truncations.  A Fredholm symbol takes sigma_min
+    from the one SVD per truncation that numerical_index makes.
     """
     if symbol.dim != 1:
         raise DimensionMismatchError("classical index is 1-D")
@@ -292,18 +305,18 @@ def classical_index(symbol: SymbolGrid, truncations=(512, 1024)) -> FredholmRepo
     symbol_min = float(np.abs(curve).min())
     nonvanishing = symbol_min > 1e-8
     report = FredholmReport(nonvanishing, symbol_min)
-    sigmins = {}
-    for N in truncations:
-        Wop = wh_matrix(symbol, "half-line", N, identity_shift=True).entries
-        sigmins[N] = float(svdvals(Wop)[-1])
-    report.diagnostics["sigma_min"] = sigmins
     if not nonvanishing:
+        report.diagnostics["sigma_min"] = {
+            N: _sigma_min(wh_matrix(symbol, "half-line", N, identity_shift=True).entries)
+            for N in truncations}
         report.verdict = "non-fredholm"
         return report
     report.winding = winding_number(curve)
     report.index = -report.winding
     idx, diag = numerical_index(symbol, truncations)
     report.numerical_index = idx
+    report.diagnostics["sigma_min"] = {N: d["sigma_min"]
+                                       for N, d in diag["per_truncation"].items()}
     report.diagnostics.update(diag)
     report.verdict = ("fredholm" if idx == report.index
                       else "fredholm (numerical index disagrees)")
@@ -406,7 +419,8 @@ def hierarchy_fredholm(symbol: SymbolGrid, cone="quarter-plane",
     The verdict is "hierarchy-fredholm" iff the 2-D symbol stays away from
     -1 and every face family keeps a positive, truncation-stable margin.
     A discrete L1 norm below 1 certifies the verdict outright with Neumann
-    margin 1 - ||f||_1.
+    margin 1 - ||f||_1, when that margin exceeds margin_tol: a margin at
+    rounding level cannot rule out a vanishing symbol.
     """
     if cone != "quarter-plane":
         raise DimensionMismatchError("hierarchy report implemented for the quarter plane")
@@ -430,10 +444,8 @@ def hierarchy_fredholm(symbol: SymbolGrid, cone="quarter-plane",
         rows = []
         for y in y_values:
             g = face_symbol_twisted(symbol, axis, y)
-            sig = {}
-            for N in truncations:
-                Wop = wh_matrix(g, "half-line", N, identity_shift=True).entries
-                sig[N] = float(svdvals(Wop)[-1])
+            sig = {N: _sigma_min(wh_matrix(g, "half-line", N, identity_shift=True).entries)
+                   for N in truncations}
             rows.append({"y": float(y), "sigma_min": sig})
         n1, n2 = truncations[0], truncations[-1]
         margin = min(min(r["sigma_min"].values()) for r in rows)
@@ -456,7 +468,7 @@ def hierarchy_fredholm(symbol: SymbolGrid, cone="quarter-plane",
         all_ok &= ok
 
     verdict_ok = nonvanishing and all_ok
-    if neumann_margin > 0:
+    if neumann_margin > margin_tol:
         verdict_ok = True  # Neumann series certifies every stratum at once
     report = FredholmReport(
         nonvanishing, symbol_min,

@@ -125,3 +125,22 @@ def gauge_by_bisection(member, x, hi=1e6, iters=200):
         else:
             lo = mid
     return hi
+
+
+def complex_singular_split(W, delta_factor=1e-8):
+    """Near-kernel split of a finite section from a complex SVD of W.
+
+    The count of singular values below delta_factor * sigma_max, the
+    kernel/cokernel attribution by which singular vector (right or left) has
+    more mass on the front half, the singular values, sigma_max, and the gap
+    ratio above the count.
+    """
+    U, S, Vh = np.linalg.svd(np.asarray(W).astype(complex))
+    n = len(S)
+    k = int(np.sum(S < delta_factor * S[0]))
+    front = n // 2
+    dim_ker = sum(np.linalg.norm(Vh[i, :front]) >= np.linalg.norm(U[:front, i])
+                  for i in range(n - k, n))
+    gap = S[-k - 1] / S[-k] if 0 < k < n else None
+    return {"count": k, "dim_ker": int(dim_ker), "dim_coker": k - int(dim_ker),
+            "sigma": S, "sigma_max": float(S[0]), "gap": gap}

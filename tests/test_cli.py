@@ -168,3 +168,45 @@ def test_reports_byte_identical_across_runs(tmp_path):
             assert run(RunConfig(command, preset, str(out), seed=seed)) == 0
         fname = f"{preset}_{command}.json"
         assert _read(out_a / fname) == _read(out_b / fname)
+
+
+@pytest.mark.parametrize("command, preset, seed, tol", [
+    ("index1d", "rational-w-1", None, "typo=1"),
+    ("index1d", "rational-w-1", None, "margin_tol=1e-3"),
+    ("hierarchy2d", "hierarchy-gauss2d-small", None, "eps=0.1"),
+    ("pklimit", "pklimit-translated-quarter", None, "margin_tol=1e-3"),
+    ("lattice", "quarter-plane", None, "eps=0.1"),
+    ("trivialize", "trivialize-rotated-quarter", 7, "typo=1"),
+    ("pklimit", "pklimit-translated-quarter", None, "eps=half"),
+])
+def test_unknown_tolerance_key_rejected(tmp_path, capsys, command, preset, seed, tol):
+    argv = [command, "--in", preset, "--out", str(tmp_path), "--tol", tol]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []       # rejected before any work
+
+
+_GRID = {"h": 0.05, "T": 30.0, "N": [64, 128]}
+
+
+@pytest.mark.parametrize("command, symbol", [
+    ("index1d", "gauss-small"), ("hierarchy2d", "gauss2d-small")])
+@pytest.mark.parametrize("grid", [
+    {"T": 30.0, "N": [64, 128]},
+    {"h": 0.05, "N": [64, 128]},
+    {"h": 0.05, "T": 30.0},
+    {**_GRID, "T": "nan"},
+    {**_GRID, "h": "inf"},
+    {**_GRID, "h": "fine"},
+    {**_GRID, "N": 64},
+    {**_GRID, "N": ["many", 128]},
+])
+def test_bad_grid_is_config_error(tmp_path, capsys, command, symbol, grid):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"name": "bad-grid", "symbol": symbol, **grid}))
+    assert run(RunConfig(command, str(path), str(tmp_path))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1

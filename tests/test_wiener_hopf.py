@@ -25,7 +25,7 @@ from conewh.wiener_hopf import (
     winding_number,
 )
 
-from oracles import winding_from_zero_pole
+from oracles import complex_singular_split, winding_from_zero_pole
 
 
 def gauss(x):
@@ -196,6 +196,79 @@ def test_numerical_index_unresolved_at_small_truncation():
         numerical_index(S, truncations=(256, 384))
 
 
+@pytest.fixture
+def factorizations(monkeypatch):
+    """(routine, dtype) of every factorization the wiener_hopf module makes."""
+    import conewh.wiener_hopf as wh
+
+    calls = []
+    svd, svdvals = np.linalg.svd, wh.svdvals
+
+    def counted_svd(a, *args, **kwargs):
+        calls.append(("svd", np.asarray(a).dtype))
+        return svd(a, *args, **kwargs)
+
+    def counted_svdvals(a, *args, **kwargs):
+        calls.append(("svdvals", np.asarray(a).dtype))
+        return svdvals(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(wh, "svdvals", counted_svdvals)
+    return calls
+
+
+def test_classical_index_one_factorization_per_truncation(factorizations):
+    rep = classical_index(symbol_preset("rational-w+1", 0.05, 52.0), truncations=(64, 128))
+    assert rep.symbol_nonvanishing
+    assert factorizations == [("svd", np.float64)] * 2
+    per = rep.diagnostics["per_truncation"]
+    assert rep.diagnostics["sigma_min"] == {N: per[N]["sigma_min"] for N in (64, 128)}
+
+    factorizations.clear()
+    rep = classical_index(symbol_preset("singular-zero", 0.05, 30.0), truncations=(64, 128))
+    assert rep.verdict == "non-fredholm"
+    assert factorizations == [("svdvals", np.float64)] * 2
+
+
+@pytest.mark.parametrize("name", ["rational-w-1", "rational-w+1", "rational-w-2",
+                                  "rational-w+2", "gauss-small"])
+def test_real_split_matches_complex_oracle(name):
+    """The real-arithmetic split agrees with a complex SVD of the same section."""
+    from conewh.wiener_hopf import _small_singular_split
+
+    S = symbol_preset(name, 0.05, 52.0)
+    W = wh_matrix(S, "half-line", 512, identity_shift=True).entries
+    assert not W.imag.any()
+    dim_ker, dim_coker, diag = _small_singular_split(W, 1e-8, 1e3)
+    ref = complex_singular_split(W)
+    assert (diag["count"], dim_ker, dim_coker) == (ref["count"], ref["dim_ker"],
+                                                    ref["dim_coker"])
+    assert diag["sigma_max"] == pytest.approx(ref["sigma_max"], rel=1e-10)
+    k = diag["count"]
+    if name == "gauss-small":
+        assert k == 0 and "gap" not in diag
+        return
+    # The gap divides by a singular value at the rounding floor, which any
+    # backward-stable SVD fixes only to about N * eps * sigma_max absolutely.
+    floor = 512 * np.finfo(float).eps * ref["sigma_max"] / ref["sigma"][-k]
+    assert k > 0 and diag["gap"] == pytest.approx(ref["gap"], rel=1e-10 + floor)
+
+
+def test_twisted_face_sections_stay_complex(factorizations):
+    S = symbol_preset("gauss2d-small", 0.1, 12.0)
+    y = S.freqs[1] - S.freqs[0]
+    rep = hierarchy_fredholm(S, truncations=(16, 32), y_values=[0.0, y])
+    real, cplx = ("svdvals", np.float64), ("svdvals", np.complex128)
+    assert factorizations == [real, real, cplx, cplx] * 2  # faces e1, e2
+    for fr in rep.face_reports:
+        twisted = next(r for r in fr["rows"] if r["y"] != 0.0)
+        g = face_symbol_twisted(S, fr["face"], twisted["y"])
+        W = wh_matrix(g, "half-line", 32, identity_shift=True).entries
+        assert W.imag.any()
+        ref = np.linalg.svd(W, compute_uv=False)[-1]
+        assert twisted["sigma_min"][32] == pytest.approx(ref, rel=1e-10)
+
+
 # -- face restrictions -------------------------------------------------------------
 
 
@@ -356,6 +429,18 @@ def test_hierarchy_neumann_certificate():
     assert abs(rep.diagnostics["neumann_margin"] - (1.0 - l1)) < 1e-8
     for fr in rep.face_reports:
         assert fr["margin"] > rep.diagnostics["neumann_margin"] - 1e-9
+
+
+def test_hierarchy_neumann_margin_at_rounding_level():
+    """A unit-mass kernel whose sampled L1 norm rounds just below 1 has a
+    vanishing symbol; a Neumann margin of 1e-16 must not certify it."""
+    from conewh.presets import symbol_from_expression
+
+    S = symbol_from_expression("-0.8*exp(-pi*(0.8*x)**2)*exp(-pi*y**2)", 2, 0.1, 12.0)
+    rep = hierarchy_fredholm(S, truncations=(48, 96), y_values=[0.0])
+    assert 0 < rep.diagnostics["neumann_margin"] < 1e-12
+    assert not rep.symbol_nonvanishing
+    assert rep.verdict == "not-hierarchy-fredholm"
 
 
 # -- expression symbols and cone transforms ------------------------------------
