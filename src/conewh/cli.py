@@ -18,7 +18,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .cones import face_lattice, is_pointed, is_solid
+from .cones import face_lattice, is_solid
 from .errors import ConfigError, DomainError
 from .exact import as_float, rvec
 from .io import (
@@ -154,8 +154,11 @@ def _cmd_lattice(config):
         "covering": [list(p) for p in lat.order],
         "dims": list(lat.dims),
     })
-    if is_pointed(cone) and is_solid(cone):
-        report["solvable_length"] = strata(cone).length
+    if is_solid(cone):
+        # face_lattice needs a pointed cone; for a pointed, solid cone the dual
+        # faces are the primal ones with dim n - dim F, so the dual lattice has
+        # as many distinct dims as this one.
+        report["solvable_length"] = len(set(lat.dims)) - 1
     _write_report(config, name, report)
     return 0
 
@@ -178,8 +181,8 @@ def _cmd_strata(config):
 
 def _cmd_spectrum(config):
     name, cone = _load_cone(config)
-    sp = spectrum_poset(cone)
     st = strata(cone)
+    sp = spectrum_poset(st)
     report = _report_header(config)
     levels = []
     for bundle in sp.levels:

@@ -6,12 +6,18 @@ space) and inequalities (facet normals of the cone, i.e. generators of the
 dual cone).  Canonical form -- coprime integer coordinates with positive
 scaling, sorted -- makes set equality syntactic equality.
 
-V <-> H conversion uses the double description method with exact pivoting,
-run on the pointed quotient after splitting off the lineality space.
+V <-> H conversion uses the double description method, run on the pointed
+quotient after splitting off the lineality space; the face lattice is built
+from facet bitmasks.  Both hot loops work on coprime integer rays and
+bitmasks; only the initial Gram inverse and the lineality space are computed
+over Q, and results are returned as Fraction tuples.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 
 from .errors import (
     DimensionMismatchError,
@@ -24,16 +30,14 @@ from .exact import (
     canonical_ray,
     invert,
     is_zero_vec,
-    independent_rows,
     nullspace,
     project_onto_span,
     rank,
+    rref,
     rvec,
     span_basis,
     vdot,
     vneg,
-    vsub,
-    vscale,
 )
 
 
@@ -66,6 +70,11 @@ class Face:
     generators: tuple      # parent generators lying on the face, canonical order
     dim: int
 
+    @cached_property
+    def mask(self) -> int:
+        """The active set as a bitmask over parent.inequalities."""
+        return sum(1 << i for i in self.active_set)
+
     def __repr__(self):
         return f"Face(dim={self.dim}, active={list(self.active_set)})"
 
@@ -79,16 +88,32 @@ class FaceLattice:
     order: tuple            # covering pairs (i, j): faces[i] covered by faces[j]
     dims: tuple             # multiset of face dimensions, sorted
 
+    @cached_property
+    def _by_active(self):
+        return {f.active_set: f for f in self.faces}
+
     def by_active(self, active):
         key = tuple(sorted(active))
-        for f in self.faces:
-            if f.active_set == key:
-                return f
-        raise KeyError(f"no face with active set {key}")
+        if key not in self._by_active:
+            raise KeyError(f"no face with active set {key}")
+        return self._by_active[key]
 
 
 def _dedupe_sorted(vectors):
     return tuple(sorted(set(vectors)))
+
+
+def _ints(v):
+    """Coprime integer coordinates of a nonzero rational vector, sign kept."""
+    return tuple(a.numerator for a in canonical_ray(v))
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _rational(vectors):
+    return tuple(tuple(Fraction(a) for a in v) for v in vectors)
 
 
 def _validate_rows(rows, ambient_dim, what):
@@ -100,7 +125,7 @@ def _validate_rows(rows, ambient_dim, what):
         if len(v) != ambient_dim:
             raise DimensionMismatchError(f"{what} have mixed dimensions")
         if not is_zero_vec(v):
-            vecs.append(canonical_ray(v))
+            vecs.append(_ints(v))
     if ambient_dim is None:
         raise DimensionMismatchError("ambient dimension required")
     if ambient_dim < 1:
@@ -108,65 +133,64 @@ def _validate_rows(rows, ambient_dim, what):
     return vecs, ambient_dim
 
 
-def _adjacent(rows, active_i, active_j, k):
-    # Extreme rays of a pointed k-dimensional cone are adjacent iff their
-    # common active rows cut out a 2-dimensional face.
-    common = [rows[t] for t in sorted(active_i & active_j)]
-    return rank(common) == k - 2
-
-
-def _extreme_rays(ineq_rows, n):
+def _extreme_rays(rows, n):
     """Double description: extreme rays of the pointed part of {x : rows @ x >= 0},
-    plus a basis of the lineality space.  Returns (rays, lineality_basis)."""
-    rows = [canonical_ray(r) for r in ineq_rows if not is_zero_vec(r)]
-    lineality = nullspace(rows, n)
+    plus a basis of the lineality space.  Returns (rays, lineality_basis); rows
+    and rays are coprime int tuples, the basis is canonical over Q.
+
+    Each ray carries the bitmask of the processed rows it lies on.  Two rays
+    of the pointed k-dimensional cone are adjacent iff their common mask has
+    at least k - 2 rows and no third ray's mask contains it (the combinatorial
+    test of Fukuda & Prodon, "Double description method revisited", 1996).
+    """
+    rows = list(dict.fromkeys(rows))
+    frows = _rational(rows)
+    lineality = nullspace(frows, n)
     k = n - len(lineality)
     if k == 0:
         return [], lineality
 
-    # Initial simplicial cone in W = rowspace(rows): dual basis rays of a
-    # maximal independent subset, via the exact Gram inverse.
-    idx = independent_rows(rows, k)
-    base = [rows[i] for i in idx]
-    gram = [[vdot(a, b) for b in base] for a in base]
-    ginv = invert(gram)
-    rays = []
-    for j in range(k):
-        r = tuple(sum((ginv[j][m] * base[m][c] for m in range(k)), Fraction(0))
-                  for c in range(n))
-        rays.append(canonical_ray(r))
+    # Initial simplicial cone in W = rowspace(rows): dual basis rays of the
+    # first k independent rows (the pivot columns of rows^T), via the exact
+    # Gram inverse.  Ray j lies on every base row but the j-th.
+    idx = rref(list(zip(*frows)))[1]
+    base = [frows[i] for i in idx]
+    ginv = invert([[vdot(a, b) for b in base] for a in base])
+    rays = [_ints([vdot(ginv[j], col) for col in zip(*base)]) for j in range(k)]
+    processed = sum(1 << i for i in idx)
+    masks = [processed & ~(1 << i) for i in idx]
 
-    processed = list(idx)
     for t, a in enumerate(rows):
-        if t in idx:
+        if processed >> t & 1:
             continue
-        vals = [vdot(a, r) for r in rays]
-        neg = [i for i, v in enumerate(vals) if v < 0]
-        if not neg:
-            processed.append(t)
-            continue
-        pos = [i for i, v in enumerate(vals) if v > 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
-        active = [frozenset(s for s in processed if vdot(rows[s], r) == 0) for r in rays]
-        new_rays = [rays[i] for i in pos + zero]
+        bit = 1 << t
+        vals = [_dot(a, r) for r in rays]
+        keep = [i for i, v in enumerate(vals) if v >= 0]
+        pos = [i for i in keep if vals[i] > 0]
+        neg = [j for j, v in enumerate(vals) if v < 0]
+        new_rays = [rays[i] for i in keep]
+        new_masks = [masks[i] | bit if vals[i] == 0 else masks[i] for i in keep]
         for i in pos:
             for j in neg:
-                if not _adjacent(rows, active[i], active[j], k):
+                common = masks[i] & masks[j]
+                if common.bit_count() < k - 2 or any(
+                        m & common == common for l, m in enumerate(masks) if l != i and l != j):
                     continue
-                w = vsub(vscale(vals[i], rays[j]), vscale(vals[j], rays[i]))
-                new_rays.append(canonical_ray(w))
-        processed.append(t)
-        rays = sorted(set(new_rays))
-    return sorted(set(rays)), lineality
+                w = [vals[i] * x - vals[j] * y for x, y in zip(rays[j], rays[i])]
+                g = gcd(*w)
+                new_rays.append(tuple(c // g for c in w))
+                new_masks.append(common | bit)
+        rays, masks = new_rays, new_masks
+    return sorted(rays), lineality
 
 
-def _generators_from_inequalities(ineq_rows, n):
-    rays, lin = _extreme_rays(ineq_rows, n)
-    gens = list(rays)
-    for b in lin:
-        gens.append(b)
-        gens.append(vneg(b))
-    return _dedupe_sorted(canonical_ray(g) for g in gens)
+def _generators_from_inequalities(rows, n):
+    """Canonical int generators of {x : rows @ x >= 0} from int rows."""
+    rays, lin = _extreme_rays(rows, n)
+    gens = set(rays)
+    for b in map(_ints, lin):
+        gens |= {b, tuple(-a for a in b)}
+    return sorted(gens)
 
 
 def cone_from_generators(rays, ambient_dim=None) -> PolyhedralCone:
@@ -180,10 +204,9 @@ def cone_from_generators(rays, ambient_dim=None) -> PolyhedralCone:
     # Inequalities of C = generators of C*, whose H-rep rows are the rays.
     ineqs = _generators_from_inequalities(vecs, n)
     gens = _generators_from_inequalities(ineqs, n)
-    for v in vecs:
-        if any(vdot(a, v) < 0 for a in ineqs):
-            raise MembershipError("internal: input ray violates derived inequality")
-    return PolyhedralCone(n, gens, ineqs)
+    if any(_dot(a, v) < 0 for v in vecs for a in ineqs):
+        raise MembershipError("internal: input ray violates derived inequality")
+    return PolyhedralCone(n, _rational(gens), _rational(ineqs))
 
 
 def cone_from_inequalities(rows, ambient_dim=None) -> PolyhedralCone:
@@ -191,7 +214,7 @@ def cone_from_inequalities(rows, ambient_dim=None) -> PolyhedralCone:
     vecs, n = _validate_rows(rows, ambient_dim, "inequalities")
     gens = _generators_from_inequalities(vecs, n)
     ineqs = _generators_from_inequalities(gens, n)
-    return PolyhedralCone(n, gens, ineqs)
+    return PolyhedralCone(n, _rational(gens), _rational(ineqs))
 
 
 def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
@@ -239,55 +262,46 @@ def face_lattice(cone: PolyhedralCone) -> FaceLattice:
 
     Nonzero faces of a pointed cone are generated by the extreme rays they
     contain, so the closed active sets are exactly the intersections of the
-    per-ray zero patterns, plus the full set for the bottom face {0}.
+    per-ray zero patterns, plus the full set for the bottom face {0}.  Faces
+    are keyed by that facet bitmask.  The closure H = F & zp[g] of a face F
+    and a ray g outside it covers F iff every ray of H outside F closes F to
+    the same H (Kaibel & Pfetsch, "Computing the face lattice of a polytope
+    from its vertex-facet incidences", 2002).
     """
     _require_pointed(cone, "face lattice")
-    m = len(cone.inequalities)
+    ineqs = [_ints(a) for a in cone.inequalities]
+    m = len(ineqs)
     full = (1 << m) - 1
-    zero_patterns = []
-    for g in cone.generators:
-        mask = 0
-        for i, a in enumerate(cone.inequalities):
-            if vdot(a, g) == 0:
-                mask |= 1 << i
-        zero_patterns.append(mask)
+    zero_patterns = [sum(1 << i for i, a in enumerate(ineqs) if _dot(a, g) == 0)
+                     for g in map(_ints, cone.generators)]
 
-    masks = {full}
-    frontier = set(zero_patterns)
-    masks |= frontier
-    while frontier:
-        new = set()
-        for zm in zero_patterns:
-            for fm in frontier:
-                inter = zm & fm
-                if inter not in masks:
-                    new.add(inter)
-        masks |= new
-        frontier = new
+    # Breadth-first from the bottom face: each face's covers are its minimal
+    # closures, and a face's dim is its grade.
+    ray_masks = {full: 0}       # facet mask -> bitmask of the rays on the face
+    covers, dims, queue = {}, {full: 0}, [full]
+    for mask in queue:
+        rm = ray_masks[mask]
+        closures = Counter(mask & zm for g, zm in enumerate(zero_patterns) if not rm >> g & 1)
+        covers[mask] = []
+        for h, count in closures.items():
+            if h not in ray_masks:
+                ray_masks[h] = sum(1 << g for g, zm in enumerate(zero_patterns) if h & ~zm == 0)
+            if count == ray_masks[h].bit_count() - rm.bit_count():
+                covers[mask].append(h)
+                if h not in dims:
+                    dims[h] = dims[mask] + 1
+                    queue.append(h)
 
-    faces = []
-    for mask in masks:
-        gens = [g for g, zm in zip(cone.generators, zero_patterns) if mask & ~zm == 0]
-        active = tuple(i for i in range(m) if mask >> i & 1)
-        faces.append(Face(cone, active, _dedupe_sorted(gens), rank(gens)))
-    faces.sort(key=lambda f: (f.dim, f.active_set))
+    def active(mask):
+        return tuple(i for i in range(m) if mask >> i & 1)
 
-    # Covering relation: strict containment with nothing in between.
-    def leq(f, g):
-        return set(f.active_set) >= set(g.active_set)
-
-    order = []
-    for i, f in enumerate(faces):
-        for j, g in enumerate(faces):
-            if i == j or not (leq(f, g) and f.active_set != g.active_set):
-                continue
-            between = any(k not in (i, j) and leq(f, faces[k]) and leq(faces[k], g)
-                          and faces[k].active_set not in (f.active_set, g.active_set)
-                          for k in range(len(faces)))
-            if not between:
-                order.append((i, j))
-    dims = tuple(sorted(f.dim for f in faces))
-    return FaceLattice(cone, tuple(faces), tuple(order), dims)
+    ordered = sorted(dims, key=lambda mask: (dims[mask], active(mask)))
+    index = {mask: i for i, mask in enumerate(ordered)}
+    faces = tuple(Face(cone, active(mask), tuple(g for i, g in enumerate(cone.generators)
+                                                 if ray_masks[mask] >> i & 1), dims[mask])
+                  for mask in ordered)
+    order = tuple(sorted((index[mask], index[h]) for mask in ordered for h in covers[mask]))
+    return FaceLattice(cone, faces, order, tuple(sorted(dims.values())))
 
 
 def exposed_face(cone: PolyhedralCone, x) -> Face:

@@ -1,9 +1,11 @@
 """Exact rational vectors and small dense linear algebra over Q.
 
 Vectors are tuples of :class:`fractions.Fraction`; matrices are lists/tuples
-of such row vectors.  Everything here is exact; floats never enter.  Sizes
-are tiny (ambient dimension <= ~6, <= ~16 rows), so plain Gaussian
-elimination is entirely adequate.
+of such row vectors.  Everything here is exact; floats never enter.  Ambient
+dimensions are small (<= ~7) and row counts moderate (tens, e.g. 48 rays of a
+polygonal cone), so plain Gaussian elimination is adequate.  The hot loops of
+the cone layer (double description, face lattice) do not come here: they run
+on coprime integer rays and bitmasks in :mod:`conewh.cones`.
 """
 
 from fractions import Fraction
@@ -31,18 +33,6 @@ def rvec(coords) -> Vec:
 
 def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c, v):
-    return tuple(c * a for a in v)
 
 
 def vneg(v):
@@ -133,17 +123,6 @@ def nullspace(rows, n):
             v[p] = -red[i][f]
         basis.append(canonical_line(tuple(v)))
     return basis
-
-
-def independent_rows(rows, k=None):
-    """Indices of a maximal (or size-k) linearly independent subset, greedily."""
-    chosen = []
-    for i, r in enumerate(rows):
-        if rank([rows[j] for j in chosen] + [r]) > len(chosen):
-            chosen.append(i)
-            if k is not None and len(chosen) == k:
-                break
-    return chosen
 
 
 def solve_linear(rows, rhs):

@@ -38,11 +38,21 @@ def read_cone_spec(text_or_obj):
     has_ineq = "inequalities" in obj
     if has_gen == has_ineq:
         raise ConfigError("cone spec needs exactly one of generators/inequalities")
-    rows = [parse_vector(v) for v in obj["generators" if has_gen else "inequalities"]]
+    key = "generators" if has_gen else "inequalities"
+    rows = obj[key]
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ConfigError(f"cone spec '{key}' must be a list of rows")
+    parsed = []
+    for row in rows:
+        try:
+            parsed.append(parse_vector(row))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad row {row} in cone spec '{key}': "
+                              f"{type(exc).__name__}: {exc}") from None
     if has_gen:
-        cone = cone_from_generators(rows, dim)
+        cone = cone_from_generators(parsed, dim)
     else:
-        cone = cone_from_inequalities(rows, dim)
+        cone = cone_from_inequalities(parsed, dim)
     return name, cone
 
 

@@ -204,7 +204,7 @@ def incidence_pairs(omega, j) -> IncidencePairs:
     pairs, xi, eta = [], [], []
     for ie, e_face in enumerate(upper):
         for jf, f_face in enumerate(lower):
-            if set(f_face.active_set) >= set(e_face.active_set):
+            if f_face.mask & e_face.mask == e_face.mask:
                 pairs.append((e_face, f_face))
                 xi.append(ie)
                 eta.append(jf)
@@ -227,7 +227,8 @@ class SpectrumPoset:
     levels_finite: bool = True    # polyhedral strata are finite, hence compact
 
 
-def spectrum_poset(omega: PolyhedralCone) -> SpectrumPoset:
+def spectrum_poset(omega) -> SpectrumPoset:
+    """Gluing data of the spectrum of a cone, or of its already built Strata."""
     st = _strata_of(omega)
     d = st.length
     bundles = tuple(sigma_bundle(st, j) for j in range(d + 1))

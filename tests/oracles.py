@@ -3,7 +3,9 @@
 These deliberately avoid the library's algorithms: membership by
 Caratheodory subset solves, face enumeration by exhaustive active-set
 closure over all facet subsets, windings by upper-half-plane zero/pole
-counts, projections by parametrized gradient descent.
+counts, projections by parametrized gradient descent.  The double description
+and covering-relation oracles are the library's earlier rational
+implementations: per-pair exact-rank adjacency and the O(F^3) covering loop.
 """
 
 import itertools
@@ -11,7 +13,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from conewh.exact import rank, rvec, solve_linear, vdot
+from conewh.exact import (
+    canonical_ray,
+    invert,
+    is_zero_vec,
+    nullspace,
+    rank,
+    rvec,
+    solve_linear,
+    vdot,
+    vneg,
+)
 
 
 def vrep_member(rays, x):
@@ -62,6 +74,75 @@ def brute_force_faces(cone):
                             if all(vdot(cone.inequalities[i], g) == 0 for g in gens))
             found[closure] = (tuple(sorted(set(gens))), rank(gens))
     return found
+
+
+def _fraction_extreme_rays(rows, n):
+    """Rational double description with the algebraic adjacency test: two rays
+    are adjacent iff their common active rows have rank k - 2."""
+    rows = [canonical_ray(r) for r in rows if not is_zero_vec(r)]
+    lineality = nullspace(rows, n)
+    k = n - len(lineality)
+    if k == 0:
+        return [], lineality
+    idx = []
+    for i, r in enumerate(rows):
+        if len(idx) < k and rank([rows[j] for j in idx] + [r]) > len(idx):
+            idx.append(i)
+    base = [rows[i] for i in idx]
+    ginv = invert([[vdot(a, b) for b in base] for a in base])
+    rays = [canonical_ray(tuple(sum((ginv[j][m] * base[m][c] for m in range(k)), Fraction(0))
+                                for c in range(n))) for j in range(k)]
+    processed = list(idx)
+    for t, a in enumerate(rows):
+        if t in idx:
+            continue
+        vals = [vdot(a, r) for r in rays]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        active = [frozenset(s for s in processed if vdot(rows[s], r) == 0) for r in rays]
+        new_rays = [r for r, v in zip(rays, vals) if v >= 0]
+        for i in pos:
+            for j in neg:
+                common = [rows[s] for s in sorted(active[i] & active[j])]
+                if rank(common) == k - 2:
+                    new_rays.append(canonical_ray(tuple(
+                        vals[i] * y - vals[j] * x for x, y in zip(rays[i], rays[j]))))
+        processed.append(t)
+        rays = sorted(set(new_rays))
+    return rays, lineality
+
+
+def _fraction_dual_generators(rows, n):
+    rays, lineality = _fraction_extreme_rays(rows, n)
+    lines = [v for b in lineality for v in (b, vneg(b))]
+    return tuple(sorted(set(canonical_ray(g) for g in rays + lines)))
+
+
+def fraction_dd_cone(rays, n):
+    """(generators, inequalities) of cone{rays} in Q^n, as canonical sorted
+    Fraction tuples, by the rational double description."""
+    vecs = [rvec(r) for r in rays]
+    ineqs = _fraction_dual_generators(vecs, n)
+    return _fraction_dual_generators(ineqs, n), ineqs
+
+
+def cubic_covers(faces):
+    """Covering pairs (i, j), faces[i] covered by faces[j], of a face list:
+    strict active-set containment with no face in between, by the O(F^3) loop."""
+    def leq(f, g):
+        return set(f.active_set) >= set(g.active_set)
+
+    order = []
+    for i, f in enumerate(faces):
+        for j, g in enumerate(faces):
+            if i == j or not (leq(f, g) and f.active_set != g.active_set):
+                continue
+            between = any(k not in (i, j) and leq(f, faces[k]) and leq(faces[k], g)
+                          and faces[k].active_set not in (f.active_set, g.active_set)
+                          for k in range(len(faces)))
+            if not between:
+                order.append((i, j))
+    return tuple(order)
 
 
 def brute_force_exposed_face(cone, x):

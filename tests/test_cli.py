@@ -36,6 +36,22 @@ def test_cone_spec_validation():
         read_cone_spec({"name": "x", "dim": 2, "generators": [], "inequalities": []})
 
 
+@pytest.mark.parametrize("generators", [
+    [["a", "b", "c"]],
+    [[1.5, 0, 1]],
+    [["1/0", "0", "1"]],
+    "xyz",
+    ["1", "0", "1"],
+    5,
+])
+def test_malformed_cone_spec_is_config_error(tmp_path, capsys, generators):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"name": "bad", "dim": 3, "generators": generators}))
+    assert main(["lattice", "--in", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
 def test_lattice_command_quarter(tmp_path):
     code = run(RunConfig("lattice", "quarter-plane", str(tmp_path)))
     assert code == 0

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conewh.cones import (
     cone_from_generators,
@@ -30,6 +32,8 @@ from conewh.exact import nullspace, rvec, vdot, vneg
 from oracles import (
     brute_force_exposed_face,
     brute_force_faces,
+    cubic_covers,
+    fraction_dd_cone,
     hrep_member,
     integer_grid,
     vrep_member,
@@ -322,3 +326,39 @@ def test_octagonal_cone_lattice_matches_oracle():
     expected = brute_force_faces(cone)
     assert {f.active_set: (f.generators, f.dim) for f in lat.faces} == expected
     assert len(lat.faces) == 18  # bottom + 8 rays + 8 facets + top
+
+
+@st.composite
+def _ray_sets(draw):
+    """Small integer ray sets in Q^3/Q^4, some with a duplicate (possibly
+    rescaled) ray, a redundant sum of two rays, or a line."""
+    n = draw(st.sampled_from((3, 4)))
+    vector = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+    rays = draw(st.lists(vector, min_size=1, max_size=6))
+    extra = draw(st.sampled_from(("none", "duplicate", "redundant", "line")))
+    if extra == "duplicate":
+        rays.append(tuple(draw(st.sampled_from((1, 2))) * c for c in rays[-1]))
+    elif extra == "redundant":
+        rays.append(tuple(a + b for a, b in zip(rays[0], rays[-1])))
+    elif extra == "line":
+        rays.append(tuple(-c for c in rays[0]))
+    return n, rays
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ray_sets())
+def test_random_cones_match_rational_oracles(case):
+    """Integer double description and bitmask lattice against the rational
+    double description, the subset-closure face oracle and the O(F^3) covers."""
+    n, rays = case
+    cone = cone_from_generators(rays, n)
+    assert (cone.generators, cone.inequalities) == fraction_dd_cone(rays, n)
+    assert all(type(c) is Fraction for v in cone.generators + cone.inequalities for c in v)
+    assert cone_from_inequalities(cone.inequalities, n) == cone
+    assert all(hrep_member(cone.inequalities, r) for r in rays)
+    if is_pointed(cone):
+        lat = face_lattice(cone)
+        assert {f.active_set: (f.generators, f.dim) for f in lat.faces} == \
+            brute_force_faces(cone)
+        assert lat.order == cubic_covers(lat.faces)
+        assert sum((-1) ** f.dim for f in lat.faces) == 0
