@@ -20,12 +20,13 @@ import numpy as np
 from . import __version__
 from .cones import face_lattice, is_solid
 from .errors import ConfigError, DomainError
-from .exact import as_float, rvec
+from .exact import as_float
 from .io import (
     cone_report_object,
     dumps_report,
     face_object,
     load_json,
+    parse_vector,
     read_cone_spec,
     vector_strings,
     write_csv,
@@ -84,26 +85,52 @@ def _check_tolerances(config):
 
 
 def _resolve_input(name, kind):
-    """A literal path, or a packaged preset spec under presets/<kind>/."""
+    """A literal path, or a packaged preset spec under presets/<kind>/; a JSON object."""
     if os.path.exists(name):
-        return load_json(name)
-    base = os.path.basename(name)
-    if not base.endswith(".json"):
-        base += ".json"
-    ref = resources.files("conewh").joinpath("presets", kind, base)
-    if ref.is_file():
+        spec = load_json(name)
+    else:
+        base = os.path.basename(name)
+        if not base.endswith(".json"):
+            base += ".json"
+        ref = resources.files("conewh").joinpath("presets", kind, base)
+        if not ref.is_file():
+            raise FileNotFoundError(f"no such spec file or preset: {name}")
         import json
 
-        return json.loads(ref.read_text())
-    raise FileNotFoundError(f"no such spec file or preset: {name}")
+        spec = json.loads(ref.read_text())
+    if not isinstance(spec, dict):
+        raise ConfigError(f"spec {name} must be a JSON object, got {type(spec).__name__}")
+    return spec
+
+
+def _require(spec, *keys):
+    missing = [key for key in keys if key not in spec]
+    if missing:
+        raise ConfigError(f"spec is missing key(s): {', '.join(missing)}")
+
+
+def _positive(spec, key, default):
+    """A finite, positive float spec value; default when the key is absent."""
+    try:
+        value = float(spec.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad '{key}' in spec: {exc}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"'{key}' must be finite and positive, got {value}")
+    return value
+
+
+def _spec_cone(spec):
+    """An experiment's cone: a packaged preset name or an inline cone spec."""
+    _require(spec, "cone")
+    cone = spec["cone"]
+    return cone_preset(cone) if isinstance(cone, str) else read_cone_spec(cone)[1]
 
 
 def _grid(spec):
     """(h, T, truncations) of an experiment spec: h and T finite, N a list of
     integers."""
-    missing = [key for key in ("h", "T", "N") if key not in spec]
-    if missing:
-        raise ConfigError(f"spec is missing grid key(s): {', '.join(missing)}")
+    _require(spec, "h", "T", "N")
     try:
         h, T = float(spec["h"]), float(spec["T"])
         truncations = tuple(int(n) for n in spec["N"])
@@ -219,8 +246,7 @@ def _cmd_spectrum(config):
 def _cmd_trivialize(config):
     spec = _resolve_input(config.input, "experiments")
     name = spec.get("name", "trivialize")
-    cone = cone_preset(spec["cone"]) if isinstance(spec.get("cone"), str) \
-        else read_cone_spec(spec["cone"])[1]
+    cone = _spec_cone(spec)
     angle = float(spec.get("angle_deg", 5.0))
     samples = int(spec.get("samples", 500))
     rng = np.random.default_rng(config.seed)
@@ -264,6 +290,7 @@ def _cmd_trivialize(config):
 def _cmd_index1d(config):
     spec = _resolve_input(config.input, "experiments")
     name = spec.get("name", "index1d")
+    _require(spec, "symbol")
     h, T, truncations = _grid(spec)
     symbol = resolve_symbol(spec["symbol"], h, T)
     report_obj = classical_index(symbol, truncations=truncations)
@@ -300,6 +327,7 @@ def _cmd_index1d(config):
 def _cmd_hierarchy2d(config):
     spec = _resolve_input(config.input, "experiments")
     name = spec.get("name", "hierarchy2d")
+    _require(spec, "symbol")
     h, T, truncations = _grid(spec)
     symbol = resolve_symbol(spec["symbol"], h, T)
     kwargs = {}
@@ -346,13 +374,24 @@ def _cmd_hierarchy2d(config):
 def _cmd_pklimit(config):
     spec = _resolve_input(config.input, "experiments")
     name = spec.get("name", "pklimit")
-    cone = cone_preset(spec["cone"]) if isinstance(spec.get("cone"), str) \
-        else read_cone_spec(spec["cone"])[1]
-    direction = rvec(spec["direction"])
-    scales = [float(s) for s in spec.get("scales", [2, 4, 8, 16, 32, 64])]
-    eps = config.tolerances.get("eps", float(spec.get("eps", 0.5)))
-    window = float(spec.get("window", 4.0))
-    step = float(spec.get("step", eps / 2))
+    cone = _spec_cone(spec)
+    _require(spec, "direction")
+    direction, scales = spec["direction"], spec.get("scales", [2, 4, 8, 16, 32, 64])
+    if not (isinstance(direction, list) and isinstance(scales, list)):
+        raise ConfigError("spec 'direction' and 'scales' must be lists")
+    try:
+        direction = parse_vector(direction)
+        scales = [float(s) for s in scales]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad direction or scales in spec: {exc}") from None
+    if len(direction) != cone.ambient_dim:
+        raise ConfigError(f"direction has {len(direction)} entries for a cone "
+                          f"in dimension {cone.ambient_dim}")
+    if not all(math.isfinite(s) for s in scales):
+        raise ConfigError(f"scales must be finite, got {scales}")
+    eps = _positive(config.tolerances if "eps" in config.tolerances else spec, "eps", 0.5)
+    window = _positive(spec, "window", 4.0)
+    step = _positive(spec, "step", eps / 2)
     bounds = (-window, window)
 
     xf = as_float(direction)

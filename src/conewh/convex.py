@@ -206,9 +206,12 @@ class HPolytopeBody(ConvexBody):
             raise GaugeDomainError("0 not interior")
 
     def gauge(self, x):
+        """Gauge of a point, or of each row of a 2-D array."""
         self._check_zero_interior()
-        vals = (self.A @ np.asarray(x, dtype=float)) / self.b
-        return float(max(0.0, vals.max()))
+        x = np.asarray(x, dtype=float)
+        mu = ((x @ self.A.T) / self.b).max(axis=-1)
+        mu = np.where(mu > 0.0, mu, 0.0)
+        return float(mu) if x.ndim == 1 else mu
 
     def active_indices(self, x, tol=1e-6):
         """Facets active at the boundary point x (relative tolerance)."""

@@ -23,6 +23,8 @@ def vector_strings(vec):
 
 
 def parse_vector(entries):
+    if any(isinstance(e, bool) for e in entries):
+        raise TypeError("JSON booleans are not rationals")
     return tuple(rational(e) for e in entries)
 
 
@@ -31,9 +33,11 @@ def read_cone_spec(text_or_obj):
     obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
     try:
         name = obj["name"]
-        dim = int(obj["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
+        dim = obj["dim"]
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"cone spec needs 'name' and integer 'dim': {exc}")
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ConfigError(f"cone spec 'dim' must be an integer, got {dim!r}")
     has_gen = "generators" in obj
     has_ineq = "inequalities" in obj
     if has_gen == has_ineq:

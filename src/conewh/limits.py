@@ -4,7 +4,8 @@ Closed sets are represented by finite point samples on a uniform grid.  The
 limes inferior / superior of a sequence are approximated operationally:
 "all but finitely many" means each of the last K sets, "infinitely many"
 means at least one hit in every consecutive block.  These are desk-scale
-diagnostics, not exact set limits.
+diagnostics, not exact set limits.  Each set gets one KD query bounded by eps,
+shared by liminf and limsup; its mask d < eps equals that of full distances.
 """
 
 from dataclasses import dataclass
@@ -39,11 +40,14 @@ def window_grid(bounds, step, dim):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _dist_to_set(points, sample):
-    if len(sample.points) == 0:
-        return np.full(len(points), np.inf)
-    tree = cKDTree(sample.points)
-    return tree.query(points, k=1)[0]
+def _directed(a, b):
+    """max over rows p of a of d(p, b); only rows that are not bitwise rows of b
+    (binary search in b's rows, by an argsort) are queried, the others are at 0."""
+    pa, pb = (np.ascontiguousarray(s.points, dtype=float) for s in (a, b))
+    ra, rb = (p.view(np.dtype((np.void, 8 * p.shape[1]))).ravel() for p in (pa, pb))
+    order = np.argsort(rb)
+    rest = pa[np.searchsorted(rb, ra, "left", order) == np.searchsorted(rb, ra, "right", order)]
+    return cKDTree(pb).query(rest)[0].max() if len(rest) else 0.0
 
 
 def hausdorff_distance(a: SampledSet, b: SampledSet) -> float:
@@ -52,9 +56,7 @@ def hausdorff_distance(a: SampledSet, b: SampledSet) -> float:
         return 0.0
     if len(a) == 0 or len(b) == 0:
         return np.inf
-    d_ab = _dist_to_set(a.points, b).max()
-    d_ba = _dist_to_set(b.points, a).max()
-    return float(max(d_ab, d_ba))
+    return float(max(_directed(a, b), _directed(b, a)))
 
 
 def _candidate_grid(seq, bounds, step):
@@ -70,47 +72,45 @@ def _candidate_grid(seq, bounds, step):
     return window_grid(bounds, step, dim)
 
 
-def _validate(seq):
+def _tail(n):
+    return range(n - max(2, (n + 1) // 2), n)
+
+
+def _near_masks(seq, eps, bounds, step, indices):
+    """Candidate grid and, for i in indices, the mask d(grid, seq[i]) < eps."""
     if len(seq) < 2:
         raise DomainError("need at least two sets")
+    if eps <= 0:
+        raise DomainError("eps must be positive")
+    grid = _candidate_grid(seq, bounds, eps if step is None else step)
+    return grid, {i: cKDTree(seq[i].points).query(grid, distance_upper_bound=eps)[0] < eps
+                  if len(seq[i]) else np.zeros(len(grid), dtype=bool) for i in indices}
+
+
+def _liminf(grid, near, n):
+    return SampledSet(grid[np.logical_and.reduce([near[i] for i in _tail(n)])], "pk-liminf")
+
+
+def _limsup(grid, near, n):
+    blocks = np.array_split(np.arange(n), min(3, n))
+    hits = [np.logical_or.reduce([near[i] for i in block]) for block in blocks]
+    return SampledSet(grid[np.logical_and.reduce(hits)], "pk-limsup")
 
 
 def pk_liminf(seq, eps, bounds=None, step=None) -> SampledSet:
     """Grid points within eps of each of the last ceil(len/2) sets."""
-    _validate(seq)
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    step = eps if step is None else step
-    grid = _candidate_grid(seq, bounds, step)
-    tail = seq[-max(2, (len(seq) + 1) // 2):]
-    keep = np.ones(len(grid), dtype=bool)
-    for s in tail:
-        keep &= _dist_to_set(grid, s) < eps
-    return SampledSet(grid[keep], tag="pk-liminf")
+    return _liminf(*_near_masks(seq, eps, bounds, step, _tail(len(seq))), len(seq))
 
 
 def pk_limsup(seq, eps, bounds=None, step=None) -> SampledSet:
     """Grid points within eps of at least one set in every consecutive block."""
-    _validate(seq)
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    step = eps if step is None else step
-    grid = _candidate_grid(seq, bounds, step)
-    nblocks = min(3, len(seq))
-    blocks = [list(block) for block in np.array_split(np.arange(len(seq)), nblocks)]
-    keep = np.ones(len(grid), dtype=bool)
-    for block in blocks:
-        hit = np.zeros(len(grid), dtype=bool)
-        for i in block:
-            hit |= _dist_to_set(grid, seq[i]) < eps
-        keep &= hit
-    return SampledSet(grid[keep], tag="pk-limsup")
+    return _limsup(*_near_masks(seq, eps, bounds, step, range(len(seq))), len(seq))
 
 
 def pk_converged(seq, eps, bounds=None, step=None):
     """Declare eps-convergence when liminf and limsup samples coincide within eps."""
-    lo = pk_liminf(seq, eps, bounds, step)
-    hi = pk_limsup(seq, eps, bounds, step)
+    grid, near = _near_masks(seq, eps, bounds, step, range(len(seq)))
+    lo, hi = _liminf(grid, near, len(seq)), _limsup(grid, near, len(seq))
     dist = hausdorff_distance(lo, hi)
     return dist <= eps, lo, hi, dist
 

@@ -189,8 +189,8 @@ def _reduced_apply(triv, W):
     t = W @ xi0_c
     Zc = W - np.outer(t, xi0_c)
     Z2 = Zc @ Q2.T
-    mu_e = np.array([body_e.gauge(z) for z in Z2])
-    mu_f = np.array([body_f.gauge(z) for z in Z2])
+    mu_e = body_e.gauge(Z2)
+    mu_f = body_f.gauge(Z2)
     ratio = np.where(mu_e > 0, mu_f / np.where(mu_e > 0, mu_e, 1.0), 1.0)
     phi = Z2 * ratio[:, None]
     t_out = t * (triv.det_scale if triv.normalized else 1.0)
@@ -278,10 +278,7 @@ def triv_target_margin(triv, pts):
     W = pts @ Q.T
     t = W @ xi0_c
     Z2 = (W - np.outer(t, xi0_c)) @ it["Q2"].T
-    margins = np.empty(len(pts))
-    for i, (ti, z2) in enumerate(zip(t, Z2)):
-        if ti <= 0:
-            margins[i] = ti
-        else:
-            margins[i] = ti * (1.0 - it["body_e"].gauge(z2 / ti))
+    pos = t > 0
+    margins = t.copy()
+    margins[pos] = t[pos] * (1.0 - it["body_e"].gauge(Z2[pos] / t[pos, None]))
     return margins

@@ -6,12 +6,15 @@ closure over all facet subsets, windings by upper-half-plane zero/pole
 counts, projections by parametrized gradient descent.  The double description
 and covering-relation oracles are the library's earlier rational
 implementations: per-pair exact-rank adjacency and the O(F^3) covering loop.
+The sampled-limit oracles take the full nearest distance of every grid point
+to every set, and of every sample row in a Hausdorff distance.
 """
 
 import itertools
 from fractions import Fraction
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from conewh.exact import (
     canonical_ray,
@@ -24,6 +27,7 @@ from conewh.exact import (
     vdot,
     vneg,
 )
+from conewh.limits import window_grid
 
 
 def vrep_member(rays, x):
@@ -225,3 +229,50 @@ def complex_singular_split(W, delta_factor=1e-8):
     gap = S[-k - 1] / S[-k] if 0 < k < n else None
     return {"count": k, "dim_ker": int(dim_ker), "dim_coker": k - int(dim_ker),
             "sigma": S, "sigma_max": float(S[0]), "gap": gap}
+
+
+def full_dist_to_set(points, sample):
+    """Nearest distance of each row of points to a sample (inf for the empty set)."""
+    if len(sample) == 0:
+        return np.full(len(points), np.inf)
+    return cKDTree(sample).query(points, k=1)[0]
+
+
+def full_hausdorff(a, b):
+    """Symmetric Hausdorff distance from full nearest distances of every row."""
+    if len(a) == 0 and len(b) == 0:
+        return 0.0
+    if len(a) == 0 or len(b) == 0:
+        return np.inf
+    return float(max(full_dist_to_set(a, b).max(), full_dist_to_set(b, a).max()))
+
+
+def _full_grid(seq, bounds, step):
+    if bounds is None:
+        finite = [s for s in seq if len(s)]
+        if not finite:
+            return np.empty((0, seq[0].shape[1]))
+        allpts = np.concatenate(finite)
+        bounds = (float(np.floor(allpts.min())), float(np.ceil(allpts.max())))
+    return window_grid(bounds, step, seq[0].shape[1])
+
+
+def full_pk_liminf(seq, eps, bounds, step):
+    """Grid points at full distance < eps from each of the last ceil(len/2) sets."""
+    grid = _full_grid(seq, bounds, step)
+    keep = np.ones(len(grid), dtype=bool)
+    for s in seq[-max(2, (len(seq) + 1) // 2):]:
+        keep &= full_dist_to_set(grid, s) < eps
+    return grid[keep]
+
+
+def full_pk_limsup(seq, eps, bounds, step):
+    """Grid points at full distance < eps from some set of every consecutive block."""
+    grid = _full_grid(seq, bounds, step)
+    keep = np.ones(len(grid), dtype=bool)
+    for block in np.array_split(np.arange(len(seq)), min(3, len(seq))):
+        hit = np.zeros(len(grid), dtype=bool)
+        for i in block:
+            hit |= full_dist_to_set(grid, seq[i]) < eps
+        keep &= hit
+    return grid[keep]

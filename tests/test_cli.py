@@ -43,10 +43,18 @@ def test_cone_spec_validation():
     "xyz",
     ["1", "0", "1"],
     5,
+    [[True, False, False], [False, True, False], [False, False, True]],
+    # Rows given as dicts replace "dim" too.
+    pytest.param({"dim": 2.7, "generators": [["1", "0"], ["0", "1"]]}, id="dim-2.7"),
+    pytest.param({"dim": True, "generators": [["1"]]}, id="dim-true"),
+    pytest.param({"dim": "3", "generators": [["1", "0", "0"]]}, id="dim-string"),
 ])
 def test_malformed_cone_spec_is_config_error(tmp_path, capsys, generators):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps({"name": "bad", "dim": 3, "generators": generators}))
+    spec = {"name": "bad", "dim": 3, "generators": generators}
+    if isinstance(generators, dict):
+        spec.update(generators)
+    path.write_text(json.dumps(spec))
     assert main(["lattice", "--in", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
@@ -224,5 +232,54 @@ def test_bad_grid_is_config_error(tmp_path, capsys, command, symbol, grid):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"name": "bad-grid", "symbol": symbol, **grid}))
     assert run(RunConfig(command, str(path), str(tmp_path))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+_PK = {"name": "bad-pk", "cone": "quarter-plane", "direction": ["1", "0"],
+       "scales": [2, 4], "eps": 0.5, "window": 2.0, "step": 0.25}
+
+
+@pytest.mark.parametrize("spec, tol", [
+    pytest.param({**_PK, "step": 0}, None, id="step-zero"),
+    pytest.param({**_PK, "step": -0.25}, None, id="step-negative"),
+    pytest.param({**_PK, "window": "nan"}, None, id="window-nan"),
+    pytest.param({**_PK, "window": 0}, None, id="window-zero"),
+    pytest.param({**_PK, "eps": "half"}, None, id="eps-word"),
+    pytest.param(_PK, "eps=nan", id="tol-eps-nan"),
+    pytest.param(_PK, "eps=-1", id="tol-eps-negative"),
+    pytest.param({k: v for k, v in _PK.items() if k != "direction"}, None,
+                 id="direction-missing"),
+    pytest.param({**_PK, "direction": ["1", "0", "1"]}, None, id="direction-3-on-2d"),
+    pytest.param({**_PK, "direction": [True, False]}, None, id="direction-bool"),
+    pytest.param({**_PK, "direction": "10"}, None, id="direction-string"),
+    pytest.param({**_PK, "scales": ["big", 4]}, None, id="scales-word"),
+    pytest.param({**_PK, "scales": [2, "inf"]}, None, id="scales-inf"),
+    pytest.param({k: v for k, v in _PK.items() if k != "cone"}, None, id="cone-missing"),
+])
+def test_bad_pklimit_spec_is_config_error(tmp_path, capsys, spec, tol):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    argv = ["pklimit", "--in", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv + (["--tol", tol] if tol else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, spec", [
+    ("lattice", [1, 2]),
+    ("trivialize", [1, 2]),
+    ("index1d", [1, 2]),
+    ("hierarchy2d", "quarter-plane"),
+    ("pklimit", None),
+    ("index1d", {"name": "no-symbol", **_GRID}),
+    ("hierarchy2d", {"name": "no-symbol", **_GRID}),
+    ("trivialize", {"name": "no-cone", "angle_deg": 5.0}),
+])
+def test_malformed_experiment_spec_is_config_error(tmp_path, capsys, command, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    argv = [command, "--in", str(path), "--out", str(tmp_path / "out"), "--seed", "1"]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1

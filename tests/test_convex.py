@@ -164,10 +164,28 @@ def test_gauge_homogeneity(square, fourgonal_slice):
                 assert gauge(body, t * x) == pytest.approx(t * mu, rel=1e-10)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gauge_of_rows_matches_point_loop(k):
+    """One batched product per row set against the per-point gauge: bitwise for
+    1-D slices (one multiplication per entry), to rounding otherwise."""
+    rng = np.random.default_rng(k)
+    body = HPolytopeBody(rng.normal(size=(6, k)), rng.uniform(0.5, 2.0, 6))
+    Z = np.vstack([rng.normal(size=(500, k)), np.zeros((1, k))])
+    rows = body.gauge(Z)
+    loop = np.array([body.gauge(z) for z in Z])
+    if k == 1:
+        assert rows.tobytes() == loop.tobytes()
+    scale = (np.abs(Z) @ np.abs(body.A).T / body.b).max(axis=1)
+    assert np.all(np.abs(rows - loop) <= 2 * k * np.finfo(float).eps * scale)
+    assert np.all(rows >= 0.0) and rows[-1] == 0.0
+
+
 def test_gauge_needs_zero_interior():
     shifted = HPolytopeBody([[1, 0], [-1, 0], [0, 1], [0, -1]], [3, -1, 1, 1])
     with pytest.raises(GaugeDomainError):
         gauge(shifted, [1.0, 0.0])
+    with pytest.raises(GaugeDomainError):
+        shifted.gauge(np.ones((3, 2)))
 
 
 def test_gauge_sublevel_is_body(square, fourgonal_slice):

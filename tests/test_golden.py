@@ -1,11 +1,17 @@
-"""Byte-identity of the exact-layer reports against committed golden files.
+"""Byte-identity of reports against committed golden files.
 
-The golden reports under golden/reports were written by the rational double
-description and the O(F^3) covering loop, before the cone layer moved to
-integers and bitmasks.  Inputs: the four packaged cone presets, a polygonal
-cone with 48 rays and a unimodular image of the cone over the 5-cube (specs
-under golden/specs, given as paths relative to golden/ so the report header
-is the same in every checkout).
+The exact-layer reports under golden/reports were written by the rational
+double description and the O(F^3) covering loop, before the cone layer moved
+to integers and bitmasks.  Inputs: the four packaged cone presets, a
+polygonal cone with 48 rays and a unimodular image of the cone over the
+5-cube (specs under golden/specs, given as paths relative to golden/ so the
+report header is the same in every checkout).
+
+The sampled reports (pklimit, trivialize) were written from full nearest
+distances to every sampled set and a per-point gauge loop, before those
+moved to eps-bounded KD queries and row-batched gauges.  Inputs: the two
+packaged sampled presets and two 3-D pklimit specs with the preset's scales,
+eps, window and step.
 """
 
 from pathlib import Path
@@ -28,7 +34,21 @@ INPUTS = [
 @pytest.mark.parametrize("command", ["lattice", "strata", "spectrum"])
 @pytest.mark.parametrize("spec, name", INPUTS)
 def test_report_matches_golden(tmp_path, monkeypatch, spec, name, command):
+    _check_golden(tmp_path, monkeypatch, command, spec, None, name)
+
+
+def _check_golden(tmp_path, monkeypatch, command, spec, seed, name):
     monkeypatch.chdir(GOLDEN)
-    assert run(RunConfig(command, spec, str(tmp_path))) == 0
+    assert run(RunConfig(command, spec, str(tmp_path), seed)) == 0
     fname = f"{name}_{command}.json"
     assert (tmp_path / fname).read_bytes() == (GOLDEN / "reports" / fname).read_bytes()
+
+
+@pytest.mark.parametrize("command, spec, seed, name", [
+    ("pklimit", "pklimit-translated-quarter", None, "pklimit-translated-quarter"),
+    ("trivialize", "trivialize-rotated-quarter", 7, "trivialize-rotated-quarter"),
+    ("pklimit", "specs/pklimit-fourgonal-r3-111.json", None, "pklimit-fourgonal-r3-111"),
+    ("pklimit", "specs/pklimit-simplicial-r3-110.json", None, "pklimit-simplicial-r3-110"),
+])
+def test_sampled_report_matches_golden(tmp_path, monkeypatch, command, spec, seed, name):
+    _check_golden(tmp_path, monkeypatch, command, spec, seed, name)

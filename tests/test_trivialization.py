@@ -70,6 +70,21 @@ def test_rotated_family(quarter, angle_deg):
     assert ratios.max() <= np.sqrt(2) * max(triv.lipschitz, 1.0)
 
 
+def test_gauge_margin_matches_point_loop(quarter):
+    """The slice-gauge margin (float target body) against a per-point loop."""
+    rotated = PolyhedralConeBody.from_exact(quarter).rotated(np.deg2rad(6.0))
+    triv = build_trivialization(rotated, quarter, xi0=XI0)
+    it = triv._internal
+    pts = np.random.default_rng(3).uniform(-2, 2, (400, 2))
+    W = pts @ it["Q"].T
+    t = W @ it["xi0_c"]
+    Z2 = (W - np.outer(t, it["xi0_c"])) @ it["Q2"].T
+    loop = np.array([ti if ti <= 0 else ti * (1.0 - it["body_e"].gauge(z2 / ti))
+                     for ti, z2 in zip(t, Z2)])
+    assert (t <= 0).any() and (t > 0).any()
+    assert triv_target_margin(triv, pts).tobytes() == loop.tobytes()
+
+
 def test_round_trip_between_rotated_cones(quarter):
     body = PolyhedralConeBody.from_exact(quarter)
     rotated = body.rotated(np.deg2rad(7.0))
