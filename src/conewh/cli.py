@@ -109,14 +109,22 @@ def _require(spec, *keys):
         raise ConfigError(f"spec is missing key(s): {', '.join(missing)}")
 
 
-def _positive(spec, key, default):
-    """A finite, positive float spec value; default when the key is absent."""
+def _finite(spec, key, default):
+    """A finite float spec value; default when the key is absent."""
     try:
         value = float(spec.get(key, default))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad '{key}' in spec: {exc}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"'{key}' must be finite and positive, got {value}")
+    if not math.isfinite(value):
+        raise ConfigError(f"'{key}' must be finite, got {value}")
+    return value
+
+
+def _positive(spec, key, default):
+    """A finite, positive float spec value; default when the key is absent."""
+    value = _finite(spec, key, default)
+    if value <= 0:
+        raise ConfigError(f"'{key}' must be positive, got {value}")
     return value
 
 
@@ -127,18 +135,44 @@ def _spec_cone(spec):
     return cone_preset(cone) if isinstance(cone, str) else read_cone_spec(cone)[1]
 
 
-def _grid(spec):
-    """(h, T, truncations) of an experiment spec: h and T finite, N a list of
-    integers."""
-    _require(spec, "h", "T", "N")
-    try:
-        h, T = float(spec["h"]), float(spec["T"])
-        truncations = tuple(int(n) for n in spec["N"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad grid value in spec: {exc}") from None
-    if not (math.isfinite(h) and math.isfinite(T)):
-        raise ConfigError(f"grid step h and window T must be finite, got h={h}, T={T}")
-    return h, T, truncations
+def _positive_int(value, what):
+    """A JSON integer (not a boolean) above zero."""
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise ConfigError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
+def _finite_list(value, what, length=None):
+    """A non-empty list of finite JSON numbers (not booleans), as floats; of
+    `length` entries when given."""
+    if (isinstance(value, list) and value and len(value) == (length or len(value))
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+        try:
+            floats = [float(v) for v in value]
+        except OverflowError:       # an integer beyond the float range
+            floats = [math.inf]
+        if all(map(math.isfinite, floats)):
+            return floats
+    raise ConfigError(f"{what} must be a list of {length or 'some'} finite numbers, "
+                      f"got {value!r}")
+
+
+def _symbol_grid(spec):
+    """(symbol, truncations) of an experiment spec: h and T finite and positive,
+    N a list of at least two positive integers."""
+    _require(spec, "symbol", "h", "T", "N")
+    h, T = _positive(spec, "h", None), _positive(spec, "T", None)
+    sizes = spec["N"]
+    if not isinstance(sizes, list) or len(sizes) < 2:
+        raise ConfigError(f"'N' must list at least two truncation sizes, got {sizes!r}")
+    truncations = tuple(_positive_int(n, "each truncation size in 'N'") for n in sizes)
+    return resolve_symbol(spec["symbol"], h, T), truncations
+
+
+def _experiment(config):
+    """An experiment spec and its name (the command name by default)."""
+    spec = _resolve_input(config.input, "experiments")
+    return spec, spec.get("name", config.command)
 
 
 def _load_cone(config):
@@ -146,8 +180,10 @@ def _load_cone(config):
     return read_cone_spec(obj)
 
 
-def _report_header(config):
-    return {
+def _write_report(config, name, fields):
+    """Write a header echoing the configuration, then the fields, as
+    <name>_<command>.json; returns exit code 0."""
+    report = {
         "toolkit": "conewh",
         "version": __version__,
         "config": {
@@ -156,14 +192,11 @@ def _report_header(config):
             "seed": config.seed,
             "tolerances": dict(sorted(config.tolerances.items())),
         },
+        **fields,
     }
-
-
-def _write_report(config, name, obj):
-    path = os.path.join(config.outdir, f"{name}_{config.command}.json")
-    with open(path, "w") as fh:
-        fh.write(dumps_report(obj))
-    return path
+    with open(os.path.join(config.outdir, f"{name}_{config.command}.json"), "w") as fh:
+        fh.write(dumps_report(report))
+    return 0
 
 
 # -- commands ----------------------------------------------------------------
@@ -172,29 +205,26 @@ def _write_report(config, name, obj):
 def _cmd_lattice(config):
     name, cone = _load_cone(config)
     lat = face_lattice(cone)
-    report = _report_header(config)
-    report.update({
+    fields = {
         "name": name,
         "cone": cone_report_object(cone),
         "face_count": len(lat.faces),
         "faces": [face_object(f) for f in lat.faces],
         "covering": [list(p) for p in lat.order],
         "dims": list(lat.dims),
-    })
+    }
     if is_solid(cone):
         # face_lattice needs a pointed cone; for a pointed, solid cone the dual
         # faces are the primal ones with dim n - dim F, so the dual lattice has
         # as many distinct dims as this one.
-        report["solvable_length"] = len(set(lat.dims)) - 1
-    _write_report(config, name, report)
-    return 0
+        fields["solvable_length"] = len(set(lat.dims)) - 1
+    return _write_report(config, name, fields)
 
 
 def _cmd_strata(config):
     name, cone = _load_cone(config)
     st = strata(cone)
-    report = _report_header(config)
-    report.update({
+    return _write_report(config, name, {
         "name": name,
         "dims": list(st.dims),
         "solvable_length": st.length,
@@ -202,15 +232,12 @@ def _cmd_strata(config):
         "level_sizes": [len(level) for level in st.levels],
         "levels": [[face_object(f) for f in level] for level in st.levels],
     })
-    _write_report(config, name, report)
-    return 0
 
 
 def _cmd_spectrum(config):
     name, cone = _load_cone(config)
     st = strata(cone)
     sp = spectrum_poset(st)
-    report = _report_header(config)
     levels = []
     for bundle in sp.levels:
         levels.append({
@@ -230,7 +257,7 @@ def _cmd_spectrum(config):
             "eta": list(ip.eta),
             "uncovered": [face_object(f) for f in ip.uncovered],
         })
-    report.update({
+    return _write_report(config, name, {
         "name": name,
         "solvable_length": st.length,
         "levels_finite": sp.levels_finite,
@@ -239,18 +266,16 @@ def _cmd_spectrum(config):
         "levels": levels,
         "incidences": incid,
     })
-    _write_report(config, name, report)
-    return 0
 
 
 def _cmd_trivialize(config):
-    spec = _resolve_input(config.input, "experiments")
-    name = spec.get("name", "trivialize")
+    spec, name = _experiment(config)
     cone = _spec_cone(spec)
-    angle = float(spec.get("angle_deg", 5.0))
-    samples = int(spec.get("samples", 500))
+    angle = _finite(spec, "angle_deg", 5.0)
+    samples = _positive_int(spec.get("samples", 500), "'samples'")
     rng = np.random.default_rng(config.seed)
-    xi0 = np.asarray([float(v) for v in spec["xi0"]]) if "xi0" in spec else None
+    xi0 = (np.asarray(_finite_list(spec["xi0"], "'xi0'", cone.ambient_dim))
+           if "xi0" in spec else None)
 
     body = PolyhedralConeBody.from_exact(cone)
     rotated = body.rotated(np.deg2rad(angle))
@@ -269,8 +294,7 @@ def _cmd_trivialize(config):
     den = np.linalg.norm(pairs_a - pairs_b, axis=1)
     bound = np.sqrt(2) * max(lipschitz_bound(triv.r, triv.R), 1.0)
 
-    report = _report_header(config)
-    report.update({
+    return _write_report(config, name, {
         "name": name,
         "angle_deg": angle,
         "r": triv.r,
@@ -283,16 +307,11 @@ def _cmd_trivialize(config):
         "empirical_lipschitz_bound": float(bound),
         "samples": samples,
     })
-    _write_report(config, name, report)
-    return 0
 
 
 def _cmd_index1d(config):
-    spec = _resolve_input(config.input, "experiments")
-    name = spec.get("name", "index1d")
-    _require(spec, "symbol")
-    h, T, truncations = _grid(spec)
-    symbol = resolve_symbol(spec["symbol"], h, T)
+    spec, name = _experiment(config)
+    symbol, truncations = _symbol_grid(spec)
     report_obj = classical_index(symbol, truncations=truncations)
 
     rows = []
@@ -309,8 +328,7 @@ def _cmd_index1d(config):
         })
     write_csv(os.path.join(config.outdir, f"{name}_index1d.csv"), rows)
 
-    report = _report_header(config)
-    report.update({
+    return _write_report(config, name, {
         "name": name,
         "symbol_nonvanishing": report_obj.symbol_nonvanishing,
         "symbol_min": report_obj.symbol_min,
@@ -320,21 +338,16 @@ def _cmd_index1d(config):
         "sigma_min": {str(k): v for k, v in report_obj.diagnostics["sigma_min"].items()},
         "verdict": report_obj.verdict,
     })
-    _write_report(config, name, report)
-    return 0
 
 
 def _cmd_hierarchy2d(config):
-    spec = _resolve_input(config.input, "experiments")
-    name = spec.get("name", "hierarchy2d")
-    _require(spec, "symbol")
-    h, T, truncations = _grid(spec)
-    symbol = resolve_symbol(spec["symbol"], h, T)
+    spec, name = _experiment(config)
+    symbol, truncations = _symbol_grid(spec)
     kwargs = {}
     if "margin_tol" in config.tolerances:
         kwargs["margin_tol"] = config.tolerances["margin_tol"]
     if "y_values" in spec:
-        kwargs["y_values"] = [float(y) for y in spec["y_values"]]
+        kwargs["y_values"] = _finite_list(spec["y_values"], "'y_values'")
     rep = hierarchy_fredholm(symbol, truncations=truncations, **kwargs)
 
     rows = []
@@ -349,8 +362,7 @@ def _cmd_hierarchy2d(config):
                 })
     write_csv(os.path.join(config.outdir, f"{name}_hierarchy2d.csv"), rows)
 
-    report = _report_header(config)
-    report.update({
+    return _write_report(config, name, {
         "name": name,
         "symbol_nonvanishing": rep.symbol_nonvanishing,
         "symbol_min": rep.symbol_min,
@@ -367,28 +379,21 @@ def _cmd_hierarchy2d(config):
         } for fr in rep.face_reports],
         "verdict": rep.verdict,
     })
-    _write_report(config, name, report)
-    return 0
 
 
 def _cmd_pklimit(config):
-    spec = _resolve_input(config.input, "experiments")
-    name = spec.get("name", "pklimit")
+    spec, name = _experiment(config)
     cone = _spec_cone(spec)
     _require(spec, "direction")
-    direction, scales = spec["direction"], spec.get("scales", [2, 4, 8, 16, 32, 64])
-    if not (isinstance(direction, list) and isinstance(scales, list)):
-        raise ConfigError("spec 'direction' and 'scales' must be lists")
+    direction = spec["direction"]
     try:
-        direction = parse_vector(direction)
-        scales = [float(s) for s in scales]
+        direction = parse_vector(direction) if isinstance(direction, list) else ()
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad direction or scales in spec: {exc}") from None
+        raise ConfigError(f"bad direction in spec: {exc}") from None
     if len(direction) != cone.ambient_dim:
-        raise ConfigError(f"direction has {len(direction)} entries for a cone "
-                          f"in dimension {cone.ambient_dim}")
-    if not all(math.isfinite(s) for s in scales):
-        raise ConfigError(f"scales must be finite, got {scales}")
+        raise ConfigError(f"'direction' must be a list of {cone.ambient_dim} rationals, "
+                          f"got {spec['direction']!r}")
+    scales = _finite_list(spec.get("scales", [2, 4, 8, 16, 32, 64]), "'scales'")
     eps = _positive(config.tolerances if "eps" in config.tolerances else spec, "eps", 0.5)
     window = _positive(spec, "window", 4.0)
     step = _positive(spec, "step", eps / 2)
@@ -400,8 +405,7 @@ def _cmd_pklimit(config):
     converged, lo, hi, dist = pk_converged(seq, eps, bounds=bounds, step=step)
     limit_cone = ray_limit(cone, direction)
     exact = sample_cone(limit_cone, bounds, step, tag="exact-limit")
-    report = _report_header(config)
-    report.update({
+    return _write_report(config, name, {
         "name": name,
         "direction": vector_strings(direction),
         "eps": eps,
@@ -412,8 +416,6 @@ def _cmd_pklimit(config):
         "hausdorff_liminf_vs_exact": hausdorff_distance(lo, exact),
         "exact_limit": cone_report_object(limit_cone),
     })
-    _write_report(config, name, report)
-    return 0
 
 
 _DISPATCH = {

@@ -6,6 +6,8 @@ from the upper-half-plane zero/pole counts of the rational symbol (winding
 = poles_upper - zeros_upper for the xi-decreasing traversal).
 """
 
+import ast
+
 import numpy as np
 
 from .cones import PolyhedralCone, cone_from_generators
@@ -128,22 +130,49 @@ def symbol_preset(name, h, T) -> SymbolGrid:
         f"(have {sorted(_SYMBOLS_1D) + sorted(_SYMBOLS_2D)})")
 
 
+_NAMES = {"exp": np.exp, "cos": np.cos, "sin": np.sin, "sqrt": np.sqrt,
+          "abs": np.abs, "where": np.where, "pi": np.pi, "e": np.e}
+_FUNCTIONS = tuple(name for name, value in _NAMES.items() if callable(value))
+_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Compare, ast.Load,
+          ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
+          ast.UAdd, ast.USub, ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _check_expression(expr, variables):
+    """The compiled expression, if it holds only names (the variables and
+    _NAMES), numeric literals, arithmetic, unary and comparison operators, and
+    positional calls to the listed functions."""
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except (SyntaxError, ValueError, TypeError) as exc:
+        raise ConfigError(f"bad symbol expression: {exc}") from None
+    for node in ast.walk(tree):
+        if not (isinstance(node, _NODES)
+                or isinstance(node, ast.Name) and (node.id in _NAMES or node.id in variables)
+                or isinstance(node, ast.Constant) and type(node.value) in (int, float, complex)
+                or isinstance(node, ast.Call) and not node.keywords
+                and isinstance(node.func, ast.Name) and node.func.id in _FUNCTIONS):
+            what = ast.unparse(node) or type(node).__name__   # operators unparse to ''
+            raise ConfigError(f"bad symbol expression: '{what}' is not allowed (names, "
+                              "numbers, arithmetic, comparisons and calls to "
+                              f"{', '.join(_FUNCTIONS)} only)")
+    return compile(tree, "<symbol expression>", "eval")
+
+
 def symbol_from_expression(expr, dim, h, T, name="expr") -> SymbolGrid:
     """Kernel from an expression string in x (and y for dim 2).
 
-    The expression is evaluated with numpy under a restricted namespace:
-    exp, cos, sin, sqrt, abs, where, pi, e.
+    The expression may use only x (and y), numeric literals, the constants
+    pi and e, arithmetic, unary and comparison operators, and calls to exp,
+    cos, sin, sqrt, abs and where; it is evaluated with numpy.
     """
-    ns = {"exp": np.exp, "cos": np.cos, "sin": np.sin, "sqrt": np.sqrt,
-          "abs": np.abs, "where": np.where, "pi": np.pi, "e": np.e}
+    variables = ("x", "y")[:dim]
+    code = _check_expression(expr, variables)
 
     def f(*coords):
-        local = dict(ns)
-        local["x"] = coords[0]
-        if dim == 2:
-            local["y"] = coords[1]
         try:
-            return eval(expr, {"__builtins__": {}}, local)  # noqa: S307 - restricted
+            return eval(code, {"__builtins__": {}},  # noqa: S307 - checked tree
+                        {**_NAMES, **dict(zip(variables, coords))})
         except Exception as exc:
             raise ConfigError(f"bad symbol expression: {exc}")
 
@@ -155,6 +184,8 @@ def resolve_symbol(spec, h, T) -> SymbolGrid:
     if isinstance(spec, str):
         return symbol_preset(spec, h, T)
     if isinstance(spec, dict) and "expr" in spec:
-        return symbol_from_expression(spec["expr"], int(spec.get("dim", 1)), h, T,
-                                      name=spec.get("name", "expr"))
+        dim = spec.get("dim", 1)
+        if type(dim) is not int or dim not in (1, 2):
+            raise ConfigError(f"symbol 'dim' must be the integer 1 or 2, got {dim!r}")
+        return symbol_from_expression(spec["expr"], dim, h, T, name=spec.get("name", "expr"))
     raise ConfigError("symbol must be a preset name or an expression object")

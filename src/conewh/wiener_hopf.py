@@ -3,8 +3,9 @@ finite sections on cones, winding numbers, kernel/cokernel index estimation,
 face-restricted symbols, fibre representations, and the stratified
 Fredholm report for the quarter plane.
 
-The index pipeline factors each finite section once per truncation, and a
-section with no imaginary part is factored in real arithmetic.
+The index pipeline makes one values-only SVD per finite section, plus one LU
+only for a section with near-null singular triples, to find their vectors.
+Sections with real kernel samples are assembled and factored in real arithmetic.
 
 Conventions, fixed once: Fourier transform with kernel e^{-2*pi*i*<x,xi>}.
 With this transform the half-line space maps to the Hardy space of the
@@ -16,10 +17,11 @@ is validated against the kernel/cokernel-count oracle, e.g. the kernel
 operator index +1 (the adjoint annihilates nothing, e^{-x} spans the kernel).
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import svdvals, toeplitz
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, svd, svdvals, toeplitz
 
 from .errors import (
     DimensionMismatchError,
@@ -148,38 +150,34 @@ class WHMatrix:
     entries: np.ndarray
     identity_shift: bool = False  # True when the matrix represents 1 + W_f
 
-    def operator(self):
-        if self.identity_shift:
-            return self.entries
-        return np.eye(len(self.entries), dtype=complex) + self.entries
-
 
 def wh_matrix(symbol: SymbolGrid, cone: str, N: int, identity_shift=False) -> WHMatrix:
     """Riemann-sum finite section: entries h^dim * f(x_i - x_j) over the cone grid.
 
     1-D sections are Toeplitz; the quarter plane gives a block-Toeplitz matrix
-    with Toeplitz blocks (row-major over the index pairs).
+    with Toeplitz blocks (row-major over the index pairs).  The section is real
+    when the kernel samples it uses have no imaginary part.
     """
     M = (symbol.npoints - 1) // 2
     if N * symbol.h > symbol.T + 1e-12:
         raise KernelWindowError("truncation exceeds the kernel window: N*h <= T required")
-    if cone == "half-line":
-        if symbol.dim != 1:
-            raise DimensionMismatchError("half-line needs a 1-D symbol")
-        col = symbol.h * symbol.kernel[M:M + N]
-        row = symbol.h * symbol.kernel[M::-1][:N]
-        W = toeplitz(col, row)
-    elif cone == "quarter-plane":
-        if symbol.dim != 2:
-            raise DimensionMismatchError("quarter plane needs a 2-D symbol")
-        idx = np.arange(N)
-        D = M + (idx[:, None] - idx[None, :])       # difference index matrix
-        W = symbol.h**2 * symbol.kernel[D[:, None, :, None], D[None, :, None, :]]
-        W = W.reshape(N * N, N * N)
-    else:
+    dims = {"half-line": 1, "quarter-plane": 2}
+    if cone not in dims:
         raise DimensionMismatchError(f"unsupported cone '{cone}'")
+    if symbol.dim != dims[cone]:
+        raise DimensionMismatchError(f"{cone} needs a {dims[cone]}-D symbol")
+    lags = slice(M - N + 1, M + N)                  # x_i - x_j for i, j < N
+    used = symbol.h**symbol.dim * symbol.kernel[(lags,) * symbol.dim]
+    if not used.imag.any():
+        used = used.real
+    if cone == "half-line":
+        W = toeplitz(used[N - 1:], used[N - 1::-1])
+    else:
+        idx = np.arange(N)
+        D = N - 1 + (idx[:, None] - idx[None, :])   # lag index into used
+        W = used[D[:, None, :, None], D[None, :, None, :]].reshape(N * N, N * N)
     if identity_shift:
-        W = np.eye(len(W), dtype=complex) + W
+        W.flat[::len(W) + 1] += 1.0
     return WHMatrix(cone, N, symbol.h, W, identity_shift)
 
 
@@ -226,51 +224,66 @@ class FredholmReport:
     verdict: str = ""
 
 
-def _real_section(W):
-    """W itself, or W.real when its imaginary part is exactly zero, so that a
-    real section is factored in real arithmetic (same singular values, real
-    singular vectors)."""
-    return W.real if not W.imag.any() else W
+def _section(symbol, N):
+    """The identity-shifted half-line section I + W_N."""
+    return wh_matrix(symbol, "half-line", N, identity_shift=True).entries
 
 
-def _sigma_min(Wop):
-    """Smallest singular value from one values-only factorization."""
-    return float(svdvals(_real_section(Wop))[-1])
+def _sigma_min(symbol, N):
+    """Smallest singular value of the section from one values-only SVD."""
+    return float(svdvals(_section(symbol, N))[-1])
+
+
+def _near_null_pairs(Wop, k, smax):
+    """Paired left and right vectors (U, V) of the k smallest singular triples
+    of A = Wop by block inverse iteration on one LU: two steps of
+    V <- orth(A^-1 A^-H V) from a seeded start, each shrinking the rest by
+    (sigma_k / sigma_k+1)^2, then U = orth(A^-H V); the SVD of the k x k
+    matrix U^H A V pairs them.  An exactly zero pivot becomes eps * sigma_max."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)      # exactly zero pivot
+        lu, piv = lu_factor(Wop, check_finite=False)
+    zero = np.flatnonzero(lu.diagonal() == 0)
+    lu[zero, zero] = np.finfo(float).eps * smax
+
+    def orth_solve(X, trans):
+        return np.linalg.qr(lu_solve((lu, piv), X, trans=trans, check_finite=False))[0]
+
+    V = np.random.default_rng(0).standard_normal((len(Wop), k))
+    for _ in range(2):
+        V = orth_solve(orth_solve(V, 2), 0)
+    U = orth_solve(V, 2)
+    P, _, Qh = svd(U.conj().T @ Wop @ V)
+    return U @ P, V @ Qh.conj().T
 
 
 def _small_singular_split(Wop, delta_factor, gap_ratio):
-    """SVD split of a finite section: near-kernel count and side classification.
+    """(dim_ker, dim_coker, diag) of a finite section.
 
-    Returns (dim_ker, dim_coker, diag).  Each near-zero singular triple is
-    attributed to the kernel when its right singular vector is concentrated
-    at the origin edge of the section, and to the cokernel when the left one
-    is (adjoint kernel vectors are left singular vectors).
+    One values-only SVD gives the count k of singular values below
+    delta_factor * sigma_max and the gap above them.  Each of the k near-null
+    triples (_near_null_pairs) goes to the kernel when its right vector has at
+    least as much mass on the front half (the origin edge) as its left one,
+    else to the cokernel.  k = N (the zero section, or delta_factor > 1) has
+    nothing above the count: its gap is 0 and the split raises.
     """
     N = len(Wop)
-    U, S, Vh = np.linalg.svd(_real_section(Wop))
+    S = svdvals(Wop)
     smax = S[0] if S[0] > 0 else 1.0
-    delta = delta_factor * smax
-    k = int(np.sum(S < delta))
+    k = int(np.sum(S < delta_factor * smax))
     diag = {"sigma_min": float(S[-1]), "sigma_max": float(smax), "count": k}
-    if 0 < k < N:
-        gap = S[-k - 1] / max(S[-k], 1e-300)
-        diag["gap"] = float(gap)
+    dim_ker = 0
+    if k:
+        diag["gap"] = gap = float(S[-k - 1] / max(S[-k], 1e-300)) if k < N else 0.0
         if gap < gap_ratio:
-            raise IndexUnresolvedError("index not resolved at this truncation")
-    dim_ker = dim_coker = 0
-    half = N // 2
-    for i in range(N - k, N):
-        right = Vh[i]
-        left = U[:, i]
-        right_front = np.linalg.norm(right[:half]) ** 2
-        left_front = np.linalg.norm(left[:half]) ** 2
-        if right_front >= left_front:
-            dim_ker += 1
-        else:
-            dim_coker += 1
-    diag["dim_ker"] = dim_ker
-    diag["dim_coker"] = dim_coker
-    return dim_ker, dim_coker, diag
+            raise IndexUnresolvedError(f"index not resolved at N={N}: gap {gap:.3g} above "
+                                       f"{k} near-zero singular values is below {gap_ratio:g}")
+        U, V = _near_null_pairs(Wop, k, smax)
+        half = N // 2
+        dim_ker = int(np.count_nonzero(
+            np.linalg.norm(V[:half], axis=0) >= np.linalg.norm(U[:half], axis=0)))
+    diag.update(dim_ker=dim_ker, dim_coker=k - dim_ker)
+    return dim_ker, k - dim_ker, diag
 
 
 def numerical_index(symbol: SymbolGrid, truncations=(512, 1024),
@@ -279,16 +292,13 @@ def numerical_index(symbol: SymbolGrid, truncations=(512, 1024),
     kernel/cokernel counts agree at both truncation sizes."""
     if len(truncations) < 2:
         raise IndexUnresolvedError("need two truncation sizes")
-    results = []
-    diags = {}
-    for N in truncations:
-        Wop = wh_matrix(symbol, "half-line", N, identity_shift=True).entries
-        dk, dc, diag = _small_singular_split(Wop, delta_factor, gap_ratio)
-        results.append((dk, dc))
-        diags[N] = diag
-    if len(set(results)) != 1:
-        raise IndexUnresolvedError("index not resolved at this truncation")
-    dk, dc = results[0]
+    diags = {N: _small_singular_split(_section(symbol, N), delta_factor, gap_ratio)[2]
+             for N in truncations}
+    counts = {N: (d["dim_ker"], d["dim_coker"]) for N, d in diags.items()}
+    if len(set(counts.values())) != 1:
+        raise IndexUnresolvedError(
+            f"index not resolved: (dim_ker, dim_coker) differ across truncations {counts}")
+    dk, dc = counts[truncations[0]]
     return dk - dc, {"per_truncation": diags, "dim_ker": dk, "dim_coker": dc}
 
 
@@ -306,9 +316,7 @@ def classical_index(symbol: SymbolGrid, truncations=(512, 1024)) -> FredholmRepo
     nonvanishing = symbol_min > 1e-8
     report = FredholmReport(nonvanishing, symbol_min)
     if not nonvanishing:
-        report.diagnostics["sigma_min"] = {
-            N: _sigma_min(wh_matrix(symbol, "half-line", N, identity_shift=True).entries)
-            for N in truncations}
+        report.diagnostics["sigma_min"] = {N: _sigma_min(symbol, N) for N in truncations}
         report.verdict = "non-fredholm"
         return report
     report.winding = winding_number(curve)
@@ -444,8 +452,7 @@ def hierarchy_fredholm(symbol: SymbolGrid, cone="quarter-plane",
         rows = []
         for y in y_values:
             g = face_symbol_twisted(symbol, axis, y)
-            sig = {N: _sigma_min(wh_matrix(g, "half-line", N, identity_shift=True).entries)
-                   for N in truncations}
+            sig = {N: _sigma_min(g, N) for N in truncations}
             rows.append({"y": float(y), "sigma_min": sig})
         n1, n2 = truncations[0], truncations[-1]
         margin = min(min(r["sigma_min"].values()) for r in rows)

@@ -227,6 +227,13 @@ _GRID = {"h": 0.05, "T": 30.0, "N": [64, 128]}
     {**_GRID, "h": "fine"},
     {**_GRID, "N": 64},
     {**_GRID, "N": ["many", 128]},
+    {**_GRID, "h": -0.05},
+    {**_GRID, "T": 0},
+    {**_GRID, "N": [512]},
+    {**_GRID, "N": []},
+    {**_GRID, "N": [0, 128]},
+    {**_GRID, "N": [64.5, 128]},
+    {**_GRID, "N": [True, 128]},
 ])
 def test_bad_grid_is_config_error(tmp_path, capsys, command, symbol, grid):
     path = tmp_path / "spec.json"
@@ -266,6 +273,9 @@ def test_bad_pklimit_spec_is_config_error(tmp_path, capsys, spec, tol):
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
+_TRIV = {"name": "bad-triv", "cone": "quarter-plane", "angle_deg": 8.0, "samples": 50}
+
+
 @pytest.mark.parametrize("command, spec", [
     ("lattice", [1, 2]),
     ("trivialize", [1, 2]),
@@ -275,6 +285,26 @@ def test_bad_pklimit_spec_is_config_error(tmp_path, capsys, spec, tol):
     ("index1d", {"name": "no-symbol", **_GRID}),
     ("hierarchy2d", {"name": "no-symbol", **_GRID}),
     ("trivialize", {"name": "no-cone", "angle_deg": 5.0}),
+    ("trivialize", {**_TRIV, "samples": 0}),
+    ("trivialize", {**_TRIV, "samples": -5}),
+    ("trivialize", {**_TRIV, "samples": 2.5}),
+    ("trivialize", {**_TRIV, "samples": "500"}),
+    ("trivialize", {**_TRIV, "angle_deg": "nan"}),
+    ("trivialize", {**_TRIV, "angle_deg": "wide"}),
+    ("trivialize", {**_TRIV, "xi0": [0.6, 0.6, 0.5]}),
+    ("trivialize", {**_TRIV, "xi0": [0.7]}),
+    ("trivialize", {**_TRIV, "xi0": ["0.7", 0.7]}),
+    ("trivialize", {**_TRIV, "xi0": [float("nan"), 0.7]}),
+    ("trivialize", {**_TRIV, "xi0": [True, 0.7]}),
+    ("trivialize", {**_TRIV, "xi0": 0.7}),
+    ("index1d", {"name": "attr", "symbol": {"expr": "().__class__.__name__ and 0*x",
+                                            "dim": 1}, **_GRID}),
+    ("hierarchy2d", {"name": "attr", "symbol": {"expr": "x.real + y", "dim": 2}, **_GRID}),
+    *[("index1d", {"name": "dim", "symbol": {"expr": "0.3*exp(-pi*x**2)", "dim": dim},
+                   **_GRID}) for dim in ("a", "1", 3, 0, 1.0, True)],
+    ("hierarchy2d", {"name": "y", "symbol": "gauss2d-small", **_GRID, "y_values": ["a"]}),
+    ("hierarchy2d", {"name": "y", "symbol": "gauss2d-small", **_GRID, "y_values": []}),
+    ("hierarchy2d", {"name": "y", "symbol": "gauss2d-small", **_GRID, "y_values": 0.5}),
 ])
 def test_malformed_experiment_spec_is_config_error(tmp_path, capsys, command, spec):
     path = tmp_path / "spec.json"

@@ -12,6 +12,13 @@ distances to every sampled set and a per-point gauge loop, before those
 moved to eps-bounded KD queries and row-batched gauges.  Inputs: the two
 packaged sampled presets and two 3-D pklimit specs with the preset's scales,
 eps, window and step.
+
+The hierarchy2d reports (JSON and CSV) of the two packaged hierarchy presets
+were written with complex-assembled sections, before real sections were
+assembled in real arithmetic.  The index1d reports of the seven packaged
+index presets were written after the split moved to one values-only SVD plus
+an LU for the near-null vectors; before that move they differed only in
+sigma_min, by at most 7e-16 (N * eps * sigma_max bounds it).
 """
 
 from pathlib import Path
@@ -37,11 +44,12 @@ def test_report_matches_golden(tmp_path, monkeypatch, spec, name, command):
     _check_golden(tmp_path, monkeypatch, command, spec, None, name)
 
 
-def _check_golden(tmp_path, monkeypatch, command, spec, seed, name):
+def _check_golden(tmp_path, monkeypatch, command, spec, seed, name, suffixes=(".json",)):
     monkeypatch.chdir(GOLDEN)
     assert run(RunConfig(command, spec, str(tmp_path), seed)) == 0
-    fname = f"{name}_{command}.json"
-    assert (tmp_path / fname).read_bytes() == (GOLDEN / "reports" / fname).read_bytes()
+    for suffix in suffixes:
+        fname = f"{name}_{command}{suffix}"
+        assert (tmp_path / fname).read_bytes() == (GOLDEN / "reports" / fname).read_bytes()
 
 
 @pytest.mark.parametrize("command, spec, seed, name", [
@@ -52,3 +60,18 @@ def _check_golden(tmp_path, monkeypatch, command, spec, seed, name):
 ])
 def test_sampled_report_matches_golden(tmp_path, monkeypatch, command, spec, seed, name):
     _check_golden(tmp_path, monkeypatch, command, spec, seed, name)
+
+
+@pytest.mark.parametrize("command, preset", [
+    ("index1d", "rational-w-1"),
+    ("index1d", "rational-w+1"),
+    ("index1d", "rational-w-2"),
+    ("index1d", "rational-w+2"),
+    ("index1d", "gauss-small"),
+    ("index1d", "singular-zero"),
+    ("index1d", "zero"),
+    ("hierarchy2d", "hierarchy-gauss2d-small"),
+    ("hierarchy2d", "hierarchy-singular-face"),
+])
+def test_index_report_matches_golden(tmp_path, monkeypatch, command, preset):
+    _check_golden(tmp_path, monkeypatch, command, preset, None, preset, (".json", ".csv"))

@@ -106,6 +106,52 @@ def test_wh_matrix_kronecker_separable():
     assert np.abs(W2 - np.kron(W1, W1)).max() < 1e-12
 
 
+def _complex_assembly(symbol, N):
+    """The identity-shifted half-line section assembled in complex arithmetic:
+    the Toeplitz matrix of the scaled samples plus a complex identity."""
+    from scipy.linalg import toeplitz
+
+    M = (symbol.npoints - 1) // 2
+    col = symbol.h * symbol.kernel[M:M + N]
+    row = symbol.h * symbol.kernel[M::-1][:N]
+    return np.eye(N, dtype=complex) + toeplitz(col, row)
+
+
+@pytest.mark.parametrize("name, T, twist, real", [
+    ("rational-w-2", 52.0, None, True),
+    ("gauss-small", 12.0, None, True),
+    ("gauss2d-small", 12.0, 0.0, True),
+    ("gauss2d-small", 12.0, 0.25, False),
+])
+def test_wh_matrix_real_when_used_samples_are_real(name, T, twist, real):
+    """A section is assembled in real arithmetic exactly when the samples it
+    uses have no imaginary part, with the entries of the complex assembly."""
+    S = symbol_preset(name, 0.1, T)
+    if twist is not None:
+        S = face_symbol_twisted(S, 0, twist)
+    W = wh_matrix(S, "half-line", 48, identity_shift=True).entries
+    ref = _complex_assembly(S, 48)
+    assert (W.dtype == np.float64) is real
+    assert np.array_equal(W, ref.real if real else ref)
+
+
+def test_wh_matrix_decides_realness_on_the_used_lags():
+    """Imaginary samples beyond the lags a section uses leave it real."""
+    S = symbol_preset("gauss-small", 0.1, 12.0)
+    M = (S.npoints - 1) // 2
+    S.kernel[M + 60] += 1e-12j
+    assert wh_matrix(S, "half-line", 60).entries.dtype == np.float64
+    assert wh_matrix(S, "half-line", 61).entries.dtype == np.complex128
+
+
+def test_wh_matrix_quarter_plane_identity_shift():
+    S2 = symbol_preset("gauss2d-small", 0.1, 12.0)
+    W = wh_matrix(S2, "quarter-plane", 6).entries
+    shifted = wh_matrix(S2, "quarter-plane", 6, identity_shift=True).entries
+    assert W.dtype == shifted.dtype == np.float64
+    assert np.array_equal(shifted, W + np.eye(36))
+
+
 def test_wh_matrix_errors():
     S = make_symbol(gauss, 1, 0.05, 10.0)
     with pytest.raises(KernelWindowError):
@@ -202,32 +248,39 @@ def factorizations(monkeypatch):
     import conewh.wiener_hopf as wh
 
     calls = []
-    svd, svdvals = np.linalg.svd, wh.svdvals
 
-    def counted_svd(a, *args, **kwargs):
-        calls.append(("svd", np.asarray(a).dtype))
-        return svd(a, *args, **kwargs)
+    def counted(name, fn):
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, np.asarray(a).dtype))
+            return fn(a, *args, **kwargs)
+        return wrapper
 
-    def counted_svdvals(a, *args, **kwargs):
-        calls.append(("svdvals", np.asarray(a).dtype))
-        return svdvals(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    monkeypatch.setattr(wh, "svdvals", counted_svdvals)
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(wh, "svdvals", counted("svdvals", wh.svdvals))
+    monkeypatch.setattr(wh, "lu_factor", counted("lu_factor", wh.lu_factor))
     return calls
 
 
 def test_classical_index_one_factorization_per_truncation(factorizations):
-    rep = classical_index(symbol_preset("rational-w+1", 0.05, 52.0), truncations=(64, 128))
-    assert rep.symbol_nonvanishing
-    assert factorizations == [("svd", np.float64)] * 2
+    """One values-only SVD per truncation, plus one LU only for a section with
+    near-null singular triples."""
+    real_svdvals, real_lu = ("svdvals", np.float64), ("lu_factor", np.float64)
+    rep = classical_index(symbol_preset("rational-w+1", 0.2, 52.0), truncations=(128, 256))
+    assert rep.numerical_index == rep.index == -1
+    assert [d["count"] for d in rep.diagnostics["per_truncation"].values()] == [1, 1]
+    assert factorizations == [real_svdvals, real_lu] * 2
     per = rep.diagnostics["per_truncation"]
-    assert rep.diagnostics["sigma_min"] == {N: per[N]["sigma_min"] for N in (64, 128)}
+    assert rep.diagnostics["sigma_min"] == {N: per[N]["sigma_min"] for N in (128, 256)}
+
+    factorizations.clear()
+    rep = classical_index(symbol_preset("gauss-small", 0.05, 52.0), truncations=(64, 128))
+    assert rep.verdict == "fredholm" and rep.diagnostics["dim_ker"] == 0
+    assert factorizations == [real_svdvals] * 2
 
     factorizations.clear()
     rep = classical_index(symbol_preset("singular-zero", 0.05, 30.0), truncations=(64, 128))
     assert rep.verdict == "non-fredholm"
-    assert factorizations == [("svdvals", np.float64)] * 2
+    assert factorizations == [real_svdvals] * 2
 
 
 @pytest.mark.parametrize("name", ["rational-w-1", "rational-w+1", "rational-w-2",
@@ -252,6 +305,133 @@ def test_real_split_matches_complex_oracle(name):
     # backward-stable SVD fixes only to about N * eps * sigma_max absolutely.
     floor = 512 * np.finfo(float).eps * ref["sigma_max"] / ref["sigma"][-k]
     assert k > 0 and diag["gap"] == pytest.approx(ref["gap"], rel=1e-10 + floor)
+
+
+def _rational_kernel(winding, a, c=None):
+    """Kernel of a rational symbol with pole scale a (and c for winding 0),
+    sampled with the midpoint value at x = 0 like the packaged presets."""
+    def decay(x, scale):
+        return np.exp(-scale * np.minimum(np.abs(x), 60.0 / scale))
+
+    def f(x):
+        if winding in (1, -1):
+            side = x > 0 if winding == 1 else x < 0
+            return np.where(side, -2 * a * decay(x, a), np.where(x == 0, -a, 0.0))
+        if winding in (2, -2):
+            side, t = (x > 0, a * x) if winding == 2 else (x < 0, -a * x)
+            return np.where(side, 4 * a * decay(x, a) * (t - 1), np.where(x == 0, -2 * a, 0.0))
+        k = 4 * a * c / (a + c)                     # b_a / b_c: winding 0
+        p, q = k - 2 * a, k - 2 * c
+        return np.where(x > 0, p * decay(x, a), np.where(x < 0, q * decay(x, c), (p + q) / 2))
+    return f
+
+
+def _seeded_rational_section(winding, N, seed, modulation=0.0):
+    """I + W_N for a rational kernel with seeded pole scales in [1, 2], times
+    e^{i m x} for a nonzero modulation m (a complex section)."""
+    rng = np.random.default_rng(seed)
+    a, c = rng.uniform(1.0, 2.0, 2)
+    f = _rational_kernel(winding, a, c)
+    S = make_symbol(lambda x: f(x) * np.exp(1j * modulation * x), 1, 0.05, 52.0)
+    return wh_matrix(S, "half-line", N, identity_shift=True).entries
+
+
+def _zero_pivot_section():
+    """The gauss-small section with its rows moved up by one and a zero last
+    row: LU with partial pivoting meets an exactly zero last pivot; the
+    null vector is at the front, the left one is e_N."""
+    W = wh_matrix(symbol_preset("gauss-small", 0.05, 52.0), "half-line", 512,
+                  identity_shift=True).entries
+    return np.vstack([W[1:], np.zeros(512)])
+
+
+def _unresolved_section():
+    """Singular values 1, ..., 1, 1.5e-8, 1e-9 in random bases: the one value
+    below 1e-8 sits under a gap of 15 < 1e3."""
+    rng = np.random.default_rng(3)
+    Q1, _ = np.linalg.qr(rng.standard_normal((64, 64)))
+    Q2, _ = np.linalg.qr(rng.standard_normal((64, 64)))
+    return (Q1 * np.r_[np.ones(62), 1.5e-8, 1e-9]) @ Q2.T
+
+
+def _kernel_and_cokernel_section():
+    """Two kernel-type triples (right e_0, e_1; left e_63, e_62) and one
+    cokernel-type triple (right e_61, left e_2) with singular values 1e-11,
+    1.1e-11 and 1.2e-11 beside a random orthogonal bulk.  The values are so
+    close that the iterated block still mixes the three triples, so the
+    attribution needs the k x k pairing."""
+    rows = [i for i in range(64) if i not in (2, 62, 63)]
+    cols = [i for i in range(64) if i not in (0, 1, 61)]
+    Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((61, 61)))
+    A = np.zeros((64, 64))
+    A[np.ix_(rows, cols)] = Q
+    A[63, 0], A[62, 1], A[2, 61] = 1e-11, 1.1e-11, 1.2e-11
+    return A
+
+
+_ORACLE_CASES = (
+    [pytest.param(lambda w=w, N=N: _seeded_rational_section(w, N, 40 + w),
+                  id=f"rational-w{w:+d}-N{N}")
+     for w in (-2, -1, 0, 1, 2) for N in (512, 1024)]
+    + [pytest.param(lambda w=w: _seeded_rational_section(w, 512, 50 + w, modulation=3.0),
+                    id=f"modulated-w{w:+d}-N512") for w in (-2, -1, 1)]
+    + [pytest.param(_kernel_and_cokernel_section, id="kernel-and-cokernel"),
+       pytest.param(_zero_pivot_section, id="zero-pivot"),
+       pytest.param(_unresolved_section, id="gap-below-ratio")])
+
+
+@pytest.mark.parametrize("section", _ORACLE_CASES)
+def test_split_matches_complex_oracle(section):
+    """The values-only SVD plus LU split agrees with a dense complex SVD on the
+    count, the kernel/cokernel attribution and the gap verdict."""
+    from conewh.wiener_hopf import _small_singular_split
+
+    W = section()
+    ref = complex_singular_split(W)
+    if ref["gap"] is not None and ref["gap"] < 1e3:
+        with pytest.raises(IndexUnresolvedError):
+            _small_singular_split(W, 1e-8, 1e3)
+        return
+    dim_ker, dim_coker, diag = _small_singular_split(W, 1e-8, 1e3)
+    assert (diag["count"], dim_ker, dim_coker) == (ref["count"], ref["dim_ker"],
+                                                    ref["dim_coker"])
+    assert ("gap" in diag) == (ref["gap"] is not None)
+
+
+def test_zero_pivot_section_is_exactly_singular():
+    from scipy.linalg import LinAlgWarning, lu_factor
+
+    with pytest.warns(LinAlgWarning):
+        lu, _ = lu_factor(_zero_pivot_section())
+    assert np.count_nonzero(lu.diagonal() == 0) == 1
+
+
+def test_modulated_section_is_complex_with_the_real_split():
+    """e^{i m x} times the kernel is a diagonal unitary similarity of the real
+    section: complex entries, the same count and attribution."""
+    from conewh.wiener_hopf import _small_singular_split
+
+    Wc = _seeded_rational_section(-1, 512, 7, modulation=3.0)
+    Wr = _seeded_rational_section(-1, 512, 7)
+    assert Wc.dtype == np.complex128 and Wr.dtype == np.float64
+    split_c = _small_singular_split(Wc, 1e-8, 1e3)
+    split_r = _small_singular_split(Wr, 1e-8, 1e3)
+    assert split_c[:2] == split_r[:2] == (1, 0)
+
+
+@pytest.mark.parametrize("W, delta_factor", [
+    pytest.param(np.zeros((8, 8)), 1e-8, id="zero-section"),
+    pytest.param(wh_matrix(symbol_preset("rational-w-1", 0.05, 52.0), "half-line", 32,
+                           identity_shift=True).entries, 2.0, id="delta-above-sigma-max"),
+])
+def test_split_with_every_value_near_zero_is_unresolved(W, delta_factor):
+    """k = N leaves no singular value above the count, so there is no gap to
+    resolve the index: the split raises instead of attributing an arbitrary
+    basis of the whole space."""
+    from conewh.wiener_hopf import _small_singular_split
+
+    with pytest.raises(IndexUnresolvedError, match="gap 0 above"):
+        _small_singular_split(W, delta_factor, 1e3)
 
 
 def test_twisted_face_sections_stay_complex(factorizations):
@@ -461,6 +641,70 @@ def test_bad_expression_rejected():
 
     with pytest.raises(ConfigError):
         symbol_from_expression("__import__('os')", 1, 0.05, 10.0)
+
+
+# The expression forms the benchmark workloads and set-up probe generate.
+_EXPRESSION_FORMS = [
+    ("where(x > 0, -2*1.250000*exp(-1.250000*abs(x)), where(x == 0, -1.250000, 0*x))", 1),
+    ("where(x < 0, -2*1.250000*exp(-1.250000*abs(x)), where(x == 0, -1.250000, 0*x))", 1),
+    ("where(x > 0, 4*1.5*exp(-1.5*abs(x))*(1.5*x - 1), where(x == 0, -2*1.5, 0*x))", 1),
+    ("where(x < 0, 4*1.5*exp(-1.5*abs(x))*(-1.5*x - 1), where(x == 0, -2*1.5, 0*x))", 1),
+    ("where(x > 0, -0.4*exp(-1.2*abs(x)), where(x < 0, 0.3*exp(-1.7*abs(x)), "
+     "-0.05 + 0*x))", 1),
+    ("-0.350000*exp(-pi*x**2)", 1),
+    ("-0.950000*exp(-pi*(0.950000*x)**2)", 1),
+    ("0.3*exp(-40*x**2)", 1),
+    ("1.700000*exp(-pi*(x**2+y**2))", 2),
+    ("-1.100000*exp(-pi*(1.100000*x)**2)*exp(-pi*y**2)", 2),
+    ("0.3*exp(-100*(x**2+y**2))", 2),
+    ("(cos(2*pi*x) + sin(x)*sqrt(abs(x)) / e) * exp(-pi*x**2) + 0*(x % 7) + 0*(x // 2)",
+     1),
+]
+
+
+@pytest.mark.parametrize("expr, dim", _EXPRESSION_FORMS)
+def test_allowed_expressions_sample_as_plain_eval(expr, dim):
+    """The whitelist accepts every generated form, and the samples equal those
+    of a plain restricted eval bit for bit."""
+    from conewh.presets import symbol_from_expression
+
+    h, T = (0.05, 52.0) if dim == 1 else (0.1, 12.0)
+    S = symbol_from_expression(expr, dim, h, T)
+    ns = {"exp": np.exp, "cos": np.cos, "sin": np.sin, "sqrt": np.sqrt,
+          "abs": np.abs, "where": np.where, "pi": np.pi, "e": np.e}
+    if dim == 1:
+        ns["x"] = S.xs
+    else:
+        ns["x"], ns["y"] = np.meshgrid(S.xs, S.xs, indexing="ij")
+    ref = np.asarray(eval(expr, {"__builtins__": {}}, ns), dtype=complex)
+    assert np.array_equal(S.kernel, ref)
+
+
+@pytest.mark.parametrize("expr, dim", [
+    ("().__class__.__name__ and 0*x", 1),
+    ("x.real", 1),
+    ("(lambda: 0)()", 1),
+    ("[x][0]", 1),
+    ("x if True else 0", 1),
+    ("x & 1", 1),
+    ("exp(x, out=x)", 1),
+    ("pi(x)", 1),
+    ("exp.__name__", 1),
+    ("y * x", 1),
+    ("z * x", 2),
+    ("'x'", 1),
+    ("True * x", 1),
+    ("not x", 1),
+    ("x is 0", 1),
+    (5, 1),
+    ("exp(", 1),
+])
+def test_disallowed_expressions_rejected(expr, dim):
+    from conewh.errors import ConfigError
+    from conewh.presets import symbol_from_expression
+
+    with pytest.raises(ConfigError, match="bad symbol expression"):
+        symbol_from_expression(expr, dim, 0.1, 12.0)
 
 
 def test_cone_transform_resamples_kernel():
