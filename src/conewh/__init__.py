@@ -31,7 +31,7 @@ from .convex import (
     normal_cone,
     support,
 )
-from .limits import SampledSet, hausdorff_distance, pk_converged, pk_liminf, pk_limsup
+from .limits import SampledSet, hausdorff_distance, pk_converged
 from .strata import (
     IncidencePairs,
     OrderPoint,

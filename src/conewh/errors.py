@@ -73,6 +73,18 @@ class KernelWindowError(DomainError):
     category = "kernel-window"
 
 
+class NonFiniteKernelError(DomainError):
+    """A kernel sample is NaN or infinite."""
+
+    category = "non-finite-kernel"
+
+
+class OffLatticeError(DomainError):
+    """A sample point is not a point of the window lattice it was given for."""
+
+    category = "off-lattice"
+
+
 class WindingUndefinedError(DomainError):
     category = "winding-undefined"
 

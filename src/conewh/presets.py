@@ -7,6 +7,8 @@ from the upper-half-plane zero/pole counts of the rational symbol (winding
 """
 
 import ast
+import math
+import operator
 
 import numpy as np
 
@@ -156,7 +158,41 @@ def _check_expression(expr, variables):
             raise ConfigError(f"bad symbol expression: '{what}' is not allowed (names, "
                               "numbers, arithmetic, comparisons and calls to "
                               f"{', '.join(_FUNCTIONS)} only)")
+    _int_constant(tree)
     return compile(tree, "<symbol expression>", "eval")
+
+
+_INT_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+            ast.FloorDiv: operator.floordiv, ast.Mod: operator.mod, ast.Pow: operator.pow}
+
+
+def _int_constant(node):
+    """The value of an integer constant subtree, None for any other subtree.
+
+    Python evaluates integer powers exactly, so 10**10**10 would ask for an
+    integer of 10**10 digits.  Each constant integer power is bounded from its
+    operands before it is computed; one above 2**1024, beyond every float,
+    is rejected.
+    """
+    values = [_int_constant(child) for child in ast.iter_child_nodes(node)]
+    if isinstance(node, ast.Constant):
+        return node.value if type(node.value) is int else None
+    if isinstance(node, ast.UnaryOp) and values[-1] is not None:
+        return -values[-1] if isinstance(node.op, ast.USub) else values[-1]
+    if not isinstance(node, ast.BinOp) or type(node.op) not in _INT_OPS:
+        return None
+    a, b = values[0], values[-1]                        # children: left, op, right
+    if a is None or b is None:
+        return None
+    if isinstance(node.op, ast.Pow) and b < 0:
+        return None                                     # a float
+    if isinstance(node.op, ast.Pow) and abs(a) > 1 and b * math.log2(abs(a)) > 1024:
+        raise ConfigError(f"bad symbol expression: constant power '{ast.unparse(node)}' "
+                          "exceeds 2**1024")
+    try:
+        return _INT_OPS[type(node.op)](a, b)
+    except ZeroDivisionError:
+        return None
 
 
 def symbol_from_expression(expr, dim, h, T, name="expr") -> SymbolGrid:
@@ -171,8 +207,10 @@ def symbol_from_expression(expr, dim, h, T, name="expr") -> SymbolGrid:
 
     def f(*coords):
         try:
-            return eval(code, {"__builtins__": {}},  # noqa: S307 - checked tree
-                        {**_NAMES, **dict(zip(variables, coords))})
+            # A NaN or inf sample is reported by make_symbol, not as a warning.
+            with np.errstate(all="ignore"):
+                return eval(code, {"__builtins__": {}},  # noqa: S307 - checked tree
+                            {**_NAMES, **dict(zip(variables, coords))})
         except Exception as exc:
             raise ConfigError(f"bad symbol expression: {exc}")
 

@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatchError,
     IndexUnresolvedError,
     KernelWindowError,
+    NonFiniteKernelError,
     WindingUndefinedError,
 )
 
@@ -80,10 +81,10 @@ def _dft(kernel, h, dim):
 def make_symbol(f, dim, h, T, name="", cone_transform=None) -> SymbolGrid:
     """Sample a kernel (callable or array) on the window and attach its symbol.
 
-    The callable is evaluated on the grid; decay |f| < 1e-8 is required
-    outside [-T/2, T/2]^dim.  With cone_transform=(M, detM) the kernel is
-    resampled as |det M| f(M z), reducing a simplicial 2-D cone to the
-    quarter plane.
+    The callable is evaluated on the grid; every sample must be finite, and
+    decay |f| < 1e-8 is required outside [-T/2, T/2]^dim.  With
+    cone_transform=(M, detM) the kernel is resampled as |det M| f(M z),
+    reducing a simplicial 2-D cone to the quarter plane.
     """
     if h <= 0:
         raise KernelWindowError("grid step must be positive")
@@ -107,6 +108,12 @@ def make_symbol(f, dim, h, T, name="", cone_transform=None) -> SymbolGrid:
         expected = (2 * M + 1,) * dim
         if vals.shape != expected:
             raise DimensionMismatchError(f"kernel samples must have shape {expected}")
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        first = np.unravel_index(np.argmax(bad), vals.shape)
+        point = ", ".join(f"{name} = {xs[i]:g}" for name, i in zip("xy", first))
+        raise NonFiniteKernelError(f"kernel sample at {point} (index {list(map(int, first))}) "
+                                   f"is {vals[first]}, not finite")
 
     # decay check outside the half window
     mask = np.abs(xs) > T / 2

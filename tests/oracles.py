@@ -27,7 +27,6 @@ from conewh.exact import (
     vdot,
     vneg,
 )
-from conewh.limits import window_grid
 
 
 def vrep_member(rays, x):
@@ -247,19 +246,26 @@ def full_hausdorff(a, b):
     return float(max(full_dist_to_set(a, b).max(), full_dist_to_set(b, a).max()))
 
 
-def _full_grid(seq, bounds, step):
-    if bounds is None:
-        finite = [s for s in seq if len(s)]
-        if not finite:
-            return np.empty((0, seq[0].shape[1]))
-        allpts = np.concatenate(finite)
-        bounds = (float(np.floor(allpts.min())), float(np.ceil(allpts.max())))
-    return window_grid(bounds, step, seq[0].shape[1])
+def window_grid(bounds, step, dim):
+    """The window lattice lo + k*step of [lo, hi]^dim as an (m, dim) array, in
+    the C order of a sampled set's mask."""
+    lo, hi = bounds
+    mesh = np.meshgrid(*([np.arange(lo, hi + step / 2, step)] * dim), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def full_sample_cone(normals, bounds, step, shift=None):
+    """Window-lattice membership mask (flat, C order) of shift - C, or of C,
+    from one matrix product of every lattice point with the float normals."""
+    grid = window_grid(bounds, step, normals.shape[1])
+    pts = grid if shift is None else np.asarray(shift, dtype=float) - grid
+    return ((pts @ normals.T) / np.linalg.norm(normals, axis=1) >= -1e-9).all(axis=1)
 
 
 def full_pk_liminf(seq, eps, bounds, step):
-    """Grid points at full distance < eps from each of the last ceil(len/2) sets."""
-    grid = _full_grid(seq, bounds, step)
+    """Grid points at full distance < eps from each of the last
+    max(2, ceil(len/2)) sets (the tail)."""
+    grid = window_grid(bounds, step, seq[0].shape[1])
     keep = np.ones(len(grid), dtype=bool)
     for s in seq[-max(2, (len(seq) + 1) // 2):]:
         keep &= full_dist_to_set(grid, s) < eps
@@ -267,10 +273,12 @@ def full_pk_liminf(seq, eps, bounds, step):
 
 
 def full_pk_limsup(seq, eps, bounds, step):
-    """Grid points at full distance < eps from some set of every consecutive block."""
-    grid = _full_grid(seq, bounds, step)
+    """Grid points at full distance < eps from some set of every consecutive
+    block of the tail (at most three blocks), so full_pk_liminf is a subset."""
+    grid = window_grid(bounds, step, seq[0].shape[1])
+    tail = np.arange(len(seq))[-max(2, (len(seq) + 1) // 2):]
     keep = np.ones(len(grid), dtype=bool)
-    for block in np.array_split(np.arange(len(seq)), min(3, len(seq))):
+    for block in np.array_split(tail, min(3, len(tail))):
         hit = np.zeros(len(grid), dtype=bool)
         for i in block:
             hit |= full_dist_to_set(grid, seq[i]) < eps

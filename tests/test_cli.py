@@ -313,3 +313,29 @@ def test_malformed_experiment_spec_is_config_error(tmp_path, capsys, command, sp
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("the expression was evaluated")
+
+
+@pytest.mark.parametrize("command, expr, dim, code, message", [
+    # Kernel samples that are not finite: a domain error naming the first one.
+    ("index1d", "x/x*exp(0-x*x)", 1, 1, "error [non-finite-kernel]: kernel sample at x = 0 "),
+    ("index1d", "exp(-x*x)/x", 1, 1, "error [non-finite-kernel]: kernel sample at x = 0 "),
+    ("hierarchy2d", "x*y/(x*y)*exp(-x*x-y*y)", 2, 1,
+     "error [non-finite-kernel]: kernel sample at x = -30, y = 0 "),
+    # Constant integer powers beyond the float range: rejected before evaluation.
+    ("index1d", "10**10**10*exp(-x*x)", 1, 2, "error: bad symbol expression: constant power"),
+    ("hierarchy2d", "exp(-x*x-y*y)*(2**1000)**2", 2, 2,
+     "error: bad symbol expression: constant power"),
+    ("index1d", "exp(-x*x)*-(-7)**(3**7)", 1, 2, "error: bad symbol expression: constant power"),
+])
+def test_input_boundary_probe(tmp_path, capsys, monkeypatch, command, expr, dim, code, message):
+    if code == 2:
+        monkeypatch.setattr("conewh.presets.make_symbol", _never_called)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"name": "probe", "symbol": {"expr": expr, "dim": dim}, **_GRID}))
+    assert main([command, "--in", str(path), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and len(err.strip().splitlines()) == 1

@@ -113,7 +113,7 @@ def test_support_examples(quarter_body, square):
     assert support(quarter_body, [-1, -1]) == 0.0
     assert support(quarter_body, [1, 0]) == np.inf
     assert support(square, [2, 1]) == pytest.approx(3.0)  # max over vertices
-    sample = SampledSet(np.array([[0.0, 1.0], [2.0, 2.0]]))
+    sample = SampledSet.from_points([[0.0, 1.0], [2.0, 2.0]], (-2.0, 2.0), 0.5)
     assert support(sample, [1.0, 0.0]) == pytest.approx(2.0)
 
 

@@ -9,9 +9,13 @@ report header is the same in every checkout).
 
 The sampled reports (pklimit, trivialize) were written from full nearest
 distances to every sampled set and a per-point gauge loop, before those
-moved to eps-bounded KD queries and row-batched gauges.  Inputs: the two
-packaged sampled presets and two 3-D pklimit specs with the preset's scales,
-eps, window and step.
+moved to eps-bounded KD queries and row-batched gauges, and later to masks on
+the window lattice.  Inputs: the two packaged sampled presets and two 3-D
+pklimit specs with the preset's scales, eps, window and step.  Two more
+pklimit reports, fourgonal-r3 along (0,0,1) and along (1,0,1), were written
+once the sampled limsup read the same tail of scales as the liminf; before
+that, both directions gave a liminf larger than the limsup and converged
+false.  They pin converged true with liminf_size == limsup_size.
 
 The hierarchy2d reports (JSON and CSV) of the two packaged hierarchy presets
 were written with complex-assembled sections, before real sections were
@@ -57,6 +61,8 @@ def _check_golden(tmp_path, monkeypatch, command, spec, seed, name, suffixes=(".
     ("trivialize", "trivialize-rotated-quarter", 7, "trivialize-rotated-quarter"),
     ("pklimit", "specs/pklimit-fourgonal-r3-111.json", None, "pklimit-fourgonal-r3-111"),
     ("pklimit", "specs/pklimit-simplicial-r3-110.json", None, "pklimit-simplicial-r3-110"),
+    ("pklimit", "specs/pklimit-fourgonal-r3-001.json", None, "pklimit-fourgonal-r3-001"),
+    ("pklimit", "specs/pklimit-fourgonal-r3-101.json", None, "pklimit-fourgonal-r3-101"),
 ])
 def test_sampled_report_matches_golden(tmp_path, monkeypatch, command, spec, seed, name):
     _check_golden(tmp_path, monkeypatch, command, spec, seed, name)

@@ -1,24 +1,29 @@
 """Sampled PK limits and Hausdorff distances against full-distance oracles.
 
-The library takes one eps-bounded KD query per set and skips rows shared by
-both samples of a Hausdorff distance; the oracles take the full nearest
-distance of every point.  The results must agree bit for bit.
+The library works on masks over the window lattice: one binary dilation per
+tail set and a distance transform per Hausdorff direction.  The oracles take
+the full nearest distance of every point.  On a dyadic step every lattice
+distance is exact in floats, so the results must agree bit for bit.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conewh.limits import (
-    SampledSet,
-    hausdorff_distance,
-    pk_converged,
-    pk_liminf,
-    pk_limsup,
+from conewh.errors import OffLatticeError
+from conewh.exact import as_float
+from conewh.limits import SampledSet, hausdorff_distance, pk_converged, sample_cone
+from conewh.strata import ray_limit
+
+from oracles import (
+    full_dist_to_set,
+    full_hausdorff,
+    full_pk_liminf,
+    full_pk_limsup,
+    full_sample_cone,
     window_grid,
 )
-
-from oracles import full_hausdorff, full_pk_liminf, full_pk_limsup
 
 STEP = 0.25
 BOUNDS = (-1.0, 1.0)
@@ -29,33 +34,24 @@ def _same(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _set(points):
+    return SampledSet.from_points(points, BOUNDS, STEP)
+
+
 @st.composite
 def _sample(draw, dim):
-    """A point sample of one of four kinds, as an (m, dim) float array."""
-    kind = draw(st.sampled_from(("grid", "off-grid", "at-eps", "empty")))
-    if kind == "empty":
+    """A lattice sample, as an (m, dim) float array: grid picks or empty."""
+    if draw(st.booleans()):
         return np.empty((0, dim))
     grid = window_grid(BOUNDS, STEP, dim)
-    if kind == "off-grid":
-        coord = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
-        rows = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=12))
-        return np.array(rows, dtype=float)
-    picks = draw(st.lists(st.integers(0, len(grid) - 1), min_size=1, max_size=40))
-    points = grid[picks]
-    if kind == "at-eps":
-        # Dyadic shifts along an axis, exact in floats: at exactly eps (or
-        # 2 eps) from the grid point they came from, or just inside eps.
-        axis = draw(st.integers(0, dim - 1))
-        points = points.copy()
-        points[:, axis] += draw(st.sampled_from(
-            (0.25, 0.5, -0.5, 1.0, 0.5 - 2**-20, -(0.25 - 2**-20))))
-    return points
+    return grid[draw(st.lists(st.integers(0, len(grid) - 1), min_size=1, max_size=40))]
 
 
 @st.composite
 def _sequences(draw):
     dim = draw(st.sampled_from((2, 3)))
     seq = draw(st.lists(_sample(dim), min_size=2, max_size=6))
+    # 0.25 and 0.5 are lattice distances, so points at exactly eps occur.
     eps = draw(st.sampled_from((0.25, 0.5, 0.3)))
     bounds = draw(st.sampled_from((BOUNDS, None)))
     return seq, eps, bounds
@@ -65,15 +61,68 @@ def _sequences(draw):
 @given(_sequences())
 def test_pk_limits_equal_full_distance_oracle(case):
     seq, eps, bounds = case
-    sets = [SampledSet(s) for s in seq]
-    lo_ref = full_pk_liminf(seq, eps, bounds, STEP)
-    hi_ref = full_pk_limsup(seq, eps, bounds, STEP)
-    assert _same(pk_liminf(sets, eps, bounds, STEP).points, lo_ref)
-    assert _same(pk_limsup(sets, eps, bounds, STEP).points, hi_ref)
+    sets = [_set(s) for s in seq]
+    lo_ref = full_pk_liminf(seq, eps, BOUNDS, STEP)
+    hi_ref = full_pk_limsup(seq, eps, BOUNDS, STEP)
     converged, lo, hi, dist = pk_converged(sets, eps, bounds, STEP)
     dist_ref = full_hausdorff(lo_ref, hi_ref)
     assert _same(lo.points, lo_ref) and _same(hi.points, hi_ref)
     assert _same(dist, dist_ref) and converged == (dist_ref <= eps)
     for a in seq:
         for b in seq[:2]:
-            assert _same(hausdorff_distance(SampledSet(a), SampledSet(b)), full_hausdorff(a, b))
+            assert _same(hausdorff_distance(_set(a), _set(b)), full_hausdorff(a, b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sequences())
+def test_pk_liminf_inside_limsup(case):
+    """liminf <= limsup for every sequence (Rockafellar & Wets, 4.A)."""
+    seq, eps, bounds = case
+    _, lo, hi, _ = pk_converged([_set(s) for s in seq], eps, bounds, STEP)
+    assert not (lo.mask & ~hi.mask).any()
+    assert len(lo) <= len(hi)
+    assert len(lo) == 0 or full_dist_to_set(lo.points, hi.points).max() == 0.0
+
+
+@st.composite
+def _off_lattice(draw):
+    """Lattice points with one row moved off the lattice or out of the window:
+    a dyadic shift along an axis just inside eps, a non-dyadic shift, a shift
+    of two window widths, or a coordinate that is not finite."""
+    dim = draw(st.sampled_from((2, 3)))
+    grid = window_grid(BOUNDS, STEP, dim)
+    points = grid[draw(st.lists(st.integers(0, len(grid) - 1), min_size=1, max_size=12))]
+    row, axis = draw(st.integers(0, len(points) - 1)), draw(st.integers(0, dim - 1))
+    points[row, axis] += draw(st.sampled_from(
+        (0.5 - 2**-20, -(0.25 - 2**-20), 0.1, 1e-6, 4.0, -4.0, np.nan, np.inf)))
+    return points, points[row]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_off_lattice())
+def test_off_lattice_point_raises(case):
+    points, bad = case
+    with pytest.raises(OffLatticeError) as info:
+        _set(points)
+    assert str(STEP) in str(info.value) and str(bad.tolist()) in str(info.value)
+
+
+@pytest.mark.parametrize("step", [0.25, 0.2, 0.15])
+@pytest.mark.parametrize("cone, direction", [
+    ("quarter", (1, 1)), ("quarter", (1, 0)), ("simplicial", (1, 1, 0)),
+    ("fourgonal", (0, 0, 1)), ("fourgonal", (1, 0, 1)), ("fourgonal", (1, 1, 1))])
+def test_sample_cone_equals_matrix_product_membership(request, cone, direction, step):
+    """Margins summed axis by axis decide membership as the full product does,
+    for every scale of the pklimit default and for the ray limit."""
+    cone, bounds = request.getfixturevalue(cone), (-4.0, 4.0)
+    x = as_float(direction)
+    limit = ray_limit(cone, direction)
+    normals = np.array([as_float(a) for a in cone.inequalities])
+    for s in (None, 2, 4, 8, 16, 32, 64):
+        shift = None if s is None else s * x
+        assert _same(sample_cone(cone, bounds, step, shift).mask.ravel(),
+                     full_sample_cone(normals, bounds, step, shift))
+    if limit.inequalities:
+        limit_normals = np.array([as_float(a) for a in limit.inequalities])
+        assert _same(sample_cone(limit, bounds, step).mask.ravel(),
+                     full_sample_cone(limit_normals, bounds, step))

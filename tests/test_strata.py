@@ -21,14 +21,7 @@ from conewh.errors import (
     NotSolidError,
 )
 from conewh.exact import as_float, rvec, vdot
-from conewh.limits import (
-    SampledSet,
-    hausdorff_distance,
-    pk_converged,
-    pk_liminf,
-    pk_limsup,
-    sample_cone,
-)
+from conewh.limits import SampledSet, hausdorff_distance, pk_converged, sample_cone
 from conewh.strata import (
     incidence_pairs,
     order_point,
@@ -238,7 +231,7 @@ def test_spectrum_poset(quarter, half_line, simplicial):
 
 
 def test_pk_constant_sequence():
-    A = SampledSet(np.array([[0.0, 0.0], [1.0, 0.5]]), tag="A")
+    A = SampledSet.from_points([[0.0, 0.0], [1.0, 0.5]], (-2, 2), 0.1, tag="A")
     converged, lo, hi, dist = pk_converged([A] * 6, 0.3, bounds=(-2, 2), step=0.1)
     assert converged
     assert hausdorff_distance(lo, A) < 0.3
@@ -246,9 +239,8 @@ def test_pk_constant_sequence():
 
 
 def test_pk_escaping_point():
-    seq = [SampledSet(np.array([[float(k)], [0.0]])) for k in range(1, 13)]
-    lo = pk_liminf(seq, 0.3, bounds=(-2, 2), step=0.2)
-    hi = pk_limsup(seq, 0.3, bounds=(-2, 2), step=0.2)
+    seq = [SampledSet.from_points([[float(k)], [0.0]], (-2, 14), 0.2) for k in range(1, 13)]
+    _, lo, hi, _ = pk_converged(seq, 0.3, bounds=(-2, 14), step=0.2)
     assert np.abs(lo.points).max() < 0.3
     assert np.abs(hi.points).max() < 0.3
     assert hausdorff_distance(lo, hi) <= 0.3
@@ -266,17 +258,24 @@ def test_pk_translated_cones_match_ray_limit(quarter):
 
 def test_pk_liminf_subset_limsup():
     rng = np.random.default_rng(5)
-    seq = [SampledSet(rng.uniform(-1, 1, (20, 2))) for _ in range(8)]
-    lo = pk_liminf(seq, 0.4, bounds=(-1.5, 1.5), step=0.25)
-    hi = pk_limsup(seq, 0.4, bounds=(-1.5, 1.5), step=0.25)
+    seq = [SampledSet.from_points(rng.integers(-4, 5, (20, 2)) * 0.25, (-1.5, 1.5), 0.25)
+           for _ in range(8)]
+    _, lo, hi, _ = pk_converged(seq, 0.4, bounds=(-1.5, 1.5), step=0.25)
     lo_set = {tuple(p) for p in np.round(lo.points, 9)}
     hi_set = {tuple(p) for p in np.round(hi.points, 9)}
     assert lo_set <= hi_set
 
 
 def test_pk_errors():
-    A = SampledSet(np.zeros((1, 1)))
+    A = SampledSet.from_points(np.zeros((1, 1)), (-1, 1), 0.5)
     with pytest.raises(DomainError):
-        pk_liminf([A], 0.5)
+        pk_converged([A], 0.5)
     with pytest.raises(DomainError):
-        pk_limsup([A, A], -1.0)
+        pk_converged([A, A], -1.0)
+    B = SampledSet.from_points(np.zeros((1, 1)), (-1, 1), 0.25)
+    with pytest.raises(DomainError):
+        pk_converged([A, B], 0.5)
+    with pytest.raises(DomainError):
+        pk_converged([A, A], 0.5, bounds=(-2, 2))
+    with pytest.raises(DomainError):
+        hausdorff_distance(A, B)

@@ -7,6 +7,7 @@ from conewh.errors import (
     DimensionMismatchError,
     IndexUnresolvedError,
     KernelWindowError,
+    NonFiniteKernelError,
     WindingUndefinedError,
 )
 from conewh.presets import RATIONAL_ZERO_POLE, symbol_preset
@@ -75,6 +76,16 @@ def test_decay_check():
         make_symbol(lambda x: np.exp(-0.01 * x**2), 1, 0.05, 10.0)
     with pytest.raises(KernelWindowError):
         make_symbol(gauss, 1, 0.5, 2.0)  # T < 10h
+
+
+def test_non_finite_samples_rejected_with_position():
+    vals = np.zeros((241, 241))
+    vals[120, 67] = np.inf
+    vals[121, 3] = np.nan
+    with pytest.raises(NonFiniteKernelError, match=r"x = 0, y = -5.3 \(index \[120, 67\]\)"):
+        make_symbol(vals, 2, 0.1, 12.0)
+    with pytest.raises(NonFiniteKernelError, match=r"x = -2 \(index \[160\]\) is \(nan"):
+        make_symbol(lambda x: np.where(np.arange(len(x)) == 160, np.nan, 0.0), 1, 0.05, 10.0)
 
 
 # -- wh_matrix -------------------------------------------------------------------
