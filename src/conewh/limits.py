@@ -4,9 +4,11 @@ A sampled set is a boolean mask over the lattice lo + k*step of [lo, hi]^dim.
 The limes inferior / superior of a sequence are approximated over its tail,
 the last max(2, ceil(len/2)) sets: "all but finitely many" means each tail
 set, "infinitely many" means at least one hit in every consecutive block of
-the tail.  Both read the same tail, so liminf <= limsup by construction, as
-for true set limits (Rockafellar & Wets, Variational Analysis, 4.A).  "Within
-eps" of a set is one binary dilation of its mask by the stencil
+the tail, with at most three blocks and at least two sets in each.  Both read
+the same tail, so liminf <= limsup by construction, as for true set limits
+(Rockafellar & Wets, Variational Analysis, 4.A); two sets in a block keep a
+sequence that alternates between far-apart sets from reading as converged.
+"Within eps" of a set is one binary dilation of its mask by the stencil
 {k : |k|*step < eps}; a Hausdorff distance is read from the exact Euclidean
 distance transform of a mask, times step.
 """
@@ -137,7 +139,7 @@ def pk_converged(seq, eps, bounds=None, step=None):
     sq = sum(np.meshgrid(*([np.arange(-r, r + 1) ** 2] * seq[0].dim), indexing="ij"))
     stencil = step * np.sqrt(sq) < eps
     near = np.array([_dilate(s.mask, stencil) for s in seq[-max(2, (len(seq) + 1) // 2):]])
-    blocks = np.array_split(near, min(3, len(near)))
+    blocks = np.array_split(near, max(1, min(3, len(near) // 2)))
     lo = SampledSet(near.all(axis=0), seq[0].bounds, step, "pk-liminf")
     hi = SampledSet(np.all([b.any(axis=0) for b in blocks], axis=0), seq[0].bounds, step,
                     "pk-limsup")

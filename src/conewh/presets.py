@@ -186,7 +186,9 @@ def _int_constant(node):
         return None
     if isinstance(node.op, ast.Pow) and b < 0:
         return None                                     # a float
-    if isinstance(node.op, ast.Pow) and abs(a) > 1 and b * math.log2(abs(a)) > 1024:
+    # b against a float, not b * log2|a|: an int compares with a float exactly,
+    # and a product above ~1.8e308 would raise OverflowError.
+    if isinstance(node.op, ast.Pow) and abs(a) > 1 and b > 1024 / math.log2(abs(a)):
         raise ConfigError(f"bad symbol expression: constant power '{ast.unparse(node)}' "
                           "exceeds 2**1024")
     try:

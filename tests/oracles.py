@@ -274,11 +274,12 @@ def full_pk_liminf(seq, eps, bounds, step):
 
 def full_pk_limsup(seq, eps, bounds, step):
     """Grid points at full distance < eps from some set of every consecutive
-    block of the tail (at most three blocks), so full_pk_liminf is a subset."""
+    block of the tail (at most three blocks, at least two sets in each), so
+    full_pk_liminf is a subset."""
     grid = window_grid(bounds, step, seq[0].shape[1])
     tail = np.arange(len(seq))[-max(2, (len(seq) + 1) // 2):]
     keep = np.ones(len(grid), dtype=bool)
-    for block in np.array_split(tail, min(3, len(tail))):
+    for block in np.array_split(tail, max(1, min(3, len(tail) // 2))):
         hit = np.zeros(len(grid), dtype=bool)
         for i in block:
             hit |= full_dist_to_set(grid, seq[i]) < eps

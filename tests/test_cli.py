@@ -330,6 +330,11 @@ def _never_called(*args, **kwargs):
     ("hierarchy2d", "exp(-x*x-y*y)*(2**1000)**2", 2, 2,
      "error: bad symbol expression: constant power"),
     ("index1d", "exp(-x*x)*-(-7)**(3**7)", 1, 2, "error: bad symbol expression: constant power"),
+    # Exponents above the float range (~1.8e308) are compared, not multiplied.
+    ("index1d", "exp(-x*x)*2**(2**1000*2**1000)", 1, 2,
+     "error: bad symbol expression: constant power"),
+    pytest.param("index1d", f"exp(-x*x)*3**{'9' * 400}", 1, 2,
+                 "error: bad symbol expression: constant power", id="400-digit-exponent"),
 ])
 def test_input_boundary_probe(tmp_path, capsys, monkeypatch, command, expr, dim, code, message):
     if code == 2:

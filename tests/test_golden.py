@@ -13,9 +13,10 @@ moved to eps-bounded KD queries and row-batched gauges, and later to masks on
 the window lattice.  Inputs: the two packaged sampled presets and two 3-D
 pklimit specs with the preset's scales, eps, window and step.  Two more
 pklimit reports, fourgonal-r3 along (0,0,1) and along (1,0,1), were written
-once the sampled limsup read the same tail of scales as the liminf; before
-that, both directions gave a liminf larger than the limsup and converged
-false.  They pin converged true with liminf_size == limsup_size.
+once the sampled limsup read the same tail of scales as the liminf (the
+last three scales, one limsup block); before that, both directions gave a
+liminf larger than the limsup and converged false.  They pin converged true
+with liminf_size == limsup_size.
 
 The hierarchy2d reports (JSON and CSV) of the two packaged hierarchy presets
 were written with complex-assembled sections, before real sections were

@@ -50,7 +50,8 @@ def _sample(draw, dim):
 @st.composite
 def _sequences(draw):
     dim = draw(st.sampled_from((2, 3)))
-    seq = draw(st.lists(_sample(dim), min_size=2, max_size=6))
+    # Up to 12 sets, so tails of 4 to 6 sets split into two or three blocks.
+    seq = draw(st.lists(_sample(dim), min_size=2, max_size=12))
     # 0.25 and 0.5 are lattice distances, so points at exactly eps occur.
     eps = draw(st.sampled_from((0.25, 0.5, 0.3)))
     bounds = draw(st.sampled_from((BOUNDS, None)))
@@ -82,6 +83,18 @@ def test_pk_liminf_inside_limsup(case):
     assert not (lo.mask & ~hi.mask).any()
     assert len(lo) <= len(hi)
     assert len(lo) == 0 or full_dist_to_set(lo.points, hi.points).max() == 0.0
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_pk_alternating_sets_do_not_converge(n):
+    """A, B, A, B, ... with B = A plus a far point: every limsup block holds
+    both, so the far point is in the limsup and not in the liminf."""
+    a = np.array([[-1.0, -1.0], [-0.75, -1.0]])
+    b = np.vstack([a, [[1.0, 1.0]]])
+    seq = [_set(a if i % 2 == 0 else b) for i in range(n)]
+    converged, lo, hi, dist = pk_converged(seq, 0.5)
+    assert not converged and dist > 0.5
+    assert lo.mask[0, 0] and not lo.mask[-1, -1] and hi.mask[-1, -1]
 
 
 @st.composite
