@@ -65,7 +65,6 @@ from .wiener_hopf import (
     hierarchy_fredholm,
     make_symbol,
     numerical_index,
-    rep_L,
     symbol_curve,
     wh_matrix,
     winding_number,

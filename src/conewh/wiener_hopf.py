@@ -1,11 +1,18 @@
 """Discretized Wiener-Hopf operators: sampled kernels and Fourier symbols,
 finite sections on cones, winding numbers, kernel/cokernel index estimation,
-face-restricted symbols, fibre representations, and the stratified
-Fredholm report for the quarter plane.
+face-restricted symbols and the stratified Fredholm report for the quarter
+plane.
 
 The index pipeline makes one values-only SVD per finite section, plus one LU
 only for a section with near-null singular triples, to find their vectors.
 Sections with real kernel samples are assembled and factored in real arithmetic.
+
+The hierarchy report takes the twisted face restrictions g_y for every fibre
+frequency y of a face in one pass, as matrix products against cos and sin
+tables over w > 0 in folded form, so a kernel even across the face gives
+exactly real restrictions.  Each face section gets sigma_min from one
+factorization chosen by its exact structure: eigvalsh (sigma = |lambda|) when
+the section is Hermitian, a values-only SVD otherwise.
 
 Conventions, fixed once: Fourier transform with kernel e^{-2*pi*i*<x,xi>}.
 With this transform the half-line space maps to the Hardy space of the
@@ -21,7 +28,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, svd, svdvals, toeplitz
+from scipy.linalg import (LinAlgWarning, eigvalsh, lu_factor, lu_solve, svd, svdvals,
+                          toeplitz)
 
 from .errors import (
     DimensionMismatchError,
@@ -78,13 +86,29 @@ def _dft(kernel, h, dim):
     return out, freqs
 
 
-def make_symbol(f, dim, h, T, name="", cone_transform=None) -> SymbolGrid:
+def _check_samples(vals, T, coords, grid_axes):
+    """The gates of sampled kernel values, whose axes coords names as (label,
+    coordinates): every sample is finite, else the first that is not is
+    named; and |f| < 1e-8 wherever one of the leading grid_axes coordinates
+    lies outside [-T/2, T/2]."""
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        first = np.unravel_index(np.argmax(bad), vals.shape)
+        point = ", ".join(f"{label} = {c[i]:g}" for (label, c), i in zip(coords, first))
+        raise NonFiniteKernelError(f"kernel sample at {point} (index {list(map(int, first))}) "
+                                   f"is {vals[first]}, not finite")
+    mags = np.abs(vals)
+    for axis in range(grid_axes):
+        outside = np.abs(coords[axis][1]) > T / 2
+        if np.compress(outside, mags, axis=axis).max(initial=0.0) >= _DECAY_TOL:
+            raise KernelWindowError("kernel not window-compatible")
+
+
+def make_symbol(f, dim, h, T, name="") -> SymbolGrid:
     """Sample a kernel (callable or array) on the window and attach its symbol.
 
     The callable is evaluated on the grid; every sample must be finite, and
-    decay |f| < 1e-8 is required outside [-T/2, T/2]^dim.  With
-    cone_transform=(M, detM) the kernel is resampled as |det M| f(M z),
-    reducing a simplicial 2-D cone to the quarter plane.
+    decay |f| < 1e-8 is required outside [-T/2, T/2]^dim.
     """
     if h <= 0:
         raise KernelWindowError("grid step must be positive")
@@ -96,55 +120,15 @@ def make_symbol(f, dim, h, T, name="", cone_transform=None) -> SymbolGrid:
             vals = np.asarray(f(xs), dtype=complex)
         else:
             X1, X2 = np.meshgrid(xs, xs, indexing="ij")
-            if cone_transform is not None:
-                Mmat, detM = cone_transform
-                Z1 = Mmat[0, 0] * X1 + Mmat[0, 1] * X2
-                Z2 = Mmat[1, 0] * X1 + Mmat[1, 1] * X2
-                vals = abs(detM) * np.asarray(f(Z1, Z2), dtype=complex)
-            else:
-                vals = np.asarray(f(X1, X2), dtype=complex)
+            vals = np.asarray(f(X1, X2), dtype=complex)
     else:
         vals = np.asarray(f, dtype=complex)
         expected = (2 * M + 1,) * dim
         if vals.shape != expected:
             raise DimensionMismatchError(f"kernel samples must have shape {expected}")
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        first = np.unravel_index(np.argmax(bad), vals.shape)
-        point = ", ".join(f"{name} = {xs[i]:g}" for name, i in zip("xy", first))
-        raise NonFiniteKernelError(f"kernel sample at {point} (index {list(map(int, first))}) "
-                                   f"is {vals[first]}, not finite")
-
-    # decay check outside the half window
-    mask = np.abs(xs) > T / 2
-    if dim == 1:
-        tail = np.abs(vals[mask])
-    else:
-        m2 = np.zeros(vals.shape, dtype=bool)
-        m2[mask, :] = True
-        m2[:, mask] = True
-        tail = np.abs(vals[m2])
-    if tail.size and tail.max() >= _DECAY_TOL:
-        raise KernelWindowError("kernel not window-compatible")
-
+    _check_samples(vals, T, [("x", xs), ("y", xs)][:dim], dim)
     fhat, freqs = _dft(vals, h, dim)
     return SymbolGrid(dim, h, T, xs, vals, fhat, freqs, name=name)
-
-
-def cone_section_transform(cone):
-    """Change of variables reducing a solid pointed 2-D cone to the quarter
-    plane: the generator matrix M (columns = extreme rays) and its determinant,
-    for use as make_symbol(..., cone_transform=...)."""
-    from .cones import is_pointed, is_solid
-    from .exact import as_float
-
-    if cone.ambient_dim != 2 or not (is_pointed(cone) and is_solid(cone)):
-        raise DimensionMismatchError("section transform needs a solid pointed 2-D cone")
-    rays = [as_float(g) for g in cone.generators]
-    if len(rays) != 2:
-        raise DimensionMismatchError("section transform needs a simplicial cone")
-    M = np.column_stack(rays)
-    return M, float(np.linalg.det(M))
 
 
 @dataclass
@@ -158,26 +142,17 @@ class WHMatrix:
     identity_shift: bool = False  # True when the matrix represents 1 + W_f
 
 
-def wh_matrix(symbol: SymbolGrid, cone: str, N: int, identity_shift=False) -> WHMatrix:
-    """Riemann-sum finite section: entries h^dim * f(x_i - x_j) over the cone grid.
-
-    1-D sections are Toeplitz; the quarter plane gives a block-Toeplitz matrix
-    with Toeplitz blocks (row-major over the index pairs).  The section is real
-    when the kernel samples it uses have no imaginary part.
-    """
-    M = (symbol.npoints - 1) // 2
-    if N * symbol.h > symbol.T + 1e-12:
+def _assemble(kernel, h, T, N, identity_shift):
+    """The section of wh_matrix from kernel samples centred on the window: the
+    one assembly of every finite section, the face sections included."""
+    if N * h > T + 1e-12:
         raise KernelWindowError("truncation exceeds the kernel window: N*h <= T required")
-    dims = {"half-line": 1, "quarter-plane": 2}
-    if cone not in dims:
-        raise DimensionMismatchError(f"unsupported cone '{cone}'")
-    if symbol.dim != dims[cone]:
-        raise DimensionMismatchError(f"{cone} needs a {dims[cone]}-D symbol")
+    M = (len(kernel) - 1) // 2
     lags = slice(M - N + 1, M + N)                  # x_i - x_j for i, j < N
-    used = symbol.h**symbol.dim * symbol.kernel[(lags,) * symbol.dim]
+    used = h**kernel.ndim * kernel[(lags,) * kernel.ndim]
     if not used.imag.any():
         used = used.real
-    if cone == "half-line":
+    if kernel.ndim == 1:
         W = toeplitz(used[N - 1:], used[N - 1::-1])
     else:
         idx = np.arange(N)
@@ -185,6 +160,22 @@ def wh_matrix(symbol: SymbolGrid, cone: str, N: int, identity_shift=False) -> WH
         W = used[D[:, None, :, None], D[None, :, None, :]].reshape(N * N, N * N)
     if identity_shift:
         W.flat[::len(W) + 1] += 1.0
+    return W
+
+
+def wh_matrix(symbol: SymbolGrid, cone: str, N: int, identity_shift=False) -> WHMatrix:
+    """Riemann-sum finite section: entries h^dim * f(x_i - x_j) over the cone grid.
+
+    1-D sections are Toeplitz; the quarter plane gives a block-Toeplitz matrix
+    with Toeplitz blocks (row-major over the index pairs).  The section is real
+    when the kernel samples it uses have no imaginary part.
+    """
+    dims = {"half-line": 1, "quarter-plane": 2}
+    if cone not in dims:
+        raise DimensionMismatchError(f"unsupported cone '{cone}'")
+    if symbol.dim != dims[cone]:
+        raise DimensionMismatchError(f"{cone} needs a {dims[cone]}-D symbol")
+    W = _assemble(symbol.kernel, symbol.h, symbol.T, N, identity_shift)
     return WHMatrix(cone, N, symbol.h, W, identity_shift)
 
 
@@ -236,9 +227,13 @@ def _section(symbol, N):
     return wh_matrix(symbol, "half-line", N, identity_shift=True).entries
 
 
-def _sigma_min(symbol, N):
-    """Smallest singular value of the section from one values-only SVD."""
-    return float(svdvals(_section(symbol, N))[-1])
+def _sigma_min(W):
+    """Smallest singular value of an assembled section from one factorization:
+    min |lambda| from eigvalsh when the section is exactly Hermitian, where the
+    singular values are the |lambda|; else the last of a values-only SVD."""
+    if np.array_equal(W, W.conj().T):
+        return float(np.abs(eigvalsh(W)).min())
+    return float(svdvals(W)[-1])
 
 
 def _near_null_pairs(Wop, k, smax):
@@ -323,7 +318,8 @@ def classical_index(symbol: SymbolGrid, truncations=(512, 1024)) -> FredholmRepo
     nonvanishing = symbol_min > 1e-8
     report = FredholmReport(nonvanishing, symbol_min)
     if not nonvanishing:
-        report.diagnostics["sigma_min"] = {N: _sigma_min(symbol, N) for N in truncations}
+        report.diagnostics["sigma_min"] = {N: _sigma_min(_section(symbol, N))
+                                           for N in truncations}
         report.verdict = "non-fredholm"
         return report
     report.winding = winding_number(curve)
@@ -338,7 +334,7 @@ def classical_index(symbol: SymbolGrid, truncations=(512, 1024)) -> FredholmRepo
     return report
 
 
-# -- face restrictions and fibre representations ---------------------------
+# -- face restrictions -------------------------------------------------------
 
 
 def _face_axis(face_or_axis):
@@ -361,18 +357,43 @@ def _face_axis(face_or_axis):
     raise DimensionMismatchError("unsupported face orientation (axis-aligned faces only)")
 
 
-def face_symbol(symbol: SymbolGrid, face) -> SymbolGrid:
-    """Restrict a 2-D kernel to a 1-D face: integrate out the orthogonal direction."""
-    if symbol.dim != 2:
-        raise DimensionMismatchError("face symbol needs a 2-D symbol")
-    axis = _face_axis(face)
-    g = symbol.h * symbol.kernel.sum(axis=1 - axis)
-    return make_symbol(g, 1, symbol.h, symbol.T,
-                       name=f"{symbol.name}|face-{'e1' if axis == 0 else 'e2'}")
+def _real_product(A, B):
+    """A @ B for a real B, as real matrix products on each part of A."""
+    out = np.ascontiguousarray(A.real) @ B
+    return out + 1j * (np.ascontiguousarray(A.imag) @ B) if A.imag.any() else out
+
+
+def _twisted_restrictions(symbol: SymbolGrid, axis, y_values):
+    """Twisted restrictions g_y(t) = h * sum_w f(t s + w) e^{-2 pi i w y} of a
+    2-D kernel to the face along axis, one column per y, in folded form
+
+        h [f(t, 0) + sum_{w>0} (f(t, w) + f(t, -w)) cos 2 pi w y
+                             - i (f(t, w) - f(t, -w)) sin 2 pi w y],
+
+    as matrix products against the cos and sin tables.  A kernel even across
+    the face gives exactly real columns.  The rows t >= 0 and t <= 0 are
+    products of the same shape, so a kernel with f(-z) = conj f(z) gives
+    g_y(-t) = conj g_y(t) bit for bit, and Hermitian sections.  The column
+    block passes the finiteness and decay gates of make_symbol.
+    """
+    K = symbol.kernel if axis == 0 else symbol.kernel.T       # K[t, w]
+    M = (symbol.npoints - 1) // 2
+    y_values = np.asarray(y_values, dtype=float)
+    arg = 2 * np.pi * np.outer(symbol.xs[M + 1:], y_values)
+    cos, sin = np.cos(arg), np.sin(arg)
+    halves = []
+    for rows in (K[M::-1], K[M:]):                  # t = 0, -h, ..., -T and 0, h, ..., T
+        pos, neg = rows[:, M + 1:], rows[:, M - 1::-1]
+        halves.append(rows[:, M, None] + _real_product(pos + neg, cos)
+                      - 1j * _real_product(pos - neg, sin))
+    g = symbol.h * np.concatenate([halves[0][:0:-1], halves[1]])
+    _check_samples(g, symbol.T, [("t", symbol.xs), ("y", y_values)], 1)
+    return g
 
 
 def face_symbol_twisted(symbol: SymbolGrid, face, y) -> SymbolGrid:
-    """Twisted restriction g_y(t) = h * sum_w f(t s + w) e^{-2 pi i w y}.
+    """Twisted restriction g_y of a 2-D kernel to a 1-D face, one column of
+    _twisted_restrictions.
 
     Its discrete symbol satisfies ghat(xi) = fhat at (xi along the face,
     y along the orthocomplement), exactly on the frequency grid.
@@ -380,45 +401,16 @@ def face_symbol_twisted(symbol: SymbolGrid, face, y) -> SymbolGrid:
     if symbol.dim != 2:
         raise DimensionMismatchError("face symbol needs a 2-D symbol")
     axis = _face_axis(face)
-    phase = np.exp(-2j * np.pi * symbol.xs * float(y))
-    if axis == 0:
-        g = symbol.h * (symbol.kernel * phase[None, :]).sum(axis=1)
-    else:
-        g = symbol.h * (symbol.kernel * phase[:, None]).sum(axis=0)
-    return make_symbol(g, 1, symbol.h, symbol.T,
-                       name=f"{symbol.name}|face-{'e1' if axis == 0 else 'e2'}@y={y}")
+    g = _twisted_restrictions(symbol, axis, [y])[:, 0]
+    fhat, freqs = _dft(g, symbol.h, 1)
+    return SymbolGrid(1, symbol.h, symbol.T, symbol.xs, g, fhat, freqs,
+                      name=f"{symbol.name}|face-{'e1' if axis == 0 else 'e2'}@y={y}")
 
 
-def rep_L(symbol: SymbolGrid, face, y, h_in):
-    """Fibre representation applied to a sampled function on the face grid.
-
-    Direct quadrature of the double integral over the orthocomplement and
-    the face's relative dual, with the convolution-class element phi(F,v,z)
-    = f(-z) induced by the kernel.  Equals the Wiener-Hopf matrix of the
-    (-y)-twisted face restriction applied to the same samples.
-    """
-    h_in = np.asarray(h_in, dtype=complex)
-    N = len(h_in)
-    if symbol.dim == 1:
-        if float(y) != 0.0:
-            raise DimensionMismatchError("half-line fibre has trivial orthocomplement")
-        Wop = wh_matrix(symbol, "half-line", N).entries
-        return Wop @ h_in
-    axis = _face_axis(face)
-    M = (symbol.npoints - 1) // 2
-    if N * symbol.h > symbol.T + 1e-12:
-        raise KernelWindowError("truncation exceeds the kernel window")
-    phase = np.exp(-2j * np.pi * symbol.xs * float(y))
-    deltas = np.arange(-(N - 1), N)
-    # G(delta) = h * sum_k f(delta*h along face, -w_k across) e^{-2 pi i w_k y}
-    if axis == 0:
-        block = symbol.kernel[M + deltas][:, ::-1]
-    else:
-        block = symbol.kernel[:, M + deltas][::-1, :].T
-    G = symbol.h * block @ phase
-    col = symbol.h * G[N - 1:]
-    row = symbol.h * G[N - 1::-1]
-    return toeplitz(col, row) @ h_in
+def face_symbol(symbol: SymbolGrid, face) -> SymbolGrid:
+    """Restrict a 2-D kernel to a 1-D face: integrate out the orthogonal
+    direction, the twisted restriction at y = 0."""
+    return face_symbol_twisted(symbol, face, 0.0)
 
 
 # -- stratified Fredholm diagnostics for the quarter plane ------------------
@@ -456,11 +448,11 @@ def hierarchy_fredholm(symbol: SymbolGrid, cone="quarter-plane",
     face_reports = []
     all_ok = True
     for axis, label in ((0, "e1"), (1, "e2")):
-        rows = []
-        for y in y_values:
-            g = face_symbol_twisted(symbol, axis, y)
-            sig = {N: _sigma_min(g, N) for N in truncations}
-            rows.append({"y": float(y), "sigma_min": sig})
+        G = _twisted_restrictions(symbol, axis, y_values)
+        rows = [{"y": float(y),
+                 "sigma_min": {N: _sigma_min(_assemble(g, symbol.h, symbol.T, N, True))
+                               for N in truncations}}
+                for y, g in zip(y_values, G.T)]
         n1, n2 = truncations[0], truncations[-1]
         margin = min(min(r["sigma_min"].values()) for r in rows)
         stable = all(r["sigma_min"][n2] >= stability_ratio * r["sigma_min"][n1]
@@ -507,10 +499,3 @@ def convolve_kernels(s1: SymbolGrid, s2: SymbolGrid) -> SymbolGrid:
 
     conv = fftconvolve(s1.kernel, s2.kernel, mode="same") * s1.h**s1.dim
     return make_symbol(conv, s1.dim, s1.h, s1.T, name=f"({s1.name})*({s2.name})")
-
-
-def product_symbol(s1: SymbolGrid, s2: SymbolGrid) -> SymbolGrid:
-    """Kernel of the product symbol: (1+f1hat)(1+f2hat) = 1 + (f1+f2+f1*f2)hat."""
-    conv = convolve_kernels(s1, s2)
-    return make_symbol(s1.kernel + s2.kernel + conv.kernel, s1.dim, s1.h, s1.T,
-                       name=f"({s1.name})x({s2.name})")

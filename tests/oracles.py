@@ -7,15 +7,21 @@ counts, projections by parametrized gradient descent.  The double description
 and covering-relation oracles are the library's earlier rational
 implementations: per-pair exact-rank adjacency and the O(F^3) covering loop.
 The sampled-limit oracles take the full nearest distance of every grid point
-to every set, and of every sample row in a Hausdorff distance.
+to every set, and of every sample row in a Hausdorff distance.  The
+Wiener-Hopf oracles are the library's earlier direct-sum twisted face
+restriction, the fibre representation rep_L by direct quadrature, the product
+symbol, and the change of variables of a simplicial 2-D cone to the quarter
+plane.
 """
 
 import itertools
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import toeplitz
 from scipy.spatial import cKDTree
 
+from conewh.errors import DimensionMismatchError, KernelWindowError
 from conewh.exact import (
     canonical_ray,
     invert,
@@ -27,6 +33,7 @@ from conewh.exact import (
     vdot,
     vneg,
 )
+from conewh.wiener_hopf import convolve_kernels, make_symbol, wh_matrix
 
 
 def vrep_member(rays, x):
@@ -285,3 +292,82 @@ def full_pk_limsup(seq, eps, bounds, step):
             hit |= full_dist_to_set(grid, seq[i]) < eps
         keep &= hit
     return grid[keep]
+
+
+# -- Wiener-Hopf ---------------------------------------------------------------
+
+
+def direct_twisted_restriction(symbol, axis, y):
+    """Twisted restriction g_y(t) = h * sum_w f(t s + w) e^{-2 pi i w y} as one
+    direct sum over all w with the phase e^{-2 pi i x_w y}, through make_symbol."""
+    phase = np.exp(-2j * np.pi * symbol.xs * float(y))
+    if axis == 0:
+        g = symbol.h * (symbol.kernel * phase[None, :]).sum(axis=1)
+    else:
+        g = symbol.h * (symbol.kernel * phase[:, None]).sum(axis=0)
+    return make_symbol(g, 1, symbol.h, symbol.T)
+
+
+def rep_L(symbol, face, y, h_in):
+    """Fibre representation applied to a sampled function on the face grid.
+
+    Direct quadrature of the double integral over the orthocomplement and
+    the face's relative dual, with the convolution-class element phi(F,v,z)
+    = f(-z) induced by the kernel.  Equals the Wiener-Hopf matrix of the
+    (-y)-twisted face restriction applied to the same samples.
+    """
+    h_in = np.asarray(h_in, dtype=complex)
+    N = len(h_in)
+    if symbol.dim == 1:
+        if float(y) != 0.0:
+            raise DimensionMismatchError("half-line fibre has trivial orthocomplement")
+        return wh_matrix(symbol, "half-line", N).entries @ h_in
+    axis = {"e1": 0, "e2": 1}[face]
+    M = (symbol.npoints - 1) // 2
+    if N * symbol.h > symbol.T + 1e-12:
+        raise KernelWindowError("truncation exceeds the kernel window")
+    phase = np.exp(-2j * np.pi * symbol.xs * float(y))
+    deltas = np.arange(-(N - 1), N)
+    # G(delta) = h * sum_k f(delta*h along face, -w_k across) e^{-2 pi i w_k y}
+    if axis == 0:
+        block = symbol.kernel[M + deltas][:, ::-1]
+    else:
+        block = symbol.kernel[:, M + deltas][::-1, :].T
+    G = symbol.h * block @ phase
+    col = symbol.h * G[N - 1:]
+    row = symbol.h * G[N - 1::-1]
+    return toeplitz(col, row) @ h_in
+
+
+def product_symbol(s1, s2):
+    """Kernel of the product symbol: (1+f1hat)(1+f2hat) = 1 + (f1+f2+f1*f2)hat."""
+    conv = convolve_kernels(s1, s2)
+    return make_symbol(s1.kernel + s2.kernel + conv.kernel, s1.dim, s1.h, s1.T,
+                       name=f"({s1.name})x({s2.name})")
+
+
+def cone_section_transform(cone):
+    """Change of variables reducing a solid pointed 2-D cone to the quarter
+    plane: the generator matrix M (columns = extreme rays) and its determinant,
+    for use with cone_transform_symbol."""
+    from conewh.cones import is_pointed, is_solid
+    from conewh.exact import as_float
+
+    if cone.ambient_dim != 2 or not (is_pointed(cone) and is_solid(cone)):
+        raise DimensionMismatchError("section transform needs a solid pointed 2-D cone")
+    rays = [as_float(g) for g in cone.generators]
+    if len(rays) != 2:
+        raise DimensionMismatchError("section transform needs a simplicial cone")
+    M = np.column_stack(rays)
+    return M, float(np.linalg.det(M))
+
+
+def cone_transform_symbol(f, h, T, transform):
+    """The 2-D kernel |det M| f(M z) sampled on the quarter-plane window, for
+    transform = (M, det M), through make_symbol."""
+    Mmat, detM = transform
+    xs = np.arange(-round(T / h), round(T / h) + 1) * h
+    X1, X2 = np.meshgrid(xs, xs, indexing="ij")
+    Z1 = Mmat[0, 0] * X1 + Mmat[0, 1] * X2
+    Z2 = Mmat[1, 0] * X1 + Mmat[1, 1] * X2
+    return make_symbol(abs(detM) * np.asarray(f(Z1, Z2), dtype=complex), 2, h, T)

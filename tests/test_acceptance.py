@@ -50,13 +50,12 @@ from conewh.wiener_hopf import (
     hierarchy_fredholm,
     make_symbol,
     numerical_index,
-    rep_L,
     symbol_curve,
     wh_matrix,
     winding_number,
 )
 
-from oracles import brute_force_faces
+from oracles import brute_force_faces, rep_L
 
 
 def _verdict(num, label, ok):

@@ -325,6 +325,9 @@ def _never_called(*args, **kwargs):
     ("index1d", "exp(-x*x)/x", 1, 1, "error [non-finite-kernel]: kernel sample at x = 0 "),
     ("hierarchy2d", "x*y/(x*y)*exp(-x*x-y*y)", 2, 1,
      "error [non-finite-kernel]: kernel sample at x = -30, y = 0 "),
+    # A floor below the 2-D decay tolerance sums to a face restriction above it.
+    ("hierarchy2d", "9e-9 + 0.3*exp(-pi*(x**2+y**2))", 2, 1,
+     "error [kernel-window]: kernel not window-compatible"),
     # Constant integer powers beyond the float range: rejected before evaluation.
     ("index1d", "10**10**10*exp(-x*x)", 1, 2, "error: bad symbol expression: constant power"),
     ("hierarchy2d", "exp(-x*x-y*y)*(2**1000)**2", 2, 2,

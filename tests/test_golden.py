@@ -19,11 +19,16 @@ liminf larger than the limsup and converged false.  They pin converged true
 with liminf_size == limsup_size.
 
 The hierarchy2d reports (JSON and CSV) of the two packaged hierarchy presets
-were written with complex-assembled sections, before real sections were
-assembled in real arithmetic.  The index1d reports of the seven packaged
-index presets were written after the split moved to one values-only SVD plus
-an LU for the near-null vectors; before that move they differed only in
-sigma_min, by at most 7e-16 (N * eps * sigma_max bounds it).
+were written once the twisted face restrictions were taken in one folded
+pass and the (then real symmetric) face sections factored by eigvalsh; they
+moved from the direct-sum, complex-assembled, SVD-factored reports only in
+sigma_min, margin and margin_at_infinity, by at most 1.8e-15, below
+N * eps * sigma_max.  They hold on one and on two BLAS threads.  The index1d
+reports of the seven packaged index presets were written after the split
+moved to one values-only SVD plus an LU for the near-null vectors; before that
+move they differed only in sigma_min, by at most 7e-16 (N * eps * sigma_max
+bounds it).  The singular-zero report was rewritten when its symmetric
+sections moved to eigvalsh: sigma_min moved by at most 5.2e-16.
 """
 
 from pathlib import Path

@@ -19,14 +19,20 @@ from conewh.wiener_hopf import (
     hierarchy_fredholm,
     make_symbol,
     numerical_index,
-    product_symbol,
-    rep_L,
     symbol_curve,
     wh_matrix,
     winding_number,
 )
 
-from oracles import complex_singular_split, winding_from_zero_pole
+from oracles import (
+    complex_singular_split,
+    cone_section_transform,
+    cone_transform_symbol,
+    direct_twisted_restriction,
+    product_symbol,
+    rep_L,
+    winding_from_zero_pole,
+)
 
 
 def gauss(x):
@@ -132,12 +138,18 @@ def _complex_assembly(symbol, N):
     ("rational-w-2", 52.0, None, True),
     ("gauss-small", 12.0, None, True),
     ("gauss2d-small", 12.0, 0.0, True),
-    ("gauss2d-small", 12.0, 0.25, False),
+    ("gauss2d-small", 12.0, 0.25, True),
+    ("exp(-pi*(x**2+(y-0.3)**2))", 12.0, 0.25, False),
 ])
 def test_wh_matrix_real_when_used_samples_are_real(name, T, twist, real):
     """A section is assembled in real arithmetic exactly when the samples it
-    uses have no imaginary part, with the entries of the complex assembly."""
-    S = symbol_preset(name, 0.1, T)
+    uses have no imaginary part, with the entries of the complex assembly.
+    A twisted restriction is real for a kernel even across the face, complex
+    for one shifted across it."""
+    from conewh.presets import symbol_from_expression
+
+    S = (symbol_from_expression(name, 2, 0.1, T) if "(" in name
+         else symbol_preset(name, 0.1, T))
     if twist is not None:
         S = face_symbol_twisted(S, 0, twist)
     W = wh_matrix(S, "half-line", 48, identity_shift=True).entries
@@ -268,13 +280,15 @@ def factorizations(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     monkeypatch.setattr(wh, "svdvals", counted("svdvals", wh.svdvals))
+    monkeypatch.setattr(wh, "eigvalsh", counted("eigvalsh", wh.eigvalsh))
     monkeypatch.setattr(wh, "lu_factor", counted("lu_factor", wh.lu_factor))
     return calls
 
 
 def test_classical_index_one_factorization_per_truncation(factorizations):
     """One values-only SVD per truncation, plus one LU only for a section with
-    near-null singular triples."""
+    near-null singular triples; the sigma_min trend of a non-Fredholm symbol
+    takes one factorization per truncation."""
     real_svdvals, real_lu = ("svdvals", np.float64), ("lu_factor", np.float64)
     rep = classical_index(symbol_preset("rational-w+1", 0.2, 52.0), truncations=(128, 256))
     assert rep.numerical_index == rep.index == -1
@@ -288,10 +302,11 @@ def test_classical_index_one_factorization_per_truncation(factorizations):
     assert rep.verdict == "fredholm" and rep.diagnostics["dim_ker"] == 0
     assert factorizations == [real_svdvals] * 2
 
+    # The even kernel gives symmetric sections, whose sigma_min is min |lambda|.
     factorizations.clear()
     rep = classical_index(symbol_preset("singular-zero", 0.05, 30.0), truncations=(64, 128))
     assert rep.verdict == "non-fredholm"
-    assert factorizations == [real_svdvals] * 2
+    assert factorizations == [("eigvalsh", np.float64)] * 2
 
 
 @pytest.mark.parametrize("name", ["rational-w-1", "rational-w+1", "rational-w-2",
@@ -445,19 +460,103 @@ def test_split_with_every_value_near_zero_is_unresolved(W, delta_factor):
         _small_singular_split(W, delta_factor, 1e3)
 
 
-def test_twisted_face_sections_stay_complex(factorizations):
+def test_twisted_face_sections_factor_by_structure(factorizations):
+    """An even kernel gives real symmetric face sections, factored by eigvalsh;
+    a kernel shifted across the face keeps complex sections and svdvals."""
     S = symbol_preset("gauss2d-small", 0.1, 12.0)
     y = S.freqs[1] - S.freqs[0]
-    rep = hierarchy_fredholm(S, truncations=(16, 32), y_values=[0.0, y])
-    real, cplx = ("svdvals", np.float64), ("svdvals", np.complex128)
-    assert factorizations == [real, real, cplx, cplx] * 2  # faces e1, e2
-    for fr in rep.face_reports:
-        twisted = next(r for r in fr["rows"] if r["y"] != 0.0)
-        g = face_symbol_twisted(S, fr["face"], twisted["y"])
-        W = wh_matrix(g, "half-line", 32, identity_shift=True).entries
-        assert W.imag.any()
-        ref = np.linalg.svd(W, compute_uv=False)[-1]
-        assert twisted["sigma_min"][32] == pytest.approx(ref, rel=1e-10)
+    hierarchy_fredholm(S, truncations=(16, 32), y_values=[0.0, y])
+    assert factorizations == [("eigvalsh", np.float64)] * 8
+    for face in ("e1", "e2"):
+        for twist in (0.0, y):
+            W = wh_matrix(face_symbol_twisted(S, face, twist), "half-line", 32,
+                          identity_shift=True).entries
+            assert W.dtype == np.float64 and np.array_equal(W, W.T)
+
+    factorizations.clear()
+    shifted = make_symbol(lambda x, y: np.exp(-np.pi * (x**2 + (y - 0.3)**2)), 2, 0.1, 12.0)
+    rep = hierarchy_fredholm(shifted, truncations=(16, 32), y_values=[0.0, y])
+    real_symmetric, real, cplx = (("eigvalsh", np.float64), ("svdvals", np.float64),
+                                  ("svdvals", np.complex128))
+    # face e1 restricts across y, where the kernel is shifted; face e2 along it
+    assert factorizations == [real_symmetric] * 2 + [cplx] * 2 + [real] * 4
+    e1 = next(fr for fr in rep.face_reports if fr["face"] == "e1")
+    twisted = next(r for r in e1["rows"] if r["y"] != 0.0)
+    W = wh_matrix(face_symbol_twisted(shifted, "e1", twisted["y"]), "half-line", 32,
+                  identity_shift=True).entries
+    assert W.imag.any()
+    ref = np.linalg.svd(W, compute_uv=False)[-1]
+    assert twisted["sigma_min"][32] == pytest.approx(ref, rel=1e-10)
+
+
+_FACE_KERNELS = [
+    pytest.param(lambda x, y: np.exp(-np.pi * (x**2 + y**2)), id="even"),
+    pytest.param(lambda x, y: np.exp(-np.pi * (x**2 + (y - 0.3)**2)), id="shifted"),
+    pytest.param(lambda x, y: np.exp(-np.pi * (x**2 + y**2)) * np.exp(2j * np.pi * 0.3 * x),
+                 id="complex-hermitian"),
+    pytest.param(lambda x, y: (np.exp(-np.pi * ((x - 0.2)**2 + 2 * (y + 0.1)**2))
+                               * np.exp(1j * (0.7 * x - 1.3 * y + 0.4 * x * y))),
+                 id="complex-general"),
+]
+
+
+@pytest.mark.parametrize("f", _FACE_KERNELS)
+def test_batched_restrictions_match_direct_sum(f):
+    """Each folded, batched column equals the direct-sum restriction to
+    rounding, and each row's sigma_min the dense SVD of its section within
+    N * eps * sigma_max."""
+    from conewh.wiener_hopf import _twisted_restrictions
+
+    S = make_symbol(f, 2, 0.1, 12.0)
+    M = (S.npoints - 1) // 2
+    y_values = [-2.3, -0.5, 0.0, S.freqs[M + 7], 1.9]
+    truncations = (16, 48)
+    rep = hierarchy_fredholm(S, truncations=truncations, y_values=y_values)
+    for axis, fr in enumerate(rep.face_reports):
+        G = _twisted_restrictions(S, axis, y_values)
+        # a sum of n terms rounds to within n * eps of the sum of their magnitudes
+        tol = S.npoints * np.finfo(float).eps * S.h * np.abs(S.kernel).sum(axis=1 - axis).max()
+        for j, (y, row) in enumerate(zip(sorted(y_values), fr["rows"])):
+            ref = direct_twisted_restriction(S, axis, y).kernel
+            g = face_symbol_twisted(S, axis, y)
+            for col in (G[:, j], g.kernel):
+                assert np.abs(col - ref).max() <= tol
+            for N in truncations:
+                W = wh_matrix(g, "half-line", N, identity_shift=True).entries
+                s = np.linalg.svd(W.astype(complex), compute_uv=False)
+                assert abs(row["sigma_min"][N] - s[-1]) <= N * np.finfo(float).eps * s[0]
+
+
+def test_restrictions_are_real_for_even_and_conjugate_symmetric_for_hermitian_kernels():
+    """The fold gives exactly real columns for a kernel even across the face,
+    and a kernel with f(-z) = conj f(z) gives g_y(-t) = conj g_y(t) exactly,
+    so its sections are Hermitian."""
+    from conewh.wiener_hopf import _twisted_restrictions
+
+    even = make_symbol(_FACE_KERNELS[0].values[0], 2, 0.1, 12.0)
+    herm = make_symbol(_FACE_KERNELS[2].values[0], 2, 0.1, 12.0)
+    for axis in (0, 1):
+        assert not _twisted_restrictions(even, axis, [-1.1, 0.0, 0.4]).imag.any()
+    for axis in (0, 1):
+        G = _twisted_restrictions(herm, axis, [-1.1, 0.0, 0.4])
+        assert np.array_equal(G[::-1], G.conj())
+        # across the modulated axis the sum is the (real) Gaussian transform
+        assert bool(G.imag.any()) is (axis == 0)
+
+
+def test_restriction_block_gates():
+    """The batched restriction keeps the gates of make_symbol: a column that
+    overflows is a non-finite sample, and a constant floor below the 2-D decay
+    tolerance adds up to a restriction tail above it."""
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteKernelError, match=r"kernel sample at t = -1.9, y = 0 "):
+        huge = make_symbol(lambda x, y: np.where(x**2 + y**2 < 4, 1e308, 0.0), 2, 0.1, 12.0)
+        hierarchy_fredholm(huge, truncations=(16, 32), y_values=[0.0])
+    floor = make_symbol(lambda x, y: 9e-9 + 0.3 * np.exp(-np.pi * (x**2 + y**2)), 2, 0.1, 12.0)
+    with pytest.raises(KernelWindowError, match="not window-compatible"):
+        hierarchy_fredholm(floor, truncations=(16, 32))
+    with pytest.raises(KernelWindowError, match="not window-compatible"):
+        face_symbol_twisted(floor, "e2", 0.0)
 
 
 # -- face restrictions -------------------------------------------------------------
@@ -727,7 +826,7 @@ def test_cone_transform_resamples_kernel():
     def f(x, y):
         return np.exp(-np.pi * (x**2 + y**2))
 
-    S = make_symbol(f, 2, 0.1, 12.0, cone_transform=(M, detM))
+    S = cone_transform_symbol(f, 0.1, 12.0, (M, detM))
     X1, X2 = np.meshgrid(S.xs, S.xs, indexing="ij")
     expected = abs(detM) * f(M[0, 0] * X1 + M[0, 1] * X2, M[1, 0] * X1 + M[1, 1] * X2)
     assert np.abs(S.kernel - expected).max() == 0.0
@@ -736,12 +835,10 @@ def test_cone_transform_resamples_kernel():
 
 
 def test_cone_section_transform(skew):
-    from conewh.wiener_hopf import cone_section_transform
-
     M, detM = cone_section_transform(skew)
     cols = sorted(map(tuple, M.T.tolist()))
     assert cols == [(0.0, 1.0), (1.0, 1.0)] or cols == [(1.0, 0.0), (1.0, 1.0)]
     assert abs(abs(detM) - 1.0) < 1e-12
-    S = make_symbol(lambda x, y: np.exp(-np.pi * (x**2 + y**2)), 2, 0.1, 12.0,
-                    cone_transform=(M, detM))
+    S = cone_transform_symbol(lambda x, y: np.exp(-np.pi * (x**2 + y**2)), 0.1, 12.0,
+                              (M, detM))
     assert wh_matrix(S, "quarter-plane", 4).entries.shape == (16, 16)
