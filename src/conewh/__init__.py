@@ -21,7 +21,6 @@ from .cones import (
 from .convex import (
     BallBody,
     HPolytopeBody,
-    LorentzBody,
     PolyhedralConeBody,
     gauge,
     gauge_directional,

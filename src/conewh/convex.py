@@ -2,7 +2,7 @@
 Minkowski gauges with directional derivatives and gradients, and normal cones.
 
 Bodies come in a few concrete shapes (Euclidean ball, H-rep polytope,
-polyhedral cone, second-order cone, and gauge bodies sliced from cones).
+polyhedral cone, and gauge bodies sliced from cones).
 Polyhedral projections are active-set solves: cones via nonnegative least
 squares on the generators, polytopes via exact KKT enumeration over facet
 subsets.  All sampling takes explicit RNGs; nothing here keeps global state.
@@ -285,34 +285,6 @@ class PolyhedralConeBody(ConvexBody):
         if np.all(vals <= _TOL * np.maximum(np.linalg.norm(self.rays, axis=1), 1.0)):
             return 0.0
         return np.inf
-
-
-class LorentzBody(ConvexBody):
-    """Second-order cone {x : x[-1] >= ||x[:-1]||} with closed-form projection."""
-
-    def __init__(self, dim):
-        self.dim = int(dim)
-
-    def contains(self, x, tol=1e-9):
-        x = np.asarray(x, dtype=float)
-        return x[-1] >= np.linalg.norm(x[:-1]) - tol
-
-    def project(self, x):
-        x = np.asarray(x, dtype=float)
-        w, t = x[:-1], x[-1]
-        nw = np.linalg.norm(w)
-        if t >= nw:
-            return x.copy()
-        if -t >= nw:  # -x in the (self-dual) cone: projection is the apex
-            return np.zeros_like(x)
-        alpha = (nw + t) / 2.0
-        out = np.empty_like(x)
-        out[:-1] = alpha * w / nw
-        out[-1] = alpha
-        return out
-
-    def support(self, x):
-        return 0.0 if self.contains(-np.asarray(x, dtype=float), tol=1e-12) else np.inf
 
 
 def _perp_basis(v):

@@ -2,7 +2,6 @@
 
 Cone specs are JSON objects with fields name, dim, and exactly one of
 generators / inequalities, entries as exact rational strings ("3/2").
-Round-tripping a spec through read/write is bit-exact once canonicalized.
 Reports reuse the same dialect (rationals as strings, floats as repr) with
 stable key ordering so runs diff cleanly.
 """
@@ -58,18 +57,6 @@ def read_cone_spec(text_or_obj):
     else:
         cone = cone_from_inequalities(parsed, dim)
     return name, cone
-
-
-def cone_spec_object(name, cone: PolyhedralCone):
-    return {
-        "name": name,
-        "dim": cone.ambient_dim,
-        "generators": [vector_strings(g) for g in cone.generators],
-    }
-
-
-def write_cone_spec(name, cone: PolyhedralCone) -> str:
-    return dumps_report(cone_spec_object(name, cone))
 
 
 def cone_report_object(cone: PolyhedralCone):

@@ -15,6 +15,7 @@ from fractions import Fraction
 from .cones import (
     Face,
     PolyhedralCone,
+    cone_from_inequalities,
     dual_cone,
     dual_face,
     exposed_face,
@@ -51,7 +52,6 @@ class Strata:
     cone: PolyhedralCone          # Omega
     dims: tuple                   # distinct face dims of Omega*, increasing
     levels: tuple                 # levels[j] = faces of Omega* of dim dims[d-j]
-    lattice: object = None        # FaceLattice of Omega*, kept for reuse
 
     @property
     def length(self):
@@ -106,7 +106,7 @@ def strata(omega: PolyhedralCone) -> Strata:
     levels = tuple(
         tuple(f for f in lat.faces if f.dim == dims[d - j]) for j in range(d + 1)
     )
-    return Strata(omega, dims, levels, lat)
+    return Strata(omega, dims, levels)
 
 
 def solvable_length(omega: PolyhedralCone) -> int:
@@ -167,8 +167,6 @@ def recover_face_point(omega: PolyhedralCone, rows, offsets):
             raise NotOrderPointError("not an order point")
     else:
         x0 = tuple(Fraction(0) for _ in range(n))
-
-    from .cones import cone_from_inequalities  # local to avoid cycle churn
 
     g_cone = dual_cone(cone_from_inequalities(rows, n))
     lat = face_lattice(dual_cone(omega))

@@ -18,10 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import Face, PolyhedralCone, relative_dual
+from .cones import Face, PolyhedralCone, dual_cone, is_pointed, is_solid, relative_dual
 from .convex import HPolytopeBody, PolyhedralConeBody, _perp_basis
 from .errors import DimensionMismatchError, TrivializationError
 from .exact import as_float, span_basis
+
+_DET_SAMPLES = 64                 # determinant samples behind the normalization
 
 
 def lipschitz_bound(r, R):
@@ -33,7 +35,7 @@ def lipschitz_bound(r, R):
     return (R / r**2) * (1.0 + R * (1.0 + R / r))
 
 
-def _side_data(obj, ambient_dim=None):
+def _side_data(obj):
     """Normalize a trivialization input to (gens, span_rows, level_dim, exact_dual).
 
     Accepts an exact Face (the mapped set is its relative dual), an exact
@@ -48,8 +50,6 @@ def _side_data(obj, ambient_dim=None):
                               for b in span_basis(list(rd.generators), rd.ambient_dim)])
         return gens, span_rows, obj.dim, rd
     if isinstance(obj, PolyhedralCone):
-        from .cones import dual_cone, is_pointed, is_solid
-
         if not (is_pointed(obj) and is_solid(obj)):
             raise TrivializationError("cone inputs must be pointed and solid")
         rd = dual_cone(obj)
@@ -105,7 +105,7 @@ def _slice_body(gens_c, xi0_c, Q2):
     return body
 
 
-def build_trivialization(E, F, xi0=None, normalize=False, det_samples=64, seed=0):
+def build_trivialization(E, F, xi0=None, normalize=False, seed=0):
     """Trivialization mapping the relative dual of F onto that of E.
 
     E and F must sit at the same stratum level (equal span dimension).  xi0
@@ -163,7 +163,7 @@ def build_trivialization(E, F, xi0=None, normalize=False, det_samples=64, seed=0
     if normalize:
         rng = np.random.default_rng(seed)
         dets = []
-        for _ in range(det_samples):
+        for _ in range(_DET_SAMPLES):
             x = triv_sample_source(triv, rng, 1)[0]
             try:
                 dets.append(triv_det_formula(triv, x))

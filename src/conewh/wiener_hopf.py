@@ -3,16 +3,18 @@ finite sections on cones, winding numbers, kernel/cokernel index estimation,
 face-restricted symbols and the stratified Fredholm report for the quarter
 plane.
 
-The index pipeline makes one values-only SVD per finite section, plus one LU
-only for a section with near-null singular triples, to find their vectors.
-Sections with real kernel samples are assembled and factored in real arithmetic.
+Every finite section (index pipeline, non-Fredholm sigma_min trend,
+hierarchy face) gets its singular values from one factorization chosen by
+its exact structure: eigvalsh (sigma = |lambda|) when the section equals its
+conjugate transpose, a values-only SVD otherwise.  The index pipeline adds
+one LU only for a section with near-null singular triples, to find their
+vectors.  Sections with real kernel samples are assembled and factored in
+real arithmetic.
 
 The hierarchy report takes the twisted face restrictions g_y for every fibre
 frequency y of a face in one pass, as matrix products against cos and sin
 tables over w > 0 in folded form, so a kernel even across the face gives
-exactly real restrictions.  Each face section gets sigma_min from one
-factorization chosen by its exact structure: eigvalsh (sigma = |lambda|) when
-the section is Hermitian, a values-only SVD otherwise.
+exactly real restrictions.
 
 Conventions, fixed once: Fourier transform with kernel e^{-2*pi*i*<x,xi>}.
 With this transform the half-line space maps to the Hardy space of the
@@ -40,6 +42,10 @@ from .errors import (
 )
 
 _DECAY_TOL = 1e-8
+_ZERO_TOL = 1e-8          # winding: a zero at |curve| <= _ZERO_TOL * max(|curve|, 1)
+_DELTA_FACTOR = 1e-8      # near-null singular values: below _DELTA_FACTOR * sigma_max
+_GAP_RATIO = 1e3          # least gap above the near-null values that resolves an index
+_STABILITY_RATIO = 0.5    # stable face row: sigma_min(n2) >= _STABILITY_RATIO * sigma_min(n1)
 
 
 @dataclass
@@ -74,15 +80,11 @@ def _axis(h, T):
     return np.arange(-M, M + 1) * h, M
 
 
-def _dft(kernel, h, dim):
+def _dft(kernel, h):
     # Grid is symmetric about 0; ifftshift puts x=0 first so that the plain
-    # FFT computes sum f(x_j) e^{-2 pi i x_j xi_k} exactly.
-    if dim == 1:
-        out = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(kernel))) * h
-        freqs = np.fft.fftshift(np.fft.fftfreq(len(kernel), d=h))
-    else:
-        out = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(kernel))) * h**2
-        freqs = np.fft.fftshift(np.fft.fftfreq(kernel.shape[0], d=h))
+    # FFT computes sum f(x_j) e^{-2 pi i <x_j, xi_k>} exactly.
+    out = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(kernel))) * h**kernel.ndim
+    freqs = np.fft.fftshift(np.fft.fftfreq(len(kernel), d=h))
     return out, freqs
 
 
@@ -116,18 +118,14 @@ def make_symbol(f, dim, h, T, name="") -> SymbolGrid:
         raise KernelWindowError("window too small: T >= 10*h required")
     xs, M = _axis(h, T)
     if callable(f):
-        if dim == 1:
-            vals = np.asarray(f(xs), dtype=complex)
-        else:
-            X1, X2 = np.meshgrid(xs, xs, indexing="ij")
-            vals = np.asarray(f(X1, X2), dtype=complex)
+        vals = np.asarray(f(*np.meshgrid(*[xs] * dim, indexing="ij")), dtype=complex)
     else:
         vals = np.asarray(f, dtype=complex)
         expected = (2 * M + 1,) * dim
         if vals.shape != expected:
             raise DimensionMismatchError(f"kernel samples must have shape {expected}")
     _check_samples(vals, T, [("x", xs), ("y", xs)][:dim], dim)
-    fhat, freqs = _dft(vals, h, dim)
+    fhat, freqs = _dft(vals, h)
     return SymbolGrid(dim, h, T, xs, vals, fhat, freqs, name=name)
 
 
@@ -135,11 +133,7 @@ def make_symbol(f, dim, h, T, name="") -> SymbolGrid:
 class WHMatrix:
     """Finite section of the Wiener-Hopf operator on a discretized cone."""
 
-    cone: str                     # "half-line" or "quarter-plane"
-    N: int
-    h: float
     entries: np.ndarray
-    identity_shift: bool = False  # True when the matrix represents 1 + W_f
 
 
 def _assemble(kernel, h, T, N, identity_shift):
@@ -175,11 +169,10 @@ def wh_matrix(symbol: SymbolGrid, cone: str, N: int, identity_shift=False) -> WH
         raise DimensionMismatchError(f"unsupported cone '{cone}'")
     if symbol.dim != dims[cone]:
         raise DimensionMismatchError(f"{cone} needs a {dims[cone]}-D symbol")
-    W = _assemble(symbol.kernel, symbol.h, symbol.T, N, identity_shift)
-    return WHMatrix(cone, N, symbol.h, W, identity_shift)
+    return WHMatrix(_assemble(symbol.kernel, symbol.h, symbol.T, N, identity_shift))
 
 
-def winding_number(curve, zero_tol=1e-8) -> int:
+def winding_number(curve) -> int:
     """Winding of a sampled closed complex curve about the origin.
 
     Total unwrapped phase increment over 2*pi, rounded to the nearest
@@ -187,7 +180,7 @@ def winding_number(curve, zero_tol=1e-8) -> int:
     """
     curve = np.asarray(curve, dtype=complex)
     scale = np.abs(curve).max()
-    if np.abs(curve).min() <= zero_tol * max(scale, 1.0):
+    if np.abs(curve).min() <= _ZERO_TOL * max(scale, 1.0):
         raise WindingUndefinedError("winding undefined")
     if abs(curve[0] - curve[-1]) > 1e-6 * max(scale, 1.0):
         raise WindingUndefinedError("curve does not close")
@@ -227,13 +220,13 @@ def _section(symbol, N):
     return wh_matrix(symbol, "half-line", N, identity_shift=True).entries
 
 
-def _sigma_min(W):
-    """Smallest singular value of an assembled section from one factorization:
-    min |lambda| from eigvalsh when the section is exactly Hermitian, where the
-    singular values are the |lambda|; else the last of a values-only SVD."""
-    if np.array_equal(W, W.conj().T):
-        return float(np.abs(eigvalsh(W)).min())
-    return float(svdvals(W)[-1])
+def _singular_values(W):
+    """Singular values of an assembled section, descending, from the one
+    factorization its exact structure allows: the sorted |lambda| of eigvalsh
+    when the section equals its conjugate transpose, else a values-only SVD."""
+    if np.array_equal(W, W.T.conj() if np.iscomplexobj(W) else W.T):
+        return np.sort(np.abs(eigvalsh(W)))[::-1]
+    return svdvals(W)
 
 
 def _near_null_pairs(Wop, k, smax):
@@ -262,7 +255,7 @@ def _near_null_pairs(Wop, k, smax):
 def _small_singular_split(Wop, delta_factor, gap_ratio):
     """(dim_ker, dim_coker, diag) of a finite section.
 
-    One values-only SVD gives the count k of singular values below
+    The singular values (_singular_values) give the count k of those below
     delta_factor * sigma_max and the gap above them.  Each of the k near-null
     triples (_near_null_pairs) goes to the kernel when its right vector has at
     least as much mass on the front half (the origin edge) as its left one,
@@ -270,7 +263,7 @@ def _small_singular_split(Wop, delta_factor, gap_ratio):
     nothing above the count: its gap is 0 and the split raises.
     """
     N = len(Wop)
-    S = svdvals(Wop)
+    S = _singular_values(Wop)
     smax = S[0] if S[0] > 0 else 1.0
     k = int(np.sum(S < delta_factor * smax))
     diag = {"sigma_min": float(S[-1]), "sigma_max": float(smax), "count": k}
@@ -288,13 +281,12 @@ def _small_singular_split(Wop, delta_factor, gap_ratio):
     return dim_ker, k - dim_ker, diag
 
 
-def numerical_index(symbol: SymbolGrid, truncations=(512, 1024),
-                    delta_factor=1e-8, gap_ratio=1e3):
+def numerical_index(symbol: SymbolGrid, truncations=(512, 1024)):
     """Finite-section index dim ker - dim coker, accepted only when the
     kernel/cokernel counts agree at both truncation sizes."""
     if len(truncations) < 2:
         raise IndexUnresolvedError("need two truncation sizes")
-    diags = {N: _small_singular_split(_section(symbol, N), delta_factor, gap_ratio)[2]
+    diags = {N: _small_singular_split(_section(symbol, N), _DELTA_FACTOR, _GAP_RATIO)[2]
              for N in truncations}
     counts = {N: (d["dim_ker"], d["dim_coker"]) for N, d in diags.items()}
     if len(set(counts.values())) != 1:
@@ -309,7 +301,7 @@ def classical_index(symbol: SymbolGrid, truncations=(512, 1024)) -> FredholmRepo
 
     Non-Fredholm symbols get a report (not an error) with the sigma_min trend
     recorded at the requested truncations.  A Fredholm symbol takes sigma_min
-    from the one SVD per truncation that numerical_index makes.
+    from the one factorization per truncation that numerical_index makes.
     """
     if symbol.dim != 1:
         raise DimensionMismatchError("classical index is 1-D")
@@ -318,7 +310,7 @@ def classical_index(symbol: SymbolGrid, truncations=(512, 1024)) -> FredholmRepo
     nonvanishing = symbol_min > 1e-8
     report = FredholmReport(nonvanishing, symbol_min)
     if not nonvanishing:
-        report.diagnostics["sigma_min"] = {N: _sigma_min(_section(symbol, N))
+        report.diagnostics["sigma_min"] = {N: float(_singular_values(_section(symbol, N))[-1])
                                            for N in truncations}
         report.verdict = "non-fredholm"
         return report
@@ -337,24 +329,14 @@ def classical_index(symbol: SymbolGrid, truncations=(512, 1024)) -> FredholmRepo
 # -- face restrictions -------------------------------------------------------
 
 
-def _face_axis(face_or_axis):
-    """Axis index 0/1 of an axis-aligned 1-D face (spec objects or shorthand)."""
-    if isinstance(face_or_axis, int):
-        if face_or_axis not in (0, 1):
-            raise DimensionMismatchError("axis must be 0 or 1")
-        return face_or_axis
-    if isinstance(face_or_axis, str):
-        try:
-            return {"e1": 0, "x": 0, "e2": 1, "y": 1}[face_or_axis]
-        except KeyError:
-            raise DimensionMismatchError(f"unsupported face '{face_or_axis}'")
-    gens = getattr(face_or_axis, "generators", None)
-    if gens is not None and len(gens) == 1:
-        g = gens[0]
-        nz = [i for i, c in enumerate(g) if c != 0]
-        if len(nz) == 1 and g[nz[0]] > 0:
-            return nz[0]
-    raise DimensionMismatchError("unsupported face orientation (axis-aligned faces only)")
+_FACE_AXES = {0: 0, 1: 1, "e1": 0, "e2": 1}
+
+
+def _face_axis(face):
+    """Axis index of a quarter-plane face, given as the axis 0/1 or "e1"/"e2"."""
+    if isinstance(face, (int, str)) and face in _FACE_AXES:
+        return _FACE_AXES[face]
+    raise DimensionMismatchError("unsupported face: the axis 0/1 or 'e1'/'e2' only")
 
 
 def _real_product(A, B):
@@ -402,7 +384,7 @@ def face_symbol_twisted(symbol: SymbolGrid, face, y) -> SymbolGrid:
         raise DimensionMismatchError("face symbol needs a 2-D symbol")
     axis = _face_axis(face)
     g = _twisted_restrictions(symbol, axis, [y])[:, 0]
-    fhat, freqs = _dft(g, symbol.h, 1)
+    fhat, freqs = _dft(g, symbol.h)
     return SymbolGrid(1, symbol.h, symbol.T, symbol.xs, g, fhat, freqs,
                       name=f"{symbol.name}|face-{'e1' if axis == 0 else 'e2'}@y={y}")
 
@@ -416,9 +398,8 @@ def face_symbol(symbol: SymbolGrid, face) -> SymbolGrid:
 # -- stratified Fredholm diagnostics for the quarter plane ------------------
 
 
-def hierarchy_fredholm(symbol: SymbolGrid, cone="quarter-plane",
-                       truncations=(48, 96), y_values=None,
-                       margin_tol=1e-6, stability_ratio=0.5) -> FredholmReport:
+def hierarchy_fredholm(symbol: SymbolGrid, truncations=(48, 96), y_values=None,
+                       margin_tol=1e-6) -> FredholmReport:
     """Level-wise Fredholm report: full-symbol nonvanishing plus, per 1-D
     face, the invertibility margin of the twisted face operators over a
     window of fibre frequencies, at two truncation sizes.
@@ -429,8 +410,6 @@ def hierarchy_fredholm(symbol: SymbolGrid, cone="quarter-plane",
     margin 1 - ||f||_1, when that margin exceeds margin_tol: a margin at
     rounding level cannot rule out a vanishing symbol.
     """
-    if cone != "quarter-plane":
-        raise DimensionMismatchError("hierarchy report implemented for the quarter plane")
     if symbol.dim != 2:
         raise DimensionMismatchError("hierarchy report needs a 2-D symbol")
     symbol_min = float(min(np.abs(1.0 + symbol.fhat).min(), 1.0))
@@ -450,16 +429,15 @@ def hierarchy_fredholm(symbol: SymbolGrid, cone="quarter-plane",
     for axis, label in ((0, "e1"), (1, "e2")):
         G = _twisted_restrictions(symbol, axis, y_values)
         rows = [{"y": float(y),
-                 "sigma_min": {N: _sigma_min(_assemble(g, symbol.h, symbol.T, N, True))
-                               for N in truncations}}
+                 "sigma_min": {N: float(_singular_values(
+                     _assemble(g, symbol.h, symbol.T, N, True))[-1]) for N in truncations}}
                 for y, g in zip(y_values, G.T)]
         n1, n2 = truncations[0], truncations[-1]
         margin = min(min(r["sigma_min"].values()) for r in rows)
-        stable = all(r["sigma_min"][n2] >= stability_ratio * r["sigma_min"][n1]
-                     for r in rows)
-        ok = margin > margin_tol and stable
         decreasing = [r["y"] for r in rows
-                      if r["sigma_min"][n2] < 0.5 * r["sigma_min"][n1]]
+                      if r["sigma_min"][n2] < _STABILITY_RATIO * r["sigma_min"][n1]]
+        stable = not decreasing
+        ok = margin > margin_tol and stable
         largest = max(y_values, key=abs)
         far = next(r for r in rows if r["y"] == largest)
         face_reports.append({

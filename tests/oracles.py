@@ -171,38 +171,6 @@ def winding_from_zero_pole(zeros_upper, poles_upper):
     return poles_upper - zeros_upper
 
 
-def lorentz_project_descent(x, max_iter=120000):
-    """Projection onto {(w, t) : t >= ||w||} by projected gradient descent on
-    the parametrization y = (w, ||w|| + s), s >= 0, with the apex compared as
-    a separate candidate (the parametrization is non-smooth at w = 0).
-    Independent of the closed form."""
-    x = np.asarray(x, dtype=float)
-
-    def objective(y):
-        return 0.5 * np.sum((y - x) ** 2)
-
-    w = x[:-1].copy()
-    if np.linalg.norm(w) == 0:
-        w = np.full_like(w, 1e-3)
-    s = max(x[-1] - np.linalg.norm(w), 0.0)
-    lr = 0.2
-    for it in range(max_iter):
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            break
-        u = w / nw
-        y = np.concatenate([w, [nw + s]])
-        r = y - x
-        w = w - lr * (r[:-1] + r[-1] * u)
-        s = max(s - lr * r[-1], 0.0)
-        if it % 20000 == 19999:
-            lr *= 0.5
-    nw = np.linalg.norm(w)
-    best = np.concatenate([w, [nw + s]])
-    apex = np.zeros_like(x)
-    return apex if objective(apex) < objective(best) else best
-
-
 def gauge_by_bisection(member, x, hi=1e6, iters=200):
     """inf{a > 0 : x/a in C} by bisection on a membership oracle."""
     lo = 0.0

@@ -8,7 +8,6 @@ from conewh.convex import (
     projection_form_applies,
     BallBody,
     HPolytopeBody,
-    LorentzBody,
     PolyhedralConeBody,
     gauge,
     gauge_directional,
@@ -22,7 +21,7 @@ from conewh.errors import GaugeDomainError, NotDifferentiableError
 
 from conewh.limits import SampledSet
 
-from oracles import gauge_by_bisection, lorentz_project_descent
+from oracles import gauge_by_bisection
 
 
 @pytest.fixture(scope="module")
@@ -48,29 +47,9 @@ def test_project_quarter_clipping(quarter_body):
     assert np.allclose(metric_project(quarter_body, [-1, -2]), [0, 0])
 
 
-def test_project_lorentz_closed_form():
-    L = LorentzBody(3)
-    x_on = np.array([3.0, 4.0, 5.0])
-    assert np.allclose(metric_project(L, x_on), x_on)  # idempotence on the cone
-    assert np.allclose(metric_project(L, [1.0, 0.0, -2.0]), 0.0)  # polar interior
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        x = rng.normal(size=3) * 2
-        p = metric_project(L, x)
-        q = lorentz_project_descent(x)
-        assert np.linalg.norm(p - q) < 1e-6  # descent oracle
-        # variational inequality against sampled members
-        for _ in range(20):
-            w = rng.normal(size=2)
-            y = np.concatenate([w, [np.linalg.norm(w) + rng.random()]])
-            assert (x - p) @ (y - p) <= 1e-9 * max(1, np.linalg.norm(x - p)) * \
-                max(1, np.linalg.norm(y - p))
-
-
 def test_projection_nonexpansive_and_idempotent(quarter_body, square):
     rng = np.random.default_rng(1)
-    L = LorentzBody(3)
-    for body, dim in ((quarter_body, 2), (square, 2), (L, 3), (BallBody(1.5, 2), 2)):
+    for body, dim in ((quarter_body, 2), (square, 2), (BallBody(1.5, 2), 2)):
         X = rng.uniform(-4, 4, (10000, dim))
         Y = rng.uniform(-4, 4, (10000, dim))
         if isinstance(body, HPolytopeBody):
@@ -115,12 +94,6 @@ def test_support_examples(quarter_body, square):
     assert support(square, [2, 1]) == pytest.approx(3.0)  # max over vertices
     sample = SampledSet.from_points([[0.0, 1.0], [2.0, 2.0]], (-2.0, 2.0), 0.5)
     assert support(sample, [1.0, 0.0]) == pytest.approx(2.0)
-
-
-def test_support_lorentz():
-    L = LorentzBody(3)
-    assert support(L, [0.5, 0.0, -1.0]) == 0.0
-    assert support(L, [1.0, 0.0, 1.0]) == np.inf
 
 
 def test_gauge_examples(square, fourgonal_slice):

@@ -286,9 +286,10 @@ def factorizations(monkeypatch):
 
 
 def test_classical_index_one_factorization_per_truncation(factorizations):
-    """One values-only SVD per truncation, plus one LU only for a section with
-    near-null singular triples; the sigma_min trend of a non-Fredholm symbol
-    takes one factorization per truncation."""
+    """One factorization per truncation, chosen by the section's structure,
+    plus one LU only for a section with near-null singular triples; the
+    sigma_min trend of a non-Fredholm symbol takes the same one factorization
+    per truncation."""
     real_svdvals, real_lu = ("svdvals", np.float64), ("lu_factor", np.float64)
     rep = classical_index(symbol_preset("rational-w+1", 0.2, 52.0), truncations=(128, 256))
     assert rep.numerical_index == rep.index == -1
@@ -298,11 +299,11 @@ def test_classical_index_one_factorization_per_truncation(factorizations):
     assert rep.diagnostics["sigma_min"] == {N: per[N]["sigma_min"] for N in (128, 256)}
 
     factorizations.clear()
+    # Even kernels give symmetric sections, whose singular values are the |lambda|.
     rep = classical_index(symbol_preset("gauss-small", 0.05, 52.0), truncations=(64, 128))
     assert rep.verdict == "fredholm" and rep.diagnostics["dim_ker"] == 0
-    assert factorizations == [real_svdvals] * 2
+    assert factorizations == [("eigvalsh", np.float64)] * 2
 
-    # The even kernel gives symmetric sections, whose sigma_min is min |lambda|.
     factorizations.clear()
     rep = classical_index(symbol_preset("singular-zero", 0.05, 30.0), truncations=(64, 128))
     assert rep.verdict == "non-fredholm"
@@ -395,6 +396,24 @@ def _kernel_and_cokernel_section():
     return A
 
 
+def _hermitian_section(near_null, seed, complex_basis):
+    """A section equal to its conjugate transpose, so the split factors it by
+    eigvalsh: eigenvalues +-1 and the planted near-null ones, in a seeded real
+    orthogonal or complex unitary basis.  Near-null values of both signs pair
+    up: rounding mixes their two triples, which moves the front masses of the
+    right and left vectors apart (u = +-v for an exact Hermitian triple)."""
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((64, 64))
+    if complex_basis:
+        Z = Z + 1j * rng.standard_normal((64, 64))
+    Q, _ = np.linalg.qr(Z)
+    lam = np.r_[rng.choice([-1.0, 1.0], 64 - len(near_null)), near_null]
+    A = (Q * lam) @ Q.conj().T
+    A = (A + A.conj().T) / 2
+    assert np.array_equal(A, A.conj().T)
+    return A
+
+
 _ORACLE_CASES = (
     [pytest.param(lambda w=w, N=N: _seeded_rational_section(w, N, 40 + w),
                   id=f"rational-w{w:+d}-N{N}")
@@ -403,13 +422,21 @@ _ORACLE_CASES = (
                     id=f"modulated-w{w:+d}-N512") for w in (-2, -1, 1)]
     + [pytest.param(_kernel_and_cokernel_section, id="kernel-and-cokernel"),
        pytest.param(_zero_pivot_section, id="zero-pivot"),
-       pytest.param(_unresolved_section, id="gap-below-ratio")])
+       pytest.param(_unresolved_section, id="gap-below-ratio")]
+    # resolved: gap 5e10 above 1e-11 and -2e-11; unresolved: 1.5e-8 sits 3x
+    # above -5e-9 and 2e-9
+    + [pytest.param(lambda v=v, c=c: _hermitian_section(v, 60 + c, c),
+                    id=f"{'hermitian' if c else 'symmetric'}-{case}")
+       for c in (False, True)
+       for case, v in (("resolved", [1e-11, -2e-11]),
+                       ("gap-below-ratio", [1.5e-8, -5e-9, 2e-9]))])
 
 
 @pytest.mark.parametrize("section", _ORACLE_CASES)
 def test_split_matches_complex_oracle(section):
-    """The values-only SVD plus LU split agrees with a dense complex SVD on the
-    count, the kernel/cokernel attribution and the gap verdict."""
+    """The split (eigvalsh or values-only SVD, plus LU) agrees with a dense
+    complex SVD on the count, the kernel/cokernel attribution and the gap
+    verdict."""
     from conewh.wiener_hopf import _small_singular_split
 
     W = section()
