@@ -6,6 +6,12 @@ emit deterministic JSON reports and CSV rows.
 Commands: lattice, strata, spectrum, trivialize, index1d, hierarchy2d,
 pklimit.  <spec> is a JSON file path or the name of a packaged preset.
 Exit codes: 0 success, 1 domain error (category on stderr), 2 I/O or usage.
+
+Every command runs in a fresh process, so it imports only the layers it runs:
+the exact layer (cones, strata, limits, io) at module level, and the SciPy
+layers inside the commands that call them -- convex and trivialization in
+`trivialize` (scipy.spatial), wiener_hopf in `index1d` and `hierarchy2d`
+(scipy.linalg).  `lattice`, `strata`, `spectrum` and `pklimit` load no SciPy.
 """
 
 import argparse
@@ -34,17 +40,6 @@ from .io import (
 from .limits import hausdorff_distance, pk_converged, sample_cone
 from .presets import cone_preset, resolve_symbol
 from .strata import ray_limit, spectrum_poset, strata
-from .trivialization import (
-    build_trivialization,
-    lipschitz_bound,
-    triv_apply,
-    triv_det,
-    triv_det_formula,
-    triv_sample_source,
-    triv_target_margin,
-)
-from .convex import PolyhedralConeBody
-from .wiener_hopf import classical_index, hierarchy_fredholm
 
 COMMANDS = ("lattice", "strata", "spectrum", "trivialize", "index1d",
             "hierarchy2d", "pklimit")
@@ -269,6 +264,17 @@ def _cmd_spectrum(config):
 
 
 def _cmd_trivialize(config):
+    from .convex import PolyhedralConeBody
+    from .trivialization import (
+        build_trivialization,
+        lipschitz_bound,
+        triv_apply,
+        triv_det,
+        triv_det_formula,
+        triv_sample_source,
+        triv_target_margin,
+    )
+
     spec, name = _experiment(config)
     cone = _spec_cone(spec)
     angle = _finite(spec, "angle_deg", 5.0)
@@ -310,6 +316,8 @@ def _cmd_trivialize(config):
 
 
 def _cmd_index1d(config):
+    from .wiener_hopf import classical_index
+
     spec, name = _experiment(config)
     symbol, truncations = _symbol_grid(spec)
     report_obj = classical_index(symbol, truncations=truncations)
@@ -341,6 +349,8 @@ def _cmd_index1d(config):
 
 
 def _cmd_hierarchy2d(config):
+    from .wiener_hopf import hierarchy_fredholm
+
     spec, name = _experiment(config)
     symbol, truncations = _symbol_grid(spec)
     kwargs = {}

@@ -11,7 +11,6 @@ subsets.  All sampling takes explicit RNGs; nothing here keeps global state.
 import itertools
 
 import numpy as np
-from scipy.optimize import nnls
 from scipy.spatial import ConvexHull
 
 from .errors import (
@@ -28,6 +27,8 @@ _ANGLE_TOL = 1e-8
 
 def project_onto_ray_cone(rays, x):
     """Projection onto cone{rays} by nonnegative least squares (active set)."""
+    from scipy.optimize import nnls   # 0.4 s of import that trivialize never needs
+
     rays = np.atleast_2d(np.asarray(rays, dtype=float))
     x = np.asarray(x, dtype=float)
     if rays.size == 0:

@@ -4,6 +4,10 @@ Symbol presets carry oracle metadata where a closed form exists: the
 expected winding under the frozen curve orientation, computed independently
 from the upper-half-plane zero/pole counts of the rational symbol (winding
 = poles_upper - zeros_upper for the xi-decreasing traversal).
+
+`make_symbol` is imported inside the symbol builders: `cone_preset` serves
+`pklimit` and `trivialize`, which never sample a symbol and so need not load
+wiener_hopf and scipy.linalg.
 """
 
 import ast
@@ -14,7 +18,6 @@ import numpy as np
 
 from .cones import PolyhedralCone, cone_from_generators
 from .errors import ConfigError
-from .wiener_hopf import SymbolGrid, make_symbol
 
 _EXP_CLIP = 60.0  # arguments beyond this give exp underflow warnings only
 
@@ -113,7 +116,10 @@ _SYMBOLS_2D = {
 }
 
 
-def symbol_preset(name, h, T) -> SymbolGrid:
+def symbol_preset(name, h, T):
+    """The SymbolGrid of a named 1-D or 2-D kernel preset."""
+    from .wiener_hopf import make_symbol
+
     if name in _SYMBOLS_1D:
         f, winding, desc = _SYMBOLS_1D[name]
         sym = make_symbol(f, 1, h, T, name=name)
@@ -197,13 +203,16 @@ def _int_constant(node):
         return None
 
 
-def symbol_from_expression(expr, dim, h, T, name="expr") -> SymbolGrid:
-    """Kernel from an expression string in x (and y for dim 2).
+def symbol_from_expression(expr, dim, h, T, name="expr"):
+    """The SymbolGrid of a kernel given as an expression string in x (and y
+    for dim 2).
 
     The expression may use only x (and y), numeric literals, the constants
     pi and e, arithmetic, unary and comparison operators, and calls to exp,
     cos, sin, sqrt, abs and where; it is evaluated with numpy.
     """
+    from .wiener_hopf import make_symbol
+
     variables = ("x", "y")[:dim]
     code = _check_expression(expr, variables)
 
@@ -219,8 +228,8 @@ def symbol_from_expression(expr, dim, h, T, name="expr") -> SymbolGrid:
     return make_symbol(f, dim, h, T, name=name)
 
 
-def resolve_symbol(spec, h, T) -> SymbolGrid:
-    """Symbol from a preset name or {'expr': ..., 'dim': ...} object."""
+def resolve_symbol(spec, h, T):
+    """The SymbolGrid of a preset name or an {'expr': ..., 'dim': ...} object."""
     if isinstance(spec, str):
         return symbol_preset(spec, h, T)
     if isinstance(spec, dict) and "expr" in spec:

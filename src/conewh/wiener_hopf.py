@@ -110,8 +110,10 @@ def make_symbol(f, dim, h, T, name="") -> SymbolGrid:
     """Sample a kernel (callable or array) on the window and attach its symbol.
 
     The callable is evaluated on the grid; every sample must be finite, and
-    decay |f| < 1e-8 is required outside [-T/2, T/2]^dim.
+    decay |f| < 1e-8 is required outside [-T/2, T/2]^dim, for dim 1 or 2.
     """
+    if dim not in (1, 2):
+        raise DimensionMismatchError(f"kernel dimension must be 1 or 2, got {dim!r}")
     if h <= 0:
         raise KernelWindowError("grid step must be positive")
     if T < 10 * h:

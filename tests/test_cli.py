@@ -328,7 +328,7 @@ def _never_called(*args, **kwargs):
 ])
 def test_input_boundary_probe(tmp_path, capsys, monkeypatch, command, expr, dim, code, message):
     if code == 2:
-        monkeypatch.setattr("conewh.presets.make_symbol", _never_called)
+        monkeypatch.setattr("conewh.wiener_hopf.make_symbol", _never_called)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"name": "probe", "symbol": {"expr": expr, "dim": dim}, **_GRID}))
     assert main([command, "--in", str(path), "--out", str(tmp_path / "out")]) == code

@@ -94,6 +94,21 @@ def test_non_finite_samples_rejected_with_position():
         make_symbol(lambda x: np.where(np.arange(len(x)) == 160, np.nan, 0.0), 1, 0.05, 10.0)
 
 
+def _never_sampled(*coords):
+    raise AssertionError("the kernel was sampled")
+
+
+@pytest.mark.parametrize("f, dim", [
+    (np.zeros((25, 25, 25)), 3),
+    (_never_sampled, 3),
+    (np.zeros(()), 0),
+    (_never_sampled, 0),
+])
+def test_kernel_dimension_other_than_one_or_two_rejected(f, dim):
+    with pytest.raises(DimensionMismatchError, match=f"must be 1 or 2, got {dim}"):
+        make_symbol(f, dim, 0.5, 6.0)
+
+
 # -- wh_matrix -------------------------------------------------------------------
 
 
