@@ -88,16 +88,6 @@ class FaceLattice:
     order: tuple            # covering pairs (i, j): faces[i] covered by faces[j]
     dims: tuple             # multiset of face dimensions, sorted
 
-    @cached_property
-    def _by_active(self):
-        return {f.active_set: f for f in self.faces}
-
-    def by_active(self, active):
-        key = tuple(sorted(active))
-        if key not in self._by_active:
-            raise KeyError(f"no face with active set {key}")
-        return self._by_active[key]
-
 
 def _dedupe_sorted(vectors):
     return tuple(sorted(set(vectors)))

@@ -13,11 +13,13 @@ wiener_hopf and scipy.linalg.
 import ast
 import math
 import operator
+from importlib import resources
 
 import numpy as np
 
-from .cones import PolyhedralCone, cone_from_generators
+from .cones import PolyhedralCone
 from .errors import ConfigError
+from .io import read_cone_spec
 
 _EXP_CLIP = 60.0  # arguments beyond this give exp underflow warnings only
 
@@ -37,19 +39,12 @@ def _gauss(x):
 # -- cones -------------------------------------------------------------------
 
 def cone_preset(name: str) -> PolyhedralCone:
-    try:
-        rays, n = _CONES[name]
-    except KeyError:
-        raise ConfigError(f"unknown cone preset '{name}' (have {sorted(_CONES)})")
-    return cone_from_generators(rays, n)
-
-
-_CONES = {
-    "half-line": ([(1,)], 1),
-    "quarter-plane": ([(1, 0), (0, 1)], 2),
-    "simplicial-r3": ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3),
-    "fourgonal-r3": ([(1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1)], 3),
-}
+    """The cone of the packaged spec presets/cones/<name>.json."""
+    specs = resources.files("conewh").joinpath("presets", "cones")
+    names = sorted(ref.name.removesuffix(".json") for ref in specs.iterdir())
+    if name not in names:
+        raise ConfigError(f"unknown cone preset '{name}' (have {names})")
+    return read_cone_spec(specs.joinpath(f"{name}.json").read_text())[1]
 
 
 # -- 1-D symbols --------------------------------------------------------------

@@ -302,6 +302,22 @@ def test_malformed_experiment_spec_is_config_error(tmp_path, capsys, command, sp
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spec, message", [
+    pytest.param({**_TRIV, "xi0": [0.0, 0.0]}, "error [trivialization]: base point",
+                 id="xi0-zero"),
+    pytest.param({**_TRIV, "xi0": [1e-320, 1e-320]}, "error [trivialization]: base point",
+                 id="xi0-underflow"),
+])
+def test_trivialize_domain_error(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    argv = ["trivialize", "--in", str(path), "--out", str(tmp_path / "out"), "--seed", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and len(err.strip().splitlines()) == 1
+
+
 def _never_called(*args, **kwargs):
     raise AssertionError("the expression was evaluated")
 

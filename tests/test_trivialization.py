@@ -38,13 +38,6 @@ def test_identity_trivialization(quarter):
         assert triv_det(triv, x) == pytest.approx(1.0, abs=1e-8)
 
 
-def test_identity_normalized_det_is_one(quarter):
-    triv = build_trivialization(quarter, quarter, xi0=XI0, normalize=True)
-    assert triv.det_scale == pytest.approx(1.0)
-    assert triv.det_range[0] == pytest.approx(1.0)
-    assert triv.det_range[1] == pytest.approx(1.0)
-
-
 @pytest.mark.parametrize("angle_deg", [2.0, 5.0, 10.0])
 def test_rotated_family(quarter, angle_deg):
     body = PolyhedralConeBody.from_exact(quarter)
@@ -74,12 +67,11 @@ def test_gauge_margin_matches_point_loop(quarter):
     """The slice-gauge margin (float target body) against a per-point loop."""
     rotated = PolyhedralConeBody.from_exact(quarter).rotated(np.deg2rad(6.0))
     triv = build_trivialization(rotated, quarter, xi0=XI0)
-    it = triv._internal
     pts = np.random.default_rng(3).uniform(-2, 2, (400, 2))
-    W = pts @ it["Q"].T
-    t = W @ it["xi0_c"]
-    Z2 = (W - np.outer(t, it["xi0_c"])) @ it["Q2"].T
-    loop = np.array([ti if ti <= 0 else ti * (1.0 - it["body_e"].gauge(z2 / ti))
+    W = pts @ triv.Q.T
+    t = W @ triv.xi0_c
+    Z2 = (W - np.outer(t, triv.xi0_c)) @ triv.Q2.T
+    loop = np.array([ti if ti <= 0 else ti * (1.0 - triv.body_e.gauge(z2 / ti))
                      for ti, z2 in zip(t, Z2)])
     assert (t <= 0).any() and (t > 0).any()
     assert triv_target_margin(triv, pts).tobytes() == loop.tobytes()
@@ -125,6 +117,22 @@ def test_face_to_face_trivialization():
     assert abs(perp_img @ span[0]) < 1e-12
 
 
+def test_facets_in_r3(simplicial):
+    """2-D faces in R^3: the span projection carries F's span onto E's."""
+    tilted = cone_from_generators([(10, 1, 0), (0, 1, 0), (0, 0, 1)])
+    E = [f for f in face_lattice(simplicial).faces
+         if f.generators == ((0, 1, 0), (1, 0, 0))][0]
+    F = [f for f in face_lattice(tilted).faces
+         if f.generators == ((0, 1, 0), (10, 1, 0))][0]
+    triv = build_trivialization(E, F)
+    assert triv.span_dim == 2
+    src = triv_sample_source(triv, np.random.default_rng(5), 500)
+    assert triv_target_margin(triv, triv_apply(triv, src)).min() >= -1e-9
+    for x in src[:50]:
+        ref = triv_det_formula(triv, x)
+        assert abs(triv_det(triv, x) - ref) <= 1e-6 * abs(ref)
+
+
 def test_default_base_point(quarter):
     body = PolyhedralConeBody.from_exact(quarter)
     rotated = body.rotated(np.deg2rad(4.0))
@@ -133,15 +141,3 @@ def test_default_base_point(quarter):
     out = triv_apply(triv, triv_sample_source(triv, rng, 200))
     assert triv_target_margin(triv, out).min() > -1e-8
 
-
-def test_normalized_rescale(quarter):
-    body = PolyhedralConeBody.from_exact(quarter)
-    rotated = body.rotated(np.deg2rad(9.0))
-    plain = build_trivialization(quarter, rotated, xi0=XI0)
-    norm = build_trivialization(quarter, rotated, xi0=XI0, normalize=True, seed=5)
-    rng = np.random.default_rng(6)
-    x = triv_sample_source(plain, rng, 1)[0]
-    assert triv_det_formula(norm, x) == pytest.approx(
-        norm.det_scale * triv_det_formula(plain, x))
-    lo, hi = norm.det_range
-    assert lo <= 1.0 / norm.det_scale <= hi
