@@ -8,10 +8,11 @@ pklimit.  <spec> is a JSON file path or the name of a packaged preset.
 Exit codes: 0 success, 1 domain error (category on stderr), 2 I/O or usage.
 
 Every command runs in a fresh process, so it imports only the layers it runs:
-the exact layer (cones, strata, limits, io) at module level, and the SciPy
-layers inside the commands that call them -- convex and trivialization in
-`trivialize` (scipy.spatial), wiener_hopf in `index1d` and `hierarchy2d`
-(scipy.linalg).  `lattice`, `strata`, `spectrum` and `pklimit` load no SciPy.
+the exact layer (cones, strata, limits, io) at module level, the float layers
+inside the commands that call them.  Only `index1d` and `hierarchy2d` load
+SciPy (scipy.linalg): `trivialize` matches 2-D cones, whose slice bodies are
+intervals and need no convex hull.  An unknown preset, named by `--in` or by an
+experiment's "cone", is one ConfigError (exit 2) from `presets.preset_spec`.
 """
 
 import argparse
@@ -19,7 +20,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from importlib import resources
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .io import (
     write_csv,
 )
 from .limits import hausdorff_distance, pk_converged, sample_cone
-from .presets import cone_preset, resolve_symbol
+from .presets import cone_preset, preset_spec, resolve_symbol
 from .strata import ray_limit, spectrum_poset, strata
 
 COMMANDS = ("lattice", "strata", "spectrum", "trivialize", "index1d",
@@ -81,18 +81,7 @@ def _check_tolerances(config):
 
 def _resolve_input(name, kind):
     """A literal path, or a packaged preset spec under presets/<kind>/; a JSON object."""
-    if os.path.exists(name):
-        spec = load_json(name)
-    else:
-        base = os.path.basename(name)
-        if not base.endswith(".json"):
-            base += ".json"
-        ref = resources.files("conewh").joinpath("presets", kind, base)
-        if not ref.is_file():
-            raise FileNotFoundError(f"no such spec file or preset: {name}")
-        import json
-
-        spec = json.loads(ref.read_text())
+    spec = load_json(name) if os.path.exists(name) else preset_spec(kind, name)
     if not isinstance(spec, dict):
         raise ConfigError(f"spec {name} must be a JSON object, got {type(spec).__name__}")
     return spec
@@ -171,8 +160,7 @@ def _experiment(config):
 
 
 def _load_cone(config):
-    obj = _resolve_input(config.input, "cones")
-    return read_cone_spec(obj)
+    return read_cone_spec(_resolve_input(config.input, "cones"))
 
 
 def _write_report(config, name, fields):
@@ -267,7 +255,6 @@ def _cmd_trivialize(config):
     from .convex import PolyhedralConeBody
     from .trivialization import (
         build_trivialization,
-        lipschitz_bound,
         triv_apply,
         triv_det,
         triv_det_formula,
@@ -283,34 +270,27 @@ def _cmd_trivialize(config):
     xi0 = (np.asarray(_finite_list(spec["xi0"], "'xi0'", cone.ambient_dim))
            if "xi0" in spec else None)
 
-    body = PolyhedralConeBody.from_exact(cone)
-    rotated = body.rotated(np.deg2rad(angle))
+    rotated = PolyhedralConeBody.from_exact(cone).rotated(np.deg2rad(angle))
     triv = build_trivialization(cone, rotated, xi0=xi0)
     src = triv_sample_source(triv, rng, samples)
-    out = triv_apply(triv, src)
-    margins = triv_target_margin(triv, out)
-    det_errs, dets = [], []
-    for x in src[: min(samples, 200)]:
-        f = triv_det_formula(triv, x)
-        det_errs.append(abs(triv_det(triv, x) - f) / abs(f))
-        dets.append(f)
+    dets = triv_det_formula(triv, src[:200])
+    det_errs = np.abs(triv_det(triv, src[:200]) - dets) / np.abs(dets)
     pairs_a = rng.uniform(-3, 3, (2000, cone.ambient_dim))
     pairs_b = pairs_a + rng.normal(0, 0.5, pairs_a.shape)
     num = np.linalg.norm(triv_apply(triv, pairs_a) - triv_apply(triv, pairs_b), axis=1)
     den = np.linalg.norm(pairs_a - pairs_b, axis=1)
-    bound = np.sqrt(2) * max(lipschitz_bound(triv.r, triv.R), 1.0)
 
     return _write_report(config, name, {
         "name": name,
         "angle_deg": angle,
         "r": triv.r,
         "R": triv.R,
-        "lipschitz_bound": lipschitz_bound(triv.r, triv.R),
-        "membership_margin_min": float(margins.min()),
-        "det_formula_range": [float(min(dets)), float(max(dets))],
-        "det_max_rel_err": float(max(det_errs)),
+        "lipschitz_bound": triv.lipschitz,
+        "membership_margin_min": float(triv_target_margin(triv, triv_apply(triv, src)).min()),
+        "det_formula_range": [float(dets.min()), float(dets.max())],
+        "det_max_rel_err": float(det_errs.max()),
         "empirical_lipschitz": float((num / den).max()),
-        "empirical_lipschitz_bound": float(bound),
+        "empirical_lipschitz_bound": float(np.sqrt(2) * max(triv.lipschitz, 1.0)),
         "samples": samples,
     })
 

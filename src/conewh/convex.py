@@ -11,7 +11,6 @@ subsets.  All sampling takes explicit RNGs; nothing here keeps global state.
 import itertools
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .errors import (
     DimensionMismatchError,
@@ -112,6 +111,8 @@ class HPolytopeBody(ConvexBody):
         if dim == 1:
             lo, hi = V.min(), V.max()
             return cls([[1.0], [-1.0]], [hi, -lo], vertices=V)
+        from scipy.spatial import ConvexHull   # about 0.35 s of import, for dim >= 2 only
+
         hull = ConvexHull(V)
         eqs = hull.equations  # rows (a, c) with a.x + c <= 0
         rows = []

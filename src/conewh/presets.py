@@ -11,6 +11,7 @@ wiener_hopf and scipy.linalg.
 """
 
 import ast
+import json
 import math
 import operator
 from importlib import resources
@@ -36,15 +37,21 @@ def _gauss(x):
     return np.exp(-np.pi * x**2)
 
 
-# -- cones -------------------------------------------------------------------
+# -- packaged specs and cones ------------------------------------------------
+
+def preset_spec(kind, name):
+    """The JSON object of presets/<kind>/<name>.json; kind is "cones" or "experiments"."""
+    specs = resources.files("conewh").joinpath("presets", kind)
+    names = sorted(ref.name.removesuffix(".json") for ref in specs.iterdir())
+    if name not in names:
+        raise ConfigError(f"no spec file or {kind[:-1]} preset named '{name}' "
+                          f"(presets: {', '.join(names)})")
+    return json.loads(specs.joinpath(f"{name}.json").read_text())
+
 
 def cone_preset(name: str) -> PolyhedralCone:
     """The cone of the packaged spec presets/cones/<name>.json."""
-    specs = resources.files("conewh").joinpath("presets", "cones")
-    names = sorted(ref.name.removesuffix(".json") for ref in specs.iterdir())
-    if name not in names:
-        raise ConfigError(f"unknown cone preset '{name}' (have {names})")
-    return read_cone_spec(specs.joinpath(f"{name}.json").read_text())[1]
+    return read_cone_spec(preset_spec("cones", name))[1]
 
 
 # -- 1-D symbols --------------------------------------------------------------

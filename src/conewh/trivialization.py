@@ -16,8 +16,13 @@ differentiable points is the gauge ratio to the power dim-1.  The
 span F, the source generators and the exact target relative dual; for span
 dimension k >= 2 also the basis of xi0-perp and the two slice bodies (for
 k = 1 the reduced map is the identity).
+
+`triv_apply`, `triv_det`, `triv_det_formula` and `triv_target_margin` take one
+ambient point (giving back a row or a float) or rows of them, each in one numpy
+pass; the difference determinant shifts every point by all +-h e_i at once.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,17 +54,14 @@ def _side_data(obj):
     """
     if isinstance(obj, Face):
         rd = relative_dual(obj)
-        gens = np.array([as_float(g) for g in rd.generators])
-        span_rows = np.array([as_float(b)
-                              for b in span_basis(list(rd.generators), rd.ambient_dim)])
-        return gens, span_rows, obj.dim, rd
+        span = np.array([as_float(b) for b in span_basis(list(rd.generators), rd.ambient_dim)])
+        return np.array([as_float(g) for g in rd.generators]), span, obj.dim, rd
     if isinstance(obj, PolyhedralCone):
         if not (is_pointed(obj) and is_solid(obj)):
             raise TrivializationError("cone inputs must be pointed and solid")
         rd = dual_cone(obj)
         gens = np.array([as_float(g) for g in rd.generators])
-        span_rows = np.eye(obj.ambient_dim)
-        return gens, span_rows, obj.ambient_dim, rd
+        return gens, np.eye(obj.ambient_dim), obj.ambient_dim, rd
     if isinstance(obj, PolyhedralConeBody):
         if obj.dim != 2 or len(obj.rays) != 2:
             raise TrivializationError(
@@ -73,8 +75,7 @@ def _side_data(obj):
             if perp @ rays[1 - i] < 0:
                 perp = -perp
             duals.append(perp / np.linalg.norm(perp))
-        gens = np.array(duals)
-        return gens, np.eye(obj.dim), obj.dim, None
+        return np.array(duals), np.eye(2), 2, None
     raise TrivializationError(f"unsupported trivialization input {type(obj).__name__}")
 
 
@@ -82,8 +83,6 @@ def _side_data(obj):
 class Trivialization:
     """Slice-gauge matching map from the relative dual of F onto that of E."""
 
-    E: object
-    F: object
     xi0: np.ndarray               # ambient base point, unit norm
     r: float                      # common inner slice radius
     R: float                      # common outer slice radius
@@ -160,75 +159,89 @@ def build_trivialization(E, F, xi0=None):
         # Both reduced cones are the positive axis; the map is the identity.
         if np.any(ge_c @ xi0_c <= 0) or np.any(gf_c @ xi0_c <= 0):
             raise TrivializationError("base point not admissible")
-        return Trivialization(E, F, Q.T @ xi0_c, 1.0, 1.0, *fields)
+        return Trivialization(Q.T @ xi0_c, 1.0, 1.0, *fields)
 
     Q2 = _perp_basis(xi0_c)
     body_e = _slice_body(ge_c, xi0_c, Q2)
     body_f = _slice_body(gf_c, xi0_c, Q2)
     r = min(body_e.inradius, body_f.inradius)
     R = max(body_e.outradius, body_f.outradius)
-    return Trivialization(E, F, Q.T @ xi0_c, r, R, *fields, Q2, body_e, body_f)
+    return Trivialization(Q.T @ xi0_c, r, R, *fields, Q2, body_e, body_f)
+
+
+def _point_or_rows(rows_fn):
+    """rows_fn(triv, X) on rows of ambient points, made to take one point too:
+    the dimension is checked, and one point gives back one row or a float."""
+    @functools.wraps(rows_fn)
+    def fn(triv, x):
+        x = np.asarray(x, dtype=float)
+        X = np.atleast_2d(x)
+        if X.ndim != 2 or X.shape[1] != triv.Q.shape[1]:
+            raise DimensionMismatchError(
+                f"points need {triv.Q.shape[1]} coordinates, got shape {x.shape}")
+        out = rows_fn(triv, X)
+        return out if x.ndim != 1 else out[0] if out.ndim == 2 else float(out[0])
+    return fn
+
+
+def _slice_coords(triv, W):
+    """Height t = <w, xi0> and xi0-perp coordinates Z2 of rows W (k coordinates)."""
+    t = W @ triv.xi0_c
+    return t, (W - np.outer(t, triv.xi0_c)) @ triv.Q2.T
+
+
+def _gauge_ratio(triv, Z2):
+    """mu_F / mu_E on rows of xi0-perp coordinates; 1 where mu_E vanishes."""
+    mu_e, mu_f = triv.body_e.gauge(Z2), triv.body_f.gauge(Z2)
+    return np.where(mu_e > 0, mu_f / np.where(mu_e > 0, mu_e, 1.0), 1.0)
 
 
 def _reduced_apply(triv, W):
     """Apply the reduced map to rows of W (k coordinates)."""
     if triv.Q2 is None:
         return W
-    xi0_c, Q2 = triv.xi0_c, triv.Q2
-    t = W @ xi0_c
-    Z2 = (W - np.outer(t, xi0_c)) @ Q2.T
-    mu_e = triv.body_e.gauge(Z2)
-    mu_f = triv.body_f.gauge(Z2)
-    ratio = np.where(mu_e > 0, mu_f / np.where(mu_e > 0, mu_e, 1.0), 1.0)
-    return (Z2 * ratio[:, None]) @ Q2 + np.outer(t, xi0_c)
+    t, Z2 = _slice_coords(triv, W)
+    return (Z2 * _gauge_ratio(triv, Z2)[:, None]) @ triv.Q2 + np.outer(t, triv.xi0_c)
 
 
-def triv_apply(triv, x):
+@_point_or_rows
+def triv_apply(triv, X):
     """Apply the trivialization to ambient points (maps F-dual into E-dual).
 
     The part in span F goes through the reduced map, the rest linearly to
     the complement of span E; for solid inputs that rest is zero.
     """
     Q = triv.Q
-    x = np.asarray(x, dtype=float)
-    X = np.atleast_2d(x)
-    if X.shape[1] != Q.shape[1]:
-        raise DimensionMismatchError("point dimension mismatch")
     Xf = X @ triv.proj_f.T
     comp = X - Xf
-    out = _reduced_apply(triv, Xf @ Q.T) @ Q + comp - (comp @ Q.T) @ Q
-    return out[0] if x.ndim == 1 else out
+    return _reduced_apply(triv, Xf @ Q.T) @ Q + comp - (comp @ Q.T) @ Q
 
 
-def triv_det(triv, x):
-    """Central-difference Jacobian determinant of the reduced map at an ambient point."""
+@_point_or_rows
+def triv_det(triv, X):
+    """Central-difference Jacobian determinant of the reduced map at ambient points."""
     k = triv.span_dim
     if k == 1:
-        return 1.0
-    w = triv.Q @ np.asarray(x, dtype=float)
-    cols = []
-    for i in range(k):
-        e = np.zeros(k)
-        e[i] = _FD_STEP
-        cols.append((_reduced_apply(triv, (w + e)[None, :])[0]
-                     - _reduced_apply(triv, (w - e)[None, :])[0]) / (2 * _FD_STEP))
-    return float(np.linalg.det(np.stack(cols, axis=1)))
+        return np.ones(len(X))
+    # w +- h e_i for every reduced point w, one pass per sign; D[p, i] is column i
+    W = (X @ triv.Q.T)[:, None, :]
+    plus, minus = (_reduced_apply(triv, (W + h * np.eye(k)).reshape(-1, k))
+                   for h in (_FD_STEP, -_FD_STEP))
+    D = ((plus - minus) / (2 * _FD_STEP)).reshape(len(X), k, k)
+    return np.linalg.det(D.transpose(0, 2, 1))
 
 
-def triv_det_formula(triv, x):
+@_point_or_rows
+def triv_det_formula(triv, X):
     """Gauge-ratio determinant: (mu_F/mu_E)(N(x) - xi0) ** (k-1)."""
     k = triv.span_dim
     if k == 1:
-        return 1.0
-    w = triv.Q @ np.asarray(x, dtype=float)
-    t = w @ triv.xi0_c
-    if t <= 1e-12:
+        return np.ones(len(X))
+    W = X @ triv.Q.T
+    t = W @ triv.xi0_c
+    if np.any(t <= 1e-12):
         raise TrivializationError("determinant formula needs <x, xi0> > 0")
-    z2 = triv.Q2 @ (w / t - triv.xi0_c)
-    mu_e = triv.body_e.gauge(z2)
-    mu_f = triv.body_f.gauge(z2)
-    lam = 1.0 if mu_e == 0 else mu_f / mu_e
-    return lam ** (k - 1)
+    return _gauge_ratio(triv, (W / t[:, None] - triv.xi0_c) @ triv.Q2.T) ** (k - 1)
 
 
 def triv_sample_source(triv, rng, count):
@@ -236,21 +249,19 @@ def triv_sample_source(triv, rng, count):
     return rng.random((count, len(triv.gens_f))) @ triv.gens_f
 
 
-def triv_target_margin(triv, pts):
+@_point_or_rows
+def triv_target_margin(triv, X):
     """Membership margin of ambient points in the target relative dual (E side).
 
     Positive margins mean strict membership; uses E's exact inequality normals
     when available, otherwise the slice gauge.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if triv.rd_e is not None:
         normals = np.array([as_float(a) for a in triv.rd_e.inequalities])
         scale = np.linalg.norm(normals, axis=1)
-        return (pts @ normals.T / scale).min(axis=1)
+        return (X @ normals.T / scale).min(axis=1)
     # gauge-based: x = t*xi0 + z with t > 0 and mu(z/t) <= 1 inside
-    W = pts @ triv.Q.T
-    t = W @ triv.xi0_c
-    Z2 = (W - np.outer(t, triv.xi0_c)) @ triv.Q2.T
+    t, Z2 = _slice_coords(triv, X @ triv.Q.T)
     pos = t > 0
     margins = t.copy()
     margins[pos] = t[pos] * (1.0 - triv.body_e.gauge(Z2[pos] / t[pos, None]))

@@ -127,6 +127,21 @@ def test_missing_input_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, spec", [
+    ("lattice", None),                                      # --in names no file or preset
+    ("trivialize", {"name": "x", "cone": "no-such-cone"}),  # an experiment's "cone"
+])
+def test_unknown_cone_preset_is_one_config_error(tmp_path, capsys, command, spec):
+    source = "no-such-cone"
+    if spec is not None:
+        source = str(tmp_path / "spec.json")
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert main([command, "--in", source, "--out", str(tmp_path / "out"), "--seed", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: no spec file or cone preset named 'no-such-cone' "
+        "(presets: fourgonal-r3, half-line, quarter-plane, simplicial-r3)\n")
+
+
 def test_unknown_command_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--in", "x", "--out", "y"])

@@ -43,7 +43,7 @@ def _fresh(body):
     ("pklimit", "pklimit-translated-quarter", False, []),
     ("index1d", "rational-w+1", True, ["linalg"]),
     ("hierarchy2d", "hierarchy-gauss2d-small", True, ["linalg"]),
-    ("trivialize", "trivialize-rotated-quarter", True, ["linalg", "spatial"]),
+    ("trivialize", "trivialize-rotated-quarter", False, []),
 ])
 def test_command_loads_only_its_scipy_subpackages(tmp_path, command, preset, scipy, heavy):
     argv = [command, "--in", preset, "--out", str(tmp_path), "--seed", "1"]
@@ -69,7 +69,7 @@ import tracing
 tracing.install(tracing.Tracer())
 assert sys.modules["conewh.wiener_hopf"].make_symbol.__wrapped__.__module__ == "conewh.wiener_hopf"
 """
-    assert _fresh(body) == {"scipy": True, "heavy": ["linalg", "spatial"]}
+    assert _fresh(body) == {"scipy": True, "heavy": ["linalg"]}
 
 
 def test_exports_are_the_submodule_objects():

@@ -1,11 +1,12 @@
-"""Slice-gauge trivializations: identity case, rotated family, bounds."""
+"""Slice-gauge trivializations: identity case, rotated family, bounds, and the
+point-or-rows contract of the per-point functions."""
 
 import numpy as np
 import pytest
 
 from conewh.cones import cone_from_generators, face_lattice
 from conewh.convex import PolyhedralConeBody
-from conewh.errors import TrivializationError
+from conewh.errors import DimensionMismatchError, TrivializationError
 from conewh.trivialization import (
     build_trivialization,
     lipschitz_bound,
@@ -141,3 +142,44 @@ def test_default_base_point(quarter):
     out = triv_apply(triv, triv_sample_source(triv, rng, 200))
     assert triv_target_margin(triv, out).min() > -1e-8
 
+
+
+def _rotated_quarter(quarter):
+    rotated = PolyhedralConeBody.from_exact(quarter).rotated(np.deg2rad(5.0))
+    return build_trivialization(quarter, rotated, xi0=XI0)
+
+
+@pytest.mark.parametrize("fn", [triv_apply, triv_det, triv_det_formula, triv_target_margin])
+@pytest.mark.parametrize("x", [np.ones(3), np.ones((4, 3)), [0.5]])
+def test_wrong_point_dimension_is_typed(quarter, fn, x):
+    with pytest.raises(DimensionMismatchError, match="points need 2 coordinates"):
+        fn(_rotated_quarter(quarter), x)
+
+
+def test_determinants_on_rows_and_points(quarter):
+    """A k = 3 trivialization (hull slice bodies) and the rotated quarter
+    (k = 2): rows give the per-point values, and one point gives a float."""
+    solid = cone_from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    tilted = cone_from_generators([(10, 1, 0), (0, 10, 1), (1, 0, 10)])
+    k3 = build_trivialization(solid, tilted)
+    assert k3.span_dim == 3 and k3.body_e.dim == 2
+    src = triv_sample_source(k3, np.random.default_rng(6), 300)
+    assert triv_target_margin(k3, triv_apply(k3, src)).min() > 0
+    for triv in (k3, _rotated_quarter(quarter)):
+        X = triv_sample_source(triv, np.random.default_rng(7), 60)
+        for fn in (triv_det, triv_det_formula):
+            rows = fn(triv, X)
+            points = [fn(triv, x) for x in X]
+            assert rows.shape == (60,) and all(type(v) is float for v in points)
+            np.testing.assert_allclose(rows, points, rtol=1e-12, atol=0)
+        ref = triv_det_formula(triv, X)
+        assert ref.min() > 0 and np.abs(triv_det(triv, X) - ref).max() <= 1e-6 * ref.max()
+
+    cone = cone_from_generators([(1, 0), (3, 1)])
+    rays = [f for f in face_lattice(cone).faces if f.dim == 1]
+    k1 = build_trivialization(rays[0], rays[1])
+    X = triv_sample_source(k1, np.random.default_rng(8), 20)
+    for fn in (triv_det, triv_det_formula):
+        assert (fn(k1, X) == 1.0).all()
+        assert fn(k1, X[0]) == 1.0 and type(fn(k1, X[0])) is float
+    assert type(triv_target_margin(k1, X[0])) is float
