@@ -204,16 +204,23 @@ def _cmd_lattice(config):
     return _write_report(config, name, fields)
 
 
+def _face_objects(st):
+    """One report object per face of the strata, keyed by its active set; a
+    face that a report names several times shares its object."""
+    return {f.active_set: face_object(f) for level in st.levels for f in level}
+
+
 def _cmd_strata(config):
     name, cone = _load_cone(config)
     st = strata(cone)
+    objs = _face_objects(st)
     return _write_report(config, name, {
         "name": name,
         "dims": list(st.dims),
         "solvable_length": st.length,
         "levels_finite": True,
         "level_sizes": [len(level) for level in st.levels],
-        "levels": [[face_object(f) for f in level] for level in st.levels],
+        "levels": [[objs[f.active_set] for f in level] for level in st.levels],
     })
 
 
@@ -221,13 +228,14 @@ def _cmd_spectrum(config):
     name, cone = _load_cone(config)
     st = strata(cone)
     sp = spectrum_poset(st)
+    objs = _face_objects(st)
     levels = []
     for bundle in sp.levels:
         levels.append({
             "level": bundle.level,
             "rank": bundle.rank,
             "fibers": [{
-                "face": face_object(f),
+                "face": objs[f.active_set],
                 "basis": [vector_strings(b) for b in basis],
             } for f, basis in bundle.fibers],
         })
@@ -235,10 +243,10 @@ def _cmd_spectrum(config):
     for ip in sp.incidences:
         incid.append({
             "level": ip.level,
-            "pairs": [[face_object(e), face_object(f)] for e, f in ip.pairs],
+            "pairs": [[objs[e.active_set], objs[f.active_set]] for e, f in ip.pairs],
             "xi": list(ip.xi),
             "eta": list(ip.eta),
-            "uncovered": [face_object(f) for f in ip.uncovered],
+            "uncovered": [objs[f.active_set] for f in ip.uncovered],
         })
     return _write_report(config, name, {
         "name": name,

@@ -9,8 +9,9 @@ scaling, sorted -- makes set equality syntactic equality.
 V <-> H conversion uses the double description method, run on the pointed
 quotient after splitting off the lineality space; the face lattice is built
 from facet bitmasks.  Both hot loops work on coprime integer rays and
-bitmasks; only the initial Gram inverse and the lineality space are computed
-over Q, and results are returned as Fraction tuples.
+bitmasks; the initial Gram inverse and the lineality space come from the
+fraction-free elimination of :mod:`conewh.exact`, and results are returned as
+Fraction tuples.
 """
 
 from collections import Counter
@@ -108,12 +109,13 @@ def _rational(vectors):
 
 def _validate_rows(rows, ambient_dim, what):
     vecs = []
-    for r in rows:
+    for i, r in enumerate(rows):
         v = rvec(r)
         if ambient_dim is None:
             ambient_dim = len(v)
         if len(v) != ambient_dim:
-            raise DimensionMismatchError(f"{what} have mixed dimensions")
+            raise DimensionMismatchError(f"{what}: row {i} has {len(v)} entries, "
+                                         f"expected dimension {ambient_dim}")
         if not is_zero_vec(v):
             vecs.append(_ints(v))
     if ambient_dim is None:
@@ -134,19 +136,19 @@ def _extreme_rays(rows, n):
     test of Fukuda & Prodon, "Double description method revisited", 1996).
     """
     rows = list(dict.fromkeys(rows))
-    frows = _rational(rows)
-    lineality = nullspace(frows, n)
+    lineality = nullspace(rows, n)
     k = n - len(lineality)
     if k == 0:
         return [], lineality
 
     # Initial simplicial cone in W = rowspace(rows): dual basis rays of the
     # first k independent rows (the pivot columns of rows^T), via the exact
-    # Gram inverse.  Ray j lies on every base row but the j-th.
-    idx = rref(list(zip(*frows)))[1]
-    base = [frows[i] for i in idx]
-    ginv = invert([[vdot(a, b) for b in base] for a in base])
-    rays = [_ints([vdot(ginv[j], col) for col in zip(*base)]) for j in range(k)]
+    # Gram inverse, each row of it scaled to integers.  Ray j lies on every
+    # base row but the j-th.
+    idx = rref(list(zip(*rows)))[1]
+    base = [rows[i] for i in idx]
+    ginv = invert([[_dot(a, b) for b in base] for a in base])
+    rays = [_ints([_dot(_ints(g), col) for col in zip(*base)]) for g in ginv]
     processed = sum(1 << i for i in idx)
     masks = [processed & ~(1 << i) for i in idx]
 
@@ -236,9 +238,18 @@ def face_span_basis(face: Face):
     return span_basis(list(face.generators), face.parent.ambient_dim)
 
 
-def _require_pointed(cone, what):
+def require_pointed(cone, what):
+    """Raise NotPointedError, with the rank found, unless the cone is pointed."""
     if not is_pointed(cone):
-        raise NotPointedError(f"{what} requires pointed cone")
+        raise NotPointedError(f"{what}: cone is not pointed, its inequalities have rank "
+                              f"{rank(list(cone.inequalities))} in dimension {cone.ambient_dim}")
+
+
+def require_solid(cone, what):
+    """Raise NotSolidError, with the rank found, unless the cone is solid."""
+    if not is_solid(cone):
+        raise NotSolidError(f"{what}: cone is not solid, its generators have rank "
+                            f"{rank(list(cone.generators))} in dimension {cone.ambient_dim}")
 
 
 def _face_from_generator_subset(cone, gens):
@@ -258,7 +269,7 @@ def face_lattice(cone: PolyhedralCone) -> FaceLattice:
     the same H (Kaibel & Pfetsch, "Computing the face lattice of a polytope
     from its vertex-facet incidences", 2002).
     """
-    _require_pointed(cone, "face lattice")
+    require_pointed(cone, "face lattice")
     ineqs = [_ints(a) for a in cone.inequalities]
     m = len(ineqs)
     full = (1 << m) - 1
@@ -296,7 +307,7 @@ def face_lattice(cone: PolyhedralCone) -> FaceLattice:
 
 def exposed_face(cone: PolyhedralCone, x) -> Face:
     """Smallest exposed face of the cone containing x: C n (C* n x-perp)-perp."""
-    _require_pointed(cone, "exposed face")
+    require_pointed(cone, "exposed face")
     x = rvec(x)
     if not cone.contains(x):
         raise MembershipError("point is not in the cone")
@@ -309,9 +320,8 @@ def exposed_face(cone: PolyhedralCone, x) -> Face:
 def dual_face(face: Face) -> Face:
     """F-check = F-perp n Omega*, a face of the dual cone; reverses inclusion."""
     omega = face.parent
-    _require_pointed(omega, "dual face")
-    if not is_solid(omega):
-        raise NotSolidError("dual face requires solid cone")
+    require_pointed(omega, "dual face")
+    require_solid(omega, "dual face")
     dcone = dual_cone(omega)
     gens = [b for b in dcone.generators
             if all(vdot(b, g) == 0 for g in face.generators)]

@@ -1,15 +1,22 @@
 """Exact rational vectors and small dense linear algebra over Q.
 
 Vectors are tuples of :class:`fractions.Fraction`; matrices are lists/tuples
-of such row vectors.  Everything here is exact; floats never enter.  Ambient
-dimensions are small (<= ~7) and row counts moderate (tens, e.g. 48 rays of a
-polygonal cone), so plain Gaussian elimination is adequate.  The hot loops of
-the cone layer (double description, face lattice) do not come here: they run
-on coprime integer rays and bitmasks in :mod:`conewh.cones`.
+of such row vectors.  Everything here is exact; floats never enter.
+
+Every elimination (`rref`, `rank`, `nullspace`, `solve_linear`, `invert`,
+`span_basis`) is one fraction-free Gauss-Jordan pass on integer rows, in the
+spirit of Bareiss (Math. Comp. 22, 1968): each input row is scaled to
+integers by the lcm of its denominators, each row is divided by the gcd of
+its entries after every update, and Fractions are built only for the rows
+that are returned.  `gram_schmidt` and `canonical_ray` work on integer rows
+too.  Ambient dimensions are small (<= ~7) and row counts moderate (tens,
+e.g. 48 rays of a polygonal cone).  The hot loops of the cone layer (double
+description, face lattice) do not come here: they run on coprime integer
+rays and bitmasks in :mod:`conewh.cones`.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -51,22 +58,39 @@ def as_float(v) -> np.ndarray:
     return np.array([float(a) for a in v], dtype=float)
 
 
+def _primitive(row):
+    """The row divided by the gcd of its integer entries (a zero row stays)."""
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
+def _int_row(v):
+    """The primitive integer row on the ray of the rational row v."""
+    den = lcm(*(a.denominator for a in v))
+    return _primitive([a.numerator * (den // a.denominator) for a in v])
+
+
+def _ray_ints(v):
+    ints = _int_row(v)
+    if not any(ints):
+        raise ValueError("zero vector has no ray direction")
+    return ints
+
+
+def _line(ints):
+    """Fraction tuple of a primitive integer row, first nonzero entry made positive."""
+    if next((a for a in ints if a), 0) < 0:
+        ints = [-a for a in ints]
+    return tuple(map(Fraction, ints))
+
+
 def canonical_ray(v) -> Vec:
     """Scale by a positive rational to coprime integer coordinates (sign kept).
 
     The direction of a ray is only defined up to positive scaling, so the
     sign pattern must be preserved.
     """
-    if is_zero_vec(v):
-        raise ValueError("zero vector has no ray direction")
-    denom = 1
-    for a in v:
-        denom = denom * a.denominator // gcd(denom, a.denominator)
-    ints = [int(a * denom) for a in v]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    return tuple(Fraction(a, g) for a in ints)
+    return tuple(map(Fraction, _ray_ints(v)))
 
 
 def canonical_line(v) -> Vec:
@@ -74,54 +98,62 @@ def canonical_line(v) -> Vec:
 
     Used where the sign is genuinely free (subspace basis vectors).
     """
-    w = canonical_ray(v)
-    for a in w:
-        if a != 0:
-            return w if a > 0 else vneg(w)
-    return w
+    return _line(_ray_ints(v))
+
+
+def _echelon(rows):
+    """Fraction-free Gauss-Jordan elimination of rational rows.
+
+    Returns (ints, pivots): the nonzero rows of the reduced row echelon form,
+    each as its primitive integer multiple with a positive pivot entry, and
+    their pivot columns.  Row i of the rational RREF is ints[i] / ints[i][pivots[i]].
+    """
+    mat = [_int_row(r) for r in rows]
+    pivots = []
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        prow = mat[r]
+        pv = prow[c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if f and i != r:
+                mat[i] = _primitive([pv * a - f * b for a, b in zip(row, prow)])
+        pivots.append(c)
+        if len(pivots) == len(mat):
+            break
+    ints = [row if row[c] > 0 else [-a for a in row] for row, c in zip(mat, pivots)]
+    return ints, pivots
 
 
 def rref(rows):
     """Reduced row echelon form. Returns (new_rows, pivot_column_indices)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [a / pv for a in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [tuple(row) for row in mat[:r]], pivots
+    ints, pivots = _echelon(rows)
+    return [tuple(Fraction(a, row[c]) for a in row) for row, c in zip(ints, pivots)], pivots
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[0])
+    return len(_echelon(rows)[1])
 
 
 def nullspace(rows, n):
     """Canonical basis of {x in Q^n : rows @ x = 0}."""
-    red, pivots = rref(rows)
-    free = [c for c in range(n) if c not in pivots]
+    ints, pivots = _echelon(rows)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
-        basis.append(canonical_line(tuple(v)))
+    for f in range(n):
+        if f in pivots:
+            continue
+        # x_f = 1 and x_p = -R[i][f] / R[i][p], all scaled by the lcm of the
+        # pivot entries that enter.
+        scale = lcm(*(row[p] for row, p in zip(ints, pivots) if row[f]))
+        v = [0] * n
+        v[f] = scale
+        for row, p in zip(ints, pivots):
+            v[p] = -row[f] * (scale // row[p])
+        basis.append(_line(_primitive(v)))
     return basis
 
 
@@ -130,25 +162,23 @@ def solve_linear(rows, rhs):
     if not rows:
         return None
     n = len(rows[0])
-    aug = [tuple(r) + (b,) for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
+    ints, pivots = _echelon([tuple(r) + (b,) for r, b in zip(rows, rhs)])
     if n in pivots:  # pivot in the rhs column
         return None
     x = [Fraction(0)] * n
-    for row, p in zip(red, pivots):
-        x[p] = row[-1]
+    for row, p in zip(ints, pivots):
+        x[p] = Fraction(row[-1], row[p])
     return tuple(x)
 
 
 def invert(rows):
     """Exact inverse of a square matrix given as rows. Raises on singularity."""
     k = len(rows)
-    aug = [tuple(r) + tuple(Fraction(1 if i == j else 0) for j in range(k))
-           for i, r in enumerate(rows)]
-    red, pivots = rref(aug)
+    ints, pivots = _echelon([tuple(r) + tuple(int(i == j) for j in range(k))
+                             for i, r in enumerate(rows)])
     if pivots != list(range(k)):
         raise ValueError("matrix is singular")
-    return [row[k:] for row in red]
+    return [tuple(Fraction(a, row[p]) for a in row[k:]) for row, p in zip(ints, pivots)]
 
 
 def matvec(rows, v):
@@ -181,19 +211,24 @@ def project_onto_span(basis_rows, v):
 
 
 def gram_schmidt(vectors):
-    """Exact orthogonalization (no normalization); output canonically scaled."""
+    """Exact orthogonalization (no normalization); output canonically scaled.
+
+    On primitive integer rows: w <- (u.u) w - (w.u) u for each earlier u, a
+    positive multiple of the rational step w - (w.u)/(u.u) u.
+    """
     ortho = []
     for v in vectors:
-        w = list(v)
-        for u in ortho:
-            c = vdot(tuple(w), u) / vdot(u, u)
-            w = [a - c * b for a, b in zip(w, u)]
-        if not is_zero_vec(w):
-            ortho.append(tuple(w))
-    return [canonical_line(u) for u in ortho]
+        w = _int_row(v)
+        for u, uu in ortho:
+            c = sum(a * b for a, b in zip(w, u))
+            if c:
+                w = _primitive([uu * a - c * b for a, b in zip(w, u)])
+        if any(w):
+            ortho.append((w, sum(a * a for a in w)))
+    return [_line(u) for u, _ in ortho]
 
 
 def span_basis(vectors, n):
     """Canonical basis of the span of the given vectors in Q^n."""
-    red, _ = rref(vectors)
-    return [canonical_line(r) for r in red if not is_zero_vec(r)]
+    # A primitive RREF row with a positive pivot is already canonical_line.
+    return [tuple(map(Fraction, row)) for row in _echelon(vectors)[0]]

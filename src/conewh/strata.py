@@ -21,17 +21,15 @@ from .cones import (
     exposed_face,
     face_as_cone,
     face_lattice,
-    is_pointed,
-    is_solid,
     negate_cone,
     relative_dual,
+    require_pointed,
+    require_solid,
 )
 from .errors import (
     LevelRangeError,
     MembershipError,
     NotOrderPointError,
-    NotPointedError,
-    NotSolidError,
 )
 from .exact import (
     gram_schmidt,
@@ -91,10 +89,8 @@ class IncidencePairs:
 
 
 def _check_pointed_solid(omega):
-    if not is_pointed(omega):
-        raise NotPointedError("strata require pointed cone")
-    if not is_solid(omega):
-        raise NotSolidError("strata require solid cone")
+    require_pointed(omega, "strata")
+    require_solid(omega, "strata")
 
 
 def strata(omega: PolyhedralCone) -> Strata:

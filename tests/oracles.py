@@ -11,10 +11,13 @@ to every set, and of every sample row in a Hausdorff distance.  The
 Wiener-Hopf oracles are the library's earlier direct-sum twisted face
 restriction, the fibre representation rep_L by direct quadrature, the product
 symbol, and the change of variables of a simplicial 2-D cone to the quarter
-plane.
+plane.  The exact linear algebra oracles are the library's earlier
+`Fraction` Gauss-Jordan elimination and Gram-Schmidt; the brute-force and
+double description oracles run on them, not on `conewh.exact`.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -22,19 +25,112 @@ from scipy.linalg import toeplitz
 from scipy.spatial import cKDTree
 
 from conewh.errors import DimensionMismatchError, KernelWindowError
-from conewh.exact import (
-    canonical_ray,
-    invert,
-    is_zero_vec,
-    nullspace,
-    rank,
-    rvec,
-    solve_linear,
-    vdot,
-    vneg,
-)
+from conewh.exact import is_zero_vec, rvec, vdot, vneg
 from conewh.wiener_hopf import convolve_kernels, make_symbol, wh_matrix
 
+
+
+def fraction_canonical_ray(v):
+    """Coprime integer coordinates of v by Fraction multiplication, sign kept."""
+    if is_zero_vec(v):
+        raise ValueError("zero vector has no ray direction")
+    denom = 1
+    for a in v:
+        denom = denom * a.denominator // math.gcd(denom, a.denominator)
+    ints = [int(a * denom) for a in v]
+    g = 0
+    for a in ints:
+        g = math.gcd(g, abs(a))
+    return tuple(Fraction(a, g) for a in ints)
+
+
+def fraction_canonical_line(v):
+    w = fraction_canonical_ray(v)
+    for a in w:
+        if a != 0:
+            return w if a > 0 else vneg(w)
+    return w
+
+
+def fraction_rref(rows):
+    """Reduced row echelon form over Fraction: (rows, pivot columns)."""
+    mat = [[Fraction(a) for a in r] for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        pv = mat[r][c]
+        mat[r] = [a / pv for a in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return [tuple(row) for row in mat[:r]], pivots
+
+
+def fraction_rank(rows):
+    return len(fraction_rref(rows)[0])
+
+
+def fraction_nullspace(rows, n):
+    red, pivots = fraction_rref(rows)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        basis.append(fraction_canonical_line(tuple(v)))
+    return basis
+
+
+def fraction_solve_linear(rows, rhs):
+    if not rows:
+        return None
+    n = len(rows[0])
+    red, pivots = fraction_rref([tuple(r) + (b,) for r, b in zip(rows, rhs)])
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for row, p in zip(red, pivots):
+        x[p] = row[-1]
+    return tuple(x)
+
+
+def fraction_invert(rows):
+    k = len(rows)
+    red, pivots = fraction_rref([tuple(r) + tuple(Fraction(int(i == j)) for j in range(k))
+                                 for i, r in enumerate(rows)])
+    if pivots != list(range(k)):
+        raise ValueError("matrix is singular")
+    return [row[k:] for row in red]
+
+
+def fraction_span_basis(vectors, n):
+    return [fraction_canonical_line(r) for r in fraction_rref(vectors)[0]
+            if not is_zero_vec(r)]
+
+
+def fraction_gram_schmidt(vectors):
+    ortho = []
+    for v in vectors:
+        w = [Fraction(a) for a in v]
+        for u in ortho:
+            c = vdot(tuple(w), u) / vdot(u, u)
+            w = [a - c * b for a, b in zip(w, u)]
+        if not is_zero_vec(w):
+            ortho.append(tuple(w))
+    return [fraction_canonical_line(u) for u in ortho]
 
 def vrep_member(rays, x):
     """Exact membership in cone{rays} by Caratheodory subset enumeration."""
@@ -45,11 +141,11 @@ def vrep_member(rays, x):
     n = len(x)
     for size in range(1, n + 1):
         for subset in itertools.combinations(rays, size):
-            if rank(list(subset)) < size:
+            if fraction_rank(list(subset)) < size:
                 continue
             # solve sum mu_i r_i = x exactly: stack columns
             cols = list(zip(*subset))
-            sol = solve_linear([rvec(c) for c in cols], x)
+            sol = fraction_solve_linear([rvec(c) for c in cols], x)
             if sol is not None and all(m >= 0 for m in sol):
                 # verify (solve_linear returns any solution of the stacked system)
                 recon = tuple(sum((m * r[j] for m, r in zip(sol, subset)), Fraction(0))
@@ -82,26 +178,27 @@ def brute_force_faces(cone):
                     if all(vdot(cone.inequalities[i], g) == 0 for i in subset)]
             closure = tuple(i for i in range(m)
                             if all(vdot(cone.inequalities[i], g) == 0 for g in gens))
-            found[closure] = (tuple(sorted(set(gens))), rank(gens))
+            found[closure] = (tuple(sorted(set(gens))), fraction_rank(gens))
     return found
 
 
 def _fraction_extreme_rays(rows, n):
     """Rational double description with the algebraic adjacency test: two rays
     are adjacent iff their common active rows have rank k - 2."""
-    rows = [canonical_ray(r) for r in rows if not is_zero_vec(r)]
-    lineality = nullspace(rows, n)
+    rows = [fraction_canonical_ray(r) for r in rows if not is_zero_vec(r)]
+    lineality = fraction_nullspace(rows, n)
     k = n - len(lineality)
     if k == 0:
         return [], lineality
     idx = []
     for i, r in enumerate(rows):
-        if len(idx) < k and rank([rows[j] for j in idx] + [r]) > len(idx):
+        if len(idx) < k and fraction_rank([rows[j] for j in idx] + [r]) > len(idx):
             idx.append(i)
     base = [rows[i] for i in idx]
-    ginv = invert([[vdot(a, b) for b in base] for a in base])
-    rays = [canonical_ray(tuple(sum((ginv[j][m] * base[m][c] for m in range(k)), Fraction(0))
-                                for c in range(n))) for j in range(k)]
+    ginv = fraction_invert([[vdot(a, b) for b in base] for a in base])
+    rays = [fraction_canonical_ray(tuple(
+        sum((ginv[j][m] * base[m][c] for m in range(k)), Fraction(0)) for c in range(n)))
+        for j in range(k)]
     processed = list(idx)
     for t, a in enumerate(rows):
         if t in idx:
@@ -114,8 +211,8 @@ def _fraction_extreme_rays(rows, n):
         for i in pos:
             for j in neg:
                 common = [rows[s] for s in sorted(active[i] & active[j])]
-                if rank(common) == k - 2:
-                    new_rays.append(canonical_ray(tuple(
+                if fraction_rank(common) == k - 2:
+                    new_rays.append(fraction_canonical_ray(tuple(
                         vals[i] * y - vals[j] * x for x, y in zip(rays[i], rays[j]))))
         processed.append(t)
         rays = sorted(set(new_rays))
@@ -125,7 +222,7 @@ def _fraction_extreme_rays(rows, n):
 def _fraction_dual_generators(rows, n):
     rays, lineality = _fraction_extreme_rays(rows, n)
     lines = [v for b in lineality for v in (b, vneg(b))]
-    return tuple(sorted(set(canonical_ray(g) for g in rays + lines)))
+    return tuple(sorted(set(fraction_canonical_ray(g) for g in rays + lines)))
 
 
 def fraction_dd_cone(rays, n):

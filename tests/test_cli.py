@@ -122,6 +122,39 @@ def test_domain_error_exit_code(tmp_path, capsys):
     assert "not-pointed" in err
 
 
+_HALF_PLANE = {"name": "half-plane", "dim": 2, "inequalities": [["1", "0"]]}
+_FLAT = {"name": "flat", "dim": 3, "generators": [["1", "0", "0"], ["0", "1", "0"]]}
+_RAY = {"name": "ray", "dim": 2, "generators": [["1", "0"]]}
+
+
+@pytest.mark.parametrize("command, spec, message", [
+    # A row that disagrees with the others or with "dim": its index, length and the dim.
+    ("lattice", {"name": "x", "dim": 3, "generators": [["1", "0", "0"], ["0", "1"]]},
+     "error [dimension-mismatch]: rays: row 1 has 2 entries, expected dimension 3"),
+    ("strata", {"name": "x", "dim": 3, "generators": [["1", "0"]]},
+     "error [dimension-mismatch]: rays: row 0 has 2 entries, expected dimension 3"),
+    ("spectrum", {"name": "x", "dim": 2, "inequalities": [["1", "0"], ["0", "1", "1"]]},
+     "error [dimension-mismatch]: inequalities: row 1 has 3 entries, expected dimension 2"),
+    # Not pointed / not solid: the rank found and the ambient dimension.
+    ("lattice", _HALF_PLANE, "error [not-pointed]: face lattice: cone is not pointed, "
+     "its inequalities have rank 1 in dimension 2"),
+    ("strata", _HALF_PLANE, "error [not-pointed]: strata: cone is not pointed, "
+     "its inequalities have rank 1 in dimension 2"),
+    ("spectrum", _FLAT, "error [not-solid]: strata: cone is not solid, "
+     "its generators have rank 2 in dimension 3"),
+    ("pklimit", {"name": "p", "cone": _HALF_PLANE, "direction": ["1", "0"]},
+     "error [not-pointed]: exposed face: cone is not pointed, "
+     "its inequalities have rank 1 in dimension 2"),
+    ("pklimit", {"name": "p", "cone": _RAY, "direction": ["1", "0"]},
+     "error [not-solid]: dual face: cone is not solid, its generators have rank 1 in dimension 2"),
+])
+def test_cone_domain_error_carries_numbers(tmp_path, capsys, command, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main([command, "--in", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_missing_input_exit_code(tmp_path, capsys):
     code = run(RunConfig("lattice", "no-such-spec", str(tmp_path)))
     assert code == 2

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from conewh.exact import (
     canonical_line,
@@ -17,7 +19,19 @@ from conewh.exact import (
     rref,
     rvec,
     solve_linear,
+    span_basis,
     vdot,
+)
+from oracles import (
+    fraction_canonical_line,
+    fraction_canonical_ray,
+    fraction_gram_schmidt,
+    fraction_invert,
+    fraction_nullspace,
+    fraction_rank,
+    fraction_rref,
+    fraction_solve_linear,
+    fraction_span_basis,
 )
 
 
@@ -83,3 +97,100 @@ def test_gram_schmidt_exact_orthogonality():
     for i in range(3):
         for j in range(i + 1, 3):
             assert vdot(ortho[i], ortho[j]) == 0
+
+
+# -- the integer elimination against the Fraction oracles ---------------------
+
+_Q = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def _matrices(draw, square=False):
+    """(n, rows): n <= 7 columns, up to 12 rational rows (n rows if square),
+    mixing zero rows, repeated rows, combinations of at most k base rows
+    (rank-deficient) and free rows."""
+    n = draw(st.integers(1, 7))
+    m = n if square else draw(st.integers(0, 12))
+    base = [tuple(draw(st.lists(_Q, min_size=n, max_size=n)))
+            for _ in range(draw(st.integers(0, n)))]
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(("zero", "repeat", "combination", "free")))
+        if kind == "zero":
+            rows.append((Fraction(0),) * n)
+        elif kind == "repeat" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        elif kind == "combination" and base:
+            coeffs = draw(st.lists(_Q, min_size=len(base), max_size=len(base)))
+            rows.append(tuple(sum((c * b[j] for c, b in zip(coeffs, base)), Fraction(0))
+                              for j in range(n)))
+        else:
+            rows.append(tuple(draw(st.lists(_Q, min_size=n, max_size=n))))
+    return n, rows
+
+
+def _all_fractions(vectors):
+    return all(type(a) is Fraction for v in vectors for a in v)
+
+
+@seed(13)
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+def test_elimination_matches_fraction_oracle(case):
+    n, rows = case
+    red, pivots = rref(rows)
+    assert (red, pivots) == fraction_rref(rows) and _all_fractions(red)
+    assert rank(rows) == fraction_rank(rows)
+    basis = nullspace(rows, n)
+    assert basis == fraction_nullspace(rows, n) and _all_fractions(basis)
+    assert all(vdot(r, b) == 0 for r in rows for b in basis)
+    span = span_basis(rows, n)
+    assert span == fraction_span_basis(rows, n) and _all_fractions(span)
+    ortho = gram_schmidt(rows)
+    assert ortho == fraction_gram_schmidt(rows) and _all_fractions(ortho)
+    for v in rows:
+        if any(v):
+            assert canonical_ray(v) == fraction_canonical_ray(v)
+            assert canonical_line(v) == fraction_canonical_line(v)
+            assert _all_fractions([canonical_ray(v), canonical_line(v)])
+        else:
+            for f in (canonical_ray, canonical_line):
+                with pytest.raises(ValueError):
+                    f(v)
+
+
+@seed(14)
+@settings(max_examples=120, deadline=None)
+@given(_matrices(), st.data())
+def test_solve_linear_matches_fraction_oracle(case, data):
+    n, rows = case
+    x0 = data.draw(st.lists(_Q, min_size=n, max_size=n))
+    consistent = [vdot(r, x0) for r in rows]
+    free = data.draw(st.lists(_Q, min_size=len(rows), max_size=len(rows)))
+    for rhs in (consistent, free):
+        x = solve_linear(rows, rhs)
+        assert x == fraction_solve_linear(rows, rhs)
+        if x is not None:
+            assert [vdot(r, x) for r in rows] == rhs and _all_fractions([x])
+    assert solve_linear(rows, consistent) is not None or not rows
+    # A vector y with y @ rows = 0 as the right-hand side: y . y > 0 but every
+    # solution would give y . rhs = 0.
+    for y in nullspace(list(zip(*rows)), len(rows)) if rows else ():
+        assert solve_linear(rows, y) is None
+
+
+@seed(15)
+@settings(max_examples=120, deadline=None)
+@given(_matrices(square=True))
+def test_invert_matches_fraction_oracle(case):
+    n, rows = case
+    if fraction_rank(rows) < n:
+        with pytest.raises(ValueError):
+            invert(rows)
+        with pytest.raises(ValueError):
+            fraction_invert(rows)
+        return
+    inv = invert(rows)
+    assert inv == fraction_invert(rows) and _all_fractions(inv)
+    assert [[vdot(r, c) for c in zip(*inv)] for r in rows] == [
+        [int(i == j) for j in range(n)] for i in range(n)]
