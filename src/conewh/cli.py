@@ -153,14 +153,24 @@ def _symbol_grid(spec):
     return resolve_symbol(spec["symbol"], h, T), truncations
 
 
+def _report_name(name):
+    """A spec's "name", which names its report files: one file name inside --out."""
+    if (not isinstance(name, str) or name in ("", ".", "..")
+            or any(c in name for c in ("/", os.sep, "\0"))):
+        raise ConfigError(f"spec 'name' must be a file name other than '.' and '..', "
+                          f"with no '/', got {name!r}")
+    return name
+
+
 def _experiment(config):
     """An experiment spec and its name (the command name by default)."""
     spec = _resolve_input(config.input, "experiments")
-    return spec, spec.get("name", config.command)
+    return spec, _report_name(spec.get("name", config.command))
 
 
 def _load_cone(config):
-    return read_cone_spec(_resolve_input(config.input, "cones"))
+    name, cone = read_cone_spec(_resolve_input(config.input, "cones"))
+    return _report_name(name), cone
 
 
 def _write_report(config, name, fields):

@@ -8,11 +8,14 @@ stable key ordering so runs diff cleanly.
 
 import csv
 import json
+import math
+from json.encoder import encode_basestring_ascii as _quote
 
 from .cones import PolyhedralCone, cone_from_generators, cone_from_inequalities
 from .errors import ConfigError
 from .exact import format_rational, rational
 
+_INDENT = "  "
 CSV_COLUMNS = ["experiment", "N", "sigma_min", "dim_ker", "dim_coker",
                "index", "winding", "verdict"]
 
@@ -75,9 +78,74 @@ def face_object(face):
     }
 
 
+def _key(k):
+    """A dict key as json converts it: a str as is, a number, bool or None
+    as its JSON text."""
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return _scalar(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _scalar(o):
+    """A value that is not a list, tuple or dict, checked in json's order."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if not math.isfinite(o):
+            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 def dumps_report(obj) -> str:
-    """Deterministic JSON text: insertion-ordered dicts, 2-space indent."""
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    """Deterministic JSON text: insertion-ordered dicts, 2-space indent; the
+    same string as json.dumps(obj, indent=2, allow_nan=False) + "\\n".
+
+    The text of a container met a second time at one depth is kept for the
+    rest of the call, so a face object that a report names many times is not
+    encoded again at that depth."""
+    memo = {}
+    seen = set()
+
+    def encode(o, depth):
+        t = type(o)
+        if t is str:
+            return _quote(o)
+        if t is int:
+            return int.__repr__(o)
+        if not isinstance(o, (list, tuple, dict)):
+            return _scalar(o)
+        key = (id(o), depth)
+        text = memo.get(key)
+        if text is not None:
+            return text
+        brackets = "{}" if isinstance(o, dict) else "[]"
+        if not o:
+            return brackets
+        inner = "\n" + _INDENT * (depth + 1)
+        if isinstance(o, dict):
+            items = [_quote(_key(k)) + ": " + encode(v, depth + 1) for k, v in o.items()]
+        else:
+            items = [encode(v, depth + 1) for v in o]
+        text = (brackets[0] + inner + ("," + inner).join(items)
+                + "\n" + _INDENT * depth + brackets[1])
+        if key in seen:
+            memo[key] = text
+        else:
+            seen.add(key)
+        return text
+
+    return encode(obj, 0) + "\n"
 
 
 def write_csv(path, rows):
@@ -91,7 +159,9 @@ def write_csv(path, rows):
 
 def load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"bad JSON in {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot decode {path} as UTF-8: {exc}") from None

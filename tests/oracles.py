@@ -13,10 +13,12 @@ restriction, the fibre representation rep_L by direct quadrature, the product
 symbol, and the change of variables of a simplicial 2-D cone to the quarter
 plane.  The exact linear algebra oracles are the library's earlier
 `Fraction` Gauss-Jordan elimination and Gram-Schmidt; the brute-force and
-double description oracles run on them, not on `conewh.exact`.
+double description oracles run on them, not on `conewh.exact`.  The report
+text oracle is the standard library's indented `json.dumps`.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -436,3 +438,8 @@ def cone_transform_symbol(f, h, T, transform):
     Z1 = Mmat[0, 0] * X1 + Mmat[0, 1] * X2
     Z2 = Mmat[1, 0] * X1 + Mmat[1, 1] * X2
     return make_symbol(abs(detM) * np.asarray(f(Z1, Z2), dtype=complex), 2, h, T)
+
+
+def json_dumps_report(obj):
+    """Report text by the standard library encoder: 2-space indent, no NaN."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"

@@ -350,6 +350,45 @@ def test_malformed_experiment_spec_is_config_error(tmp_path, capsys, command, sp
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
+_CONE = {"name": "cone", "dim": 2, "generators": [["1", "0"], ["0", "1"]]}
+_GAUSS = {"name": "gauss", "symbol": {"expr": "0.3*exp(-pi*x**2)", "dim": 1}, **_GRID}
+
+
+@pytest.mark.parametrize("command, spec, message", [
+    # A spec file that is not UTF-8 text: UTF-16 with a byte order mark, Latin-1.
+    pytest.param("lattice", "{}".encode("utf-16"),
+                 "as UTF-8: 'utf-8' codec can't decode byte 0xff in position 0", id="utf-16"),
+    pytest.param("index1d", '{"name": "café"}'.encode("latin-1"),
+                 "as UTF-8: 'utf-8' codec can't decode byte 0xe9 in position 13",
+                 id="latin-1"),
+    # A "name" that would put the report outside --out, or name no file.
+    ("lattice", {**_CONE, "name": "../escaped"}, "got '../escaped'"),
+    ("strata", {**_CONE, "name": ""}, "got ''"),
+    ("spectrum", {**_CONE, "name": ".."}, "got '..'"),
+    ("lattice", {**_CONE, "name": "."}, "got '.'"),
+    ("lattice", {**_CONE, "name": "sub/cone"}, "got 'sub/cone'"),
+    ("lattice", {**_CONE, "name": "nul\0"}, "got 'nul\\x00'"),
+    ("index1d", {**_GAUSS, "name": 5}, "got 5"),
+    ("index1d", {**_GAUSS, "name": "../../escaped"}, "got '../../escaped'"),
+    ("hierarchy2d", {**_GAUSS, "name": None}, "got None"),
+    ("pklimit", {**_PK, "name": ["pk"]}, "got ['pk']"),
+    ("trivialize", {**_TRIV, "name": "/abs"}, "got '/abs'"),
+])
+def test_unreadable_spec_or_escaping_name_is_config_error(tmp_path, capsys, command, spec,
+                                                          message):
+    path = tmp_path / "spec.json"
+    path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
+    out = tmp_path / "work" / "out"
+    argv = [command, "--in", str(path), "--out", str(out), "--seed", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and len(err.strip().splitlines()) == 1
+    if isinstance(spec, bytes):
+        assert str(path) in err
+    # Nothing is written, inside --out or next to it.
+    assert list(out.iterdir()) == [] and os.listdir(tmp_path / "work") == ["out"]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("spec, message", [
     pytest.param({**_TRIV, "xi0": [0.0, 0.0]}, "error [trivialization]: base point",

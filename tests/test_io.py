@@ -1,0 +1,92 @@
+"""The report writer against the standard library encoder: byte-identical text
+on seeded random nested objects whose sub-objects are shared at one depth and
+across depths, and the same error types on values JSON cannot hold."""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from conewh.io import dumps_report, face_object
+from conewh.strata import strata
+
+from oracles import json_dumps_report
+
+STRINGS = ["", "1/2", "-3", "é", "日本語", "tab\there", 'q"uote', "back\\slash",
+           "line\nbreak", "\x00\x1f", " ", "\ud800", "emoji \U0001f600"]
+KEYS = STRINGS + [0, -7, 2**70, 0.5, -0.0, 1e300, True, False, None]
+NUMBERS = [0, 1, -1, 2**64, -(3**90), 0.1, -0.0, 5e-324, 1.7976931348623157e308,
+           np.float64(1 / 3), np.float64(-2.5e-17), True, False, None]
+
+
+def _random_object(rng, pool, depth):
+    """A nested dict/list/tuple; a container already built is reused from
+    pool at random, at the depth it was built or at another one."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(STRINGS + NUMBERS)
+    if pool and rng.random() < 0.3:
+        return rng.choice(pool)
+    size = rng.choice([0, 1, 2, 3, 5])
+    kind = rng.choice(["dict", "list", "tuple"])
+    if kind == "dict":
+        obj = {rng.choice(KEYS): _random_object(rng, pool, depth - 1) for _ in range(size)}
+    else:
+        obj = [_random_object(rng, pool, depth - 1) for _ in range(size)]
+        if kind == "tuple":
+            obj = tuple(obj)
+    pool.append(obj)
+    return obj
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_writer_matches_json_dumps_on_random_objects(seed):
+    rng = random.Random(seed)
+    pool = []
+    for _ in range(5):
+        obj = _random_object(rng, pool, rng.randint(1, 6))
+        assert dumps_report(obj) == json_dumps_report(obj)
+
+
+def test_shared_objects_at_one_depth_and_across_depths():
+    face = {"active_set": [0, 2], "dim": 1, "generators": [["1", "0"]]}
+    empty = []
+    obj = {
+        "fibers": [{"face": face, "basis": empty}, {"face": face, "basis": empty}],
+        "pairs": [[face, face], [face, {"deeper": [face, (face,)]}]],
+        "uncovered": [face, face, face],
+        "top": face,
+    }
+    assert dumps_report(obj) == json_dumps_report(obj)
+    assert dumps_report(face) == json_dumps_report(face)
+
+
+def test_writer_matches_json_dumps_on_a_strata_report(fourgonal):
+    objs = {f.active_set: face_object(f) for level in strata(fourgonal).levels
+            for f in level}
+    report = {"faces": list(objs.values()), "again": [list(objs.values())] * 3,
+              "by_size": {len(k): v for k, v in objs.items()}}
+    assert dumps_report(report) == json_dumps_report(report)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_non_finite_floats_raise_value_error(value):
+    for obj in (value, [1, {"x": value}], {value: 1}):
+        for dumps in (dumps_report, json_dumps_report):
+            with pytest.raises(ValueError):
+                dumps(obj)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), {1, 2}, object(), np.bool_(True), b"bytes"])
+def test_unsupported_values_raise_type_error(value):
+    for obj in (value, [{"x": (1, value)}]):
+        for dumps in (dumps_report, json_dumps_report):
+            with pytest.raises(TypeError):
+                dumps(obj)
+
+
+@pytest.mark.parametrize("key", [np.int64(3), object(), (1, 2), frozenset()])
+def test_unsupported_keys_raise_type_error(key):
+    for dumps in (dumps_report, json_dumps_report):
+        with pytest.raises(TypeError):
+            dumps({"x": [{key: 1}]})
