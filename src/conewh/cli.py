@@ -173,9 +173,10 @@ def _load_cone(config):
     return _report_name(name), cone
 
 
-def _write_report(config, name, fields):
-    """Write a header echoing the configuration, then the fields, as
-    <name>_<command>.json; returns exit code 0."""
+def _write_report(config, name, fields, rows=None):
+    """Write rows, if given, as <name>_<command>.csv, then a header echoing the
+    configuration and the fields as <name>_<command>.json, making --out only
+    now that there is a result; returns exit code 0."""
     report = {
         "toolkit": "conewh",
         "version": __version__,
@@ -187,7 +188,11 @@ def _write_report(config, name, fields):
         },
         **fields,
     }
-    with open(os.path.join(config.outdir, f"{name}_{config.command}.json"), "w") as fh:
+    os.makedirs(config.outdir, exist_ok=True)
+    stem = os.path.join(config.outdir, f"{name}_{config.command}")
+    if rows is not None:
+        write_csv(stem + ".csv", rows)
+    with open(stem + ".json", "w") as fh:
         fh.write(dumps_report(report))
     return 0
 
@@ -332,8 +337,6 @@ def _cmd_index1d(config):
             "winding": "" if report_obj.winding is None else report_obj.winding,
             "verdict": report_obj.verdict,
         })
-    write_csv(os.path.join(config.outdir, f"{name}_index1d.csv"), rows)
-
     return _write_report(config, name, {
         "name": name,
         "symbol_nonvanishing": report_obj.symbol_nonvanishing,
@@ -343,7 +346,7 @@ def _cmd_index1d(config):
         "numerical_index": report_obj.numerical_index,
         "sigma_min": {str(k): v for k, v in report_obj.diagnostics["sigma_min"].items()},
         "verdict": report_obj.verdict,
-    })
+    }, rows)
 
 
 def _cmd_hierarchy2d(config):
@@ -368,8 +371,6 @@ def _cmd_hierarchy2d(config):
                     "sigma_min": repr(smin),
                     "verdict": "ok" if fr["ok"] else "failing-face",
                 })
-    write_csv(os.path.join(config.outdir, f"{name}_hierarchy2d.csv"), rows)
-
     return _write_report(config, name, {
         "name": name,
         "symbol_nonvanishing": rep.symbol_nonvanishing,
@@ -386,7 +387,7 @@ def _cmd_hierarchy2d(config):
             "decreasing_at": fr["decreasing_at"],
         } for fr in rep.face_reports],
         "verdict": rep.verdict,
-    })
+    }, rows)
 
 
 def _cmd_pklimit(config):
@@ -445,7 +446,6 @@ def run(config: RunConfig) -> int:
         if config.command in SAMPLING_COMMANDS and config.seed is None:
             raise ConfigError(f"--seed is required for '{config.command}'")
         _check_tolerances(config)
-        os.makedirs(config.outdir, exist_ok=True)
         return _DISPATCH[config.command](config)
     except DomainError as exc:
         print(f"error [{exc.category}]: {exc}", file=sys.stderr)

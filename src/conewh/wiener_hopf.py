@@ -5,11 +5,12 @@ plane.
 
 Every finite section (index pipeline, non-Fredholm sigma_min trend,
 hierarchy face) gets its singular values from one factorization chosen by
-its exact structure: eigvalsh (sigma = |lambda|) when the section equals its
-conjugate transpose, a values-only SVD otherwise.  The index pipeline adds
-one LU only for a section with near-null singular triples, to find their
-vectors.  Sections with real kernel samples are assembled and factored in
-real arithmetic.
+its exact structure: eigvalsh (sigma = |lambda|) when the section W or W J,
+its columns reversed, equals its conjugate transpose (a real Toeplitz W is
+persymmetric, so W J is symmetric), a values-only SVD otherwise.  The index
+pipeline adds one LU only for a section with near-null singular triples, to
+find their vectors.  Sections with real kernel samples are assembled and
+factored in real arithmetic.
 
 The hierarchy report takes the twisted face restrictions g_y for every fibre
 frequency y of a face in one pass, as matrix products against cos and sin
@@ -225,9 +226,11 @@ def _section(symbol, N):
 def _singular_values(W):
     """Singular values of an assembled section, descending, from the one
     factorization its exact structure allows: the sorted |lambda| of eigvalsh
-    when the section equals its conjugate transpose, else a values-only SVD."""
-    if np.array_equal(W, W.T.conj() if np.iscomplexobj(W) else W.T):
-        return np.sort(np.abs(eigvalsh(W)))[::-1]
+    of the first of W and W J (columns reversed; J W J = W^T for a real
+    Toeplitz W) equal to its conjugate transpose, else a values-only SVD."""
+    for A in (W, W[:, ::-1]):
+        if np.array_equal(A, A.T.conj() if np.iscomplexobj(A) else A.T):
+            return np.sort(np.abs(eigvalsh(A)))[::-1]
     return svdvals(W)
 
 

@@ -280,16 +280,34 @@ def test_numerical_index_unresolved_at_small_truncation():
         numerical_index(S, truncations=(256, 384))
 
 
+class _Calls(list):
+    """(routine, dtype) of each factorization, with its argument in args."""
+
+    def __init__(self):
+        super().__init__()
+        self.args = []
+
+    def clear(self):
+        super().clear()
+        self.args.clear()
+
+    def exactly_hermitian(self, routine):
+        """Whether every argument of routine equals its conjugate transpose."""
+        return all(np.array_equal(a, a.conj().T)
+                   for call, a in zip(self, self.args) if call[0] == routine)
+
+
 @pytest.fixture
 def factorizations(monkeypatch):
     """(routine, dtype) of every factorization the wiener_hopf module makes."""
     import conewh.wiener_hopf as wh
 
-    calls = []
+    calls = _Calls()
 
     def counted(name, fn):
         def wrapper(a, *args, **kwargs):
             calls.append((name, np.asarray(a).dtype))
+            calls.args.append(np.asarray(a))
             return fn(a, *args, **kwargs)
         return wrapper
 
@@ -305,11 +323,17 @@ def test_classical_index_one_factorization_per_truncation(factorizations):
     plus one LU only for a section with near-null singular triples; the
     sigma_min trend of a non-Fredholm symbol takes the same one factorization
     per truncation."""
-    real_svdvals, real_lu = ("svdvals", np.float64), ("lu_factor", np.float64)
+    # A real Toeplitz section that is not symmetric is persymmetric: its
+    # column-reversed form is symmetric and goes to eigvalsh.
+    real_flipped, real_lu = ("eigvalsh", np.float64), ("lu_factor", np.float64)
     rep = classical_index(symbol_preset("rational-w+1", 0.2, 52.0), truncations=(128, 256))
     assert rep.numerical_index == rep.index == -1
     assert [d["count"] for d in rep.diagnostics["per_truncation"].values()] == [1, 1]
-    assert factorizations == [real_svdvals, real_lu] * 2
+    assert factorizations == [real_flipped, real_lu] * 2
+    assert factorizations.exactly_hermitian("eigvalsh")
+    for eig_arg, lu_arg in zip(factorizations.args[::2], factorizations.args[1::2]):
+        assert not np.array_equal(lu_arg, lu_arg.T)
+        assert np.array_equal(eig_arg, lu_arg[:, ::-1])
     per = rep.diagnostics["per_truncation"]
     assert rep.diagnostics["sigma_min"] == {N: per[N]["sigma_min"] for N in (128, 256)}
 
@@ -318,6 +342,7 @@ def test_classical_index_one_factorization_per_truncation(factorizations):
     rep = classical_index(symbol_preset("gauss-small", 0.05, 52.0), truncations=(64, 128))
     assert rep.verdict == "fredholm" and rep.diagnostics["dim_ker"] == 0
     assert factorizations == [("eigvalsh", np.float64)] * 2
+    assert factorizations.exactly_hermitian("eigvalsh")
 
     factorizations.clear()
     rep = classical_index(symbol_preset("singular-zero", 0.05, 30.0), truncations=(64, 128))
@@ -466,6 +491,40 @@ def test_split_matches_complex_oracle(section):
     assert ("gap" in diag) == (ref["gap"] is not None)
 
 
+@pytest.mark.parametrize("N", [512, 1024])
+@pytest.mark.parametrize("w", [-2, -1, 0, 1, 2])
+def test_flipped_section_singular_values_match_dense_svd(factorizations, w, N):
+    """A real rational section is Toeplitz but not symmetric: its singular
+    values come from one eigvalsh of the column-reversed section and agree
+    with a dense SVD to N * eps * sigma_max, with the same near-null count
+    and both gaps above the 1e3 rule."""
+    from conewh.wiener_hopf import _singular_values
+
+    W = _seeded_rational_section(w, N, 40 + w)
+    assert W.dtype == np.float64 and not np.array_equal(W, W.T)
+    S = _singular_values(W)
+    assert factorizations == [("eigvalsh", np.float64)]
+    assert np.array_equal(factorizations.args[0], W[:, ::-1])
+    ref = complex_singular_split(W)
+    assert np.abs(S - ref["sigma"]).max() <= N * np.finfo(float).eps * ref["sigma_max"]
+    k = int(np.sum(S < 1e-8 * S[0]))
+    assert k == ref["count"] == abs(w)
+    if k:
+        assert min(S[-k - 1] / S[-k], ref["gap"]) >= 1e3
+
+
+def test_real_section_that_is_not_persymmetric_gets_svdvals(factorizations):
+    """eigvalsh reads one triangle only, so a real section equal to neither
+    its transpose nor, column-reversed, its own transpose takes the SVD."""
+    from conewh.wiener_hopf import _singular_values
+
+    W = _kernel_and_cokernel_section()
+    assert not np.array_equal(W[:, ::-1], W[:, ::-1].T)
+    S = _singular_values(W)
+    assert factorizations == [("svdvals", np.float64)]
+    assert np.allclose(S, complex_singular_split(W)["sigma"], rtol=0, atol=1e-14)
+
+
 def test_zero_pivot_section_is_exactly_singular():
     from scipy.linalg import LinAlgWarning, lu_factor
 
@@ -518,10 +577,15 @@ def test_twisted_face_sections_factor_by_structure(factorizations):
     factorizations.clear()
     shifted = make_symbol(lambda x, y: np.exp(-np.pi * (x**2 + (y - 0.3)**2)), 2, 0.1, 12.0)
     rep = hierarchy_fredholm(shifted, truncations=(16, 32), y_values=[0.0, y])
-    real_symmetric, real, cplx = (("eigvalsh", np.float64), ("svdvals", np.float64),
+    real_symmetric, real, cplx = (("eigvalsh", np.float64), ("eigvalsh", np.float64),
                                   ("svdvals", np.complex128))
-    # face e1 restricts across y, where the kernel is shifted; face e2 along it
+    # face e1 restricts across y, where the kernel is shifted; face e2 along
+    # it, with real sections that are not symmetric: eigvalsh factors their
+    # column-reversed form.  The complex ones are complex symmetric when
+    # reversed, not Hermitian, and keep svdvals.
     assert factorizations == [real_symmetric] * 2 + [cplx] * 2 + [real] * 4
+    assert factorizations.exactly_hermitian("eigvalsh")
+    assert not any(np.array_equal(a[:, ::-1], a[:, ::-1].T) for a in factorizations.args[4:])
     e1 = next(fr for fr in rep.face_reports if fr["face"] == "e1")
     twisted = next(r for r in e1["rows"] if r["y"] != 0.0)
     W = wh_matrix(face_symbol_twisted(shifted, "e1", twisted["y"]), "half-line", 32,
