@@ -9,10 +9,11 @@ Exit codes: 0 success, 1 domain error (category on stderr), 2 I/O or usage.
 
 Every command runs in a fresh process, so it imports only the layers it runs:
 the exact layer (cones, strata, limits, io) at module level, the float layers
-inside the commands that call them.  Only `index1d` and `hierarchy2d` load
-SciPy (scipy.linalg): `trivialize` matches 2-D cones, whose slice bodies are
-intervals and need no convex hull.  An unknown preset, named by `--in` or by an
-experiment's "cone", is one ConfigError (exit 2) from `presets.preset_spec`.
+inside the commands that call them.  No command on a packaged preset loads
+SciPy: `index1d` and `hierarchy2d` factor on numpy.linalg, and `trivialize`
+matches 2-D cones, whose slice bodies are intervals and need no convex hull.
+An unknown preset, named by `--in` or by an experiment's "cone", is one
+ConfigError (exit 2) from `presets.preset_spec`.
 """
 
 import argparse

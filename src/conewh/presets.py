@@ -7,7 +7,7 @@ from the upper-half-plane zero/pole counts of the rational symbol (winding
 
 `make_symbol` is imported inside the symbol builders: `cone_preset` serves
 `pklimit` and `trivialize`, which never sample a symbol and so need not load
-wiener_hopf and scipy.linalg.
+wiener_hopf.
 """
 
 import ast

@@ -9,12 +9,14 @@ implementations: per-pair exact-rank adjacency and the O(F^3) covering loop.
 The sampled-limit oracles take the full nearest distance of every grid point
 to every set, and of every sample row in a Hausdorff distance.  The
 Wiener-Hopf oracles are the library's earlier direct-sum twisted face
-restriction, the fibre representation rep_L by direct quadrature, the product
-symbol, and the change of variables of a simplicial 2-D cone to the quarter
-plane.  The exact linear algebra oracles are the library's earlier
-`Fraction` Gauss-Jordan elimination and Gram-Schmidt; the brute-force and
-double description oracles run on them, not on `conewh.exact`.  The report
-text oracle is the standard library's indented `json.dumps`.
+restriction, the fibre representation rep_L by direct quadrature, the
+discrete convolution of two kernels by FFT (the oracle of face_symbol's
+convolution homomorphism), the product symbol, and the change of variables
+of a simplicial 2-D cone to the quarter plane.  The exact linear algebra
+oracles are the library's earlier `Fraction` Gauss-Jordan elimination and
+Gram-Schmidt; the brute-force and double description oracles run on them,
+not on `conewh.exact`.  The report text oracle is the standard library's
+indented `json.dumps`.
 """
 
 import itertools
@@ -24,11 +26,12 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import toeplitz
+from scipy.signal import fftconvolve
 from scipy.spatial import cKDTree
 
 from conewh.errors import DimensionMismatchError, KernelWindowError
 from conewh.exact import is_zero_vec, rvec, vdot, vneg
-from conewh.wiener_hopf import convolve_kernels, make_symbol, wh_matrix
+from conewh.wiener_hopf import SymbolGrid, make_symbol, wh_matrix
 
 
 
@@ -404,6 +407,14 @@ def rep_L(symbol, face, y, h_in):
     col = symbol.h * G[N - 1:]
     row = symbol.h * G[N - 1::-1]
     return toeplitz(col, row) @ h_in
+
+
+def convolve_kernels(s1: SymbolGrid, s2: SymbolGrid) -> SymbolGrid:
+    """Discrete convolution h^dim * (f1 * f2), truncated back to the window."""
+    if s1.dim != s2.dim or s1.h != s2.h or s1.T != s2.T:
+        raise DimensionMismatchError("kernels must share the grid")
+    conv = fftconvolve(s1.kernel, s2.kernel, mode="same") * s1.h**s1.dim
+    return make_symbol(conv, s1.dim, s1.h, s1.T, name=f"({s1.name})*({s2.name})")
 
 
 def product_symbol(s1, s2):

@@ -44,7 +44,6 @@ from conewh.trivialization import (
     triv_target_margin,
 )
 from conewh.wiener_hopf import (
-    convolve_kernels,
     face_symbol,
     face_symbol_twisted,
     hierarchy_fredholm,
@@ -55,7 +54,7 @@ from conewh.wiener_hopf import (
     winding_number,
 )
 
-from oracles import brute_force_faces, rep_L
+from oracles import brute_force_faces, convolve_kernels, rep_L
 
 
 def _verdict(num, label, ok):

@@ -34,6 +34,16 @@ sections by eigvalsh: sigma_min moved by at most 2.2e-15.  The four rational
 reports were rewritten when a real Toeplitz section that is not symmetric
 was factored by eigvalsh of its column-reversed form, which is symmetric:
 sigma_min moved by at most 6.1e-16, against N * eps * sigma_max >= 1.1e-13.
+Every index1d report but zero, and both hierarchy2d reports, were rewritten
+once on two BLAS threads when the Wiener-Hopf layer moved from scipy.linalg
+to numpy.linalg (numpy's eigvalsh is LAPACK syevd, SciPy's syevr), real
+symmetric Toeplitz sections to two eigvalsh of half order, and the near-null
+vectors to one solve.  Only sigma_min, margin and margin_at_infinity moved:
+index1d sigma_min by at most 1.0e-15 (rational-w-1 and rational-w-2 at
+N = 512), against N * eps * sigma_max >= 2.8e-14; hierarchy2d margin by at
+most 3.0e-16, margin_at_infinity by at most 5.6e-16 and the CSV sigma_min
+by at most 8.0e-16, against N * eps * sigma_max >= 1.1e-14.  The hierarchy2d
+reports still hold on one BLAS thread; the index1d ones still do not.
 """
 
 from pathlib import Path

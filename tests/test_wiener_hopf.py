@@ -13,7 +13,6 @@ from conewh.errors import (
 from conewh.presets import RATIONAL_ZERO_POLE, symbol_preset
 from conewh.wiener_hopf import (
     classical_index,
-    convolve_kernels,
     face_symbol,
     face_symbol_twisted,
     hierarchy_fredholm,
@@ -28,6 +27,7 @@ from oracles import (
     complex_singular_split,
     cone_section_transform,
     cone_transform_symbol,
+    convolve_kernels,
     direct_twisted_restriction,
     product_symbol,
     rep_L,
@@ -314,40 +314,54 @@ def factorizations(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     monkeypatch.setattr(wh, "svdvals", counted("svdvals", wh.svdvals))
     monkeypatch.setattr(wh, "eigvalsh", counted("eigvalsh", wh.eigvalsh))
-    monkeypatch.setattr(wh, "lu_factor", counted("lu_factor", wh.lu_factor))
+    monkeypatch.setattr(wh, "solve", counted("solve", wh.solve))
     return calls
+
+
+def _half_orders(calls):
+    """The orders of the eigvalsh arguments, in pairs."""
+    orders = [len(a) for a in calls.args]
+    return list(zip(orders[::2], orders[1::2]))
 
 
 def test_classical_index_one_factorization_per_truncation(factorizations):
     """One factorization per truncation, chosen by the section's structure,
-    plus one LU only for a section with near-null singular triples; the
-    sigma_min trend of a non-Fredholm symbol takes the same one factorization
-    per truncation."""
+    plus one solve against its Hermitian form only for a section with
+    near-null singular triples; the sigma_min trend of a non-Fredholm symbol
+    takes the same one factorization per truncation."""
     # A real Toeplitz section that is not symmetric is persymmetric: its
-    # column-reversed form is symmetric and goes to eigvalsh.
-    real_flipped, real_lu = ("eigvalsh", np.float64), ("lu_factor", np.float64)
-    rep = classical_index(symbol_preset("rational-w+1", 0.2, 52.0), truncations=(128, 256))
+    # column-reversed form is symmetric and goes to eigvalsh, and the
+    # near-null vectors come from one solve against that same form.
+    real_flipped, real_solve = ("eigvalsh", np.float64), ("solve", np.float64)
+    S = symbol_preset("rational-w+1", 0.2, 52.0)
+    rep = classical_index(S, truncations=(128, 256))
     assert rep.numerical_index == rep.index == -1
     assert [d["count"] for d in rep.diagnostics["per_truncation"].values()] == [1, 1]
-    assert factorizations == [real_flipped, real_lu] * 2
+    assert factorizations == [real_flipped, real_solve] * 2
     assert factorizations.exactly_hermitian("eigvalsh")
-    for eig_arg, lu_arg in zip(factorizations.args[::2], factorizations.args[1::2]):
-        assert not np.array_equal(lu_arg, lu_arg.T)
-        assert np.array_equal(eig_arg, lu_arg[:, ::-1])
+    assert factorizations.exactly_hermitian("solve")
+    for N, eig_arg, solve_arg in zip((128, 256), factorizations.args[::2],
+                                     factorizations.args[1::2]):
+        W = wh_matrix(S, "half-line", N, identity_shift=True).entries
+        assert not np.array_equal(W, W.T)
+        assert np.array_equal(eig_arg, W[:, ::-1]) and np.array_equal(solve_arg, eig_arg)
     per = rep.diagnostics["per_truncation"]
     assert rep.diagnostics["sigma_min"] == {N: per[N]["sigma_min"] for N in (128, 256)}
 
     factorizations.clear()
-    # Even kernels give symmetric sections, whose singular values are the |lambda|.
+    # Even kernels give symmetric sections, which also equal their reversal:
+    # their singular values are the |lambda| of two half-order blocks.
     rep = classical_index(symbol_preset("gauss-small", 0.05, 52.0), truncations=(64, 128))
     assert rep.verdict == "fredholm" and rep.diagnostics["dim_ker"] == 0
-    assert factorizations == [("eigvalsh", np.float64)] * 2
+    assert factorizations == [("eigvalsh", np.float64)] * 4
     assert factorizations.exactly_hermitian("eigvalsh")
+    assert _half_orders(factorizations) == [(32, 32), (64, 64)]
 
     factorizations.clear()
     rep = classical_index(symbol_preset("singular-zero", 0.05, 30.0), truncations=(64, 128))
     assert rep.verdict == "non-fredholm"
-    assert factorizations == [("eigvalsh", np.float64)] * 2
+    assert factorizations == [("eigvalsh", np.float64)] * 4
+    assert _half_orders(factorizations) == [(32, 32), (64, 64)]
 
 
 @pytest.mark.parametrize("name", ["rational-w-1", "rational-w+1", "rational-w-2",
@@ -502,9 +516,10 @@ def test_flipped_section_singular_values_match_dense_svd(factorizations, w, N):
 
     W = _seeded_rational_section(w, N, 40 + w)
     assert W.dtype == np.float64 and not np.array_equal(W, W.T)
-    S = _singular_values(W)
+    S, form, flip = _singular_values(W)
     assert factorizations == [("eigvalsh", np.float64)]
     assert np.array_equal(factorizations.args[0], W[:, ::-1])
+    assert flip and form is factorizations.args[0]
     ref = complex_singular_split(W)
     assert np.abs(S - ref["sigma"]).max() <= N * np.finfo(float).eps * ref["sigma_max"]
     k = int(np.sum(S < 1e-8 * S[0]))
@@ -520,9 +535,116 @@ def test_real_section_that_is_not_persymmetric_gets_svdvals(factorizations):
 
     W = _kernel_and_cokernel_section()
     assert not np.array_equal(W[:, ::-1], W[:, ::-1].T)
-    S = _singular_values(W)
-    assert factorizations == [("svdvals", np.float64)]
+    S, form, _ = _singular_values(W)
+    assert factorizations == [("svdvals", np.float64)] and form is None
     assert np.allclose(S, complex_singular_split(W)["sigma"], rtol=0, atol=1e-14)
+
+
+def _symmetric_toeplitz(N, seed, shifted):
+    """A seeded real symmetric Toeplitz section with a decaying generator;
+    shifted by its middle eigenvalue (the diagonal stays constant), it has one
+    singular value at the rounding floor."""
+    rng = np.random.default_rng(seed)
+    idx = np.arange(N)
+    W = (rng.standard_normal(N) * np.exp(-idx / 8))[np.abs(idx[:, None] - idx[None, :])]
+    if shifted:
+        W.flat[::N + 1] -= np.linalg.eigvalsh(W)[N // 2]
+    return W
+
+
+@pytest.mark.parametrize("N, shifted", [(1, False)] + [(N, s) for N in (2, 3, 47, 48, 513, 1024)
+                                                       for s in (False, True)])
+def test_centrosymmetric_split_matches_complex_oracle(factorizations, N, shifted):
+    """A real symmetric Toeplitz section equals its reversal J W J: its
+    singular values come from two eigvalsh of orders ceil(N/2) and floor(N/2)
+    and agree with a dense complex SVD to N * eps * sigma_max, with the same
+    near-null count; the near-null vectors come from one solve against W."""
+    from conewh.wiener_hopf import _singular_values, _small_singular_split
+
+    W = _symmetric_toeplitz(N, 70 + N, shifted)
+    assert np.array_equal(W, W.T) and np.array_equal(W, W[::-1, ::-1])
+    S, form, flip = _singular_values(W)
+    assert factorizations == [("eigvalsh", np.float64)] * 2
+    assert factorizations.exactly_hermitian("eigvalsh")
+    assert _half_orders(factorizations) == [((N + 1) // 2, N // 2)]
+    assert form is W and not flip
+    ref = complex_singular_split(W)
+    assert np.abs(S - ref["sigma"]).max() <= N * np.finfo(float).eps * ref["sigma_max"]
+    k = int(np.sum(S < 1e-8 * S[0]))
+    assert k == ref["count"] == int(shifted)
+    if shifted:
+        factorizations.clear()
+        assert _small_singular_split(W, 1e-8, 1e3)[2]["count"] == 1
+        solves = factorizations.args[2:]
+        assert factorizations[:2] == [("eigvalsh", np.float64)] * 2
+        assert factorizations[2:] == [("solve", np.float64)] * len(solves) and solves[0] is W
+        # A second solve, shifted, only when W is exactly singular (at N = 3
+        # the shift can make the first and last rows equal).
+        try:
+            np.linalg.solve(W, np.ones(N))
+            assert len(solves) == 1
+        except np.linalg.LinAlgError:
+            assert len(solves) == 2
+            assert np.array_equal(solves[1], W + np.finfo(float).eps * S[0] * np.eye(N))
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 8, 33])
+def test_complex_hermitian_centrosymmetric_split_matches_complex_oracle(factorizations, N):
+    """The split needs only W = W^H = J W J, so it serves a complex Hermitian
+    matrix that equals its reversal as well (a Toeplitz one would be real)."""
+    from conewh.wiener_hopf import _singular_values
+
+    rng = np.random.default_rng(80 + N)
+    A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    A = A + A[::-1, ::-1]
+    W = (A + A.conj().T) / 2
+    assert np.array_equal(W, W.conj().T) and np.array_equal(W, W[::-1, ::-1])
+    S, form, flip = _singular_values(W)
+    assert factorizations == [("eigvalsh", np.complex128)] * 2
+    assert factorizations.exactly_hermitian("eigvalsh")
+    assert form is W and not flip
+    ref = complex_singular_split(W)
+    assert np.abs(S - ref["sigma"]).max() <= N * np.finfo(float).eps * ref["sigma_max"]
+
+
+def test_symmetric_section_that_is_not_persymmetric_skips_the_split(factorizations):
+    """A real symmetric matrix that does not equal its reversal takes one
+    eigvalsh of full order, and its near-null vectors one solve against it."""
+    from conewh.wiener_hopf import _singular_values, _small_singular_split
+
+    W = _symmetric_toeplitz(64, 9, False)
+    W[0, 5] = W[5, 0] = W[0, 5] + 0.25
+    assert np.array_equal(W, W.T) and not np.array_equal(W, W[::-1, ::-1])
+    W.flat[::65] -= np.linalg.eigvalsh(W)[32]
+    S, form, flip = _singular_values(W)
+    assert factorizations == [("eigvalsh", np.float64)] and factorizations.args[0] is W
+    assert form is W and not flip
+    ref = complex_singular_split(W)
+    assert np.abs(S - ref["sigma"]).max() <= 64 * np.finfo(float).eps * ref["sigma_max"]
+    assert int(np.sum(S < 1e-8 * S[0])) == ref["count"] == 1
+    factorizations.clear()
+    assert _small_singular_split(W, 1e-8, 1e3)[2]["count"] == 1
+    assert factorizations == [("eigvalsh", np.float64), ("solve", np.float64)]
+    assert factorizations.args[1] is W
+
+
+def test_exactly_singular_section_is_solved_shifted(factorizations):
+    """The zero-pivot section has no Hermitian form: W and W^H are solved in
+    one stacked call, which meets the exactly zero pivot, and once more
+    shifted by eps * sigma_max * I; the split still matches the oracle."""
+    from conewh.wiener_hopf import _small_singular_split
+
+    W = _zero_pivot_section()
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(W, np.ones(512))
+    dim_ker, dim_coker, diag = _small_singular_split(W, 1e-8, 1e3)
+    assert factorizations == [("svdvals", np.float64)] + [("solve", np.float64)] * 2
+    stacked, shifted = factorizations.args[1:]
+    assert np.array_equal(stacked, np.stack([W, W.T]))
+    assert np.array_equal(shifted, stacked + np.finfo(float).eps * diag["sigma_max"] * np.eye(512))
+    ref = complex_singular_split(W)
+    assert (diag["count"], dim_ker, dim_coker) == (ref["count"], ref["dim_ker"],
+                                                    ref["dim_coker"]) == (1, 1, 0)
 
 
 def test_zero_pivot_section_is_exactly_singular():
@@ -562,12 +684,14 @@ def test_split_with_every_value_near_zero_is_unresolved(W, delta_factor):
 
 
 def test_twisted_face_sections_factor_by_structure(factorizations):
-    """An even kernel gives real symmetric face sections, factored by eigvalsh;
-    a kernel shifted across the face keeps complex sections and svdvals."""
+    """An even kernel gives real symmetric face sections that equal their
+    reversal, factored by two half-order eigvalsh; a kernel shifted across
+    the face keeps complex sections and svdvals."""
     S = symbol_preset("gauss2d-small", 0.1, 12.0)
     y = S.freqs[1] - S.freqs[0]
     hierarchy_fredholm(S, truncations=(16, 32), y_values=[0.0, y])
-    assert factorizations == [("eigvalsh", np.float64)] * 8
+    assert factorizations == [("eigvalsh", np.float64)] * 16
+    assert _half_orders(factorizations) == [(8, 8), (16, 16)] * 4
     for face in ("e1", "e2"):
         for twist in (0.0, y):
             W = wh_matrix(face_symbol_twisted(S, face, twist), "half-line", 32,
@@ -579,13 +703,15 @@ def test_twisted_face_sections_factor_by_structure(factorizations):
     rep = hierarchy_fredholm(shifted, truncations=(16, 32), y_values=[0.0, y])
     real_symmetric, real, cplx = (("eigvalsh", np.float64), ("eigvalsh", np.float64),
                                   ("svdvals", np.complex128))
-    # face e1 restricts across y, where the kernel is shifted; face e2 along
-    # it, with real sections that are not symmetric: eigvalsh factors their
-    # column-reversed form.  The complex ones are complex symmetric when
+    # face e1 restricts across y, where the kernel is shifted: at y = 0 its
+    # sections are real symmetric Toeplitz, split in halves.  Face e2 restricts
+    # along it, with real sections that are not symmetric: eigvalsh factors
+    # their column-reversed form.  The complex ones are complex symmetric when
     # reversed, not Hermitian, and keep svdvals.
-    assert factorizations == [real_symmetric] * 2 + [cplx] * 2 + [real] * 4
+    assert factorizations == [real_symmetric] * 4 + [cplx] * 2 + [real] * 4
     assert factorizations.exactly_hermitian("eigvalsh")
-    assert not any(np.array_equal(a[:, ::-1], a[:, ::-1].T) for a in factorizations.args[4:])
+    assert [len(a) for a in factorizations.args[:4]] == [8, 8, 16, 16]
+    assert not any(np.array_equal(a[:, ::-1], a[:, ::-1].T) for a in factorizations.args[6:])
     e1 = next(fr for fr in rep.face_reports if fr["face"] == "e1")
     twisted = next(r for r in e1["rows"] if r["y"] != 0.0)
     W = wh_matrix(face_symbol_twisted(shifted, "e1", twisted["y"]), "half-line", 32,
@@ -593,6 +719,29 @@ def test_twisted_face_sections_factor_by_structure(factorizations):
     assert W.imag.any()
     ref = np.linalg.svd(W, compute_uv=False)[-1]
     assert twisted["sigma_min"][32] == pytest.approx(ref, rel=1e-10)
+
+
+def test_hierarchy_factors_each_distinct_face_column_once(factorizations):
+    """The default fibre grid is symmetric in y and the hierarchy-gauss2d-small
+    kernel is even across both faces, so its +-y restrictions are bit-identical:
+    each face factors 6 distinct columns of 9, at both truncations, and every
+    row reads the sigma_min of its own section."""
+    from conewh.presets import preset_spec
+    from conewh.wiener_hopf import _assemble, _singular_values, _twisted_restrictions
+
+    spec = preset_spec("experiments", "hierarchy-gauss2d-small")
+    S = symbol_preset(spec["symbol"], spec["h"], spec["T"])
+    rep = hierarchy_fredholm(S, truncations=tuple(spec["N"]))
+    assert factorizations == [("eigvalsh", np.float64)] * (2 * 6 * 2 * 2)
+    assert _half_orders(factorizations) == [(24, 24), (48, 48)] * 12
+    for axis, fr in enumerate(rep.face_reports):
+        ys = [r["y"] for r in fr["rows"]]
+        assert len(ys) == 9 and sorted(ys) == sorted(-y for y in ys)
+        G = _twisted_restrictions(S, axis, ys)
+        assert len({g.tobytes() for g in G.T}) == 6
+        for r, g in zip(fr["rows"], G.T):
+            assert r["sigma_min"] == {N: float(_singular_values(
+                _assemble(g, S.h, S.T, N, True))[0][-1]) for N in spec["N"]}
 
 
 _FACE_KERNELS = [
