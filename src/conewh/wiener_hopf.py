@@ -4,14 +4,16 @@ face-restricted symbols and the stratified Fredholm report for the quarter
 plane.
 
 Every finite section (index pipeline, non-Fredholm sigma_min trend,
-hierarchy face) gets its singular values from one factorization chosen by
-its exact structure: eigvalsh (sigma = |lambda|) when the section W or W J,
-its columns reversed, equals its conjugate transpose (a real Toeplitz W is
-persymmetric, so W J is symmetric), two eigvalsh of half order when W also
-equals its reversal J W J (every real symmetric Toeplitz section), a
-values-only SVD otherwise.  The index pipeline adds one solve only for a
-section with near-null singular triples, to find their vectors.  Sections
-with real kernel samples are assembled and factored in real arithmetic.
+hierarchy face) is held as its generator c, the 2N - 1 lag samples with
+W[i, j] = c[N - 1 + i - j], and gets its singular values from one
+factorization chosen by O(N) tests on c: two eigvalsh of half order when c
+is real and even (W symmetric and equal to its reversal J W J), eigvalsh of
+the Hankel matrix W J when c is real (a real Toeplitz W is persymmetric, so
+W J is symmetric), eigvalsh of W when c is conjugate-even (W Hermitian), a
+values-only SVD otherwise; sigma = |lambda|.  Each branch builds only the
+matrix it factors.  The index pipeline adds one solve only for a section
+with near-null singular triples, to find their vectors.  Sections with real
+kernel samples are assembled and factored in real arithmetic.
 
 All of it runs on numpy.linalg, so the module loads no SciPy and every
 factorization runs on one BLAS.  SciPy bundles a second OpenBLAS whose
@@ -38,7 +40,8 @@ operator index +1 (the adjoint annihilates nothing, e^{-x} spans the kernel).
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import LinAlgError, eigvalsh, solve, svd
+from numpy.lib.stride_tricks import sliding_window_view
+from numpy.linalg import LinAlgError, eigvalsh, qr, solve, svd
 
 from .errors import (
     DimensionMismatchError,
@@ -145,25 +148,33 @@ class WHMatrix:
     entries: np.ndarray
 
 
-def _assemble(kernel, h, T, N, identity_shift):
-    """The section of wh_matrix from kernel samples centred on the window: the
-    one assembly of every finite section, the face sections included."""
+def _generator(kernel, h, T, N, identity_shift):
+    """The generator c of a finite section, from kernel samples centred on the
+    window: the h^dim-scaled samples at the lags -(N-1), ..., N-1 along each
+    axis, with the identity shift added at lag 0, so that (per axis)
+    W[i, j] = c[N - 1 + i - j].  It is real when the samples it uses have no
+    imaginary part.  Every finite section, the face sections included, starts
+    here."""
     if N * h > T + 1e-12:
         raise KernelWindowError("truncation exceeds the kernel window: N*h <= T required")
     M = (len(kernel) - 1) // 2
     lags = slice(M - N + 1, M + N)                  # x_i - x_j for i, j < N
-    used = h**kernel.ndim * kernel[(lags,) * kernel.ndim]
-    if not used.imag.any():
-        used = used.real
-    # W[i, j] = used[N - 1 + i - j] along each axis: the length-N windows of
-    # the reversed lags, last first, copied once (20 times faster than an
-    # index gather at N = 1024); rows are row-major over the index pairs.
-    rev = (slice(None, None, -1),) * kernel.ndim
-    windows = np.lib.stride_tricks.sliding_window_view(used[rev], (N,) * kernel.ndim)[rev]
-    W = windows.copy().reshape(N**kernel.ndim, N**kernel.ndim)
+    c = h**kernel.ndim * kernel[(lags,) * kernel.ndim]
+    if not c.imag.any():
+        c = c.real
     if identity_shift:
-        W.flat[::len(W) + 1] += 1.0
-    return W
+        c[(N - 1,) * kernel.ndim] += 1.0
+    return c
+
+
+def _toeplitz(c):
+    """The section of the generator c: the length-N windows of the reversed
+    generator, last first, copied once (20 times faster than an index gather
+    at N = 1024); rows are row-major over the index pairs."""
+    N = (len(c) + 1) // 2
+    rev = (slice(None, None, -1),) * c.ndim
+    windows = sliding_window_view(c[rev], (N,) * c.ndim)[rev]
+    return windows.copy().reshape(N**c.ndim, N**c.ndim)
 
 
 def wh_matrix(symbol: SymbolGrid, cone: str, N: int, identity_shift=False) -> WHMatrix:
@@ -178,7 +189,7 @@ def wh_matrix(symbol: SymbolGrid, cone: str, N: int, identity_shift=False) -> WH
         raise DimensionMismatchError(f"unsupported cone '{cone}'")
     if symbol.dim != dims[cone]:
         raise DimensionMismatchError(f"{cone} needs a {dims[cone]}-D symbol")
-    return WHMatrix(_assemble(symbol.kernel, symbol.h, symbol.T, N, identity_shift))
+    return WHMatrix(_toeplitz(_generator(symbol.kernel, symbol.h, symbol.T, N, identity_shift)))
 
 
 def winding_number(curve) -> int:
@@ -225,8 +236,8 @@ class FredholmReport:
 
 
 def _section(symbol, N):
-    """The identity-shifted half-line section I + W_N."""
-    return wh_matrix(symbol, "half-line", N, identity_shift=True).entries
+    """The generator of the identity-shifted half-line section I + W_N."""
+    return _generator(symbol.kernel, symbol.h, symbol.T, N, True)
 
 
 def svdvals(a):
@@ -234,45 +245,58 @@ def svdvals(a):
     return svd(a, compute_uv=False)
 
 
-def _centrosymmetric_blocks(W):
-    """The half-order blocks A11 + A12 J and A11 - A12 J of a Hermitian W with
-    J W J = W, whose eigenvalues together are those of W (Cantoni & Butler,
-    Linear Algebra Appl. 13, 1976).  For odd N the middle row and column
-    enter the + block scaled by sqrt 2, its diagonal entry unscaled."""
-    h = len(W) // 2
-    n = len(W) - h
-    flipped = W[:n, ::-1][:, :n]                    # A12 J, beside the middle column
-    plus = W[:n, :n] + flipped
+def _centrosymmetric_blocks(c):
+    """The half-order blocks A11 + A12 J and A11 - A12 J of the section W of a
+    real even generator c (W = W^T = J W J), whose eigenvalues together are
+    those of W (Cantoni & Butler, Linear Algebra Appl. 13, 1976), read off c
+    without W: over the leading n = ceil(N/2) rows and columns, A11 is the
+    Toeplitz window c[N - 1 + i - j] and A12 J the Hankel window c[i + j].
+    For odd N the middle row and column enter the + block scaled by sqrt 2,
+    its diagonal entry unscaled."""
+    N = (len(c) + 1) // 2
+    h = N // 2
+    n = N - h
+    toeplitz = sliding_window_view(c[::-1], n)[N - n:N][::-1]
+    hankel = sliding_window_view(c, n)[:n]
+    plus = toeplitz + hankel
     if n > h:
-        plus[:h, h] = np.sqrt(2) * W[:h, h]
-        plus[h, :h] = np.sqrt(2) * W[h, :h]
-        plus[h, h] = W[h, h]
-    return plus, W[:h, :h] - flipped[:h, :h]
+        plus[:h, h] = np.sqrt(2) * toeplitz[:h, h]
+        plus[h, :h] = np.sqrt(2) * toeplitz[h, :h]
+        plus[h, h] = toeplitz[h, h]
+    return plus, toeplitz[:h, :h] - hankel[:h, :h]
 
 
-def _singular_values(W):
-    """(sigma, S, flip) of an assembled section: its singular values,
-    descending, from the one factorization its exact structure allows, and
-    its Hermitian form S = W P, with P = J (columns reversed) when flip, else
-    the identity; S is None when W has none.
+def _singular_values(c):
+    """(sigma, W, S, flip) of the section W[i, j] = c[N - 1 + i - j] of a 1-D
+    generator c: its singular values, descending, from the one factorization
+    its structure allows; the section W, or None when c is real and even;
+    and its Hermitian form S = W P, with P = J (columns reversed) when flip,
+    else the identity, or None when W has none or was not built.
 
-    The first of W and W J equal to its conjugate transpose is the Hermitian
-    form (J W J = W^T for a real Toeplitz W, so W J is symmetric), and sigma
-    is the sorted |lambda| of its eigvalsh.  A Hermitian W that also equals
-    its reversal J W J (every real symmetric Toeplitz section) takes two
-    eigvalsh of half order instead (_centrosymmetric_blocks): 30 against 77
-    ms for one eigvalsh of full order at N = 1024, 1.1 against 2.0 ms at
-    N = 192 (2-core Xeon, OpenBLAS on two threads).  A section with no
-    Hermitian form takes a values-only SVD."""
-    for flip in (False, True):
-        S = W[:, ::-1] if flip else W
-        if np.array_equal(S, S.T.conj() if np.iscomplexobj(S) else S.T):
-            if flip or not np.array_equal(W, W[::-1, ::-1]):
-                lam = eigvalsh(S)
-            else:
-                lam = np.concatenate([eigvalsh(B) for B in _centrosymmetric_blocks(W)])
-            return np.sort(np.abs(lam))[::-1], S, flip
-    return svdvals(W), None, False
+    The structure is read off c by O(N) tests:
+      * c real and even (W symmetric, so also J W J = W): two eigvalsh of
+        half order (_centrosymmetric_blocks), with no N x N matrix: 30
+        against 77 ms for one eigvalsh of full order at N = 1024, 1.1
+        against 2.0 ms at N = 192 (2-core Xeon, OpenBLAS on two threads);
+      * c real (J W J = W^T, so W J is symmetric): eigvalsh of the Hankel
+        matrix S = W J, S[i, j] = c[i + j], as a view of W: the pairing of
+        _near_null_pairs multiplies W, which numpy hands to BLAS only when
+        it is contiguous (37 times faster than the reversed view of a
+        Hankel copy at N = 512), and a copy beside W would add N x N to the
+        peak memory;
+      * c conjugate-even (W Hermitian): eigvalsh of W;
+      * otherwise a values-only SVD of W.
+    sigma is the sorted |lambda| of the eigenvalues."""
+    if not np.iscomplexobj(c) and np.array_equal(c, c[::-1]):
+        lam = np.concatenate([eigvalsh(B) for B in _centrosymmetric_blocks(c)])
+        return np.sort(np.abs(lam))[::-1], None, None, False
+    W = _toeplitz(c)
+    if not np.iscomplexobj(c):
+        S = W[:, ::-1]
+        return np.sort(np.abs(eigvalsh(S)))[::-1], W, S, True
+    if np.array_equal(c, c[::-1].conj()):
+        return np.sort(np.abs(eigvalsh(W)))[::-1], W, W, False
+    return svdvals(W), W, None, False
 
 
 def _near_null_pairs(W, S, flip, k, smax):
@@ -306,23 +330,30 @@ def _near_null_pairs(W, S, flip, k, smax):
         V, U = X[:, :m], X[:, m:]
         if flip:
             V = V[::-1]                                 # W^-1 = J S^-1
-    U, V = np.linalg.qr(U)[0], np.linalg.qr(V)[0]
+    U, V = qr(U)[0], qr(V)[0]
     P, _, Qh = svd(U.conj().T @ W @ V)
     return U @ P[:, -k:], V @ Qh[-k:].conj().T
 
 
-def _small_singular_split(Wop, delta_factor, gap_ratio):
-    """(dim_ker, dim_coker, diag) of a finite section.
+def _small_singular_split(c, delta_factor, gap_ratio):
+    """(dim_ker, dim_coker, diag) of the finite section with generator c: the
+    split of _split_form on the factorization of _singular_values."""
+    return _split_form(*_singular_values(c), delta_factor, gap_ratio, c)
 
-    The singular values (_singular_values) give the count k of those below
+
+def _split_form(sigma, W, S, flip, delta_factor, gap_ratio, c=None):
+    """(dim_ker, dim_coker, diag) of a section from (sigma, W, S, flip) as
+    _singular_values returns them; the section of a real even generator c,
+    its own Hermitian form, is built only when the split needs its vectors.
+
+    sigma gives the count k of the singular values below
     delta_factor * sigma_max and the gap above them.  Each of the k near-null
     triples (_near_null_pairs) goes to the kernel when its right vector has at
     least as much mass on the front half (the origin edge) as its left one,
     else to the cokernel.  k = N (the zero section, or delta_factor > 1) has
     nothing above the count: its gap is 0 and the split raises.
     """
-    N = len(Wop)
-    sigma, S, flip = _singular_values(Wop)
+    N = len(sigma)
     smax = sigma[0] if sigma[0] > 0 else 1.0
     k = int(np.sum(sigma < delta_factor * smax))
     diag = {"sigma_min": float(sigma[-1]), "sigma_max": float(smax), "count": k}
@@ -332,7 +363,9 @@ def _small_singular_split(Wop, delta_factor, gap_ratio):
         if gap < gap_ratio:
             raise IndexUnresolvedError(f"index not resolved at N={N}: gap {gap:.3g} above "
                                        f"{k} near-zero singular values is below {gap_ratio:g}")
-        U, V = _near_null_pairs(Wop, S, flip, k, smax)
+        if W is None:
+            W = S = _toeplitz(c)
+        U, V = _near_null_pairs(W, S, flip, k, smax)
         half = N // 2
         dim_ker = int(np.count_nonzero(
             np.linalg.norm(V[:half], axis=0) >= np.linalg.norm(U[:half], axis=0)))
@@ -494,7 +527,7 @@ def hierarchy_fredholm(symbol: SymbolGrid, truncations=(48, 96), y_values=None,
             key = g.tobytes()
             if key not in sigma_min:
                 sigma_min[key] = {N: float(_singular_values(
-                    _assemble(g, symbol.h, symbol.T, N, True))[0][-1]) for N in truncations}
+                    _generator(g, symbol.h, symbol.T, N, True))[0][-1]) for N in truncations}
             rows.append({"y": float(y), "sigma_min": dict(sigma_min[key])})
         n1, n2 = truncations[0], truncations[-1]
         margin = min(min(r["sigma_min"].values()) for r in rows)

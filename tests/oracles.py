@@ -9,10 +9,11 @@ implementations: per-pair exact-rank adjacency and the O(F^3) covering loop.
 The sampled-limit oracles take the full nearest distance of every grid point
 to every set, and of every sample row in a Hausdorff distance.  The
 Wiener-Hopf oracles are the library's earlier direct-sum twisted face
-restriction, the fibre representation rep_L by direct quadrature, the
-discrete convolution of two kernels by FFT (the oracle of face_symbol's
-convolution homomorphism), the product symbol, and the change of variables
-of a simplicial 2-D cone to the quarter plane.  The exact linear algebra
+restriction, its earlier structure dispatch of a finite section by N x N
+equality checks on the assembled matrix, the fibre representation rep_L by
+direct quadrature, the discrete convolution of two kernels by FFT (the
+oracle of face_symbol's convolution homomorphism), the product symbol, and
+the change of variables of a simplicial 2-D cone to the quarter plane.  The exact linear algebra
 oracles are the library's earlier `Fraction` Gauss-Jordan elimination and
 Gram-Schmidt; the brute-force and double description oracles run on them,
 not on `conewh.exact`.  The report text oracle is the standard library's
@@ -305,6 +306,44 @@ def complex_singular_split(W, delta_factor=1e-8):
     gap = S[-k - 1] / S[-k] if 0 < k < n else None
     return {"count": k, "dim_ker": int(dim_ker), "dim_coker": k - int(dim_ker),
             "sigma": S, "sigma_max": float(S[0]), "gap": gap}
+
+
+def _dense_centrosymmetric_blocks(W):
+    """The half-order blocks A11 + A12 J and A11 - A12 J of a Hermitian W with
+    J W J = W, sliced out of W itself; for odd N the middle row and column
+    enter the + block scaled by sqrt 2, its diagonal entry unscaled."""
+    h = len(W) // 2
+    n = len(W) - h
+    flipped = W[:n, ::-1][:, :n]                    # A12 J, beside the middle column
+    plus = W[:n, :n] + flipped
+    if n > h:
+        plus[:h, h] = np.sqrt(2) * W[:h, h]
+        plus[h, :h] = np.sqrt(2) * W[h, :h]
+        plus[h, h] = W[h, h]
+    return plus, W[:h, :h] - flipped[:h, :h]
+
+
+def dense_section_form(W):
+    """(sigma, W, S, flip) of an assembled section W, as
+    wiener_hopf._singular_values returns them for a generator, from the
+    structure of W itself by N x N equality checks: the first of W and W J
+    (columns reversed) equal to its conjugate transpose is the Hermitian form
+    S, factored by eigvalsh; a Hermitian W equal to its reversal J W J takes
+    two eigvalsh of half order instead; a W with no Hermitian form takes the
+    values-only SVD.  It serves any square matrix, Toeplitz or not, and calls
+    the factorizations of the wiener_hopf module, so they are counted where
+    the module's are."""
+    from conewh import wiener_hopf as wh
+
+    for flip in (False, True):
+        S = W[:, ::-1] if flip else W
+        if np.array_equal(S, S.T.conj() if np.iscomplexobj(S) else S.T):
+            if flip or not np.array_equal(W, W[::-1, ::-1]):
+                lam = wh.eigvalsh(S)
+            else:
+                lam = np.concatenate([wh.eigvalsh(B) for B in _dense_centrosymmetric_blocks(W)])
+            return np.sort(np.abs(lam))[::-1], W, S, flip
+    return wh.svdvals(W), W, None, False
 
 
 def full_dist_to_set(points, sample):

@@ -12,6 +12,8 @@ from conewh.errors import (
 )
 from conewh.presets import RATIONAL_ZERO_POLE, symbol_preset
 from conewh.wiener_hopf import (
+    _section,
+    _toeplitz,
     classical_index,
     face_symbol,
     face_symbol_twisted,
@@ -28,6 +30,7 @@ from oracles import (
     cone_section_transform,
     cone_transform_symbol,
     convolve_kernels,
+    dense_section_form,
     direct_twisted_restriction,
     product_symbol,
     rep_L,
@@ -286,6 +289,7 @@ class _Calls(list):
     def __init__(self):
         super().__init__()
         self.args = []
+        self.depth = 0
 
     def clear(self):
         super().clear()
@@ -299,23 +303,42 @@ class _Calls(list):
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """(routine, dtype) of every factorization the wiener_hopf module makes."""
+    """(routine, dtype) of every factorization the wiener_hopf module makes:
+    its eigvalsh, solve, values-only svdvals, and the qr and full svd of the
+    near-null pairing, each bound in the module.  A factorization made inside
+    a counted one (the svd that svdvals calls) is part of it, not another."""
     import conewh.wiener_hopf as wh
 
     calls = _Calls()
 
     def counted(name, fn):
         def wrapper(a, *args, **kwargs):
+            if calls.depth:
+                return fn(a, *args, **kwargs)
             calls.append((name, np.asarray(a).dtype))
             calls.args.append(np.asarray(a))
-            return fn(a, *args, **kwargs)
+            calls.depth += 1
+            try:
+                return fn(a, *args, **kwargs)
+            finally:
+                calls.depth -= 1
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
-    monkeypatch.setattr(wh, "svdvals", counted("svdvals", wh.svdvals))
-    monkeypatch.setattr(wh, "eigvalsh", counted("eigvalsh", wh.eigvalsh))
-    monkeypatch.setattr(wh, "solve", counted("solve", wh.solve))
+    for name in ("svdvals", "svd", "eigvalsh", "solve", "qr"):
+        monkeypatch.setattr(wh, name, counted(name, getattr(wh, name)))
     return calls
+
+
+def _pairing(dtype=np.float64):
+    """The factorizations of one near-null pairing after its solve: the qr of
+    each side's block and the svd of the projected section."""
+    return [("qr", dtype)] * 2 + [("svd", dtype)]
+
+
+def _same_bits(a, b):
+    """Whether two arrays hold the same dtype, shape and bytes."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _half_orders(calls):
@@ -337,14 +360,18 @@ def test_classical_index_one_factorization_per_truncation(factorizations):
     rep = classical_index(S, truncations=(128, 256))
     assert rep.numerical_index == rep.index == -1
     assert [d["count"] for d in rep.diagnostics["per_truncation"].values()] == [1, 1]
-    assert factorizations == [real_flipped, real_solve] * 2
+    assert factorizations == ([real_flipped, real_solve] + _pairing()) * 2
     assert factorizations.exactly_hermitian("eigvalsh")
     assert factorizations.exactly_hermitian("solve")
-    for N, eig_arg, solve_arg in zip((128, 256), factorizations.args[::2],
-                                     factorizations.args[1::2]):
+    for N, eig_arg, solve_arg in zip((128, 256), factorizations.args[::5],
+                                     factorizations.args[1::5]):
         W = wh_matrix(S, "half-line", N, identity_shift=True).entries
         assert not np.array_equal(W, W.T)
         assert np.array_equal(eig_arg, W[:, ::-1]) and np.array_equal(solve_arg, eig_arg)
+    # k + 8 = 9 seeded columns per side, and the 9 x 9 projection
+    assert [a.shape for call, a in zip(factorizations, factorizations.args)
+            if call[0] in ("qr", "svd")] == [(128, 9), (128, 9), (9, 9),
+                                            (256, 9), (256, 9), (9, 9)]
     per = rep.diagnostics["per_truncation"]
     assert rep.diagnostics["sigma_min"] == {N: per[N]["sigma_min"] for N in (128, 256)}
 
@@ -371,9 +398,10 @@ def test_real_split_matches_complex_oracle(name):
     from conewh.wiener_hopf import _small_singular_split
 
     S = symbol_preset(name, 0.05, 52.0)
+    c = _section(S, 512)
     W = wh_matrix(S, "half-line", 512, identity_shift=True).entries
-    assert not W.imag.any()
-    dim_ker, dim_coker, diag = _small_singular_split(W, 1e-8, 1e3)
+    assert not W.imag.any() and c.dtype == np.float64
+    dim_ker, dim_coker, diag = _small_singular_split(c, 1e-8, 1e3)
     ref = complex_singular_split(W)
     assert (diag["count"], dim_ker, dim_coker) == (ref["count"], ref["dim_ker"],
                                                     ref["dim_coker"])
@@ -408,13 +436,13 @@ def _rational_kernel(winding, a, c=None):
 
 
 def _seeded_rational_section(winding, N, seed, modulation=0.0):
-    """I + W_N for a rational kernel with seeded pole scales in [1, 2], times
-    e^{i m x} for a nonzero modulation m (a complex section)."""
+    """The generator of I + W_N for a rational kernel with seeded pole scales
+    in [1, 2], times e^{i m x} for a nonzero modulation m (a complex section)."""
     rng = np.random.default_rng(seed)
     a, c = rng.uniform(1.0, 2.0, 2)
     f = _rational_kernel(winding, a, c)
     S = make_symbol(lambda x: f(x) * np.exp(1j * modulation * x), 1, 0.05, 52.0)
-    return wh_matrix(S, "half-line", N, identity_shift=True).entries
+    return _section(S, N)
 
 
 def _zero_pivot_section():
@@ -486,20 +514,31 @@ _ORACLE_CASES = (
                        ("gap-below-ratio", [1.5e-8, -5e-9, 2e-9]))])
 
 
+def _dense_split(W, delta_factor, gap_ratio):
+    """The count, gap, pairing and attribution back end on a matrix that need
+    not be Toeplitz, through the dense structure dispatch of the oracles."""
+    from conewh.wiener_hopf import _split_form
+
+    return _split_form(*dense_section_form(W), delta_factor, gap_ratio)
+
+
 @pytest.mark.parametrize("section", _ORACLE_CASES)
 def test_split_matches_complex_oracle(section):
-    """The split (eigvalsh or values-only SVD, plus LU) agrees with a dense
-    complex SVD on the count, the kernel/cokernel attribution and the gap
-    verdict."""
+    """The split (eigvalsh or values-only SVD, plus one solve) agrees with a
+    dense complex SVD on the count, the kernel/cokernel attribution and the
+    gap verdict.  A Toeplitz case is a generator and takes the generator
+    dispatch; the others take the back end through the dense one."""
     from conewh.wiener_hopf import _small_singular_split
 
-    W = section()
+    A = section()
+    W = _toeplitz(A) if A.ndim == 1 else A
+    split = _small_singular_split if A.ndim == 1 else _dense_split
     ref = complex_singular_split(W)
     if ref["gap"] is not None and ref["gap"] < 1e3:
         with pytest.raises(IndexUnresolvedError):
-            _small_singular_split(W, 1e-8, 1e3)
+            split(A, 1e-8, 1e3)
         return
-    dim_ker, dim_coker, diag = _small_singular_split(W, 1e-8, 1e3)
+    dim_ker, dim_coker, diag = split(A, 1e-8, 1e3)
     assert (diag["count"], dim_ker, dim_coker) == (ref["count"], ref["dim_ker"],
                                                     ref["dim_coker"])
     assert ("gap" in diag) == (ref["gap"] is not None)
@@ -514,12 +553,13 @@ def test_flipped_section_singular_values_match_dense_svd(factorizations, w, N):
     and both gaps above the 1e3 rule."""
     from conewh.wiener_hopf import _singular_values
 
-    W = _seeded_rational_section(w, N, 40 + w)
+    c = _seeded_rational_section(w, N, 40 + w)
+    W = _toeplitz(c)
     assert W.dtype == np.float64 and not np.array_equal(W, W.T)
-    S, form, flip = _singular_values(W)
+    S, section, form, flip = _singular_values(c)
     assert factorizations == [("eigvalsh", np.float64)]
     assert np.array_equal(factorizations.args[0], W[:, ::-1])
-    assert flip and form is factorizations.args[0]
+    assert flip and form is factorizations.args[0] and _same_bits(section, W)
     ref = complex_singular_split(W)
     assert np.abs(S - ref["sigma"]).max() <= N * np.finfo(float).eps * ref["sigma_max"]
     k = int(np.sum(S < 1e-8 * S[0]))
@@ -531,25 +571,23 @@ def test_flipped_section_singular_values_match_dense_svd(factorizations, w, N):
 def test_real_section_that_is_not_persymmetric_gets_svdvals(factorizations):
     """eigvalsh reads one triangle only, so a real section equal to neither
     its transpose nor, column-reversed, its own transpose takes the SVD."""
-    from conewh.wiener_hopf import _singular_values
-
     W = _kernel_and_cokernel_section()
     assert not np.array_equal(W[:, ::-1], W[:, ::-1].T)
-    S, form, _ = _singular_values(W)
+    S, _, form, _ = dense_section_form(W)
     assert factorizations == [("svdvals", np.float64)] and form is None
     assert np.allclose(S, complex_singular_split(W)["sigma"], rtol=0, atol=1e-14)
 
 
 def _symmetric_toeplitz(N, seed, shifted):
-    """A seeded real symmetric Toeplitz section with a decaying generator;
-    shifted by its middle eigenvalue (the diagonal stays constant), it has one
-    singular value at the rounding floor."""
+    """The seeded, decaying, real even generator of a symmetric Toeplitz
+    section; shifted by the section's middle eigenvalue at lag 0, the section
+    has one singular value at the rounding floor."""
     rng = np.random.default_rng(seed)
-    idx = np.arange(N)
-    W = (rng.standard_normal(N) * np.exp(-idx / 8))[np.abs(idx[:, None] - idx[None, :])]
+    g = rng.standard_normal(N) * np.exp(-np.arange(N) / 8)
+    c = np.concatenate([g[:0:-1], g])
     if shifted:
-        W.flat[::N + 1] -= np.linalg.eigvalsh(W)[N // 2]
-    return W
+        c[N - 1] -= np.linalg.eigvalsh(_toeplitz(c))[N // 2]
+    return c
 
 
 @pytest.mark.parametrize("N, shifted", [(1, False)] + [(N, s) for N in (2, 3, 47, 48, 513, 1024)
@@ -561,23 +599,26 @@ def test_centrosymmetric_split_matches_complex_oracle(factorizations, N, shifted
     near-null count; the near-null vectors come from one solve against W."""
     from conewh.wiener_hopf import _singular_values, _small_singular_split
 
-    W = _symmetric_toeplitz(N, 70 + N, shifted)
+    c = _symmetric_toeplitz(N, 70 + N, shifted)
+    W = _toeplitz(c)
     assert np.array_equal(W, W.T) and np.array_equal(W, W[::-1, ::-1])
-    S, form, flip = _singular_values(W)
+    S, section, form, flip = _singular_values(c)
     assert factorizations == [("eigvalsh", np.float64)] * 2
     assert factorizations.exactly_hermitian("eigvalsh")
     assert _half_orders(factorizations) == [((N + 1) // 2, N // 2)]
-    assert form is W and not flip
+    # no N x N matrix is built; the Hermitian form is W itself, unflipped
+    assert section is None and form is None and not flip
     ref = complex_singular_split(W)
     assert np.abs(S - ref["sigma"]).max() <= N * np.finfo(float).eps * ref["sigma_max"]
     k = int(np.sum(S < 1e-8 * S[0]))
     assert k == ref["count"] == int(shifted)
     if shifted:
         factorizations.clear()
-        assert _small_singular_split(W, 1e-8, 1e3)[2]["count"] == 1
-        solves = factorizations.args[2:]
+        assert _small_singular_split(c, 1e-8, 1e3)[2]["count"] == 1
+        solves = factorizations.args[2:-3]
         assert factorizations[:2] == [("eigvalsh", np.float64)] * 2
-        assert factorizations[2:] == [("solve", np.float64)] * len(solves) and solves[0] is W
+        assert factorizations[2:-3] == [("solve", np.float64)] * len(solves)
+        assert np.array_equal(solves[0], W) and factorizations[-3:] == _pairing()
         # A second solve, shifted, only when W is exactly singular (at N = 3
         # the shift can make the first and last rows equal).
         try:
@@ -592,14 +633,12 @@ def test_centrosymmetric_split_matches_complex_oracle(factorizations, N, shifted
 def test_complex_hermitian_centrosymmetric_split_matches_complex_oracle(factorizations, N):
     """The split needs only W = W^H = J W J, so it serves a complex Hermitian
     matrix that equals its reversal as well (a Toeplitz one would be real)."""
-    from conewh.wiener_hopf import _singular_values
-
     rng = np.random.default_rng(80 + N)
     A = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     A = A + A[::-1, ::-1]
     W = (A + A.conj().T) / 2
     assert np.array_equal(W, W.conj().T) and np.array_equal(W, W[::-1, ::-1])
-    S, form, flip = _singular_values(W)
+    S, _, form, flip = dense_section_form(W)
     assert factorizations == [("eigvalsh", np.complex128)] * 2
     assert factorizations.exactly_hermitian("eigvalsh")
     assert form is W and not flip
@@ -610,21 +649,19 @@ def test_complex_hermitian_centrosymmetric_split_matches_complex_oracle(factoriz
 def test_symmetric_section_that_is_not_persymmetric_skips_the_split(factorizations):
     """A real symmetric matrix that does not equal its reversal takes one
     eigvalsh of full order, and its near-null vectors one solve against it."""
-    from conewh.wiener_hopf import _singular_values, _small_singular_split
-
-    W = _symmetric_toeplitz(64, 9, False)
+    W = _toeplitz(_symmetric_toeplitz(64, 9, False))
     W[0, 5] = W[5, 0] = W[0, 5] + 0.25
     assert np.array_equal(W, W.T) and not np.array_equal(W, W[::-1, ::-1])
     W.flat[::65] -= np.linalg.eigvalsh(W)[32]
-    S, form, flip = _singular_values(W)
+    S, _, form, flip = dense_section_form(W)
     assert factorizations == [("eigvalsh", np.float64)] and factorizations.args[0] is W
     assert form is W and not flip
     ref = complex_singular_split(W)
     assert np.abs(S - ref["sigma"]).max() <= 64 * np.finfo(float).eps * ref["sigma_max"]
     assert int(np.sum(S < 1e-8 * S[0])) == ref["count"] == 1
     factorizations.clear()
-    assert _small_singular_split(W, 1e-8, 1e3)[2]["count"] == 1
-    assert factorizations == [("eigvalsh", np.float64), ("solve", np.float64)]
+    assert _dense_split(W, 1e-8, 1e3)[2]["count"] == 1
+    assert factorizations == [("eigvalsh", np.float64), ("solve", np.float64)] + _pairing()
     assert factorizations.args[1] is W
 
 
@@ -632,14 +669,13 @@ def test_exactly_singular_section_is_solved_shifted(factorizations):
     """The zero-pivot section has no Hermitian form: W and W^H are solved in
     one stacked call, which meets the exactly zero pivot, and once more
     shifted by eps * sigma_max * I; the split still matches the oracle."""
-    from conewh.wiener_hopf import _small_singular_split
-
     W = _zero_pivot_section()
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(W, np.ones(512))
-    dim_ker, dim_coker, diag = _small_singular_split(W, 1e-8, 1e3)
-    assert factorizations == [("svdvals", np.float64)] + [("solve", np.float64)] * 2
-    stacked, shifted = factorizations.args[1:]
+    dim_ker, dim_coker, diag = _dense_split(W, 1e-8, 1e3)
+    assert factorizations == ([("svdvals", np.float64)] + [("solve", np.float64)] * 2
+                              + _pairing())
+    stacked, shifted = factorizations.args[1:3]
     assert np.array_equal(stacked, np.stack([W, W.T]))
     assert np.array_equal(shifted, stacked + np.finfo(float).eps * diag["sigma_max"] * np.eye(512))
     ref = complex_singular_split(W)
@@ -660,27 +696,27 @@ def test_modulated_section_is_complex_with_the_real_split():
     section: complex entries, the same count and attribution."""
     from conewh.wiener_hopf import _small_singular_split
 
-    Wc = _seeded_rational_section(-1, 512, 7, modulation=3.0)
-    Wr = _seeded_rational_section(-1, 512, 7)
-    assert Wc.dtype == np.complex128 and Wr.dtype == np.float64
-    split_c = _small_singular_split(Wc, 1e-8, 1e3)
-    split_r = _small_singular_split(Wr, 1e-8, 1e3)
+    cc = _seeded_rational_section(-1, 512, 7, modulation=3.0)
+    cr = _seeded_rational_section(-1, 512, 7)
+    assert cc.dtype == np.complex128 and cr.dtype == np.float64
+    split_c = _small_singular_split(cc, 1e-8, 1e3)
+    split_r = _small_singular_split(cr, 1e-8, 1e3)
     assert split_c[:2] == split_r[:2] == (1, 0)
 
 
-@pytest.mark.parametrize("W, delta_factor", [
-    pytest.param(np.zeros((8, 8)), 1e-8, id="zero-section"),
-    pytest.param(wh_matrix(symbol_preset("rational-w-1", 0.05, 52.0), "half-line", 32,
-                           identity_shift=True).entries, 2.0, id="delta-above-sigma-max"),
+@pytest.mark.parametrize("c, delta_factor", [
+    pytest.param(np.zeros(15), 1e-8, id="zero-section"),
+    pytest.param(_section(symbol_preset("rational-w-1", 0.05, 52.0), 32), 2.0,
+                 id="delta-above-sigma-max"),
 ])
-def test_split_with_every_value_near_zero_is_unresolved(W, delta_factor):
+def test_split_with_every_value_near_zero_is_unresolved(c, delta_factor):
     """k = N leaves no singular value above the count, so there is no gap to
     resolve the index: the split raises instead of attributing an arbitrary
     basis of the whole space."""
     from conewh.wiener_hopf import _small_singular_split
 
     with pytest.raises(IndexUnresolvedError, match="gap 0 above"):
-        _small_singular_split(W, delta_factor, 1e3)
+        _small_singular_split(c, delta_factor, 1e3)
 
 
 def test_twisted_face_sections_factor_by_structure(factorizations):
@@ -727,7 +763,7 @@ def test_hierarchy_factors_each_distinct_face_column_once(factorizations):
     each face factors 6 distinct columns of 9, at both truncations, and every
     row reads the sigma_min of its own section."""
     from conewh.presets import preset_spec
-    from conewh.wiener_hopf import _assemble, _singular_values, _twisted_restrictions
+    from conewh.wiener_hopf import _generator, _singular_values, _twisted_restrictions
 
     spec = preset_spec("experiments", "hierarchy-gauss2d-small")
     S = symbol_preset(spec["symbol"], spec["h"], spec["T"])
@@ -741,7 +777,136 @@ def test_hierarchy_factors_each_distinct_face_column_once(factorizations):
         assert len({g.tobytes() for g in G.T}) == 6
         for r, g in zip(fr["rows"], G.T):
             assert r["sigma_min"] == {N: float(_singular_values(
-                _assemble(g, S.h, S.T, N, True))[0][-1]) for N in spec["N"]}
+                _generator(g, S.h, S.T, N, True))[0][-1]) for N in spec["N"]}
+
+
+def _seeded_generator(kind, N, seed):
+    """A seeded, decaying generator of the given structure, with the identity
+    shift at lag 0: real and even, real, complex and conjugate-even, or
+    complex with no structure.  As in the module, it is complex only when an
+    imaginary part is nonzero, so at N = 1 every kind but the last is real
+    and even."""
+    rng = np.random.default_rng(seed)
+    decay = np.exp(-np.abs(np.arange(1 - N, N)) / 8)
+    if kind == "real-even":
+        g = rng.standard_normal(N)
+        c = np.concatenate([g[:0:-1], g])
+    elif kind == "conjugate-even":
+        g = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        g[0] = g[0].real
+        c = np.concatenate([g[:0:-1].conj(), g])
+    elif kind == "real":
+        c = rng.standard_normal(2 * N - 1)
+    else:
+        c = rng.standard_normal(2 * N - 1) + 1j * rng.standard_normal(2 * N - 1)
+    c = c * decay
+    c[N - 1] += 1.0
+    return c if c.imag.any() else c.real
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 47, 48, 513, 1024])
+@pytest.mark.parametrize("kind", ["real-even", "real", "conjugate-even", "complex-general"])
+def test_generator_dispatch_matches_dense_form(factorizations, kind, N):
+    """The O(N) tests on a generator pick the form that the N x N equality
+    checks pick on its section, and every factorization, the solve and the
+    pairing included, reads the same bits on both paths."""
+    from conewh.wiener_hopf import _singular_values, _small_singular_split, _split_form
+
+    c = _seeded_generator(kind, N, 90 + N)
+    W = _toeplitz(c)
+    sigma, section, S, flip = _singular_values(c)
+    calls, args = list(factorizations), list(factorizations.args)
+    factorizations.clear()
+    ref_sigma, _, ref_S, ref_flip = dense_section_form(W)
+    assert calls == factorizations
+    assert all(_same_bits(a, b) for a, b in zip(args, factorizations.args))
+    assert _same_bits(sigma, ref_sigma) and flip == ref_flip
+    form = kind if N > 1 or kind == "complex-general" else "real-even"
+    if form == "real-even":                 # two half-order blocks, no N x N matrix
+        assert section is S is None and ref_S is W
+        assert calls == [("eigvalsh", np.float64)] * 2
+    else:
+        assert _same_bits(S, ref_S) if S is not None else ref_S is None
+        assert _same_bits(section, W)
+        assert len(calls) == 1 and calls[0][0] == ("svdvals" if form == "complex-general"
+                                                   else "eigvalsh")
+    assert flip is (form == "real")
+    # A count that takes the k = min(2, N - 1) smallest values under a gap
+    # ratio of 1, so that both paths solve and pair.
+    k = min(2, N - 1)
+    delta_factor = (sigma[-k - 1] + sigma[-k]) / 2 / sigma[0] if k else 1e-8
+    factorizations.clear()
+    split = _small_singular_split(c, delta_factor, 1.0)
+    calls, args = list(factorizations), list(factorizations.args)
+    factorizations.clear()
+    assert _split_form(*dense_section_form(W), delta_factor, 1.0) == split
+    assert split[2]["count"] == k
+    assert calls == factorizations
+    assert all(_same_bits(a, b) for a, b in zip(args, factorizations.args))
+    if k:
+        assert [name for name, _ in calls][-4:] == ["solve", "qr", "qr", "svd"]
+
+
+_INDEX_PRESETS = ["rational-w-1", "rational-w+1", "rational-w-2", "rational-w+2",
+                  "gauss-small", "singular-zero", "zero"]
+
+
+@pytest.mark.parametrize("command, preset", [("index1d", p) for p in _INDEX_PRESETS]
+                         + [("hierarchy2d", "hierarchy-gauss2d-small")])
+def test_structure_checks_read_the_generator_only(tmp_path, monkeypatch, command, preset):
+    """On every packaged section, no structure comparison in the module reads
+    more than the 2N - 1 entries of the generator, and a centrosymmetric
+    section (a real even generator) is factored without an N x N array: it
+    takes no window of c longer than ceil(N/2), and its traced allocations
+    peak below one N x N array beyond the two buffers of numpy's ufunc loops
+    (np.getbufsize() elements each)."""
+    import sys
+    import tracemalloc
+
+    import conewh.wiener_hopf as wh
+    from conewh.cli import RunConfig, run
+
+    array_equal, singular_values, window_view = (np.array_equal, wh._singular_values,
+                                                 wh.sliding_window_view)
+    sections, compared, windows, peaks = [], [], [], []
+    factoring = [None]                  # N of the centrosymmetric section in the dispatch
+
+    def counted_equal(a, b, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == wh.__name__:
+            compared.append((max(np.size(a), np.size(b)), len(sections[-1])))
+        return array_equal(a, b, *args, **kwargs)
+
+    def counted_window_view(x, window_shape, *args, **kwargs):
+        windows.append((factoring[0], int(np.max(window_shape))))
+        return window_view(x, window_shape, *args, **kwargs)
+
+    def traced_singular_values(c):
+        sections.append(c)
+        if np.iscomplexobj(c) or not array_equal(c, c[::-1]):
+            return singular_values(c)
+        factoring[0] = N = (len(c) + 1) // 2
+        tracemalloc.start()
+        try:
+            out = singular_values(c)
+            peaks.append((N, tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+            factoring[0] = None
+        return out
+
+    monkeypatch.setattr(np, "array_equal", counted_equal)
+    monkeypatch.setattr(wh, "_singular_values", traced_singular_values)
+    monkeypatch.setattr(wh, "sliding_window_view", counted_window_view)
+    assert run(RunConfig(command, preset, str(tmp_path), None)) == 0
+    assert sections and compared
+    assert all(entries <= width for entries, width in compared)
+    even = preset in ("gauss-small", "singular-zero", "zero") or command == "hierarchy2d"
+    assert len(peaks) == (len(sections) if even else 0)
+    buffers = 2 * np.getbufsize() * 8
+    assert all(peak - buffers < N * N * 8 for N, peak in peaks)
+    assert all(length <= (N + 1) // 2 for N, length in windows if N is not None)
+    if even:                            # no near-null triple, so no section built later
+        assert windows and all(N is not None for N, _ in windows)
 
 
 _FACE_KERNELS = [
