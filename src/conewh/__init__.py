@@ -37,7 +37,7 @@ _EXPORTS = {
         "triv_det", "triv_det_formula"),
         "trivialization"),
     **dict.fromkeys((
-        "FredholmReport", "SymbolGrid", "WHMatrix", "classical_index", "face_symbol",
+        "FredholmReport", "SymbolGrid", "classical_index", "face_symbol",
         "face_symbol_twisted", "hierarchy_fredholm", "make_symbol", "numerical_index",
         "symbol_curve", "wh_matrix", "winding_number"),
         "wiener_hopf"),

@@ -39,7 +39,7 @@ from .io import (
     write_csv,
 )
 from .limits import hausdorff_distance, pk_converged, sample_cone
-from .presets import cone_preset, preset_spec, resolve_symbol
+from .presets import cone_preset, preset_spec, resolve_symbol, symbol_dim
 from .strata import ray_limit, spectrum_poset, strata
 
 COMMANDS = ("lattice", "strata", "spectrum", "trivialize", "index1d",
@@ -47,6 +47,9 @@ COMMANDS = ("lattice", "strata", "spectrum", "trivialize", "index1d",
 SAMPLING_COMMANDS = ("trivialize",)
 # --tol keys each command reads; any other key is a configuration error.
 TOLERANCE_KEYS = {"hierarchy2d": ("margin_tol",), "pklimit": ("eps",)}
+# The most entries of one array a spec may ask for; the largest any preset or
+# benchmark job builds is an N = 1024 section, 2**20 entries.
+MAX_ENTRIES = 2**26
 
 
 @dataclass
@@ -142,15 +145,28 @@ def _finite_list(value, what, length=None):
                       f"got {value!r}")
 
 
+def _check_size(what, side, dim=1):
+    """Reject an array of side**dim entries above MAX_ENTRIES before it is made."""
+    if not (side <= MAX_ENTRIES and side**dim <= MAX_ENTRIES):
+        power = "" if dim == 1 else f"**{dim}"
+        raise ConfigError(f"{what} would hold {side:.6g}{power} entries, more than the "
+                          f"limit of 2**26 = {MAX_ENTRIES}")
+
+
 def _symbol_grid(spec):
     """(symbol, truncations) of an experiment spec: h and T finite and positive,
-    N a list of at least two positive integers."""
+    N a strictly increasing list of at least two positive integers, and the
+    kernel grid and the largest section within MAX_ENTRIES."""
     _require(spec, "symbol", "h", "T", "N")
     h, T = _positive(spec, "h", None), _positive(spec, "T", None)
     sizes = spec["N"]
     if not isinstance(sizes, list) or len(sizes) < 2:
         raise ConfigError(f"'N' must list at least two truncation sizes, got {sizes!r}")
     truncations = tuple(_positive_int(n, "each truncation size in 'N'") for n in sizes)
+    if any(a >= b for a, b in zip(truncations, truncations[1:])):
+        raise ConfigError(f"'N' must be strictly increasing, got {sizes!r}")
+    _check_size("the kernel grid", 2 * T / h + 1, symbol_dim(spec["symbol"]))
+    _check_size("the largest section", truncations[-1], 2)
     return resolve_symbol(spec["symbol"], h, T), truncations
 
 
@@ -290,6 +306,7 @@ def _cmd_trivialize(config):
     cone = _spec_cone(spec)
     angle = _finite(spec, "angle_deg", 5.0)
     samples = _positive_int(spec.get("samples", 500), "'samples'")
+    _check_size("'samples'", samples)
     rng = np.random.default_rng(config.seed)
     xi0 = (np.asarray(_finite_list(spec["xi0"], "'xi0'", cone.ambient_dim))
            if "xi0" in spec else None)
@@ -407,6 +424,8 @@ def _cmd_pklimit(config):
     eps = _positive(config.tolerances if "eps" in config.tolerances else spec, "eps", 0.5)
     window = _positive(spec, "window", 4.0)
     step = _positive(spec, "step", eps / 2)
+    _check_size("the window lattice", 2 * window / step + 1, cone.ambient_dim)
+    _check_size("the eps stencil", 2 * eps / step + 1, cone.ambient_dim)
     bounds = (-window, window)
 
     xf = as_float(direction)

@@ -36,7 +36,6 @@ from .exact import (
     rank,
     rref,
     rvec,
-    span_basis,
     vdot,
     vneg,
 )
@@ -234,10 +233,6 @@ def face_as_cone(face: Face) -> PolyhedralCone:
     return cone_from_generators(face.generators, face.parent.ambient_dim)
 
 
-def face_span_basis(face: Face):
-    return span_basis(list(face.generators), face.parent.ambient_dim)
-
-
 def require_pointed(cone, what):
     """Raise NotPointedError, with the rank found, unless the cone is pointed."""
     if not is_pointed(cone):
@@ -353,8 +348,3 @@ def project_cone(cone: PolyhedralCone, subspace_basis) -> PolyhedralCone:
         if not is_zero_vec(p):
             projected.append(p)
     return cone_from_generators(projected, cone.ambient_dim)
-
-
-def minkowski_sum_cone(gens_a, gens_b, ambient_dim) -> PolyhedralCone:
-    """Conic hull of the union of two generator lists (sum of the two cones)."""
-    return cone_from_generators(list(gens_a) + list(gens_b), ambient_dim)

@@ -3,9 +3,9 @@ Minkowski gauges with directional derivatives and gradients, and normal cones.
 
 Bodies come in a few concrete shapes (Euclidean ball, H-rep polytope,
 polyhedral cone, and gauge bodies sliced from cones).
-Polyhedral projections are active-set solves: cones via nonnegative least
-squares on the generators, polytopes via exact KKT enumeration over facet
-subsets.  All sampling takes explicit RNGs; nothing here keeps global state.
+Polyhedral projections are one active-set solve, exact KKT enumeration over
+facet subsets: a polytope's, and a cone's as the polyhedron of its facet
+normals.  All sampling takes explicit RNGs; nothing here keeps global state.
 """
 
 import itertools
@@ -24,34 +24,7 @@ _TOL = 1e-9
 _ANGLE_TOL = 1e-8
 
 
-def project_onto_ray_cone(rays, x):
-    """Projection onto cone{rays} by nonnegative least squares (active set)."""
-    from scipy.optimize import nnls   # 0.4 s of import that trivialize never needs
-
-    rays = np.atleast_2d(np.asarray(rays, dtype=float))
-    x = np.asarray(x, dtype=float)
-    if rays.size == 0:
-        return np.zeros_like(x)
-    coeffs, _ = nnls(rays.T, x)
-    return rays.T @ coeffs
-
-
-class ConvexBody:
-    """Minimal common surface: membership, projection, support."""
-
-    dim = None
-
-    def contains(self, x, tol=1e-9):
-        raise NotImplementedError
-
-    def project(self, x):
-        raise NotImplementedError
-
-    def support(self, x):
-        raise NotImplementedError
-
-
-class BallBody(ConvexBody):
+class BallBody:
     """Euclidean ball of given radius centred at the origin."""
 
     def __init__(self, radius, dim):
@@ -88,8 +61,9 @@ class BallBody(ConvexBody):
         return [x / (self.radius * np.linalg.norm(x))]
 
 
-class HPolytopeBody(ConvexBody):
-    """Compact polytope {z : A z <= b} with optional vertex list.
+class HPolytopeBody:
+    """Polyhedron {z : A z <= b} with optional vertex list, compact with 0
+    inside for the gauge calculus.
 
     Projection enumerates facet subsets and checks the KKT conditions; for
     bodies with <= ~12 facets and dimension <= 3 this is exact and fast.
@@ -246,21 +220,23 @@ class HPolytopeBody(ConvexBody):
         return float(np.max(np.linalg.norm(self.vertices, axis=1)))
 
 
-class PolyhedralConeBody(ConvexBody):
-    """Float polyhedral cone given by rays and (optionally) facet normals."""
+class PolyhedralConeBody:
+    """Float polyhedral cone {y : normals @ y >= 0} with its rays.
 
-    def __init__(self, rays, normals=None):
+    Membership and projection are those of the polyhedron {y : -normals @ y <= 0},
+    built once per body.
+    """
+
+    def __init__(self, rays, normals):
         self.rays = np.atleast_2d(np.asarray(rays, dtype=float))
-        self.normals = None if normals is None else np.atleast_2d(np.asarray(normals, float))
         self.dim = self.rays.shape[1]
+        self.normals = np.asarray(normals, dtype=float).reshape(-1, self.dim)
+        self._polyhedron = HPolytopeBody(-self.normals, np.zeros(len(self.normals)))
 
     @classmethod
     def from_exact(cls, cone):
-        rays = np.array([as_float(g) for g in cone.generators])
-        normals = np.array([as_float(a) for a in cone.inequalities])
-        if rays.size == 0:
-            rays = np.zeros((0, cone.ambient_dim))
-        return cls(rays, normals)
+        rays = np.reshape([as_float(g) for g in cone.generators], (-1, cone.ambient_dim))
+        return cls(rays, [as_float(a) for a in cone.inequalities])
 
     def rotated(self, theta):
         """Planar rotation of a 2-D cone by theta radians."""
@@ -268,18 +244,13 @@ class PolyhedralConeBody(ConvexBody):
             raise DimensionMismatchError("rotation helper is 2-D only")
         c, s = np.cos(theta), np.sin(theta)
         R = np.array([[c, -s], [s, c]])
-        normals = None if self.normals is None else self.normals @ R.T
-        return PolyhedralConeBody(self.rays @ R.T, normals)
+        return PolyhedralConeBody(self.rays @ R.T, self.normals @ R.T)
 
     def contains(self, x, tol=1e-9):
-        if self.normals is not None and len(self.normals):
-            scale = np.maximum(np.linalg.norm(self.normals, axis=1), 1.0)
-            return bool(np.all(self.normals @ np.asarray(x, float) >= -tol * scale))
-        p = self.project(x)
-        return bool(np.linalg.norm(p - np.asarray(x, float)) <= tol)
+        return self._polyhedron.contains(x, tol)
 
     def project(self, x):
-        return project_onto_ray_cone(self.rays, x)
+        return self._polyhedron.project(x)
 
     def support(self, x):
         x = np.asarray(x, dtype=float)
@@ -353,22 +324,23 @@ def gauge_directional(body, x, v):
 def gauge_gradient(body, x):
     """Gradient of the gauge where the rescaled point is a smooth boundary point.
 
-    Uses the normal-cone projection form: mu(x)/<pi_N(x), x> * pi_N(x) with N
-    the normal cone at x/mu(x).  Raises if the supporting hyperplane is not
+    Normal-cone form: mu(x)/<y, x> * y for the one direction y of the normal
+    set at x/mu(x), the projection form mu(x)/<pi_N(x), x> * pi_N(x) with the
+    scale of pi_N(x) cancelled.  Raises if the supporting hyperplane is not
     unique (within angular tolerance 1e-8), attaching the normal generators.
     """
     x = np.asarray(x, dtype=float)
     nset = body.gauge_normal_set(x)
-    if len(_distinct_directions(nset)) != 1:
+    dirs = _distinct_directions(nset)
+    if len(dirs) != 1:
         raise NotDifferentiableError("subdifferential not a singleton",
                                      normal_generators=nset)
-    mu = body.gauge(x)
-    p = project_onto_ray_cone(np.array(nset), x)
-    denom = p @ x
+    y = dirs[0]
+    denom = y @ x
     if denom <= 0:
         raise NotDifferentiableError("degenerate normal projection",
                                      normal_generators=nset)
-    return (mu / denom) * p
+    return (body.gauge(x) / denom) * y
 
 
 def gauge_gradient_projection_form(body, x):

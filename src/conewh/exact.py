@@ -70,13 +70,6 @@ def _int_row(v):
     return _primitive([a.numerator * (den // a.denominator) for a in v])
 
 
-def _ray_ints(v):
-    ints = _int_row(v)
-    if not any(ints):
-        raise ValueError("zero vector has no ray direction")
-    return ints
-
-
 def _line(ints):
     """Fraction tuple of a primitive integer row, first nonzero entry made positive."""
     if next((a for a in ints if a), 0) < 0:
@@ -90,15 +83,10 @@ def canonical_ray(v) -> Vec:
     The direction of a ray is only defined up to positive scaling, so the
     sign pattern must be preserved.
     """
-    return tuple(map(Fraction, _ray_ints(v)))
-
-
-def canonical_line(v) -> Vec:
-    """Like canonical_ray but also flips sign so the first nonzero entry is positive.
-
-    Used where the sign is genuinely free (subspace basis vectors).
-    """
-    return _line(_ray_ints(v))
+    ints = _int_row(v)
+    if not any(ints):
+        raise ValueError("zero vector has no ray direction")
+    return tuple(map(Fraction, ints))
 
 
 def _echelon(rows):
@@ -181,33 +169,15 @@ def invert(rows):
     return [tuple(Fraction(a, row[p]) for a in row[k:]) for row, p in zip(ints, pivots)]
 
 
-def matvec(rows, v):
-    return tuple(vdot(r, v) for r in rows)
-
-
-def projection_matrix(basis_rows):
-    """Rows of the orthogonal projector onto span(basis_rows): B^T (B B^T)^-1 B."""
-    k = len(basis_rows)
-    n = len(basis_rows[0])
-    gram = [[vdot(basis_rows[i], basis_rows[j]) for j in range(k)] for i in range(k)]
-    ginv = invert(gram)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            s = Fraction(0)
-            for a in range(k):
-                for b in range(k):
-                    s += basis_rows[a][i] * ginv[a][b] * basis_rows[b][j]
-            row.append(s)
-        rows.append(tuple(row))
-    return rows
-
-
 def project_onto_span(basis_rows, v):
+    """Orthogonal projection of v onto span(basis_rows): sum_a c_a b_a for a
+    solution c of the Gram system (B B^T) c = B v, which always has one."""
     if not basis_rows:
         return tuple(Fraction(0) for _ in v)
-    return matvec(projection_matrix(basis_rows), v)
+    c = solve_linear([[vdot(a, b) for b in basis_rows] for a in basis_rows],
+                     [vdot(b, v) for b in basis_rows])
+    return tuple(sum((ca * b[i] for ca, b in zip(c, basis_rows)), Fraction(0))
+                 for i in range(len(v)))
 
 
 def gram_schmidt(vectors):
@@ -230,5 +200,5 @@ def gram_schmidt(vectors):
 
 def span_basis(vectors, n):
     """Canonical basis of the span of the given vectors in Q^n."""
-    # A primitive RREF row with a positive pivot is already canonical_line.
+    # A primitive RREF row is canonical: its pivot, the first nonzero entry, is positive.
     return [tuple(map(Fraction, row)) for row in _echelon(vectors)[0]]

@@ -230,13 +230,22 @@ def symbol_from_expression(expr, dim, h, T, name="expr"):
     return make_symbol(f, dim, h, T, name=name)
 
 
-def resolve_symbol(spec, h, T):
-    """The SymbolGrid of a preset name or an {'expr': ..., 'dim': ...} object."""
+def symbol_dim(spec):
+    """The kernel dimension of a preset name or an {'expr': ..., 'dim': ...}
+    object, read before any sample is taken."""
     if isinstance(spec, str):
-        return symbol_preset(spec, h, T)
+        return 2 if spec in _SYMBOLS_2D else 1      # symbol_preset rejects other names
     if isinstance(spec, dict) and "expr" in spec:
         dim = spec.get("dim", 1)
         if type(dim) is not int or dim not in (1, 2):
             raise ConfigError(f"symbol 'dim' must be the integer 1 or 2, got {dim!r}")
-        return symbol_from_expression(spec["expr"], dim, h, T, name=spec.get("name", "expr"))
+        return dim
     raise ConfigError("symbol must be a preset name or an expression object")
+
+
+def resolve_symbol(spec, h, T):
+    """The SymbolGrid of a preset name or an {'expr': ..., 'dim': ...} object."""
+    dim = symbol_dim(spec)
+    if isinstance(spec, str):
+        return symbol_preset(spec, h, T)
+    return symbol_from_expression(spec["expr"], dim, h, T, name=spec.get("name", "expr"))

@@ -38,7 +38,6 @@ from .exact import (
     project_onto_span,
     rvec,
     solve_linear,
-    span_basis,
     vdot,
 )
 
@@ -169,8 +168,7 @@ def recover_face_point(omega: PolyhedralCone, rows, offsets):
     match = next((f for f in lat.faces if f.generators == g_cone.generators), None)
     if match is None:
         raise NotOrderPointError("not an order point")
-    basis = span_basis(list(match.generators), n)
-    x = project_onto_span(basis, x0) if basis else tuple(Fraction(0) for _ in range(n))
+    x = project_onto_span(list(match.generators), x0)
     if not relative_dual(match).contains(x):
         raise NotOrderPointError("not an order point")
     return match, x

@@ -141,13 +141,6 @@ def make_symbol(f, dim, h, T, name="") -> SymbolGrid:
     return SymbolGrid(dim, h, T, xs, vals, fhat, freqs, name=name)
 
 
-@dataclass
-class WHMatrix:
-    """Finite section of the Wiener-Hopf operator on a discretized cone."""
-
-    entries: np.ndarray
-
-
 def _generator(kernel, h, T, N, identity_shift):
     """The generator c of a finite section, from kernel samples centred on the
     window: the h^dim-scaled samples at the lags -(N-1), ..., N-1 along each
@@ -177,8 +170,9 @@ def _toeplitz(c):
     return windows.copy().reshape(N**c.ndim, N**c.ndim)
 
 
-def wh_matrix(symbol: SymbolGrid, cone: str, N: int, identity_shift=False) -> WHMatrix:
-    """Riemann-sum finite section: entries h^dim * f(x_i - x_j) over the cone grid.
+def wh_matrix(symbol: SymbolGrid, cone: str, N: int, identity_shift=False) -> np.ndarray:
+    """Riemann-sum finite section, one matrix: entries h^dim * f(x_i - x_j) over the
+    cone grid.
 
     1-D sections are Toeplitz; the quarter plane gives a block-Toeplitz matrix
     with Toeplitz blocks (row-major over the index pairs).  The section is real
@@ -189,7 +183,7 @@ def wh_matrix(symbol: SymbolGrid, cone: str, N: int, identity_shift=False) -> WH
         raise DimensionMismatchError(f"unsupported cone '{cone}'")
     if symbol.dim != dims[cone]:
         raise DimensionMismatchError(f"{cone} needs a {dims[cone]}-D symbol")
-    return WHMatrix(_toeplitz(_generator(symbol.kernel, symbol.h, symbol.T, N, identity_shift)))
+    return _toeplitz(_generator(symbol.kernel, symbol.h, symbol.T, N, identity_shift))
 
 
 def winding_number(curve) -> int:
@@ -529,7 +523,7 @@ def hierarchy_fredholm(symbol: SymbolGrid, truncations=(48, 96), y_values=None,
                 sigma_min[key] = {N: float(_singular_values(
                     _generator(g, symbol.h, symbol.T, N, True))[0][-1]) for N in truncations}
             rows.append({"y": float(y), "sigma_min": dict(sigma_min[key])})
-        n1, n2 = truncations[0], truncations[-1]
+        n1, n2 = min(truncations), max(truncations)
         margin = min(min(r["sigma_min"].values()) for r in rows)
         decreasing = [r["y"] for r in rows
                       if r["sigma_min"][n2] < _STABILITY_RATIO * r["sigma_min"][n1]]

@@ -16,7 +16,12 @@ oracle of face_symbol's convolution homomorphism), the product symbol, and
 the change of variables of a simplicial 2-D cone to the quarter plane.  The exact linear algebra
 oracles are the library's earlier `Fraction` Gauss-Jordan elimination and
 Gram-Schmidt; the brute-force and double description oracles run on them,
-not on `conewh.exact`.  The report text oracle is the standard library's
+not on `conewh.exact`; the exact projection onto a span is the library's
+earlier dense route, the full rational projector B^T (B B^T)^-1 B applied to
+the vector.  The projection onto a float polyhedral cone is the library's
+earlier nonnegative least squares on its rays.  The face-projection oracles of
+criterion 4 are the span basis of a face and the Minkowski sum of two cones
+from their generators.  The report text oracle is the standard library's
 indented `json.dumps`.
 """
 
@@ -27,11 +32,13 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import toeplitz
+from scipy.optimize import nnls
 from scipy.signal import fftconvolve
 from scipy.spatial import cKDTree
 
+from conewh.cones import cone_from_generators
 from conewh.errors import DimensionMismatchError, KernelWindowError
-from conewh.exact import is_zero_vec, rvec, vdot, vneg
+from conewh.exact import is_zero_vec, rvec, span_basis, vdot, vneg
 from conewh.wiener_hopf import SymbolGrid, make_symbol, wh_matrix
 
 
@@ -137,6 +144,39 @@ def fraction_gram_schmidt(vectors):
         if not is_zero_vec(w):
             ortho.append(tuple(w))
     return [fraction_canonical_line(u) for u in ortho]
+
+
+def dense_project_onto_span(basis_rows, v):
+    """Projection of v onto the span of independent rows: the rows of the full
+    n x n rational projector B^T (B B^T)^-1 B, each dotted with v."""
+    if not basis_rows:
+        return tuple(Fraction(0) for _ in v)
+    k, n = len(basis_rows), len(basis_rows[0])
+    ginv = fraction_invert([[vdot(a, b) for b in basis_rows] for a in basis_rows])
+    projector = [tuple(sum((basis_rows[a][i] * ginv[a][b] * basis_rows[b][j]
+                            for a in range(k) for b in range(k)), Fraction(0))
+                       for j in range(n)) for i in range(n)]
+    return tuple(vdot(row, v) for row in projector)
+
+
+def face_span_basis(face):
+    """Canonical basis of the linear span of a face."""
+    return span_basis(list(face.generators), face.parent.ambient_dim)
+
+
+def minkowski_sum_cone(gens_a, gens_b, ambient_dim):
+    """Conic hull of the union of two generator lists (sum of the two cones)."""
+    return cone_from_generators(list(gens_a) + list(gens_b), ambient_dim)
+
+
+def nnls_project_onto_ray_cone(rays, x):
+    """Projection of x onto cone{rays} by nonnegative least squares on the rays."""
+    rays = np.atleast_2d(np.asarray(rays, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if rays.size == 0:
+        return np.zeros_like(x)
+    return rays.T @ nnls(rays.T, x)[0]
+
 
 def vrep_member(rays, x):
     """Exact membership in cone{rays} by Caratheodory subset enumeration."""
@@ -430,7 +470,7 @@ def rep_L(symbol, face, y, h_in):
     if symbol.dim == 1:
         if float(y) != 0.0:
             raise DimensionMismatchError("half-line fibre has trivial orthocomplement")
-        return wh_matrix(symbol, "half-line", N).entries @ h_in
+        return wh_matrix(symbol, "half-line", N) @ h_in
     axis = {"e1": 0, "e2": 1}[face]
     M = (symbol.npoints - 1) // 2
     if N * symbol.h > symbol.T + 1e-12:

@@ -14,8 +14,6 @@ from conewh.cones import (
     dual_cone,
     face_as_cone,
     face_lattice,
-    face_span_basis,
-    minkowski_sum_cone,
     project_cone,
     relative_dual,
     dual_face,
@@ -54,7 +52,13 @@ from conewh.wiener_hopf import (
     winding_number,
 )
 
-from oracles import brute_force_faces, convolve_kernels, rep_L
+from oracles import (
+    brute_force_faces,
+    convolve_kernels,
+    face_span_basis,
+    minkowski_sum_cone,
+    rep_L,
+)
 
 
 def _verdict(num, label, ok):
@@ -89,14 +93,14 @@ def test_criterion_2_fredholm_criterion():
     singular = symbol_preset("singular-zero", H, 30.0)
     sig = {}
     for N in (128, 512):
-        Wop = wh_matrix(singular, "half-line", N, identity_shift=True).entries
+        Wop = wh_matrix(singular, "half-line", N, identity_shift=True)
         sig[N] = svdvals(Wop)[-1]
     ok &= sig[128] >= 2.0 * sig[512]
     for name in ("zero", "gauss-small", "gauss-neg"):
         sym = symbol_preset(name, H, 30.0)
         vals = []
         for N in (128, 256, 512):
-            Wop = wh_matrix(sym, "half-line", N, identity_shift=True).entries
+            Wop = wh_matrix(sym, "half-line", N, identity_shift=True)
             vals.append(svdvals(Wop)[-1])
         ok &= (max(vals) - min(vals)) / max(vals) < 0.20
     _verdict(2, "fredholm criterion", ok)
@@ -282,10 +286,10 @@ def test_criterion_8_face_symbol_shadow():
         M = (sym.npoints - 1) // 2
         y = sym.freqs[M + 9]
         out = rep_L(sym, "e1", y, h_in)
-        ref = wh_matrix(face_symbol_twisted(sym, "e1", -y), "half-line", 64).entries @ h_in
+        ref = wh_matrix(face_symbol_twisted(sym, "e1", -y), "half-line", 64) @ h_in
         ok &= np.abs(out - ref).max() < 1e-6
         out0 = rep_L(sym, "e1", 0.0, h_in)
-        ref0 = wh_matrix(face_symbol(sym, "e1"), "half-line", 64).entries @ h_in
+        ref0 = wh_matrix(face_symbol(sym, "e1"), "half-line", 64) @ h_in
         ok &= np.abs(out0 - ref0).max() < 1e-6
     _verdict(8, "face-symbol shadow", ok)
 

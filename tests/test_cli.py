@@ -269,6 +269,11 @@ _GRID = {"h": 0.05, "T": 30.0, "N": [64, 128]}
     {**_GRID, "N": [0, 128]},
     {**_GRID, "N": [64.5, 128]},
     {**_GRID, "N": [True, 128]},
+    {**_GRID, "N": [128, 64]},
+    {**_GRID, "N": [64, 64]},
+    {**_GRID, "h": 1e-300, "T": 1.0},
+    {**_GRID, "h": 1e-7},
+    {**_GRID, "T": 1e6, "N": [64, 10000]},
 ])
 def test_bad_grid_is_config_error(tmp_path, capsys, command, symbol, grid):
     path = tmp_path / "spec.json"
@@ -298,6 +303,9 @@ _PK = {"name": "bad-pk", "cone": "quarter-plane", "direction": ["1", "0"],
     pytest.param({**_PK, "scales": ["big", 4]}, None, id="scales-word"),
     pytest.param({**_PK, "scales": [2, "inf"]}, None, id="scales-inf"),
     pytest.param({k: v for k, v in _PK.items() if k != "cone"}, None, id="cone-missing"),
+    pytest.param({**_PK, "window": 1e6}, None, id="lattice-too-large"),
+    pytest.param({**_PK, "window": 4.0, "step": 1e-300}, None, id="step-tiny"),
+    pytest.param(_PK, "eps=1e5", id="stencil-too-large"),
 ])
 def test_bad_pklimit_spec_is_config_error(tmp_path, capsys, spec, tol):
     path = tmp_path / "spec.json"
@@ -340,6 +348,7 @@ _TRIV = {"name": "bad-triv", "cone": "quarter-plane", "angle_deg": 8.0, "samples
     ("hierarchy2d", {"name": "y", "symbol": "gauss2d-small", **_GRID, "y_values": ["a"]}),
     ("hierarchy2d", {"name": "y", "symbol": "gauss2d-small", **_GRID, "y_values": []}),
     ("hierarchy2d", {"name": "y", "symbol": "gauss2d-small", **_GRID, "y_values": 0.5}),
+    ("trivialize", {**_TRIV, "samples": 2**26 + 1}),
 ])
 def test_malformed_experiment_spec_is_config_error(tmp_path, capsys, command, spec):
     path = tmp_path / "spec.json"

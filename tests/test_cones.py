@@ -14,10 +14,8 @@ from conewh.cones import (
     exposed_face,
     face_as_cone,
     face_lattice,
-    face_span_basis,
     is_pointed,
     is_solid,
-    minkowski_sum_cone,
     project_cone,
     relative_dual,
 )
@@ -33,9 +31,11 @@ from oracles import (
     brute_force_exposed_face,
     brute_force_faces,
     cubic_covers,
+    face_span_basis,
     fraction_dd_cone,
     hrep_member,
     integer_grid,
+    minkowski_sum_cone,
     vrep_member,
 )
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 
+from conewh.cones import cone_from_generators
 from conewh.convex import (
     projection_form_applies,
     BallBody,
@@ -18,10 +19,11 @@ from conewh.convex import (
     support,
 )
 from conewh.errors import GaugeDomainError, NotDifferentiableError
+from conewh.exact import rvec
 
 from conewh.limits import SampledSet
 
-from oracles import gauge_by_bisection
+from oracles import gauge_by_bisection, nnls_project_onto_ray_cone
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +88,23 @@ def test_projection_joint_continuity(quarter_body):
         dists.append(np.linalg.norm(body.project(xk) - p0))
     assert all(a >= b - 1e-12 for a, b in zip(dists, dists[1:]))
     assert dists[-1] < 0.02
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cone_projection_matches_nnls_oracle(dim):
+    """The active-set projection onto random pointed cones equals nonnegative
+    least squares on their rays, at points inside and outside the cone."""
+    rng = np.random.default_rng(30 + dim)
+    for _ in range(25):
+        rays = rng.integers(-4, 5, (rng.integers(1, dim + 5), dim))
+        rays[:, -1] = np.abs(rays[:, -1]) + 1       # pointed: all above x_dim = 0
+        body = PolyhedralConeBody.from_exact(
+            cone_from_generators([rvec(r) for r in rays.tolist()], dim))
+        inside = rng.uniform(0.0, 2.0, (20, len(rays))) @ rays
+        outside = rng.uniform(-5.0, 5.0, (40, dim))
+        for x in np.vstack([inside, outside]):
+            p, ref = body.project(x), nnls_project_onto_ray_cone(body.rays, x)
+            assert np.abs(p - ref).max() <= 1e-9
 
 
 def test_support_examples(quarter_body, square):

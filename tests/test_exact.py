@@ -7,13 +7,12 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conewh.exact import (
-    canonical_line,
     canonical_ray,
     format_rational,
     gram_schmidt,
     invert,
     nullspace,
-    projection_matrix,
+    project_onto_span,
     rank,
     rational,
     rref,
@@ -23,7 +22,7 @@ from conewh.exact import (
     vdot,
 )
 from oracles import (
-    fraction_canonical_line,
+    dense_project_onto_span,
     fraction_canonical_ray,
     fraction_gram_schmidt,
     fraction_invert,
@@ -47,7 +46,6 @@ def test_rational_parsing():
 def test_canonical_ray_preserves_sign():
     v = rvec(("-3/2", "9/4"))
     assert canonical_ray(v) == rvec((-2, 3))
-    assert canonical_line(v) == rvec((2, -3))
     with pytest.raises(ValueError):
         canonical_ray(rvec((0, 0)))
 
@@ -81,12 +79,9 @@ def test_invert():
 
 def test_projection_matrix_idempotent():
     basis = [rvec((1, 1, 0))]
-    P = projection_matrix(basis)
-    from conewh.exact import matvec
-
     x = rvec((3, 1, 5))
-    px = matvec(P, x)
-    assert matvec(P, px) == px
+    px = project_onto_span(basis, x)
+    assert project_onto_span(basis, px) == px
     assert vdot(tuple(a - b for a, b in zip(x, px)), basis[0]) == 0
 
 
@@ -151,12 +146,10 @@ def test_elimination_matches_fraction_oracle(case):
     for v in rows:
         if any(v):
             assert canonical_ray(v) == fraction_canonical_ray(v)
-            assert canonical_line(v) == fraction_canonical_line(v)
-            assert _all_fractions([canonical_ray(v), canonical_line(v)])
+            assert _all_fractions([canonical_ray(v)])
         else:
-            for f in (canonical_ray, canonical_line):
-                with pytest.raises(ValueError):
-                    f(v)
+            with pytest.raises(ValueError):
+                canonical_ray(v)
 
 
 @seed(14)
@@ -177,6 +170,24 @@ def test_solve_linear_matches_fraction_oracle(case, data):
     # solution would give y . rhs = 0.
     for y in nullspace(list(zip(*rows)), len(rows)) if rows else ():
         assert solve_linear(rows, y) is None
+
+
+@seed(16)
+@settings(max_examples=120, deadline=None)
+@given(_matrices(), st.data())
+def test_project_onto_span_matches_dense_oracle(case, data):
+    """The Gram solve equals the dense projector on independent rows, and on
+    dependent rows equals it on their span basis; the residual is orthogonal
+    to every row."""
+    n, rows = case
+    v = tuple(data.draw(st.lists(_Q, min_size=n, max_size=n)))
+    p = project_onto_span(rows, v)
+    assert _all_fractions([p]) and len(p) == n
+    assert p == dense_project_onto_span(span_basis(rows, n), v)
+    if rows and fraction_rank(rows) == len(rows):
+        assert p == dense_project_onto_span(rows, v)
+    assert all(vdot(r, tuple(a - b for a, b in zip(v, p))) == 0 for r in rows)
+    assert project_onto_span(rows, p) == p
 
 
 @seed(15)

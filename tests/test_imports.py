@@ -15,8 +15,8 @@ import conewh
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 # The SciPy subpackages that cost most of an import: spatial for convex hulls,
-# optimize for nnls, and linalg, which no layer loads: wiener_hopf runs on
-# numpy.linalg.
+# and linalg and optimize, which no layer loads: wiener_hopf runs on
+# numpy.linalg, and convex projects onto polyhedra by its own active-set solve.
 HEAVY = ("linalg", "optimize", "spatial")
 
 _REPORT = """
@@ -56,6 +56,19 @@ def test_package_import_loads_no_scipy():
     assert _fresh("import conewh") == {"scipy": False, "heavy": []}
 
 
+def test_cone_projection_and_gauge_gradient_load_no_scipy_optimize():
+    body = """
+import numpy as np
+from conewh.convex import BallBody, HPolytopeBody, PolyhedralConeBody, gauge_gradient
+from conewh.presets import cone_preset
+cone = PolyhedralConeBody.from_exact(cone_preset("fourgonal-r3"))
+assert np.allclose(cone.project([0.0, 0.0, -1.0]), 0.0)
+assert np.allclose(gauge_gradient(BallBody(2.0, 2), [3.0, 4.0]), [0.3, 0.4])
+assert np.allclose(gauge_gradient(HPolytopeBody([[1.0], [-1.0]], [1.0, 1.0]), [0.5]), [1.0])
+"""
+    assert "optimize" not in _fresh(body)["heavy"]
+
+
 def test_layer_modules_are_registered_before_first_use():
     """After `import conewh.cli` every layer module is in sys.modules, unloaded
     until touched, so the layer tracer of perfbench/tracing.py can wrap it;
@@ -75,7 +88,7 @@ assert sys.modules["conewh.wiener_hopf"].make_symbol.__wrapped__.__module__ == "
 
 
 def test_exports_are_the_submodule_objects():
-    assert conewh.__all__ == sorted(conewh.__all__) and len(conewh.__all__) == 57
+    assert conewh.__all__ == sorted(conewh.__all__) and len(conewh.__all__) == 56
     for name in conewh.__all__:
         obj = getattr(conewh, name)
         assert obj.__module__.startswith("conewh.")

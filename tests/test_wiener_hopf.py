@@ -117,7 +117,7 @@ def test_kernel_dimension_other_than_one_or_two_rejected(f, dim):
 
 def test_wh_matrix_toeplitz_structure():
     S = symbol_preset("rational-w+1", 0.05, 52.0)
-    W = wh_matrix(S, "half-line", 8).entries
+    W = wh_matrix(S, "half-line", 8)
     M = (S.npoints - 1) // 2
     for i in range(8):
         assert W[i, 0] == S.h * S.kernel[M + i]
@@ -130,14 +130,14 @@ def test_wh_matrix_toeplitz_structure():
 
 def test_wh_matrix_zero_kernel():
     S = make_symbol(lambda x: np.zeros_like(x), 1, 0.05, 10.0)
-    assert np.abs(wh_matrix(S, "half-line", 16).entries).max() == 0.0
+    assert np.abs(wh_matrix(S, "half-line", 16)).max() == 0.0
 
 
 def test_wh_matrix_kronecker_separable():
     S2 = make_symbol(lambda x, y: gauss(x) * gauss(y), 2, 0.1, 12.0)
     S1 = make_symbol(gauss, 1, 0.1, 12.0)
-    W2 = wh_matrix(S2, "quarter-plane", 8).entries
-    W1 = wh_matrix(S1, "half-line", 8).entries
+    W2 = wh_matrix(S2, "quarter-plane", 8)
+    W1 = wh_matrix(S1, "half-line", 8)
     assert np.abs(W2 - np.kron(W1, W1)).max() < 1e-12
 
 
@@ -170,7 +170,7 @@ def test_wh_matrix_real_when_used_samples_are_real(name, T, twist, real):
          else symbol_preset(name, 0.1, T))
     if twist is not None:
         S = face_symbol_twisted(S, 0, twist)
-    W = wh_matrix(S, "half-line", 48, identity_shift=True).entries
+    W = wh_matrix(S, "half-line", 48, identity_shift=True)
     ref = _complex_assembly(S, 48)
     assert (W.dtype == np.float64) is real
     assert np.array_equal(W, ref.real if real else ref)
@@ -181,14 +181,14 @@ def test_wh_matrix_decides_realness_on_the_used_lags():
     S = symbol_preset("gauss-small", 0.1, 12.0)
     M = (S.npoints - 1) // 2
     S.kernel[M + 60] += 1e-12j
-    assert wh_matrix(S, "half-line", 60).entries.dtype == np.float64
-    assert wh_matrix(S, "half-line", 61).entries.dtype == np.complex128
+    assert wh_matrix(S, "half-line", 60).dtype == np.float64
+    assert wh_matrix(S, "half-line", 61).dtype == np.complex128
 
 
 def test_wh_matrix_quarter_plane_identity_shift():
     S2 = symbol_preset("gauss2d-small", 0.1, 12.0)
-    W = wh_matrix(S2, "quarter-plane", 6).entries
-    shifted = wh_matrix(S2, "quarter-plane", 6, identity_shift=True).entries
+    W = wh_matrix(S2, "quarter-plane", 6)
+    shifted = wh_matrix(S2, "quarter-plane", 6, identity_shift=True)
     assert W.dtype == shifted.dtype == np.float64
     assert np.array_equal(shifted, W + np.eye(36))
 
@@ -365,7 +365,7 @@ def test_classical_index_one_factorization_per_truncation(factorizations):
     assert factorizations.exactly_hermitian("solve")
     for N, eig_arg, solve_arg in zip((128, 256), factorizations.args[::5],
                                      factorizations.args[1::5]):
-        W = wh_matrix(S, "half-line", N, identity_shift=True).entries
+        W = wh_matrix(S, "half-line", N, identity_shift=True)
         assert not np.array_equal(W, W.T)
         assert np.array_equal(eig_arg, W[:, ::-1]) and np.array_equal(solve_arg, eig_arg)
     # k + 8 = 9 seeded columns per side, and the 9 x 9 projection
@@ -399,7 +399,7 @@ def test_real_split_matches_complex_oracle(name):
 
     S = symbol_preset(name, 0.05, 52.0)
     c = _section(S, 512)
-    W = wh_matrix(S, "half-line", 512, identity_shift=True).entries
+    W = wh_matrix(S, "half-line", 512, identity_shift=True)
     assert not W.imag.any() and c.dtype == np.float64
     dim_ker, dim_coker, diag = _small_singular_split(c, 1e-8, 1e3)
     ref = complex_singular_split(W)
@@ -450,7 +450,7 @@ def _zero_pivot_section():
     row: LU with partial pivoting meets an exactly zero last pivot; the
     null vector is at the front, the left one is e_N."""
     W = wh_matrix(symbol_preset("gauss-small", 0.05, 52.0), "half-line", 512,
-                  identity_shift=True).entries
+                  identity_shift=True)
     return np.vstack([W[1:], np.zeros(512)])
 
 
@@ -731,7 +731,7 @@ def test_twisted_face_sections_factor_by_structure(factorizations):
     for face in ("e1", "e2"):
         for twist in (0.0, y):
             W = wh_matrix(face_symbol_twisted(S, face, twist), "half-line", 32,
-                          identity_shift=True).entries
+                          identity_shift=True)
             assert W.dtype == np.float64 and np.array_equal(W, W.T)
 
     factorizations.clear()
@@ -751,7 +751,7 @@ def test_twisted_face_sections_factor_by_structure(factorizations):
     e1 = next(fr for fr in rep.face_reports if fr["face"] == "e1")
     twisted = next(r for r in e1["rows"] if r["y"] != 0.0)
     W = wh_matrix(face_symbol_twisted(shifted, "e1", twisted["y"]), "half-line", 32,
-                  identity_shift=True).entries
+                  identity_shift=True)
     assert W.imag.any()
     ref = np.linalg.svd(W, compute_uv=False)[-1]
     assert twisted["sigma_min"][32] == pytest.approx(ref, rel=1e-10)
@@ -942,7 +942,7 @@ def test_batched_restrictions_match_direct_sum(f):
             for col in (G[:, j], g.kernel):
                 assert np.abs(col - ref).max() <= tol
             for N in truncations:
-                W = wh_matrix(g, "half-line", N, identity_shift=True).entries
+                W = wh_matrix(g, "half-line", N, identity_shift=True)
                 s = np.linalg.svd(W.astype(complex), compute_uv=False)
                 assert abs(row["sigma_min"][N] - s[-1]) <= N * np.finfo(float).eps * s[0]
 
@@ -1037,7 +1037,7 @@ def test_rep_L_untwisted_is_face_operator(g2d):
     rng = np.random.default_rng(0)
     h_in = rng.normal(size=64) + 1j * rng.normal(size=64)
     out = rep_L(g2d, "e1", 0.0, h_in)
-    ref = wh_matrix(face_symbol(g2d, "e1"), "half-line", 64).entries @ h_in
+    ref = wh_matrix(face_symbol(g2d, "e1"), "half-line", 64) @ h_in
     assert np.abs(out - ref).max() < 1e-6
 
 
@@ -1053,7 +1053,7 @@ def test_rep_L_matches_twisted_matrix(g2d):
     M = (g2d.npoints - 1) // 2
     y = g2d.freqs[M + 11]
     out = rep_L(g2d, "e1", y, h_in)
-    ref = wh_matrix(face_symbol_twisted(g2d, "e1", -y), "half-line", 64).entries @ h_in
+    ref = wh_matrix(face_symbol_twisted(g2d, "e1", -y), "half-line", 64) @ h_in
     assert np.abs(out - ref).max() < 1e-6
 
 
@@ -1071,7 +1071,7 @@ def test_rep_L_halfline_regular(g2d):
     rng = np.random.default_rng(2)
     h_in = rng.normal(size=32)
     out = rep_L(S1, None, 0.0, h_in)
-    ref = wh_matrix(S1, "half-line", 32).entries @ h_in
+    ref = wh_matrix(S1, "half-line", 32) @ h_in
     assert np.abs(out - ref).max() < 1e-12
 
 
@@ -1106,8 +1106,8 @@ def test_face_family_trivial_at_infinity():
             from scipy.linalg import svdvals
 
             for N in (32, 64):
-                sb = svdvals(wh_matrix(gb, "half-line", N, identity_shift=True).entries)[-1]
-                sp = svdvals(wh_matrix(gp, "half-line", N, identity_shift=True).entries)[-1]
+                sb = svdvals(wh_matrix(gb, "half-line", N, identity_shift=True))[-1]
+                sp = svdvals(wh_matrix(gp, "half-line", N, identity_shift=True))[-1]
                 assert abs(sb - sp) < 1e-8
 
 
@@ -1129,6 +1129,20 @@ def test_hierarchy_singular_face():
     e1 = next(fr for fr in rep.face_reports if fr["face"] == "e1")
     row0 = next(r for r in e1["rows"] if r["y"] == 0.0)
     assert row0["sigma_min"][96] < 0.5 * row0["sigma_min"][48]
+
+
+def test_hierarchy_face_verdicts_do_not_depend_on_truncation_order():
+    """Stability compares the smallest truncation with the largest, whatever
+    the order they are given in: reversed, the singular e1 face still fails."""
+    S = symbol_preset("separable-singular-face", 0.1, 12.0)
+    forward = hierarchy_fredholm(S, truncations=(48, 96))
+    reverse = hierarchy_fredholm(S, truncations=(96, 48))
+    assert [(fr["face"], fr["stable"], fr["ok"], fr["decreasing_at"])
+            for fr in reverse.face_reports] == [
+        (fr["face"], fr["stable"], fr["ok"], fr["decreasing_at"])
+        for fr in forward.face_reports]
+    assert reverse.verdict == forward.verdict == "not-hierarchy-fredholm"
+    assert reverse.diagnostics["failing_faces"] == forward.diagnostics["failing_faces"]
 
 
 def test_hierarchy_neumann_certificate():
@@ -1251,7 +1265,7 @@ def test_cone_transform_resamples_kernel():
     expected = abs(detM) * f(M[0, 0] * X1 + M[0, 1] * X2, M[1, 0] * X1 + M[1, 1] * X2)
     assert np.abs(S.kernel - expected).max() == 0.0
     W = wh_matrix(S, "quarter-plane", 6)
-    assert W.entries.shape == (36, 36)
+    assert W.shape == (36, 36)
 
 
 def test_cone_section_transform(skew):
@@ -1261,4 +1275,4 @@ def test_cone_section_transform(skew):
     assert abs(abs(detM) - 1.0) < 1e-12
     S = cone_transform_symbol(lambda x, y: np.exp(-np.pi * (x**2 + y**2)), 0.1, 12.0,
                               (M, detM))
-    assert wh_matrix(S, "quarter-plane", 4).entries.shape == (16, 16)
+    assert wh_matrix(S, "quarter-plane", 4).shape == (16, 16)
