@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .cones import face_lattice, is_solid
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, EmptySampleError
 from .exact import as_float
 from .io import (
     cone_report_object,
@@ -38,7 +38,7 @@ from .io import (
     vector_strings,
     write_csv,
 )
-from .limits import hausdorff_distance, pk_converged, sample_cone
+from .limits import hausdorff_distance, pk_converged, pk_tail, sample_cone
 from .presets import cone_preset, preset_spec, resolve_symbol, symbol_dim
 from .strata import ray_limit, spectrum_poset, strata
 
@@ -434,6 +434,15 @@ def _cmd_pklimit(config):
     converged, lo, hi, dist = pk_converged(seq, eps, bounds=bounds, step=step)
     limit_cone = ray_limit(cone, direction)
     exact = sample_cone(limit_cone, bounds, step, tag="exact-limit")
+    empty = [label for label, s in (("liminf", lo), ("limsup", hi), ("exact limit", exact))
+             if len(s) == 0]
+    if empty:
+        raise EmptySampleError(
+            f"the sampled {' and '.join(empty)} {'is' if len(empty) == 1 else 'are'} empty "
+            f"(tail scales {list(pk_tail(scales))}, window {window}, step {step}), so no "
+            f"Hausdorff distance to {'it' if len(empty) == 1 else 'them'} is finite; a window "
+            f"that is a multiple of the step puts the origin on the lattice, and the origin "
+            f"lies in every s*x - C")
     return _write_report(config, name, {
         "name": name,
         "direction": vector_strings(direction),

@@ -85,6 +85,12 @@ class OffLatticeError(DomainError):
     category = "off-lattice"
 
 
+class EmptySampleError(DomainError):
+    """A sampled set a report measures has no point on its window lattice."""
+
+    category = "empty-sample"
+
+
 class WindingUndefinedError(DomainError):
     category = "winding-undefined"
 

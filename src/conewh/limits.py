@@ -9,8 +9,9 @@ the same tail, so liminf <= limsup by construction, as for true set limits
 (Rockafellar & Wets, Variational Analysis, 4.A); two sets in a block keep a
 sequence that alternates between far-apart sets from reading as converged.
 "Within eps" of a set is one binary dilation of its mask by the stencil
-{k : |k|*step < eps}; a Hausdorff distance is read from the exact Euclidean
-distance transform of a mask, times step.
+{k : |k|*step < eps}, made for all the tail masks at once; a Hausdorff
+distance is read from the exact Euclidean distance transform of a mask, in
+integers, times step.
 """
 
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from .errors import DomainError, OffLatticeError
 from .exact import as_float
 
 _ON_LATTICE_TOL = 1e-9     # in units of step: float rounding of lo + k*step
+_BLOCK = 2**18             # elements of one broadcast block of the distance transform
 
 
 def _axis(bounds, step):
@@ -84,34 +86,51 @@ def _lattice(sets, bounds=None, step=None):
     return step
 
 
-def _dilate(mask, stencil):
-    """The binary dilation of mask by a centred stencil, one OR per offset."""
-    r, n = stencil.shape[0] // 2, mask.shape[0]
-    padded = np.pad(mask, r)
-    out = np.zeros_like(mask)
+def _dilate(masks, stencil):
+    """The binary dilation of each mask of a stack by a centred stencil, one
+    OR per offset for the whole stack."""
+    r, n = stencil.shape[0] // 2, masks.shape[1]
+    padded = np.pad(masks, [(0, 0)] + [(r, r)] * stencil.ndim)
+    out = np.zeros_like(masks)
     for offset in np.argwhere(stencil):
-        out |= padded[tuple(slice(o, o + n) for o in offset)]
+        out |= padded[(slice(None),) + tuple(slice(o, o + n) for o in offset)]
     return out
 
 
 def _sq_distance(mask):
     """Squared lattice distance of every point to a non-empty mask, exact in
     integers: the minimum of d(j) + (i - j)**2 along one axis at a time
-    (the separable Euclidean distance transform of Saito & Toriwaki, 1994)."""
+    (the separable Euclidean distance transform of Saito & Toriwaki, 1994).
+
+    The integers are of the narrowest signed type that holds (dim + 1)*n**2,
+    above every sum d(j) + (i - j)**2 formed: int16 up to 90**3 and 104**2.
+    Each axis is brought to the front of a contiguous copy, and its minimum
+    over j is one broadcast per block of output rows i, of at most
+    max(_BLOCK, n**dim) elements.  The result is a view in the mask's axis
+    order.
+    """
     n, dim = mask.shape[0], mask.ndim
-    d = np.where(mask, 0, dim * n * n)
-    sq = (np.arange(n)[:, None] - np.arange(n)).reshape((n, n) + (1,) * (dim - 1)) ** 2
-    for axis in range(dim):
-        d = np.moveaxis(d, axis, 0)
-        d = np.moveaxis(np.stack([(d + sq[i]).min(axis=0) for i in range(n)]), 0, axis)
+    dtype = next(t for t in (np.int16, np.int32, np.int64)
+                 if (dim + 1) * n * n <= np.iinfo(t).max)
+    d = np.where(mask, dtype(0), dtype(dim * n * n))
+    sq = ((np.arange(n)[:, None] - np.arange(n)) ** 2).astype(dtype)[:, :, None]
+    rows = max(1, _BLOCK // mask.size)
+    for _ in range(dim):
+        d = d.reshape(n, -1)
+        out = np.empty_like(d)
+        for i in range(0, n, rows):
+            np.min(d + sq[i:i + rows], axis=1, out=out[i:i + rows])
+        d = np.moveaxis(out.reshape(mask.shape), 0, -1)     # the next axis to the front
     return d
 
 
 def _reach(a, b):
     """max over a's points of the distance to b, in lattice units; points in
-    both masks are at 0, so the transform runs only when a is not inside b."""
+    both masks are at 0, so the transform runs only when a is not inside b.
+    The root is of a Python int, so it is a float64 whatever the transform's
+    integer type."""
     rest = a.mask & ~b.mask
-    return np.sqrt(_sq_distance(b.mask)[rest].max()) if rest.any() else 0.0
+    return np.sqrt(int(_sq_distance(b.mask)[rest].max())) if rest.any() else 0.0
 
 
 def hausdorff_distance(a: SampledSet, b: SampledSet) -> float:
@@ -122,6 +141,12 @@ def hausdorff_distance(a: SampledSet, b: SampledSet) -> float:
     if len(a) == 0 or len(b) == 0:
         return np.inf
     return float(step * max(_reach(a, b), _reach(b, a)))
+
+
+def pk_tail(seq):
+    """The tail of seq that the sampled limits read: its last max(2, ceil(len/2))
+    items."""
+    return seq[-max(2, (len(seq) + 1) // 2):]
 
 
 def pk_converged(seq, eps, bounds=None, step=None):
@@ -138,7 +163,7 @@ def pk_converged(seq, eps, bounds=None, step=None):
     r = int(np.ceil(eps / step))
     sq = sum(np.meshgrid(*([np.arange(-r, r + 1) ** 2] * seq[0].dim), indexing="ij"))
     stencil = step * np.sqrt(sq) < eps
-    near = np.array([_dilate(s.mask, stencil) for s in seq[-max(2, (len(seq) + 1) // 2):]])
+    near = _dilate(np.stack([s.mask for s in pk_tail(seq)]), stencil)
     blocks = np.array_split(near, max(1, min(3, len(near) // 2)))
     lo = SampledSet(near.all(axis=0), seq[0].bounds, step, "pk-liminf")
     hi = SampledSet(np.all([b.any(axis=0) for b in blocks], axis=0), seq[0].bounds, step,
@@ -166,8 +191,11 @@ def sample_cone(cone, bounds, step, shift=None, tag="") -> SampledSet:
     dim, axis = cone.ambient_dim, _axis(bounds, step)
     coords = [axis] * dim if shift is None else [float(s) - axis for s in shift]
     keep = np.ones((len(axis),) * dim, dtype=bool)
+    margin, hit = np.empty(keep.shape), np.empty(keep.shape, dtype=bool)
     for normal in map(as_float, cone.inequalities):
-        margin = sum((c * w).reshape((-1,) + (1,) * (dim - 1 - i))
-                     for i, (c, w) in enumerate(zip(coords, normal)))
-        keep &= margin / np.linalg.norm(normal) >= -1e-9
+        terms = [(c * w).reshape((-1,) + (1,) * (dim - 1 - i))
+                 for i, (c, w) in enumerate(zip(coords, normal))]
+        np.add(sum(terms[:-1]), terms[-1], out=margin)
+        np.divide(margin, np.linalg.norm(normal), out=margin)
+        keep &= np.greater_equal(margin, -1e-9, out=hit)
     return SampledSet(keep, tuple(bounds), step, tag)

@@ -7,7 +7,9 @@ counts, projections by parametrized gradient descent.  The double description
 and covering-relation oracles are the library's earlier rational
 implementations: per-pair exact-rank adjacency and the O(F^3) covering loop.
 The sampled-limit oracles take the full nearest distance of every grid point
-to every set, and of every sample row in a Hausdorff distance.  The
+to every set, and of every sample row in a Hausdorff distance; the distance
+transform oracle is the library's earlier int64 transform, one minimum per
+output row.  The
 Wiener-Hopf oracles are the library's earlier direct-sum twisted face
 restriction, its earlier structure dispatch of a finite section by N x N
 equality checks on the assembled matrix, the fibre representation rep_L by
@@ -391,6 +393,19 @@ def full_dist_to_set(points, sample):
     if len(sample) == 0:
         return np.full(len(points), np.inf)
     return cKDTree(sample).query(points, k=1)[0]
+
+
+def per_row_sq_distance(mask):
+    """Squared lattice distance of every point to a non-empty mask: the
+    library's earlier int64 separable transform, one minimum over j per output
+    row i of each axis."""
+    n, dim = mask.shape[0], mask.ndim
+    d = np.where(mask, 0, dim * n * n)
+    sq = (np.arange(n)[:, None] - np.arange(n)).reshape((n, n) + (1,) * (dim - 1)) ** 2
+    for axis in range(dim):
+        d = np.moveaxis(d, axis, 0)
+        d = np.moveaxis(np.stack([(d + sq[i]).min(axis=0) for i in range(n)]), 0, axis)
+    return d
 
 
 def full_hausdorff(a, b):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -314,6 +316,33 @@ def test_bad_pklimit_spec_is_config_error(tmp_path, capsys, spec, tol):
     assert main(argv + (["--tol", tol] if tol else [])) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+# A cone so thin that no point of this window lattice, which misses the origin
+# (1.05 is not a multiple of 0.3), lies in any translate s*x - C: every tail
+# sample, so the liminf and the limsup, is empty.
+_PK_EMPTY = {"name": "pkinf", "cone": {"name": "thin", "dim": 2,
+                                       "generators": [["1000", "1"], ["1000", "-1"]]},
+             "direction": ["1", "0"], "eps": 0.5, "window": 1.05, "step": 0.3}
+
+
+def test_empty_pklimit_sample_is_domain_error(tmp_path):
+    """Empty sampled limits end in exit 1 with the empty-sample category and
+    the tail scales, window and step, without a traceback or a report."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_PK_EMPTY))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "conewh.cli", "pklimit", "--in", str(path),
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error [empty-sample]: the sampled liminf and limsup are empty")
+    for part in ("tail scales [16.0, 32.0, 64.0]", "window 1.05", "step 0.3",
+                 "multiple of the step"):
+        assert part in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 _TRIV = {"name": "bad-triv", "cone": "quarter-plane", "angle_deg": 8.0, "samples": 50}

@@ -6,6 +6,8 @@ the full nearest distance of every point.  On a dyadic step every lattice
 distance is exact in floats, so the results must agree bit for bit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,14 @@ from hypothesis import strategies as st
 
 from conewh.errors import OffLatticeError
 from conewh.exact import as_float
-from conewh.limits import SampledSet, hausdorff_distance, pk_converged, sample_cone
+from conewh.limits import (
+    _BLOCK,
+    SampledSet,
+    _sq_distance,
+    hausdorff_distance,
+    pk_converged,
+    sample_cone,
+)
 from conewh.strata import ray_limit
 
 from oracles import (
@@ -22,6 +31,7 @@ from oracles import (
     full_pk_liminf,
     full_pk_limsup,
     full_sample_cone,
+    per_row_sq_distance,
     window_grid,
 )
 
@@ -95,6 +105,68 @@ def test_pk_alternating_sets_do_not_converge(n):
     converged, lo, hi, dist = pk_converged(seq, 0.5)
     assert not converged and dist > 0.5
     assert lo.mask[0, 0] and not lo.mask[-1, -1] and hi.mask[-1, -1]
+
+
+@pytest.mark.parametrize("shape, density, dtype", [
+    ((33, 33, 33), 0.002, np.int16), ((33, 33, 33), 0.3, np.int16),
+    ((104, 104), 0.001, np.int16), ((105, 105), 0.001, np.int32), ((7,), 0.2, np.int16)])
+def test_sq_distance_equals_per_row_oracle(shape, density, dtype):
+    """The narrow-integer transform, one broadcast per block of output rows,
+    gives the earlier int64 per-row transform's distances on seeded masks;
+    104**2 and 105**2 lie either side of the int16/int32 switch."""
+    rng = np.random.default_rng(len(shape) * shape[0])
+    for _ in range(3):
+        mask = rng.random(shape) < density
+        mask.flat[rng.integers(mask.size)] = True
+        d = _sq_distance(mask)
+        assert d.dtype == dtype and np.array_equal(d, per_row_sq_distance(mask))
+
+
+@pytest.mark.parametrize("shape, dtype", [
+    ((33, 33, 33), np.int16), ((90, 90, 90), np.int16), ((91, 91, 91), np.int32),
+    ((104, 104), np.int16), ((105, 105), np.int32), ((9,), np.int16)])
+def test_sq_distance_of_one_point(shape, dtype):
+    """A single point at a corner and at the centre: the farthest corner is at
+    dim*(n - 1)**2, the largest distance the transform holds, in the narrowest
+    type that holds (dim + 1)*n**2."""
+    n = shape[0]
+    for point in ((0,) * len(shape), (n // 2,) * len(shape), (n - 1,) + (0,) * (len(shape) - 1)):
+        mask = np.zeros(shape, dtype=bool)
+        mask[point] = True
+        d = _sq_distance(mask)
+        closed = sum((np.indices(shape)[i] - p) ** 2 for i, p in enumerate(point))
+        assert d.dtype == dtype and np.array_equal(d, closed)
+        assert mask.size > 33**3 or np.array_equal(d, per_row_sq_distance(mask))
+
+
+@pytest.mark.parametrize("n, dim", [(33, 3), (65, 3), (105, 2)])
+def test_sq_distance_temporaries_stay_in_blocks(n, dim):
+    """At most the distances, one axis-first copy of them, their next axis and
+    one broadcast block of max(_BLOCK, n**dim) elements are alive at once."""
+    mask = np.random.default_rng(n).random((n,) * dim) < 0.01
+    tracemalloc.start()
+    try:
+        d = _sq_distance(mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= d.itemsize * (max(_BLOCK, n**dim) + 3 * n**dim) + 65536
+
+
+@pytest.mark.parametrize("cone, direction", [
+    ("simplicial", (1, 1, 0)), ("fourgonal", (1, 0, 1)), ("fourgonal", (1, 1, 1))])
+def test_hausdorff_on_preset_samples_equals_full_oracle(request, cone, direction):
+    """On the 33**3 window of the 3-D pklimit goldens (window 4, step 0.25),
+    where the transform runs in int16, each distance is the full
+    nearest-distance value bit for bit, as a Python float."""
+    cone, bounds, x = request.getfixturevalue(cone), (-4.0, 4.0), as_float(direction)
+    seq = [sample_cone(cone, bounds, STEP, shift=s * x) for s in (2, 4, 8, 16, 32, 64)]
+    _, lo, _, _ = pk_converged(seq, 0.5)
+    exact = sample_cone(ray_limit(cone, direction), bounds, STEP)
+    for a, b in [(lo, exact), (seq[0], exact), (seq[0], seq[-1])]:
+        dist = hausdorff_distance(a, b)
+        assert type(dist) is float and dist > 0
+        assert _same(dist, full_hausdorff(a.points, b.points))
 
 
 @st.composite
