@@ -146,10 +146,13 @@ def _finite_list(value, what, length=None):
 
 
 def _check_size(what, side, dim=1):
-    """Reject an array of side**dim entries above MAX_ENTRIES before it is made."""
+    """Reject an array of side**dim entries above MAX_ENTRIES before it is made;
+    an integer side is compared and printed exactly, so one beyond the float
+    range (such as 10**400) is rejected like any other."""
     if not (side <= MAX_ENTRIES and side**dim <= MAX_ENTRIES):
         power = "" if dim == 1 else f"**{dim}"
-        raise ConfigError(f"{what} would hold {side:.6g}{power} entries, more than the "
+        count = side if isinstance(side, int) else f"{side:.6g}"
+        raise ConfigError(f"{what} would hold {count}{power} entries, more than the "
                           f"limit of 2**26 = {MAX_ENTRIES}")
 
 
@@ -428,7 +431,11 @@ def _cmd_pklimit(config):
     _check_size("the eps stencil", 2 * eps / step + 1, cone.ambient_dim)
     bounds = (-window, window)
 
-    xf = as_float(direction)
+    try:
+        xf = as_float(direction)
+    except OverflowError:
+        raise ConfigError(f"'direction' must lie in the float range, got "
+                          f"{spec['direction']!r}") from None
     seq = [sample_cone(cone, bounds, step, shift=s * xf, tag=f"scale-{s}")
            for s in scales]
     converged, lo, hi, dist = pk_converged(seq, eps, bounds=bounds, step=step)

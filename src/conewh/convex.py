@@ -2,13 +2,16 @@
 Minkowski gauges with directional derivatives and gradients, and normal cones.
 
 Bodies come in a few concrete shapes (Euclidean ball, H-rep polytope,
-polyhedral cone, and gauge bodies sliced from cones).
+polyhedral cone, and gauge bodies sliced from cones).  A polytope is built
+from facets, or from points in dimension 1 or 2 by a planar hull on numpy
+alone; no module here imports SciPy.
 Polyhedral projections are one active-set solve, exact KKT enumeration over
 facet subsets: a polytope's, and a cone's as the polyhedron of its facet
 normals.  All sampling takes explicit RNGs; nothing here keeps global state.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -17,11 +20,13 @@ from .errors import (
     GaugeDomainError,
     NotDifferentiableError,
     ProjectionError,
+    RankDeficientError,
 )
 from .exact import as_float
 
 _TOL = 1e-9
 _ANGLE_TOL = 1e-8
+_TURN_TOL = 1e-12                # sine of the least turn a planar hull keeps
 
 
 class BallBody:
@@ -80,23 +85,21 @@ class HPolytopeBody:
 
     @classmethod
     def from_vertices(cls, vertices):
+        """Convex hull of points in dimension 1 (an interval) or 2 (a polygon,
+        with unit outward normals and its vertices counter-clockwise)."""
         V = np.atleast_2d(np.asarray(vertices, dtype=float))
         dim = V.shape[1]
         if dim == 1:
             lo, hi = V.min(), V.max()
             return cls([[1.0], [-1.0]], [hi, -lo], vertices=V)
-        from scipy.spatial import ConvexHull   # about 0.35 s of import, for dim >= 2 only
-
-        hull = ConvexHull(V)
-        eqs = hull.equations  # rows (a, c) with a.x + c <= 0
-        rows = []
-        for a_c in eqs:
-            key = np.round(a_c, 12)
-            if not any(np.allclose(key, k) for k in rows):
-                rows.append(key)
-        A = np.array([r[:-1] for r in rows])
-        b = np.array([-r[-1] for r in rows])
-        return cls(A, b, vertices=V[hull.vertices])
+        if dim != 2:
+            raise DimensionMismatchError(
+                f"convex hulls are built in dimension 1 or 2, got dimension {dim}")
+        H = V[_planar_hull(V)]
+        edges = np.roll(H, -1, axis=0) - H
+        normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1)
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        return cls(normals, (normals * H).sum(axis=1), vertices=H)
 
     @classmethod
     def from_cone_slice(cls, normals, xi0):
@@ -126,16 +129,21 @@ class HPolytopeBody:
         return float(np.max(self.vertices @ np.asarray(x, dtype=float)))
 
     def _facet_subsets(self):
+        """(S, A_S, pinv(A_S)^T, (A_S A_S^T)^-1) for each facet subset S of size
+        <= dim whose normals have condition number at most 1e6, from one SVD of
+        A_S; the pseudo-inverse keeps a candidate's error at cond(A_S), not at
+        cond(A_S)^2 as the Gram inverse would."""
         if self._subsets is None:
-            m, k = self.A.shape
+            m = len(self.A)
             subsets = []
             for size in range(1, min(m, self.dim) + 1):
                 for S in itertools.combinations(range(m), size):
                     AS = self.A[list(S)]
-                    G = AS @ AS.T
-                    if np.linalg.matrix_rank(G, tol=1e-12) < size:
+                    U, s, Vt = np.linalg.svd(AS, full_matrices=False)
+                    if s[-1] <= 1e-6 * s[0]:
                         continue
-                    subsets.append((list(S), AS, np.linalg.inv(G)))
+                    Wt = (U / s) @ Vt
+                    subsets.append((list(S), AS, Wt, Wt @ Wt.T))
             self._subsets = subsets
         return self._subsets
 
@@ -143,36 +151,33 @@ class HPolytopeBody:
         return self.project_many(np.asarray(x, float)[None, :])[0]
 
     def project_many(self, X):
-        """Batched exact projection via KKT enumeration over facet subsets."""
+        """Batched exact projection via KKT enumeration over facet subsets.
+
+        Each candidate's violation is its largest negative slack b - <a, p> or
+        multiplier lambda * |a|^2, relative to the size |x| |a| + |b| of the
+        facet's terms at that point, so it does not change with the scale of
+        x or of a normal.  The candidate of least violation is taken, and must
+        violate by at most 1e-9: by least distance among near-feasible
+        candidates, the projection onto one of two nearly parallel facets
+        would win over the edge they meet in."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        scale = np.maximum(np.linalg.norm(self.A, axis=1), 1.0)
-        feas_tol = 1e-9
-        best = np.full(X.shape, np.nan)
-        best_d = np.full(len(X), np.inf)
+        sq = (self.A ** 2).sum(axis=1)
+        scale = np.maximum(np.linalg.norm(X, axis=1)[:, None] * np.sqrt(sq) + np.abs(self.b),
+                           np.finfo(float).tiny)
 
-        def consider(P, valid):
-            nonlocal best, best_d
-            d = np.linalg.norm(P - X, axis=1)
-            upd = valid & (d < best_d - 1e-15)
-            best[upd] = P[upd]
-            best_d[upd] = d[upd]
+        def violation(P):
+            return ((P @ self.A.T - self.b) / scale).max(axis=1)
 
-        slack0 = self.b[None, :] - X @ self.A.T
-        inside = (slack0 >= -feas_tol * scale[None, :]).all(axis=1)
-        consider(X.copy(), inside)
-
-        for S, AS, Ginv in self._facet_subsets():
-            lam = (X @ AS.T - self.b[S][None, :]) @ Ginv
-            P = X - lam @ AS
-            lam_ok = (lam >= -1e-9).all(axis=1)
-            slack = self.b[None, :] - P @ self.A.T
-            feas = (slack >= -feas_tol * scale[None, :]).all(axis=1)
-            consider(P, lam_ok & feas)
-
-        if np.any(np.isinf(best_d)):
-            bad = np.where(np.isinf(best_d))[0]
-            raise ProjectionError("active-set projection failed",
-                                  iterates={"points": X[bad]})
+        best, best_v = X.copy(), violation(X)
+        for S, AS, Wt, Ginv in self._facet_subsets():
+            resid = X @ AS.T - self.b[S]
+            P = X - resid @ Wt
+            v = np.maximum(violation(P), (-(resid @ Ginv) * sq[S] / scale[:, S]).max(axis=1))
+            better = v < best_v
+            best[better], best_v[better] = P[better], v[better]
+        bad = ~(best_v <= _TOL)                 # a NaN point fails too
+        if bad.any():
+            raise ProjectionError("active-set projection failed", iterates={"points": X[bad]})
         return best
 
     # -- gauge calculus ----------------------------------------------------
@@ -260,15 +265,43 @@ class PolyhedralConeBody:
         return np.inf
 
 
+def _turns_left(o, a, b):
+    """Whether o -> a -> b turns left, by an orientation test relative to the
+    lengths of the two edges from o; a repeated point makes no turn."""
+    ax, ay, bx, by = a[0] - o[0], a[1] - o[1], b[0] - o[0], b[1] - o[1]
+    return ax * by - ay * bx > _TURN_TOL * math.hypot(ax, ay) * math.hypot(bx, by)
+
+
+def _planar_hull(V):
+    """Row indices of the hull vertices of planar points, counter-clockwise
+    from the lexicographically least: Andrew's monotone chain (1979), which
+    drops duplicate and collinear points."""
+    order = np.lexsort((V[:, 1], V[:, 0])).tolist()
+    P = V.tolist()
+    hull = []
+    for chain in (order, order[::-1]):          # lower hull, then upper hull
+        part = []
+        for i in chain:
+            while len(part) >= 2 and not _turns_left(P[part[-2]], P[part[-1]], P[i]):
+                part.pop()
+            part.append(i)
+        hull += part[:-1]
+    if len(hull) < 3 or not np.isfinite(V).all():
+        raise RankDeficientError(
+            f"{len(V)} points span no polygon: their hull has {len(hull)} vertices")
+    return hull
+
+
 def _perp_basis(v):
-    """Orthonormal basis of v-perp as rows, deterministic."""
+    """Orthonormal basis of v-perp as rows, deterministic: the Q factor of the
+    columns of the projector I - v v^T / |v|^2 but one.  Any n - 1 of them
+    span v-perp when the one left out is a column i with v_i != 0; the last
+    i with |v_i| >= |v| / (2 sqrt n) keeps the rest well conditioned."""
     v = np.asarray(v, dtype=float)
     n = len(v)
     M = np.eye(n) - np.outer(v, v) / (v @ v)
-    q, r = np.linalg.qr(M.T)
-    cols = [i for i in range(n) if abs(r[i, i]) > 1e-12]
-    basis = q[:, cols].T
-    return basis[: n - 1]
+    drop = np.flatnonzero(np.abs(v) >= np.linalg.norm(v) / (2 * np.sqrt(n)))[-1]
+    return np.linalg.qr(np.delete(M, drop, axis=1))[0].T
 
 
 # -- spec operations -------------------------------------------------------

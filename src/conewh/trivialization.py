@@ -9,6 +9,10 @@ of the two slice bodies:
     phi(z) = (mu_F(z) / mu_E(z)) * z          on xi0-perp,
     psi(z + t*xi0) = phi(z) + t*xi0           on the whole reduced space.
 
+For span dimension k = 2 a slice body is the interval of the normalized
+generators; for k >= 3 it is cut from the exact facets of the relative
+dual, carried to the Q coordinates, with no hull.
+
 The gauge data (xi0, r, R) with ball(r) inside both slice bodies inside
 ball(R) gives the bi-Lipschitz bound; the Jacobian determinant at
 differentiable points is the gauge ratio to the power dim-1.  The
@@ -30,7 +34,7 @@ import numpy as np
 from .cones import Face, PolyhedralCone, dual_cone, is_pointed, is_solid, relative_dual
 from .convex import HPolytopeBody, PolyhedralConeBody, _perp_basis
 from .errors import DimensionMismatchError, TrivializationError
-from .exact import as_float, span_basis
+from .exact import as_float, span_basis, vneg
 
 _FD_STEP = 1e-6                   # central-difference step of triv_det
 
@@ -104,13 +108,27 @@ class Trivialization:
         return lipschitz_bound(self.r, self.R)
 
 
-def _slice_body(gens_c, xi0_c, Q2):
+def _facet_normals(cone):
+    """Float facet normals of an exact cone: its inequalities but the +- pairs,
+    which span the orthocomplement of the cone's span."""
+    rows = set(cone.inequalities)
+    return np.array([as_float(a) for a in cone.inequalities if vneg(a) not in rows])
+
+
+def _slice_body(gens_c, xi0_c, Q2, normals_c=None):
+    """Slice body {z in xi0-perp : xi0 + z in cone} in Q2 coordinates, for the
+    cone of generators gens_c: the interval of the normalized generators when
+    k = 2, otherwise the facets normals_c cut by the slice, with the
+    normalized generators as its vertices."""
     offs = gens_c @ xi0_c
     if np.any(offs <= 1e-12):
         raise TrivializationError("base point not admissible (not interior to the dual)")
-    verts = (gens_c / offs[:, None]) - xi0_c[None, :]
-    body = HPolytopeBody.from_vertices(verts @ Q2.T)
-    if np.any(body.b <= 1e-12):
+    verts = ((gens_c / offs[:, None]) - xi0_c[None, :]) @ Q2.T
+    if normals_c is None:
+        body = HPolytopeBody.from_vertices(verts)
+    else:
+        body = HPolytopeBody(-(normals_c @ Q2.T), normals_c @ xi0_c, vertices=verts)
+    if np.any(body.b <= 1e-12 * np.linalg.norm(body.A, axis=1)):
         raise TrivializationError("base point not admissible (not interior to the slice)")
     return body
 
@@ -124,7 +142,7 @@ def build_trivialization(E, F, xi0=None):
     barycenter of E's relative dual is used.
     """
     gens_e, span_e, k, rd_e = _side_data(E)
-    gens_f, span_f, dim_f, _ = _side_data(F)
+    gens_f, span_f, dim_f, rd_f = _side_data(F)
     if k != dim_f:
         raise TrivializationError("E, F from different levels")
     if k == 0:
@@ -162,8 +180,15 @@ def build_trivialization(E, F, xi0=None):
         return Trivialization(Q.T @ xi0_c, 1.0, 1.0, *fields)
 
     Q2 = _perp_basis(xi0_c)
-    body_e = _slice_body(ge_c, xi0_c, Q2)
-    body_f = _slice_body(gf_c, xi0_c, Q2)
+    normals_e = normals_f = None
+    if k > 2:
+        # Both sides are exact (float cone inputs are 2-D).  A point M c of
+        # the reduced F side, M = Q B^T for the span-F rows B, is B^T c in
+        # span F, so a normal a of F's relative dual reads M^-T B a there.
+        normals_e = _facet_normals(rd_e) @ Q.T
+        normals_f = np.linalg.solve((Q @ span_f.T).T, span_f @ _facet_normals(rd_f).T).T
+    body_e = _slice_body(ge_c, xi0_c, Q2, normals_e)
+    body_f = _slice_body(gf_c, xi0_c, Q2, normals_f)
     r = min(body_e.inradius, body_f.inradius)
     R = max(body_e.outradius, body_f.outradius)
     return Trivialization(Q.T @ xi0_c, r, R, *fields, Q2, body_e, body_f)

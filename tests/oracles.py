@@ -21,10 +21,11 @@ Gram-Schmidt; the brute-force and double description oracles run on them,
 not on `conewh.exact`; the exact projection onto a span is the library's
 earlier dense route, the full rational projector B^T (B B^T)^-1 B applied to
 the vector.  The projection onto a float polyhedral cone is the library's
-earlier nonnegative least squares on its rays.  The face-projection oracles of
-criterion 4 are the span basis of a face and the Minkowski sum of two cones
-from their generators.  The report text oracle is the standard library's
-indented `json.dumps`.
+earlier nonnegative least squares on its rays, and a convex hull is the
+library's earlier Qhull hull with its duplicate facets merged.  The
+face-projection oracles of criterion 4 are the span basis of a face and the
+Minkowski sum of two cones from their generators.  The report text oracle is
+the standard library's indented `json.dumps`.
 """
 
 import itertools
@@ -36,7 +37,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 from scipy.optimize import nnls
 from scipy.signal import fftconvolve
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, cKDTree
 
 from conewh.cones import cone_from_generators
 from conewh.errors import DimensionMismatchError, KernelWindowError
@@ -178,6 +179,33 @@ def nnls_project_onto_ray_cone(rays, x):
     if rays.size == 0:
         return np.zeros_like(x)
     return rays.T @ nnls(rays.T, x)[0]
+
+
+def qhull_body(V):
+    """(A, b, vertices) of the convex hull of points by Qhull: unit outward
+    facet normals A and offsets b, one row per facet, and the hull vertices.
+    Qhull splits a facet of a polytope of dimension >= 3 into simplices; of
+    their equations, equal when rounded to 12 decimals, the first is kept."""
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    hull = ConvexHull(V)
+    keys, rows = [], []
+    for a_c in hull.equations:                  # rows (a, c) with a.x + c <= 0
+        key = np.round(a_c, 12)
+        if not any(np.allclose(key, k) for k in keys):
+            keys.append(key)
+            rows.append(a_c)
+    rows = np.array(rows)
+    return rows[:, :-1], -rows[:, -1], V[hull.vertices]
+
+
+def same_rows(P, Q, tol=0.0):
+    """Whether two arrays hold the same rows up to order: as many rows, and
+    each row within tol (max norm) of some row of the other."""
+    P, Q = np.atleast_2d(P), np.atleast_2d(Q)
+    if P.shape != Q.shape:
+        return False
+    D = np.abs(P[:, None, :] - Q[None, :, :]).max(axis=2)
+    return bool((D.min(axis=1) <= tol).all() and (D.min(axis=0) <= tol).all())
 
 
 def vrep_member(rays, x):
@@ -332,14 +360,15 @@ def gauge_by_bisection(member, x, hi=1e6, iters=200):
 
 
 def complex_singular_split(W, delta_factor=1e-8):
-    """Near-kernel split of a finite section from a complex SVD of W.
+    """Near-kernel split of a finite section from a dense SVD of W with
+    vectors, in real arithmetic for a real W and complex otherwise.
 
     The count of singular values below delta_factor * sigma_max, the
     kernel/cokernel attribution by which singular vector (right or left) has
     more mass on the front half, the singular values, sigma_max, and the gap
     ratio above the count.
     """
-    U, S, Vh = np.linalg.svd(np.asarray(W).astype(complex))
+    U, S, Vh = np.linalg.svd(np.asarray(W))
     n = len(S)
     k = int(np.sum(S < delta_factor * S[0]))
     front = n // 2

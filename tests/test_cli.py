@@ -378,6 +378,11 @@ _TRIV = {"name": "bad-triv", "cone": "quarter-plane", "angle_deg": 8.0, "samples
     ("hierarchy2d", {"name": "y", "symbol": "gauss2d-small", **_GRID, "y_values": []}),
     ("hierarchy2d", {"name": "y", "symbol": "gauss2d-small", **_GRID, "y_values": 0.5}),
     ("trivialize", {**_TRIV, "samples": 2**26 + 1}),
+    # Integers beyond the float range are compared and printed exactly.
+    ("trivialize", {**_TRIV, "samples": 10**400}),
+    ("index1d", {"name": "huge", "symbol": "gauss-small", **_GRID, "N": [64, 10**400]}),
+    ("hierarchy2d", {"name": "huge", "symbol": "gauss2d-small", **_GRID, "N": [8, 10**400]}),
+    ("pklimit", {**_PK, "direction": ["1", 10**400]}),
 ])
 def test_malformed_experiment_spec_is_config_error(tmp_path, capsys, command, spec):
     path = tmp_path / "spec.json"

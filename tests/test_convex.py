@@ -1,10 +1,15 @@
-"""Projections, support functionals, gauges, gradients, normal cones."""
+"""Planar hulls, projections, support functionals, gauges, gradients, normal
+cones."""
+
+import json
+import os
 
 import numpy as np
 import pytest
+from scipy.spatial import QhullError
 
 
-from conewh.cones import cone_from_generators
+from conewh.cones import cone_from_generators, face_lattice
 from conewh.convex import (
     projection_form_applies,
     BallBody,
@@ -18,12 +23,20 @@ from conewh.convex import (
     normal_cone,
     support,
 )
-from conewh.errors import GaugeDomainError, NotDifferentiableError
+from conewh.errors import (
+    DimensionMismatchError,
+    GaugeDomainError,
+    NotDifferentiableError,
+    RankDeficientError,
+)
 from conewh.exact import rvec
+from conewh.io import read_cone_spec
 
 from conewh.limits import SampledSet
 
-from oracles import gauge_by_bisection, nnls_project_onto_ray_cone
+from oracles import gauge_by_bisection, nnls_project_onto_ray_cone, qhull_body, same_rows
+
+SPECS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "specs")
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +54,55 @@ def fourgonal_slice(fourgonal):
     """Gauge body: slice of the 4-gonal cone at xi0 = e3 (a square in 2-D)."""
     normals = np.array([[float(c) for c in a] for a in fourgonal.inequalities])
     return HPolytopeBody.from_cone_slice(normals, np.array([0.0, 0.0, 1.0]))
+
+
+def _cloud(rng, kind):
+    """A seeded planar point set: Gaussian, with repeated points, with points
+    on the hull's edges, or on one line (degenerate)."""
+    V = rng.normal(size=(int(rng.integers(3, 40)), 2)) * rng.uniform(0.1, 100.0)
+    if kind == "duplicates":
+        return np.vstack([V, V[rng.integers(0, len(V), 10)]])
+    if kind == "collinear":
+        H = qhull_body(V)[2]
+        t = rng.uniform(0.1, 0.9, (len(H), 1))
+        return np.vstack([V, t * H + (1 - t) * np.roll(H, -1, axis=0), H])
+    if kind == "degenerate":
+        return np.outer(rng.normal(size=int(rng.integers(1, 10))), rng.normal(size=2))
+    return V
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "duplicates", "collinear"])
+def test_planar_hull_matches_qhull_oracle(kind):
+    """The monotone-chain hull has Qhull's facets (unit outward normals and
+    offsets, up to order) and vertices, counter-clockwise."""
+    rng = np.random.default_rng({"gaussian": 40, "duplicates": 41, "collinear": 42}[kind])
+    for _ in range(30):
+        V = _cloud(rng, kind)
+        body = HPolytopeBody.from_vertices(V)
+        A, b, H = qhull_body(V)
+        scale = np.abs(V).max()
+        assert same_rows(np.column_stack([body.A, body.b / scale]),
+                         np.column_stack([A, b / scale]), 1e-12)
+        assert same_rows(body.vertices, H)
+        assert np.allclose(np.linalg.norm(body.A, axis=1), 1.0, rtol=0, atol=1e-15)
+        E = np.roll(body.vertices, -1, axis=0) - body.vertices
+        turn = E[:, 0] * np.roll(E[:, 1], -1) - E[:, 1] * np.roll(E[:, 0], -1)
+        assert (turn > 0).all()
+
+
+def test_degenerate_or_high_dimensional_vertex_sets_are_typed():
+    """Points on one line, or one point repeated, span no polygon, which Qhull
+    rejects too; hulls in dimension 3 and up are not built."""
+    rng = np.random.default_rng(43)
+    for V in [_cloud(rng, "degenerate") for _ in range(10)] + [np.ones((4, 2))]:
+        with pytest.raises(QhullError):
+            qhull_body(V)
+        with pytest.raises(RankDeficientError, match="span no polygon"):
+            HPolytopeBody.from_vertices(V)
+    with pytest.raises(DimensionMismatchError, match="got dimension 3"):
+        HPolytopeBody.from_vertices(np.eye(3))
+    interval = HPolytopeBody.from_vertices([[2.0], [-0.5], [1.0]])
+    assert interval.A.tolist() == [[1.0], [-1.0]] and interval.b.tolist() == [2.0, 0.5]
 
 
 def test_project_quarter_clipping(quarter_body):
@@ -105,6 +167,28 @@ def test_cone_projection_matches_nnls_oracle(dim):
         for x in np.vstack([inside, outside]):
             p, ref = body.project(x), nnls_project_onto_ray_cone(body.rays, x)
             assert np.abs(p - ref).max() <= 1e-9
+
+
+def test_cone_projection_near_edges_matches_nnls_oracle():
+    """Points of the 48-ray polygonal cone near (22.06, 36.05, -35.42), where
+    two nearly parallel facets meet and absolute KKT tolerances raised
+    ProjectionError, and points near every edge and 2-face of the 5-cube
+    cone project in one batch per cone as nonnegative least squares does."""
+    rng = np.random.default_rng(44)
+    for spec in ("polygon-48", "cube5-unimodular"):
+        with open(os.path.join(SPECS, f"{spec}.json")) as fh:
+            cone = read_cone_spec(json.load(fh))[1]
+        body = PolyhedralConeBody.from_exact(cone)
+        if spec == "polygon-48":
+            X = [22.05516528, 36.0531327, -35.41587244] + rng.uniform(-0.005, 0.005, (200, 3))
+        else:
+            mids = [np.sum([[float(c) for c in g] for g in f.generators], axis=0)
+                    for f in face_lattice(cone).faces if f.dim in (1, 2)]
+            X = np.vstack([m + rng.normal(scale=s * np.linalg.norm(m), size=(3, 6))
+                           for m in mids for s in (1e-6, 1e-3, 1.0)])
+        P = body._polyhedron.project_many(X)
+        ref = np.array([nnls_project_onto_ray_cone(body.rays, x) for x in X])
+        assert np.abs(P - ref).max() <= 1e-9
 
 
 def test_support_examples(quarter_body, square):

@@ -1,5 +1,5 @@
 """Import footprint: each CLI command, run in a fresh interpreter as the
-`conewh` script runs it, loads only the SciPy subpackages its layers use;
+`conewh` script runs it, loads no SciPy, and runs with SciPy unimportable;
 `import conewh` loads none, and its lazy exports are the submodules' objects.
 """
 
@@ -14,15 +14,26 @@ import conewh
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
-# The SciPy subpackages that cost most of an import: spatial for convex hulls,
-# and linalg and optimize, which no layer loads: wiener_hopf runs on
-# numpy.linalg, and convex projects onto polyhedra by its own active-set solve.
+# The SciPy subpackages that cost most of an import, which no layer loads:
+# wiener_hopf runs on numpy.linalg, convex projects onto polyhedra by its own
+# active-set solve and builds planar hulls by the monotone chain, and the
+# trivialization cuts slice bodies from exact facets.
 HEAVY = ("linalg", "optimize", "spatial")
+# Every command on one packaged preset.
+COMMANDS = [
+    ("lattice", "fourgonal-r3"),
+    ("strata", "fourgonal-r3"),
+    ("spectrum", "fourgonal-r3"),
+    ("pklimit", "pklimit-translated-quarter"),
+    ("index1d", "rational-w+1"),
+    ("hierarchy2d", "hierarchy-gauss2d-small"),
+    ("trivialize", "trivialize-rotated-quarter"),
+]
 
 _REPORT = """
 import json, sys
 {body}
-print(json.dumps({{"scipy": "scipy" in sys.modules,
+print(json.dumps({{"scipy": sys.modules.get("scipy") is not None,
                   "heavy": sorted(p for p in {heavy!r} if "scipy." + p in sys.modules)}}))
 """
 
@@ -37,19 +48,41 @@ def _fresh(body):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("command, preset, scipy, heavy", [
-    ("lattice", "fourgonal-r3", False, []),
-    ("strata", "fourgonal-r3", False, []),
-    ("spectrum", "fourgonal-r3", False, []),
-    ("pklimit", "pklimit-translated-quarter", False, []),
-    ("index1d", "rational-w+1", False, []),
-    ("hierarchy2d", "hierarchy-gauss2d-small", False, []),
-    ("trivialize", "trivialize-rotated-quarter", False, []),
-])
+@pytest.mark.parametrize("command, preset, scipy, heavy",
+                         [(command, preset, False, []) for command, preset in COMMANDS])
 def test_command_loads_only_its_scipy_subpackages(tmp_path, command, preset, scipy, heavy):
     argv = [command, "--in", preset, "--out", str(tmp_path), "--seed", "1"]
     loaded = _fresh(f"from conewh.cli import main\nassert main({argv!r}) == 0")
     assert loaded == {"scipy": scipy, "heavy": heavy}
+
+
+def test_commands_and_slice_bodies_run_with_scipy_blocked(tmp_path):
+    """With SciPy unimportable, every command runs on its preset, trivializations
+    with span dimension 3 and 4 cut their slice bodies, and the planar hull of
+    the benchmark's set-up probe takes a gauge."""
+    runs = [[command, "--in", preset, "--out", str(tmp_path), "--seed", "1"]
+            for command, preset in COMMANDS]
+    body = f"""
+sys.modules["scipy"] = None
+import numpy as np
+from conewh.cli import main
+from conewh.cones import cone_from_generators
+from conewh.convex import HPolytopeBody
+from conewh.trivialization import build_trivialization, triv_apply, triv_sample_source
+for argv in {runs!r}:
+    assert main(argv) == 0, argv
+for n in (3, 4):
+    solid = cone_from_generators(np.eye(n, dtype=int).tolist())
+    tilted = cone_from_generators((10 * np.eye(n, dtype=int) + np.eye(n, k=1, dtype=int)
+                                   + np.eye(n, k=1 - n, dtype=int)).tolist())
+    triv = build_trivialization(solid, tilted)
+    assert triv.span_dim == n and triv.body_e.dim == triv.body_f.dim == n - 1
+    X = triv_sample_source(triv, np.random.default_rng(1), 20)
+    assert np.isfinite(triv_apply(triv, X)).all()
+mu = HPolytopeBody.from_vertices([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]).gauge([0.2, 0.1])
+assert abs(mu - 0.3) < 1e-15, mu
+"""
+    assert _fresh(body) == {"scipy": False, "heavy": []}
 
 
 def test_package_import_loads_no_scipy():

@@ -1,5 +1,10 @@
-"""Slice-gauge trivializations: identity case, rotated family, bounds, and the
-point-or-rows contract of the per-point functions."""
+"""Slice-gauge trivializations: identity case, rotated family, bounds, slice
+bodies from exact facets, and the point-or-rows contract of the per-point
+functions."""
+
+import itertools
+import json
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +12,8 @@ import pytest
 from conewh.cones import cone_from_generators, face_lattice
 from conewh.convex import PolyhedralConeBody
 from conewh.errors import DimensionMismatchError, TrivializationError
+from conewh.exact import as_float
+from conewh.io import read_cone_spec
 from conewh.trivialization import (
     build_trivialization,
     lipschitz_bound,
@@ -17,7 +24,10 @@ from conewh.trivialization import (
     triv_target_margin,
 )
 
+from oracles import qhull_body, same_rows
+
 XI0 = np.array([1.0, 1.0]) / np.sqrt(2)
+SPECS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "specs")
 
 
 def test_lipschitz_bound_values():
@@ -157,8 +167,9 @@ def test_wrong_point_dimension_is_typed(quarter, fn, x):
 
 
 def test_determinants_on_rows_and_points(quarter):
-    """A k = 3 trivialization (hull slice bodies) and the rotated quarter
-    (k = 2): rows give the per-point values, and one point gives a float."""
+    """A k = 3 trivialization (slice bodies from exact facets) and the rotated
+    quarter (k = 2): rows give the per-point values, and one point gives a
+    float."""
     solid = cone_from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     tilted = cone_from_generators([(10, 1, 0), (0, 10, 1), (1, 0, 10)])
     k3 = build_trivialization(solid, tilted)
@@ -183,3 +194,51 @@ def test_determinants_on_rows_and_points(quarter):
         assert (fn(k1, X) == 1.0).all()
         assert fn(k1, X[0]) == 1.0 and type(fn(k1, X[0])) is float
     assert type(triv_target_margin(k1, X[0])) is float
+
+
+def _cube5_trivializations(k, count):
+    """The first `count` trivializations between k-faces of the 5-cube cone
+    that share a facet, and those from every fifth k-face to itself."""
+    with open(os.path.join(SPECS, "cube5-unimodular.json")) as fh:
+        faces = [f for f in face_lattice(read_cone_spec(json.load(fh))[1]).faces if f.dim == k]
+    pairs = []
+    for E, F in itertools.permutations(faces, 2):
+        if len(pairs) == count:
+            break
+        if len(set(E.generators) & set(F.generators)) == 2 ** (k - 2):
+            try:
+                pairs.append(build_trivialization(E, F))
+            except TrivializationError:
+                continue
+    return pairs, [build_trivialization(E, E) for E in faces[::5]]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_exact_slice_bodies_match_qhull_oracle(k):
+    """Both slice bodies, cut from the relative duals' exact facets, have the
+    facets (up to order and scale) and the vertices of the Qhull hull of the
+    normalized generators, and the radii r and R of its bodies.  The map from
+    a face to itself is the identity, also where its base point has zero
+    coordinates, and its slice coordinates are an orthonormal basis of
+    xi0-perp."""
+    pairs, selfs = _cube5_trivializations(k, 4)
+    assert len(pairs) == 4 and any((triv.xi0_c == 0).any() for triv in selfs)
+    for triv in selfs:
+        assert np.allclose(triv.Q2 @ triv.Q2.T, np.eye(k - 1), rtol=0, atol=1e-15)
+        assert np.abs(triv.Q2 @ triv.xi0_c).max() <= 1e-15
+        X = triv_sample_source(triv, np.random.default_rng(9), 50)
+        assert np.abs(triv_apply(triv, X) - X).max() <= 1e-12 * np.abs(X).max()
+    for triv in pairs + selfs:
+        gens_e = np.array([as_float(g) for g in triv.rd_e.generators])
+        radii = []
+        for body, gens in ((triv.body_e, gens_e), (triv.body_f, triv.gens_f)):
+            G = gens @ triv.Q.T
+            A, b, V = qhull_body((G / (G @ triv.xi0_c)[:, None] - triv.xi0_c) @ triv.Q2.T)
+            assert body.dim == k - 1
+            norms = np.linalg.norm(body.A, axis=1)[:, None]
+            assert same_rows(np.column_stack([body.A, body.b[:, None]]) / norms,
+                             np.column_stack([A, b]), 1e-12)
+            assert same_rows(body.vertices, V)
+            radii.append((b.min(), np.linalg.norm(V, axis=1).max()))
+        r, R = min(r for r, _ in radii), max(R for _, R in radii)
+        assert triv.r == pytest.approx(r, rel=1e-12) and triv.R == pytest.approx(R, rel=1e-12)

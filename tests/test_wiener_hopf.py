@@ -394,7 +394,8 @@ def test_classical_index_one_factorization_per_truncation(factorizations):
 @pytest.mark.parametrize("name", ["rational-w-1", "rational-w+1", "rational-w-2",
                                   "rational-w+2", "gauss-small"])
 def test_real_split_matches_complex_oracle(name):
-    """The real-arithmetic split agrees with a complex SVD of the same section."""
+    """The real-arithmetic split agrees with a dense SVD with vectors of the
+    same section."""
     from conewh.wiener_hopf import _small_singular_split
 
     S = symbol_preset(name, 0.05, 52.0)
@@ -525,8 +526,8 @@ def _dense_split(W, delta_factor, gap_ratio):
 @pytest.mark.parametrize("section", _ORACLE_CASES)
 def test_split_matches_complex_oracle(section):
     """The split (eigvalsh or values-only SVD, plus one solve) agrees with a
-    dense complex SVD on the count, the kernel/cokernel attribution and the
-    gap verdict.  A Toeplitz case is a generator and takes the generator
+    dense SVD with vectors on the count, the kernel/cokernel attribution and
+    the gap verdict.  A Toeplitz case is a generator and takes the generator
     dispatch; the others take the back end through the dense one."""
     from conewh.wiener_hopf import _small_singular_split
 
@@ -595,7 +596,7 @@ def _symmetric_toeplitz(N, seed, shifted):
 def test_centrosymmetric_split_matches_complex_oracle(factorizations, N, shifted):
     """A real symmetric Toeplitz section equals its reversal J W J: its
     singular values come from two eigvalsh of orders ceil(N/2) and floor(N/2)
-    and agree with a dense complex SVD to N * eps * sigma_max, with the same
+    and agree with a dense SVD to N * eps * sigma_max, with the same
     near-null count; the near-null vectors come from one solve against W."""
     from conewh.wiener_hopf import _singular_values, _small_singular_split
 
