@@ -116,11 +116,23 @@ def _positive(spec, key, default):
     return value
 
 
+def _floats(values, message):
+    """The float array of exact or JSON numbers; one beyond the float range is
+    a ConfigError with the message."""
+    try:
+        return as_float(values)
+    except OverflowError:
+        raise ConfigError(message) from None
+
+
 def _spec_cone(spec):
-    """An experiment's cone: a packaged preset name or an inline cone spec."""
+    """An experiment's cone, a preset name or an inline spec, in the float range."""
     _require(spec, "cone")
     cone = spec["cone"]
-    return cone_preset(cone) if isinstance(cone, str) else read_cone_spec(cone)[1]
+    cone = cone_preset(cone) if isinstance(cone, str) else read_cone_spec(cone)[1]
+    _floats(sum(cone.generators + cone.inequalities, ()),
+            "the cone's rays and facet normals must lie in the float range")
+    return cone
 
 
 def _positive_int(value, what):
@@ -133,16 +145,13 @@ def _positive_int(value, what):
 def _finite_list(value, what, length=None):
     """A non-empty list of finite JSON numbers (not booleans), as floats; of
     `length` entries when given."""
+    message = f"{what} must be a list of {length or 'some'} finite numbers, got {value!r}"
     if (isinstance(value, list) and value and len(value) == (length or len(value))
             and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
-        try:
-            floats = [float(v) for v in value]
-        except OverflowError:       # an integer beyond the float range
-            floats = [math.inf]
-        if all(map(math.isfinite, floats)):
-            return floats
-    raise ConfigError(f"{what} must be a list of {length or 'some'} finite numbers, "
-                      f"got {value!r}")
+        floats = _floats(value, message)
+        if np.isfinite(floats).all():
+            return floats.tolist()
+    raise ConfigError(message)
 
 
 def _check_size(what, side, dim=1):
@@ -431,11 +440,7 @@ def _cmd_pklimit(config):
     _check_size("the eps stencil", 2 * eps / step + 1, cone.ambient_dim)
     bounds = (-window, window)
 
-    try:
-        xf = as_float(direction)
-    except OverflowError:
-        raise ConfigError(f"'direction' must lie in the float range, got "
-                          f"{spec['direction']!r}") from None
+    xf = _floats(direction, f"'direction' must lie in the float range, got {spec['direction']!r}")
     seq = [sample_cone(cone, bounds, step, shift=s * xf, tag=f"scale-{s}")
            for s in scales]
     converged, lo, hi, dist = pk_converged(seq, eps, bounds=bounds, step=step)

@@ -5,12 +5,12 @@ Bodies come in a few concrete shapes (Euclidean ball, H-rep polytope,
 polyhedral cone, and gauge bodies sliced from cones).  A polytope is built
 from facets, or from points in dimension 1 or 2 by a planar hull on numpy
 alone; no module here imports SciPy.
-Polyhedral projections are one active-set solve, exact KKT enumeration over
-facet subsets: a polytope's, and a cone's as the polyhedron of its facet
-normals.  All sampling takes explicit RNGs; nothing here keeps global state.
+Every polyhedral projection, a polytope's and a cone's as the polyhedron of
+its facet normals, is one least-distance problem solved by Lawson and
+Hanson's nonnegative least squares.  All sampling takes explicit RNGs;
+nothing here keeps global state.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -25,6 +25,7 @@ from .errors import (
 from .exact import as_float
 
 _TOL = 1e-9
+_EPS = np.finfo(float).eps
 _ANGLE_TOL = 1e-8
 _TURN_TOL = 1e-12                # sine of the least turn a planar hull keeps
 
@@ -37,9 +38,6 @@ class BallBody:
             raise GaugeDomainError("ball radius must be positive")
         self.radius = float(radius)
         self.dim = int(dim)
-
-    def contains(self, x, tol=1e-9):
-        return np.linalg.norm(x) <= self.radius + tol
 
     def project(self, x):
         x = np.asarray(x, dtype=float)
@@ -68,18 +66,13 @@ class BallBody:
 
 class HPolytopeBody:
     """Polyhedron {z : A z <= b} with optional vertex list, compact with 0
-    inside for the gauge calculus.
-
-    Projection enumerates facet subsets and checks the KKT conditions; for
-    bodies with <= ~12 facets and dimension <= 3 this is exact and fast.
-    """
+    inside for the gauge calculus."""
 
     def __init__(self, A, b, vertices=None):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self.b = np.asarray(b, dtype=float)
         self.dim = self.A.shape[1]
         self.vertices = None if vertices is None else np.atleast_2d(np.asarray(vertices, float))
-        self._subsets = None
 
     # -- construction ------------------------------------------------------
 
@@ -114,71 +107,45 @@ class HPolytopeBody:
         Q = _perp_basis(xi0)
         body = cls(-(normals @ Q.T), offs)
         body.Q = Q
-        body.xi0 = xi0
         return body
 
     # -- geometry ----------------------------------------------------------
 
+    def _violation(self, p, x):
+        """Largest facet violation <a, p> - b relative to |a| |x| + |b|."""
+        scale = np.linalg.norm(self.A, axis=1) * np.linalg.norm(x) + np.abs(self.b)
+        return ((self.A @ p - self.b) / np.maximum(scale, np.finfo(float).tiny)).max()
+
     def contains(self, x, tol=1e-9):
-        scale = np.linalg.norm(self.A, axis=1)
-        return bool(np.all(self.A @ np.asarray(x, float) - self.b <= tol * np.maximum(scale, 1.0)))
+        return bool(self._violation(x, x) <= tol)
 
     def support(self, x):
         if self.vertices is None:
             raise ProjectionError("support needs a vertex list for this body")
         return float(np.max(self.vertices @ np.asarray(x, dtype=float)))
 
-    def _facet_subsets(self):
-        """(S, A_S, pinv(A_S)^T, (A_S A_S^T)^-1) for each facet subset S of size
-        <= dim whose normals have condition number at most 1e6, from one SVD of
-        A_S; the pseudo-inverse keeps a candidate's error at cond(A_S), not at
-        cond(A_S)^2 as the Gram inverse would."""
-        if self._subsets is None:
-            m = len(self.A)
-            subsets = []
-            for size in range(1, min(m, self.dim) + 1):
-                for S in itertools.combinations(range(m), size):
-                    AS = self.A[list(S)]
-                    U, s, Vt = np.linalg.svd(AS, full_matrices=False)
-                    if s[-1] <= 1e-6 * s[0]:
-                        continue
-                    Wt = (U / s) @ Vt
-                    subsets.append((list(S), AS, Wt, Wt @ Wt.T))
-            self._subsets = subsets
-        return self._subsets
-
     def project(self, x):
-        return self.project_many(np.asarray(x, float)[None, :])[0]
-
-    def project_many(self, X):
-        """Batched exact projection via KKT enumeration over facet subsets.
-
-        Each candidate's violation is its largest negative slack b - <a, p> or
-        multiplier lambda * |a|^2, relative to the size |x| |a| + |b| of the
-        facet's terms at that point, so it does not change with the scale of
-        x or of a normal.  The candidate of least violation is taken, and must
-        violate by at most 1e-9: by least distance among near-feasible
-        candidates, the projection onto one of two nearly parallel facets
-        would win over the edge they meet in."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        sq = (self.A ** 2).sum(axis=1)
-        scale = np.maximum(np.linalg.norm(X, axis=1)[:, None] * np.sqrt(sq) + np.abs(self.b),
-                           np.finfo(float).tiny)
-
-        def violation(P):
-            return ((P @ self.A.T - self.b) / scale).max(axis=1)
-
-        best, best_v = X.copy(), violation(X)
-        for S, AS, Wt, Ginv in self._facet_subsets():
-            resid = X @ AS.T - self.b[S]
-            P = X - resid @ Wt
-            v = np.maximum(violation(P), (-(resid @ Ginv) * sq[S] / scale[:, S]).max(axis=1))
-            better = v < best_v
-            best[better], best_v[better] = P[better], v[better]
-        bad = ~(best_v <= _TOL)                 # a NaN point fails too
-        if bad.any():
-            raise ProjectionError("active-set projection failed", iterates={"points": X[bad]})
-        return best
+        """Nearest point x + z: z = -s r[:n] / r[n] solves the least-distance
+        problem min |z| subject to -A z >= h = A x - b, for r = E u - f and u
+        the nonnegative least squares solution of E u ~ f = e_{n+1}, with
+        E = [-A^T; h^T / s] and s = max|h| (Lawson & Hanson 1974, ch. 23).
+        r = 0 means an empty body.  A point that is not finite, or a result
+        off a facet by more than 1e-9 of |a| |x| + |b|, is a ProjectionError."""
+        x = np.asarray(x, dtype=float)
+        violation = np.inf
+        if np.isfinite(x).all():
+            h = self.A @ x - self.b
+            s = np.abs(h).max() or 1.0
+            E = np.vstack([-self.A.T, h / s])
+            f = np.eye(len(E))[-1]
+            r = E @ _nnls(E, f) - f
+            if -r[-1] <= _EPS:              # -r[n] = |r|^2: r = 0 to working precision
+                raise ProjectionError("the body is empty", iterates={"point": x})
+            p = x - r[:-1] * (s / r[-1])
+            violation = self._violation(p, x)
+        if violation <= _TOL:
+            return p
+        raise ProjectionError("projection failed", iterates={"point": x, "violation": violation})
 
     # -- gauge calculus ----------------------------------------------------
 
@@ -259,10 +226,8 @@ class PolyhedralConeBody:
 
     def support(self, x):
         x = np.asarray(x, dtype=float)
-        vals = self.rays @ x
-        if np.all(vals <= _TOL * np.maximum(np.linalg.norm(self.rays, axis=1), 1.0)):
-            return 0.0
-        return np.inf
+        scale = np.linalg.norm(self.rays, axis=1) * np.linalg.norm(x)
+        return 0.0 if np.all(self.rays @ x <= _TOL * scale) else np.inf
 
 
 def _turns_left(o, a, b):
@@ -290,6 +255,35 @@ def _planar_hull(V):
         raise RankDeficientError(
             f"{len(V)} points span no polygon: their hull has {len(hull)} vertices")
     return hull
+
+
+def _nnls(E, f):
+    """u >= 0 minimizing |E u - f| by Lawson and Hanson's active set (1974,
+    ch. 23): the column of largest dual value E^T (f - E u), if above
+    max(m, n) eps max|E|, joins the passive set, and where least squares on
+    those columns leaves u >= 0 no longer, u steps back along the segment to
+    it until an entry reaches 0 and leaves.  Over 3 n steps: ProjectionError."""
+    m, n = E.shape
+    tol = max(m, n) * _EPS * np.abs(E).max()
+    u, s, passive = np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
+    for _ in range(3 * n):
+        if (s[passive] > 0).all():
+            u = s
+            w = np.where(passive, -np.inf, E.T @ (f - E @ u))
+            j = np.argmax(w)
+            if not w[j] > tol:
+                return u
+            passive[j] = True
+        else:
+            neg = passive & (s <= 0)
+            t = np.divide(u, u - s, out=np.zeros(n), where=neg & (u > 0))
+            k = np.flatnonzero(neg)[np.argmin(t[neg])]
+            u = u + t[k] * (s - u)
+            u[k] = 0.0
+            passive &= u > 0
+        s = np.zeros(n)
+        s[passive] = np.linalg.lstsq(E[:, passive], f, rcond=None)[0]
+    raise ProjectionError(f"NNLS took over {3 * n} steps", iterates={"E": E, "f": f})
 
 
 def _perp_basis(v):

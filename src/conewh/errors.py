@@ -56,7 +56,7 @@ class NotDifferentiableError(DomainError):
 
 
 class ProjectionError(DomainError):
-    """Metric projection did not converge; carries the iterate dump."""
+    """Metric projection failed (empty body, point not finite, no convergence)."""
 
     category = "projection"
 

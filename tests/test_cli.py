@@ -383,6 +383,12 @@ _TRIV = {"name": "bad-triv", "cone": "quarter-plane", "angle_deg": 8.0, "samples
     ("index1d", {"name": "huge", "symbol": "gauss-small", **_GRID, "N": [64, 10**400]}),
     ("hierarchy2d", {"name": "huge", "symbol": "gauss2d-small", **_GRID, "N": [8, 10**400]}),
     ("pklimit", {**_PK, "direction": ["1", 10**400]}),
+    # An inline cone with a ray, or a facet normal, beyond the float range.
+    ("pklimit", {**_PK, "cone": {"name": "q", "dim": 2, "generators": [[1, 10**400], [1, 0]]}}),
+    ("pklimit", {**_PK, "cone": {"name": "q", "dim": 2,
+                                 "inequalities": [["1e400", "1"], [0, 1]]}}),
+    ("trivialize", {**_TRIV, "cone": {"name": "q", "dim": 2,
+                                      "generators": [["1", "1e400"], ["1", "0"]]}}),
 ])
 def test_malformed_experiment_spec_is_config_error(tmp_path, capsys, command, spec):
     path = tmp_path / "spec.json"

@@ -27,6 +27,7 @@ from conewh.errors import (
     DimensionMismatchError,
     GaugeDomainError,
     NotDifferentiableError,
+    ProjectionError,
     RankDeficientError,
 )
 from conewh.exact import rvec
@@ -112,28 +113,26 @@ def test_project_quarter_clipping(quarter_body):
 
 
 def test_projection_nonexpansive_and_idempotent(quarter_body, square):
+    """10,000 point pairs for the square, 2,000 for the cone and the ball."""
     rng = np.random.default_rng(1)
     for body, dim in ((quarter_body, 2), (square, 2), (BallBody(1.5, 2), 2)):
         X = rng.uniform(-4, 4, (10000, dim))
         Y = rng.uniform(-4, 4, (10000, dim))
-        if isinstance(body, HPolytopeBody):
-            PX, PY = body.project_many(X), body.project_many(Y)
-        else:
-            PX = np.array([body.project(x) for x in X[:2000]])
-            PY = np.array([body.project(y) for y in Y[:2000]])
+        if not isinstance(body, HPolytopeBody):
             X, Y = X[:2000], Y[:2000]
+        PX = np.array([body.project(x) for x in X])
+        PY = np.array([body.project(y) for y in Y])
         d_in = np.linalg.norm(X - Y, axis=1)
         d_out = np.linalg.norm(PX - PY, axis=1)
         assert np.all(d_out <= d_in + 1e-9)
-        PPX = (body.project_many(PX) if isinstance(body, HPolytopeBody)
-               else np.array([body.project(p) for p in PX]))
+        PPX = np.array([body.project(p) for p in PX])
         assert np.abs(PPX - PX).max() < 1e-9
 
 
 def test_projection_variational_inequality(square):
     rng = np.random.default_rng(2)
     X = rng.uniform(-4, 4, (500, 2))
-    P = square.project_many(X)
+    P = np.array([square.project(x) for x in X])
     V = rng.uniform(-1, 1, (50, 2))  # members of the square
     for x, p in zip(X, P):
         assert np.max((x - p) @ (V - p).T) <= 1e-9 * max(1.0, np.linalg.norm(x - p)) * 4
@@ -173,7 +172,7 @@ def test_cone_projection_near_edges_matches_nnls_oracle():
     """Points of the 48-ray polygonal cone near (22.06, 36.05, -35.42), where
     two nearly parallel facets meet and absolute KKT tolerances raised
     ProjectionError, and points near every edge and 2-face of the 5-cube
-    cone project in one batch per cone as nonnegative least squares does."""
+    cone project as nonnegative least squares on the rays does."""
     rng = np.random.default_rng(44)
     for spec in ("polygon-48", "cube5-unimodular"):
         with open(os.path.join(SPECS, f"{spec}.json")) as fh:
@@ -186,17 +185,75 @@ def test_cone_projection_near_edges_matches_nnls_oracle():
                     for f in face_lattice(cone).faces if f.dim in (1, 2)]
             X = np.vstack([m + rng.normal(scale=s * np.linalg.norm(m), size=(3, 6))
                            for m in mids for s in (1e-6, 1e-3, 1.0)])
-        P = body._polyhedron.project_many(X)
+        P = np.array([body.project(x) for x in X])
         ref = np.array([nnls_project_onto_ray_cone(body.rays, x) for x in X])
         assert np.abs(P - ref).max() <= 1e-9
+
+
+def _spec_cone_body(spec):
+    with open(os.path.join(SPECS, f"{spec}.json")) as fh:
+        return PolyhedralConeBody.from_exact(read_cone_spec(json.load(fh))[1])
+
+
+@pytest.mark.parametrize("spec", ["polygon-48", "cube5-unimodular"])
+def test_cone_projection_is_positively_homogeneous(spec):
+    """P(t x) = t P(x) for t from 1e-6 to 1e6, each against nonnegative least
+    squares on the rays, to 1e-9 relative to |t x|: inside, outside and in
+    the polar cone."""
+    body = _spec_cone_body(spec)
+    rng = np.random.default_rng(45)
+    X = np.vstack([rng.uniform(0.0, 1.0, (5, len(body.rays))) @ body.rays,
+                   rng.normal(size=(10, body.dim)),
+                   -rng.uniform(0.0, 1.0, (5, len(body.normals))) @ body.normals])
+    for x in X:
+        p = body.project(x)
+        for t in 10.0 ** np.arange(-6, 7):
+            pt = body.project(t * x)
+            tol = 1e-9 * t * np.linalg.norm(x)
+            assert np.abs(pt - nnls_project_onto_ray_cone(body.rays, t * x)).max() <= tol
+            assert np.abs(pt - t * p).max() <= tol
+
+
+def test_projection_errors():
+    """An empty body, a point that is not finite: ProjectionError with the point."""
+    empty = HPolytopeBody([[1.0], [-1.0]], [-1.0, -1.0])
+    for x in ([0.0], [5.0], [-1e6]):
+        with pytest.raises(ProjectionError) as err:
+            empty.project(x)
+        assert err.value.iterates["point"].tolist() == x
+    square = HPolytopeBody.from_vertices([[1, 1], [1, -1], [-1, 1], [-1, -1]])
+    cone = _spec_cone_body("polygon-48")
+    for body, x in ((square, [np.nan, 0.0]), (square, [np.inf, 1.0]),
+                    (cone, [1.0, np.nan, 2.0]), (cone, [-np.inf, 0.0, 0.0])):
+        with pytest.raises(ProjectionError, match="projection failed") as err:
+            metric_project(body, x)
+        assert not np.isfinite(err.value.iterates["violation"])
 
 
 def test_support_examples(quarter_body, square):
     assert support(quarter_body, [-1, -1]) == 0.0
     assert support(quarter_body, [1, 0]) == np.inf
+    assert support(quarter_body, [0, 0]) == 0.0
     assert support(square, [2, 1]) == pytest.approx(3.0)  # max over vertices
     sample = SampledSet.from_points([[0.0, 1.0], [2.0, 2.0]], (-2.0, 2.0), 0.5)
     assert support(sample, [1.0, 0.0]) == pytest.approx(2.0)
+
+
+def test_cone_membership_and_support_do_not_depend_on_scale(quarter_body):
+    """Membership is judged relative to |a| |x| and support relative to
+    |r| |x|, so a point t x gets the answer of x at every scale t: with
+    absolute bounds, support at (1e-10, 0) read 0, and (-1e-10, 1) was a
+    member while (-1e-8, 100) was not."""
+    assert support(quarter_body, [1e-10, 0]) == np.inf
+    assert quarter_body.contains([-1e-10, 1]) and quarter_body.contains([-1e-8, 100])
+    for t in 10.0 ** np.arange(-12, 13, 2):
+        assert support(quarter_body, [t, 0]) == np.inf
+        assert support(quarter_body, [t * 1e-8, -t]) == np.inf
+        assert support(quarter_body, [t * 1e-10, -t]) == 0.0
+        assert support(quarter_body, [-t, 0]) == 0.0
+        assert quarter_body.contains([-1e-10 * t, t])
+        assert not quarter_body.contains([-1e-8 * t, t])
+        assert not quarter_body.contains([-t, 0])
 
 
 def test_gauge_examples(square, fourgonal_slice):
