@@ -17,7 +17,6 @@ ConfigError (exit 2) from `presets.preset_spec`.
 """
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -98,14 +97,10 @@ def _require(spec, *keys):
 
 
 def _finite(spec, key, default):
-    """A finite float spec value; default when the key is absent."""
-    try:
-        value = float(spec.get(key, default))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad '{key}' in spec: {exc}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"'{key}' must be finite, got {value}")
-    return value
+    """A finite JSON number (not a boolean or a string) spec value, as a float;
+    default when the key is absent."""
+    value = spec.get(key, default)
+    return float(_finite_numbers([value], f"'{key}' must be a finite number, got {value!r}")[0])
 
 
 def _positive(spec, key, default):
@@ -125,13 +120,23 @@ def _floats(values, message):
         raise ConfigError(message) from None
 
 
+def _check_norms(rows, message):
+    """A ConfigError with the message unless every float row has a norm in the
+    float range: its sum of squares must not overflow."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.linalg.norm(rows, axis=-1)).all():
+            raise ConfigError(message)
+
+
 def _spec_cone(spec):
-    """An experiment's cone, a preset name or an inline spec, in the float range."""
+    """An experiment's cone, a preset name or an inline spec, whose rays and
+    facet normals and their norms lie in the float range."""
     _require(spec, "cone")
     cone = spec["cone"]
     cone = cone_preset(cone) if isinstance(cone, str) else read_cone_spec(cone)[1]
-    _floats(sum(cone.generators + cone.inequalities, ()),
-            "the cone's rays and facet normals must lie in the float range")
+    message = "the cone's rays and facet normals, and their norms, must lie in the float range"
+    rows = _floats(sum(cone.generators + cone.inequalities, ()), message)
+    _check_norms(rows.reshape(-1, cone.ambient_dim), message)
     return cone
 
 
@@ -142,15 +147,22 @@ def _positive_int(value, what):
     return value
 
 
+def _finite_numbers(values, message):
+    """The float array of a list of finite JSON numbers (not booleans or
+    strings); any other entry is a ConfigError with the message."""
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        floats = _floats(values, message)
+        if np.isfinite(floats).all():
+            return floats
+    raise ConfigError(message)
+
+
 def _finite_list(value, what, length=None):
     """A non-empty list of finite JSON numbers (not booleans), as floats; of
     `length` entries when given."""
     message = f"{what} must be a list of {length or 'some'} finite numbers, got {value!r}"
-    if (isinstance(value, list) and value and len(value) == (length or len(value))
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
-        floats = _floats(value, message)
-        if np.isfinite(floats).all():
-            return floats.tolist()
+    if isinstance(value, list) and value and len(value) == (length or len(value)):
+        return _finite_numbers(value, message).tolist()
     raise ConfigError(message)
 
 
@@ -320,8 +332,10 @@ def _cmd_trivialize(config):
     samples = _positive_int(spec.get("samples", 500), "'samples'")
     _check_size("'samples'", samples)
     rng = np.random.default_rng(config.seed)
-    xi0 = (np.asarray(_finite_list(spec["xi0"], "'xi0'", cone.ambient_dim))
-           if "xi0" in spec else None)
+    xi0 = None
+    if "xi0" in spec:
+        xi0 = np.asarray(_finite_list(spec["xi0"], "'xi0'", cone.ambient_dim))
+        _check_norms(xi0, f"the norm of 'xi0' must lie in the float range, got {spec['xi0']!r}")
 
     rotated = PolyhedralConeBody.from_exact(cone).rotated(np.deg2rad(angle))
     triv = build_trivialization(cone, rotated, xi0=xi0)
@@ -441,8 +455,13 @@ def _cmd_pklimit(config):
     bounds = (-window, window)
 
     xf = _floats(direction, f"'direction' must lie in the float range, got {spec['direction']!r}")
-    seq = [sample_cone(cone, bounds, step, shift=s * xf, tag=f"scale-{s}")
-           for s in scales]
+    with np.errstate(over="ignore"):
+        shifts = [s * xf for s in scales]
+    if not np.isfinite(shifts).all():
+        raise ConfigError(f"each scale times 'direction' must lie in the float range, got "
+                          f"scales {scales} and direction {spec['direction']!r}")
+    seq = [sample_cone(cone, bounds, step, shift=shift, tag=f"scale-{s}")
+           for s, shift in zip(scales, shifts)]
     converged, lo, hi, dist = pk_converged(seq, eps, bounds=bounds, step=step)
     limit_cone = ray_limit(cone, direction)
     exact = sample_cone(limit_cone, bounds, step, tag="exact-limit")

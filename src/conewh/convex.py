@@ -26,7 +26,8 @@ from .exact import as_float
 
 _TOL = 1e-9
 _EPS = np.finfo(float).eps
-_ANGLE_TOL = 1e-8
+_ANGLE_TOL = 1e-8                # distinct normal directions: cosine below 1 - _ANGLE_TOL
+_ACTIVE_TOL = 1e-6               # active facets (relative); exterior points, by distance
 _TURN_TOL = 1e-12                # sine of the least turn a planar hull keeps
 
 
@@ -52,9 +53,9 @@ class BallBody:
     def gauge(self, x):
         return float(np.linalg.norm(x)) / self.radius
 
-    def normal_generators(self, x, tol=1e-6):
+    def normal_generators(self, x):
         nx = np.linalg.norm(x)
-        if abs(nx - self.radius) > tol * max(1.0, self.radius):
+        if abs(nx - self.radius) > _ACTIVE_TOL * max(1.0, self.radius):
             return []
         return [np.asarray(x, dtype=float) / nx]
 
@@ -116,8 +117,8 @@ class HPolytopeBody:
         scale = np.linalg.norm(self.A, axis=1) * np.linalg.norm(x) + np.abs(self.b)
         return ((self.A @ p - self.b) / np.maximum(scale, np.finfo(float).tiny)).max()
 
-    def contains(self, x, tol=1e-9):
-        return bool(self._violation(x, x) <= tol)
+    def contains(self, x):
+        return bool(self._violation(x, x) <= _TOL)
 
     def support(self, x):
         if self.vertices is None:
@@ -161,15 +162,15 @@ class HPolytopeBody:
         mu = np.where(mu > 0.0, mu, 0.0)
         return float(mu) if x.ndim == 1 else mu
 
-    def active_indices(self, x, tol=1e-6):
+    def active_indices(self, x):
         """Facets active at the boundary point x (relative tolerance)."""
         x = np.asarray(x, dtype=float)
         resid = np.abs(self.A @ x - self.b)
         scale = np.maximum(np.linalg.norm(self.A, axis=1) * np.linalg.norm(x), 1e-12)
-        return np.where(resid <= tol * scale)[0]
+        return np.where(resid <= _ACTIVE_TOL * scale)[0]
 
-    def normal_generators(self, x, tol=1e-6):
-        return [self.A[i].copy() for i in self.active_indices(x, tol)]
+    def normal_generators(self, x):
+        return [self.A[i].copy() for i in self.active_indices(x)]
 
     def gauge_normal_set(self, x):
         """Extreme points of {y in N_xhat : <y, x> = mu(x)} (gauge-scaled normals)."""
@@ -218,8 +219,8 @@ class PolyhedralConeBody:
         R = np.array([[c, -s], [s, c]])
         return PolyhedralConeBody(self.rays @ R.T, self.normals @ R.T)
 
-    def contains(self, x, tol=1e-9):
-        return self._polyhedron.contains(x, tol)
+    def contains(self, x):
+        return self._polyhedron.contains(x)
 
     def project(self, x):
         return self._polyhedron.project(x)
@@ -322,19 +323,19 @@ def gauge(body, x):
     return body.gauge(np.asarray(x, dtype=float))
 
 
-def normal_cone(body, x, tol=1e-6):
+def normal_cone(body, x):
     """Generators of the normal cone at a boundary point (single normal if smooth)."""
-    return body.normal_generators(np.asarray(x, dtype=float), tol=tol)
+    return body.normal_generators(np.asarray(x, dtype=float))
 
 
-def _distinct_directions(vectors, angle_tol=_ANGLE_TOL):
+def _distinct_directions(vectors):
     dirs = []
     for v in vectors:
         nv = np.linalg.norm(v)
         if nv <= 0:
             continue
         u = v / nv
-        if not any(u @ w > 1 - angle_tol for w in dirs):
+        if not any(u @ w > 1 - _ANGLE_TOL for w in dirs):
             dirs.append(u)
     return dirs
 
@@ -387,10 +388,10 @@ def gauge_gradient_projection_form(body, x):
     return r / denom
 
 
-def projection_form_applies(body, x, tol=1e-6):
+def projection_form_applies(body, x):
     """True when x is exterior and its projection is a smooth boundary point."""
     x = np.asarray(x, dtype=float)
     p = body.project(x)
-    if np.linalg.norm(x - p) <= tol:
+    if np.linalg.norm(x - p) <= _ACTIVE_TOL:
         return False
-    return len(_distinct_directions(body.normal_generators(p, tol=tol))) == 1
+    return len(_distinct_directions(body.normal_generators(p))) == 1

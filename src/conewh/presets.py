@@ -126,9 +126,6 @@ def symbol_preset(name, h, T):
         f, winding, desc = _SYMBOLS_1D[name]
         sym = make_symbol(f, 1, h, T, name=name)
         sym.meta.update({"expected_winding": winding, "description": desc})
-        if name in RATIONAL_ZERO_POLE:
-            z, p = RATIONAL_ZERO_POLE[name]
-            sym.meta["winding_oracle"] = p - z
         return sym
     if name in _SYMBOLS_2D:
         f, desc = _SYMBOLS_2D[name]

@@ -17,9 +17,9 @@ The gauge data (xi0, r, R) with ball(r) inside both slice bodies inside
 ball(R) gives the bi-Lipschitz bound; the Jacobian determinant at
 differentiable points is the gauge ratio to the power dim-1.  The
 `Trivialization` record holds Q, the reduced base point, the projector onto
-span F, the source generators and the exact target relative dual; for span
-dimension k >= 2 also the basis of xi0-perp and the two slice bodies (for
-k = 1 the reduced map is the identity).
+span F and the float cone that each side maps; for span dimension k >= 2
+also the basis of xi0-perp and the two slice bodies (for k = 1 the reduced
+map is the identity).
 
 `triv_apply`, `triv_det`, `triv_det_formula` and `triv_target_margin` take one
 ambient point (giving back a row or a float) or rows of them, each in one numpy
@@ -34,7 +34,7 @@ import numpy as np
 from .cones import Face, PolyhedralCone, dual_cone, is_pointed, is_solid, relative_dual
 from .convex import HPolytopeBody, PolyhedralConeBody, _perp_basis
 from .errors import DimensionMismatchError, TrivializationError
-from .exact import as_float, span_basis, vneg
+from .exact import as_float, span_basis
 
 _FD_STEP = 1e-6                   # central-difference step of triv_det
 
@@ -49,37 +49,32 @@ def lipschitz_bound(r, R):
 
 
 def _side_data(obj):
-    """Normalize a trivialization input to (gens, span_rows, level_dim, exact_dual).
-
-    Accepts an exact Face (the mapped set is its relative dual), an exact
-    PolyhedralCone already playing the face role, or a float cone body
-    (solid case; the mapped set is its dual cone, only dim <= 2 supported
-    for float inputs).
-    """
+    """Normalize a trivialization input to (cone, span_rows, level_dim), cone
+    the float body of the set it maps: the relative dual of an exact Face, or
+    the dual of an exact pointed, solid PolyhedralCone (the face role) or of a
+    solid 2-D float cone body (the only float inputs supported)."""
     if isinstance(obj, Face):
         rd = relative_dual(obj)
         span = np.array([as_float(b) for b in span_basis(list(rd.generators), rd.ambient_dim)])
-        return np.array([as_float(g) for g in rd.generators]), span, obj.dim, rd
+        return PolyhedralConeBody.from_exact(rd), span, obj.dim
     if isinstance(obj, PolyhedralCone):
         if not (is_pointed(obj) and is_solid(obj)):
             raise TrivializationError("cone inputs must be pointed and solid")
-        rd = dual_cone(obj)
-        gens = np.array([as_float(g) for g in rd.generators])
-        return gens, np.eye(obj.ambient_dim), obj.ambient_dim, rd
+        n = obj.ambient_dim
+        return PolyhedralConeBody.from_exact(dual_cone(obj)), np.eye(n), n
     if isinstance(obj, PolyhedralConeBody):
         if obj.dim != 2 or len(obj.rays) != 2:
             raise TrivializationError(
                 "float cone inputs must be solid 2-D cones with two extreme rays")
-        # dual of a 2-D cone spanned by extreme rays r1, r2: rotate each ray
-        # by 90 degrees, oriented toward the other ray.
+        # dual of a 2-D cone spanned by extreme rays r1, r2: each ray turned by
+        # 90 degrees toward the other ray; the rays are the dual's normals.
         rays = obj.rays
         duals = []
-        for i, r in enumerate(rays):
+        for r, other in zip(rays, rays[::-1]):
             perp = np.array([-r[1], r[0]])
-            if perp @ rays[1 - i] < 0:
-                perp = -perp
+            perp = -perp if perp @ other < 0 else perp
             duals.append(perp / np.linalg.norm(perp))
-        return np.array(duals), np.eye(2), 2, None
+        return PolyhedralConeBody(duals, rays), np.eye(2), 2
     raise TrivializationError(f"unsupported trivialization input {type(obj).__name__}")
 
 
@@ -87,14 +82,13 @@ def _side_data(obj):
 class Trivialization:
     """Slice-gauge matching map from the relative dual of F onto that of E."""
 
-    xi0: np.ndarray               # ambient base point, unit norm
     r: float                      # common inner slice radius
     R: float                      # common outer slice radius
     Q: np.ndarray                 # k x n orthonormal coordinates of span E
-    xi0_c: np.ndarray             # base point in those coordinates
+    xi0_c: np.ndarray             # base point in those coordinates, unit norm
     proj_f: np.ndarray            # n x n orthogonal projector onto span F
-    gens_f: np.ndarray            # generators of the source relative dual
-    rd_e: object                  # exact target relative dual; None for a float body
+    cone_e: PolyhedralConeBody    # target cone, the relative dual on the E side
+    cone_f: PolyhedralConeBody    # source cone, the relative dual on the F side
     Q2: np.ndarray = None         # (k-1) x k basis of xi0_c-perp; None when k = 1
     body_e: HPolytopeBody = None  # slice bodies in Q2 coordinates; None when k = 1
     body_f: HPolytopeBody = None
@@ -109,10 +103,10 @@ class Trivialization:
 
 
 def _facet_normals(cone):
-    """Float facet normals of an exact cone: its inequalities but the +- pairs,
-    which span the orthocomplement of the cone's span."""
-    rows = set(cone.inequalities)
-    return np.array([as_float(a) for a in cone.inequalities if vneg(a) not in rows])
+    """Facet normals of a cone body: its normals but the +- pairs, which span
+    the orthocomplement of the cone's span."""
+    rows = set(map(tuple, cone.normals))
+    return cone.normals[[tuple(-a) not in rows for a in cone.normals]]
 
 
 def _slice_body(gens_c, xi0_c, Q2, normals_c=None):
@@ -141,8 +135,8 @@ def build_trivialization(E, F, xi0=None):
     duals and both face cones; by default the normalized generator
     barycenter of E's relative dual is used.
     """
-    gens_e, span_e, k, rd_e = _side_data(E)
-    gens_f, span_f, dim_f, rd_f = _side_data(F)
+    cone_e, span_e, k = _side_data(E)
+    cone_f, span_f, dim_f = _side_data(F)
     if k != dim_f:
         raise TrivializationError("E, F from different levels")
     if k == 0:
@@ -152,8 +146,8 @@ def build_trivialization(E, F, xi0=None):
     # Orthonormal coordinates Q (k x n) of span E; the F-side span is carried
     # over by orthogonal projection, which is a linear isomorphism for F near E.
     Q = np.linalg.qr(span_e.T)[0][:, :k].T if k < n else np.eye(n)
-    ge_c = gens_e @ Q.T
-    gf_c = gens_f @ Q.T
+    ge_c = cone_e.rays @ Q.T
+    gf_c = cone_f.rays @ Q.T
     if np.linalg.matrix_rank(gf_c, tol=1e-9) < k:
         raise TrivializationError("faces are not close enough: span projection degenerates")
 
@@ -171,27 +165,27 @@ def build_trivialization(E, F, xi0=None):
         raise TrivializationError(f"base point not admissible (norm {norm:.3g} in span E)")
     xi0_c = xi0_c / norm
     proj_f = span_f.T @ np.linalg.solve(span_f @ span_f.T, span_f)
-    fields = (Q, xi0_c, proj_f, gens_f, rd_e)
+    fields = (Q, xi0_c, proj_f, cone_e, cone_f)
 
     if k == 1:
         # Both reduced cones are the positive axis; the map is the identity.
         if np.any(ge_c @ xi0_c <= 0) or np.any(gf_c @ xi0_c <= 0):
             raise TrivializationError("base point not admissible")
-        return Trivialization(Q.T @ xi0_c, 1.0, 1.0, *fields)
+        return Trivialization(1.0, 1.0, *fields)
 
     Q2 = _perp_basis(xi0_c)
     normals_e = normals_f = None
     if k > 2:
-        # Both sides are exact (float cone inputs are 2-D).  A point M c of
-        # the reduced F side, M = Q B^T for the span-F rows B, is B^T c in
-        # span F, so a normal a of F's relative dual reads M^-T B a there.
-        normals_e = _facet_normals(rd_e) @ Q.T
-        normals_f = np.linalg.solve((Q @ span_f.T).T, span_f @ _facet_normals(rd_f).T).T
+        # A point M c of the reduced F side, M = Q B^T for the span-F rows B,
+        # is B^T c in span F, so a normal a of F's relative dual reads
+        # M^-T B a there.
+        normals_e = _facet_normals(cone_e) @ Q.T
+        normals_f = np.linalg.solve((Q @ span_f.T).T, span_f @ _facet_normals(cone_f).T).T
     body_e = _slice_body(ge_c, xi0_c, Q2, normals_e)
     body_f = _slice_body(gf_c, xi0_c, Q2, normals_f)
     r = min(body_e.inradius, body_f.inradius)
     R = max(body_e.outradius, body_f.outradius)
-    return Trivialization(Q.T @ xi0_c, r, R, *fields, Q2, body_e, body_f)
+    return Trivialization(r, R, *fields, Q2, body_e, body_f)
 
 
 def _point_or_rows(rows_fn):
@@ -209,12 +203,6 @@ def _point_or_rows(rows_fn):
     return fn
 
 
-def _slice_coords(triv, W):
-    """Height t = <w, xi0> and xi0-perp coordinates Z2 of rows W (k coordinates)."""
-    t = W @ triv.xi0_c
-    return t, (W - np.outer(t, triv.xi0_c)) @ triv.Q2.T
-
-
 def _gauge_ratio(triv, Z2):
     """mu_F / mu_E on rows of xi0-perp coordinates; 1 where mu_E vanishes."""
     mu_e, mu_f = triv.body_e.gauge(Z2), triv.body_f.gauge(Z2)
@@ -222,10 +210,12 @@ def _gauge_ratio(triv, Z2):
 
 
 def _reduced_apply(triv, W):
-    """Apply the reduced map to rows of W (k coordinates)."""
+    """Apply the reduced map to rows of W (k coordinates): the height
+    t = <w, xi0> stays, the xi0-perp coordinates Z2 scale by the gauge ratio."""
     if triv.Q2 is None:
         return W
-    t, Z2 = _slice_coords(triv, W)
+    t = W @ triv.xi0_c
+    Z2 = (W - np.outer(t, triv.xi0_c)) @ triv.Q2.T
     return (Z2 * _gauge_ratio(triv, Z2)[:, None]) @ triv.Q2 + np.outer(t, triv.xi0_c)
 
 
@@ -271,23 +261,12 @@ def triv_det_formula(triv, X):
 
 def triv_sample_source(triv, rng, count):
     """Random ambient points of the source relative dual (F side)."""
-    return rng.random((count, len(triv.gens_f))) @ triv.gens_f
+    return rng.random((count, len(triv.cone_f.rays))) @ triv.cone_f.rays
 
 
 @_point_or_rows
 def triv_target_margin(triv, X):
-    """Membership margin of ambient points in the target relative dual (E side).
-
-    Positive margins mean strict membership; uses E's exact inequality normals
-    when available, otherwise the slice gauge.
-    """
-    if triv.rd_e is not None:
-        normals = np.array([as_float(a) for a in triv.rd_e.inequalities])
-        scale = np.linalg.norm(normals, axis=1)
-        return (X @ normals.T / scale).min(axis=1)
-    # gauge-based: x = t*xi0 + z with t > 0 and mu(z/t) <= 1 inside
-    t, Z2 = _slice_coords(triv, X @ triv.Q.T)
-    pos = t > 0
-    margins = t.copy()
-    margins[pos] = t[pos] * (1.0 - triv.body_e.gauge(Z2[pos] / t[pos, None]))
-    return margins
+    """Membership margin of ambient points in the target relative dual (E side):
+    the least <x, a> / |a| over its normals a, positive for strict membership."""
+    normals = triv.cone_e.normals
+    return (X @ normals.T / np.linalg.norm(normals, axis=1)).min(axis=1)

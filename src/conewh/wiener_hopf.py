@@ -52,6 +52,7 @@ from .errors import (
 )
 
 _DECAY_TOL = 1e-8
+_NONVANISHING_TOL = 1e-8  # a symbol is nonvanishing where min |1 + fhat| exceeds this
 _ZERO_TOL = 1e-8          # winding: a zero at |curve| <= _ZERO_TOL * max(|curve|, 1)
 _DELTA_FACTOR = 1e-8      # near-null singular values: below _DELTA_FACTOR * sigma_max
 _GAP_RATIO = 1e3          # least gap above the near-null values that resolves an index
@@ -393,7 +394,7 @@ def classical_index(symbol: SymbolGrid, truncations=(512, 1024)) -> FredholmRepo
         raise DimensionMismatchError("classical index is 1-D")
     curve = symbol_curve(symbol)
     symbol_min = float(np.abs(curve).min())
-    nonvanishing = symbol_min > 1e-8
+    nonvanishing = symbol_min > _NONVANISHING_TOL
     report = FredholmReport(nonvanishing, symbol_min)
     if not nonvanishing:
         report.diagnostics["sigma_min"] = {N: float(_singular_values(_section(symbol, N))[0][-1])
@@ -499,7 +500,7 @@ def hierarchy_fredholm(symbol: SymbolGrid, truncations=(48, 96), y_values=None,
     if symbol.dim != 2:
         raise DimensionMismatchError("hierarchy report needs a 2-D symbol")
     symbol_min = float(min(np.abs(1.0 + symbol.fhat).min(), 1.0))
-    nonvanishing = symbol_min > 1e-8
+    nonvanishing = symbol_min > _NONVANISHING_TOL
 
     if y_values is None:
         fstep = symbol.freqs[1] - symbol.freqs[0]

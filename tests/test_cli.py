@@ -276,6 +276,10 @@ _GRID = {"h": 0.05, "T": 30.0, "N": [64, 128]}
     {**_GRID, "h": 1e-300, "T": 1.0},
     {**_GRID, "h": 1e-7},
     {**_GRID, "T": 1e6, "N": [64, 10000]},
+    # A number given as a string or a boolean.
+    {**_GRID, "h": "0.05"},
+    {**_GRID, "h": True},
+    {**_GRID, "T": False},
 ])
 def test_bad_grid_is_config_error(tmp_path, capsys, command, symbol, grid):
     path = tmp_path / "spec.json"
@@ -295,6 +299,10 @@ _PK = {"name": "bad-pk", "cone": "quarter-plane", "direction": ["1", "0"],
     pytest.param({**_PK, "window": "nan"}, None, id="window-nan"),
     pytest.param({**_PK, "window": 0}, None, id="window-zero"),
     pytest.param({**_PK, "eps": "half"}, None, id="eps-word"),
+    pytest.param({**_PK, "eps": True}, None, id="eps-bool"),
+    pytest.param({**_PK, "eps": "0.5"}, None, id="eps-string"),
+    pytest.param({**_PK, "window": True}, None, id="window-bool"),
+    pytest.param({**_PK, "step": "0.25"}, None, id="step-string"),
     pytest.param(_PK, "eps=nan", id="tol-eps-nan"),
     pytest.param(_PK, "eps=-1", id="tol-eps-negative"),
     pytest.param({k: v for k, v in _PK.items() if k != "direction"}, None,
@@ -389,6 +397,9 @@ _TRIV = {"name": "bad-triv", "cone": "quarter-plane", "angle_deg": 8.0, "samples
                                  "inequalities": [["1e400", "1"], [0, 1]]}}),
     ("trivialize", {**_TRIV, "cone": {"name": "q", "dim": 2,
                                       "generators": [["1", "1e400"], ["1", "0"]]}}),
+    # An angle given as a boolean or a string.
+    ("trivialize", {**_TRIV, "angle_deg": True}),
+    ("trivialize", {**_TRIV, "angle_deg": "8.0"}),
 ])
 def test_malformed_experiment_spec_is_config_error(tmp_path, capsys, command, spec):
     path = tmp_path / "spec.json"
@@ -453,6 +464,32 @@ def test_trivialize_domain_error(tmp_path, capsys, spec, message):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(message) and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, spec", [
+    # Entries in the float range whose norms, or whose products with the
+    # largest scale, are not.
+    pytest.param("trivialize", {**_TRIV, "xi0": [1e308, 0.7071067811865476]}, id="xi0-huge"),
+    pytest.param("trivialize", {**_TRIV, "cone": {"name": "q", "dim": 2,
+                                                  "generators": [[1, 10**200], [1, 0]]}},
+                 id="trivialize-cone-1e200"),
+    pytest.param("pklimit", {**_PK, "cone": {"name": "q", "dim": 2,
+                                             "generators": [[1, 10**200], [1, 0]]}},
+                 id="pklimit-cone-1e200"),
+    pytest.param("pklimit", {"name": "far", "cone": "quarter-plane",
+                             "direction": ["1e307", "1"]}, id="direction-1e307"),
+])
+def test_overflowing_spec_is_config_error(tmp_path, capsys, command, spec):
+    """Specs whose numbers overflow once squared or scaled end in exit 2 with
+    one line, before any RuntimeWarning (an error here)."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    argv = [command, "--in", str(path), "--out", str(tmp_path / "out"), "--seed", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 def _never_called(*args, **kwargs):

@@ -326,7 +326,7 @@ def test_gauge_sublevel_is_body(square, fourgonal_slice):
     for body in (square, fourgonal_slice):
         for _ in range(200):
             x = rng.uniform(-3, 3, body.dim)
-            inside = body.contains(x, tol=1e-9)
+            inside = body.contains(x)
             assert inside == (gauge(body, x) <= 1 + 1e-9)
 
 

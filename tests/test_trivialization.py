@@ -12,7 +12,6 @@ import pytest
 from conewh.cones import cone_from_generators, face_lattice
 from conewh.convex import PolyhedralConeBody
 from conewh.errors import DimensionMismatchError, TrivializationError
-from conewh.exact import as_float
 from conewh.io import read_cone_spec
 from conewh.trivialization import (
     build_trivialization,
@@ -74,18 +73,23 @@ def test_rotated_family(quarter, angle_deg):
     assert ratios.max() <= np.sqrt(2) * max(triv.lipschitz, 1.0)
 
 
-def test_gauge_margin_matches_point_loop(quarter):
-    """The slice-gauge margin (float target body) against a per-point loop."""
+def test_float_target_margin_matches_normals_and_gauge_loop(quarter):
+    """On a float target body the margin is the least <x, a> / |a| over the
+    normals of its dual, the body's rays, bit for bit; and it is positive
+    exactly where a per-point slice-gauge loop is."""
     rotated = PolyhedralConeBody.from_exact(quarter).rotated(np.deg2rad(6.0))
     triv = build_trivialization(rotated, quarter, xi0=XI0)
     pts = np.random.default_rng(3).uniform(-2, 2, (400, 2))
+    margins = triv_target_margin(triv, pts)
+    rays = rotated.rays
+    assert margins.tobytes() == (pts @ rays.T / np.linalg.norm(rays, axis=1)).min(axis=1).tobytes()
     W = pts @ triv.Q.T
     t = W @ triv.xi0_c
     Z2 = (W - np.outer(t, triv.xi0_c)) @ triv.Q2.T
     loop = np.array([ti if ti <= 0 else ti * (1.0 - triv.body_e.gauge(z2 / ti))
                      for ti, z2 in zip(t, Z2)])
-    assert (t <= 0).any() and (t > 0).any()
-    assert triv_target_margin(triv, pts).tobytes() == loop.tobytes()
+    assert (t <= 0).any() and (t > 0).any() and (loop > 0).any() and (loop <= 0).any()
+    assert ((margins > 0) == (loop > 0)).all()
 
 
 def test_round_trip_between_rotated_cones(quarter):
@@ -229,10 +233,9 @@ def test_exact_slice_bodies_match_qhull_oracle(k):
         X = triv_sample_source(triv, np.random.default_rng(9), 50)
         assert np.abs(triv_apply(triv, X) - X).max() <= 1e-12 * np.abs(X).max()
     for triv in pairs + selfs:
-        gens_e = np.array([as_float(g) for g in triv.rd_e.generators])
         radii = []
-        for body, gens in ((triv.body_e, gens_e), (triv.body_f, triv.gens_f)):
-            G = gens @ triv.Q.T
+        for body, cone in ((triv.body_e, triv.cone_e), (triv.body_f, triv.cone_f)):
+            G = cone.rays @ triv.Q.T
             A, b, V = qhull_body((G / (G @ triv.xi0_c)[:, None] - triv.xi0_c) @ triv.Q2.T)
             assert body.dim == k - 1
             norms = np.linalg.norm(body.A, axis=1)[:, None]
