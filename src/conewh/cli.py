@@ -47,7 +47,7 @@ SAMPLING_COMMANDS = ("trivialize",)
 # --tol keys each command reads; any other key is a configuration error.
 TOLERANCE_KEYS = {"hierarchy2d": ("margin_tol",), "pklimit": ("eps",)}
 # The most entries of one array a spec may ask for; the largest any preset or
-# benchmark job builds is an N = 1024 section, 2**20 entries.
+# benchmark job needs have N = 1024 squared, 2**20 entries.
 MAX_ENTRIES = 2**26
 
 
@@ -125,6 +125,18 @@ def _check_norms(rows, message):
     float range: its sum of squares must not overflow."""
     with np.errstate(over="ignore"):
         if not np.isfinite(np.linalg.norm(rows, axis=-1)).all():
+            raise ConfigError(message)
+
+
+def _check_margins(cone, shifts, window, message):
+    """A ConfigError with the message unless every facet margin that
+    limits.sample_cone forms for the cone, at each shift (a row) over the
+    window [-window, window], stays in the float range: the bound
+    sum_i (|shift_i| + window) |a_i| of every facet normal a must be finite."""
+    normals = _floats(sum(cone.inequalities, ()), message).reshape(-1, cone.ambient_dim)
+    with np.errstate(over="ignore"):
+        bounds = (np.abs(shifts)[:, None] + window) * np.abs(normals)
+        if not np.isfinite(bounds.sum(axis=-1)).all():
             raise ConfigError(message)
 
 
@@ -460,10 +472,15 @@ def _cmd_pklimit(config):
     if not np.isfinite(shifts).all():
         raise ConfigError(f"each scale times 'direction' must lie in the float range, got "
                           f"scales {scales} and direction {spec['direction']!r}")
+    margins = (f"the facet margins of the cone and of its exact limit over the window must lie "
+               f"in the float range, got window {window}, direction {spec['direction']!r} "
+               f"and scales {scales}")
+    _check_margins(cone, shifts, window, margins)
     seq = [sample_cone(cone, bounds, step, shift=shift, tag=f"scale-{s}")
            for s, shift in zip(scales, shifts)]
     converged, lo, hi, dist = pk_converged(seq, eps, bounds=bounds, step=step)
     limit_cone = ray_limit(cone, direction)
+    _check_margins(limit_cone, np.zeros((1, cone.ambient_dim)), window, margins)
     exact = sample_cone(limit_cone, bounds, step, tag="exact-limit")
     empty = [label for label, s in (("liminf", lo), ("limsup", hi), ("exact limit", exact))
              if len(s) == 0]

@@ -79,12 +79,6 @@ class NonFiniteKernelError(DomainError):
     category = "non-finite-kernel"
 
 
-class OffLatticeError(DomainError):
-    """A sample point is not a point of the window lattice it was given for."""
-
-    category = "off-lattice"
-
-
 class EmptySampleError(DomainError):
     """A sampled set a report measures has no point on its window lattice."""
 

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OffLatticeError
+from .errors import DomainError
 from .exact import as_float
 
-_ON_LATTICE_TOL = 1e-9     # in units of step: float rounding of lo + k*step
 _BLOCK = 2**18             # elements of one broadcast block of the distance transform
 
 
@@ -38,27 +37,6 @@ class SampledSet:
     bounds: tuple
     step: float
     tag: str = ""
-
-    @classmethod
-    def from_points(cls, points, bounds, step, tag=""):
-        """The sampled set of the given (m, dim) lattice points.
-
-        A point off the lattice or outside the window raises OffLatticeError;
-        it is never moved to a lattice point.
-        """
-        points = np.asarray(points, dtype=float)
-        n = len(_axis(bounds, step))
-        k = (points - bounds[0]) / step
-        idx = np.rint(k)
-        with np.errstate(invalid="ignore"):         # inf - inf: NaN, and bad
-            bad = ~((np.abs(k - idx) <= _ON_LATTICE_TOL) & (idx >= 0) & (idx < n)).all(axis=1)
-        if bad.any():
-            raise OffLatticeError(
-                f"sample point {points[np.argmax(bad)].tolist()} is not a point "
-                f"lo + k*step of the window lattice with step {step} on {tuple(bounds)}")
-        mask = np.zeros((n,) * points.shape[1], dtype=bool)
-        mask[tuple(idx.astype(int).T)] = True
-        return cls(mask, tuple(bounds), step, tag)
 
     @property
     def dim(self):

@@ -10,10 +10,13 @@ factorization chosen by O(N) tests on c: two eigvalsh of half order when c
 is real and even (W symmetric and equal to its reversal J W J), eigvalsh of
 the Hankel matrix W J when c is real (a real Toeplitz W is persymmetric, so
 W J is symmetric), eigvalsh of W when c is conjugate-even (W Hermitian), a
-values-only SVD otherwise; sigma = |lambda|.  Each branch builds only the
-matrix it factors.  The index pipeline adds one solve only for a section
-with near-null singular triples, to find their vectors.  Sections with real
-kernel samples are assembled and factored in real arithmetic.
+values-only SVD otherwise; sigma = |lambda|.  Each branch hands LAPACK a
+strided view of c, so the work copy LAPACK makes is the only N x N array
+alive while it factors.  The index pipeline adds one solve, against the same
+view, only for a section with near-null singular triples, to find their
+vectors, and builds the section once, after that solve, for the product
+that pairs them.  Sections with real kernel samples are factored in real
+arithmetic.
 
 All of it runs on numpy.linalg, so the module loads no SciPy and every
 factorization runs on one BLAS.  SciPy bundles a second OpenBLAS whose
@@ -161,14 +164,20 @@ def _generator(kernel, h, T, N, identity_shift):
     return c
 
 
-def _toeplitz(c):
-    """The section of the generator c: the length-N windows of the reversed
-    generator, last first, copied once (20 times faster than an index gather
-    at N = 1024); rows are row-major over the index pairs."""
+def _toeplitz_view(c):
+    """The section of the generator c as a view of it: the windows of side N
+    of the reversed generator, last first (a 1-D c gives W itself)."""
     N = (len(c) + 1) // 2
     rev = (slice(None, None, -1),) * c.ndim
-    windows = sliding_window_view(c[rev], (N,) * c.ndim)[rev]
-    return windows.copy().reshape(N**c.ndim, N**c.ndim)
+    return sliding_window_view(c[rev], (N,) * c.ndim)[rev]
+
+
+def _toeplitz(c):
+    """The section of the generator c, _toeplitz_view copied once (20 times
+    faster than an index gather at N = 1024); rows are row-major over the
+    index pairs."""
+    N = (len(c) + 1) // 2
+    return _toeplitz_view(c).copy().reshape(N**c.ndim, N**c.ndim)
 
 
 def wh_matrix(symbol: SymbolGrid, cone: str, N: int, identity_shift=False) -> np.ndarray:
@@ -264,9 +273,10 @@ def _centrosymmetric_blocks(c):
 def _singular_values(c):
     """(sigma, W, S, flip) of the section W[i, j] = c[N - 1 + i - j] of a 1-D
     generator c: its singular values, descending, from the one factorization
-    its structure allows; the section W, or None when c is real and even;
-    and its Hermitian form S = W P, with P = J (columns reversed) when flip,
-    else the identity, or None when W has none or was not built.
+    its structure allows; the section W as a view of c, or None when c is
+    real; and its Hermitian form S = W P as a view of c, with P = J (columns
+    reversed) when flip, else the identity, or None when W has none or when c
+    is real and even.
 
     The structure is read off c by O(N) tests:
       * c real and even (W symmetric, so also J W J = W): two eigvalsh of
@@ -274,27 +284,25 @@ def _singular_values(c):
         against 77 ms for one eigvalsh of full order at N = 1024, 1.1
         against 2.0 ms at N = 192 (2-core Xeon, OpenBLAS on two threads);
       * c real (J W J = W^T, so W J is symmetric): eigvalsh of the Hankel
-        matrix S = W J, S[i, j] = c[i + j], as a view of W: the pairing of
-        _near_null_pairs multiplies W, which numpy hands to BLAS only when
-        it is contiguous (37 times faster than the reversed view of a
-        Hankel copy at N = 512), and a copy beside W would add N x N to the
-        peak memory;
+        matrix S = W J, S[i, j] = c[i + j], the length-N windows of c;
       * c conjugate-even (W Hermitian): eigvalsh of W;
       * otherwise a values-only SVD of W.
-    sigma is the sorted |lambda| of the eigenvalues."""
-    if not np.iscomplexobj(c) and np.array_equal(c, c[::-1]):
-        lam = np.concatenate([eigvalsh(B) for B in _centrosymmetric_blocks(c)])
-        return np.sort(np.abs(lam))[::-1], None, None, False
-    W = _toeplitz(c)
+    No branch copies c into an N x N array: LAPACK's work copy of the view
+    is the only one, 8 MB at N = 1024.  sigma is the sorted |lambda| of the
+    eigenvalues."""
     if not np.iscomplexobj(c):
-        S = W[:, ::-1]
-        return np.sort(np.abs(eigvalsh(S)))[::-1], W, S, True
+        if np.array_equal(c, c[::-1]):
+            lam = np.concatenate([eigvalsh(B) for B in _centrosymmetric_blocks(c)])
+            return np.sort(np.abs(lam))[::-1], None, None, False
+        S = sliding_window_view(c, (len(c) + 1) // 2)
+        return np.sort(np.abs(eigvalsh(S)))[::-1], None, S, True
+    W = _toeplitz_view(c)
     if np.array_equal(c, c[::-1].conj()):
         return np.sort(np.abs(eigvalsh(W)))[::-1], W, W, False
     return svdvals(W), W, None, False
 
 
-def _near_null_pairs(W, S, flip, k, smax):
+def _near_null_pairs(W, S, flip, k, smax, c=None):
     """Paired left and right vectors (U, V) of the k smallest singular triples
     of W, by an oversampled range finder on one solve (Halko, Martinsson &
     Tropp, SIAM Review 53, 2011): V spans W^-1 and U spans W^-H applied to
@@ -305,10 +313,14 @@ def _near_null_pairs(W, S, flip, k, smax):
     J = J^-1), W^-1 = P S^-1 and W^-H = S^-1 P, so both blocks come from one
     solve against S (P times a seeded block is another seeded block).  A
     section with no Hermitian form solves W and W^H in one stacked call.  An
-    exactly singular matrix is solved shifted by eps * sigma_max * I.  At
-    N = 1024 the one solve of 2 (k + 8) columns takes 26 ms, a third of the
-    eigvalsh before it (2-core Xeon, OpenBLAS on two threads)."""
-    N = len(W)
+    exactly singular matrix is solved once more, on a copy whose diagonal is
+    shifted by eps * sigma_max.  At N = 1024 the one solve of 2 (k + 8)
+    columns takes 26 ms, a third of the eigvalsh before it (2-core Xeon,
+    OpenBLAS on two threads).  The product reads W, or for a generator c its
+    contiguous section _toeplitz(c), which numpy hands to BLAS (37 times
+    faster than a reversed view at N = 512); it is built only after the solve
+    has returned, so that it and LAPACK's work copy are never alive at once."""
+    N = len(W if S is None else S)
     m = min(k + 8, N)
     seeds = np.random.default_rng(0).standard_normal((N, 2 * m))
     if S is None:
@@ -318,7 +330,10 @@ def _near_null_pairs(W, S, flip, k, smax):
     try:
         X = solve(A, B)
     except LinAlgError:                                 # exactly singular
-        X = solve(A + np.finfo(float).eps * smax * np.eye(N), B)
+        A = np.array(A)
+        A[..., range(N), range(N)] += np.finfo(float).eps * smax
+        X = solve(A, B)
+    del A                                               # before the section is built
     if S is None:
         V, U = X
     else:
@@ -326,7 +341,7 @@ def _near_null_pairs(W, S, flip, k, smax):
         if flip:
             V = V[::-1]                                 # W^-1 = J S^-1
     U, V = qr(U)[0], qr(V)[0]
-    P, _, Qh = svd(U.conj().T @ W @ V)
+    P, _, Qh = svd(U.conj().T @ (W if c is None else _toeplitz(c)) @ V)
     return U @ P[:, -k:], V @ Qh[-k:].conj().T
 
 
@@ -338,8 +353,10 @@ def _small_singular_split(c, delta_factor, gap_ratio):
 
 def _split_form(sigma, W, S, flip, delta_factor, gap_ratio, c=None):
     """(dim_ker, dim_coker, diag) of a section from (sigma, W, S, flip) as
-    _singular_values returns them; the section of a real even generator c,
-    its own Hermitian form, is built only when the split needs its vectors.
+    _singular_values returns them for the generator c, or as an assembled
+    section W gives them with c None.  The near-null solve of a real even c
+    runs against the Toeplitz view of c, its own Hermitian form; the pairing
+    product of a generator reads its section, built by _toeplitz.
 
     sigma gives the count k of the singular values below
     delta_factor * sigma_max and the gap above them.  Each of the k near-null
@@ -358,9 +375,9 @@ def _split_form(sigma, W, S, flip, delta_factor, gap_ratio, c=None):
         if gap < gap_ratio:
             raise IndexUnresolvedError(f"index not resolved at N={N}: gap {gap:.3g} above "
                                        f"{k} near-zero singular values is below {gap_ratio:g}")
-        if W is None:
-            W = S = _toeplitz(c)
-        U, V = _near_null_pairs(W, S, flip, k, smax)
+        if W is None and S is None:
+            S = _toeplitz_view(c)
+        U, V = _near_null_pairs(W, S, flip, k, smax, c)
         half = N // 2
         dim_ker = int(np.count_nonzero(
             np.linalg.norm(V[:half], axis=0) >= np.linalg.norm(U[:half], axis=0)))

@@ -25,7 +25,9 @@ earlier nonnegative least squares on its rays, and a convex hull is the
 library's earlier Qhull hull with its duplicate facets merged.  The
 face-projection oracles of criterion 4 are the span basis of a face and the
 Minkowski sum of two cones from their generators.  The report text oracle is
-the standard library's indented `json.dumps`.
+the standard library's indented `json.dumps`.  Sampled sets that tests build
+from lattice points come from `sampled_set_from_points`, once
+`SampledSet.from_points` of the library, which no command called.
 """
 
 import itertools
@@ -40,8 +42,9 @@ from scipy.signal import fftconvolve
 from scipy.spatial import ConvexHull, cKDTree
 
 from conewh.cones import cone_from_generators
-from conewh.errors import DimensionMismatchError, KernelWindowError
+from conewh.errors import DimensionMismatchError, DomainError, KernelWindowError
 from conewh.exact import is_zero_vec, rvec, span_basis, vdot, vneg
+from conewh.limits import SampledSet, _axis
 from conewh.wiener_hopf import SymbolGrid, make_symbol, wh_matrix
 
 
@@ -415,6 +418,33 @@ def dense_section_form(W):
                 lam = np.concatenate([wh.eigvalsh(B) for B in _dense_centrosymmetric_blocks(W)])
             return np.sort(np.abs(lam))[::-1], W, S, flip
     return wh.svdvals(W), W, None, False
+
+
+class OffLatticeError(DomainError):
+    """A sample point is not a point of the window lattice it was given for."""
+
+    category = "off-lattice"
+
+
+def sampled_set_from_points(points, bounds, step, tag=""):
+    """The sampled set of the given (m, dim) lattice points.
+
+    A point off the lattice (beyond 1e-9 steps of float rounding) or outside
+    the window raises OffLatticeError; it is never moved to a lattice point.
+    """
+    points = np.asarray(points, dtype=float)
+    n = len(_axis(bounds, step))
+    k = (points - bounds[0]) / step
+    idx = np.rint(k)
+    with np.errstate(invalid="ignore"):         # inf - inf: NaN, and bad
+        bad = ~((np.abs(k - idx) <= 1e-9) & (idx >= 0) & (idx < n)).all(axis=1)
+    if bad.any():
+        raise OffLatticeError(
+            f"sample point {points[np.argmax(bad)].tolist()} is not a point "
+            f"lo + k*step of the window lattice with step {step} on {tuple(bounds)}")
+    mask = np.zeros((n,) * points.shape[1], dtype=bool)
+    mask[tuple(idx.astype(int).T)] = True
+    return SampledSet(mask, tuple(bounds), step, tag)
 
 
 def full_dist_to_set(points, sample):

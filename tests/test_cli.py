@@ -479,6 +479,11 @@ def test_trivialize_domain_error(tmp_path, capsys, spec, message):
                  id="pklimit-cone-1e200"),
     pytest.param("pklimit", {"name": "far", "cone": "quarter-plane",
                              "direction": ["1e307", "1"]}, id="direction-1e307"),
+    # A direction and facet normals each in the float range whose margin
+    # products in the sampled window are not.
+    pytest.param("pklimit", {"name": "steep", "cone": {"name": "q", "dim": 2,
+                                                       "generators": [[1, 10**10], [1, 0]]},
+                             "direction": ["1e300", "1"]}, id="margin-1e310"),
 ])
 def test_overflowing_spec_is_config_error(tmp_path, capsys, command, spec):
     """Specs whose numbers overflow once squared or scaled end in exit 2 with

@@ -33,9 +33,14 @@ from conewh.errors import (
 from conewh.exact import rvec
 from conewh.io import read_cone_spec
 
-from conewh.limits import SampledSet
 
-from oracles import gauge_by_bisection, nnls_project_onto_ray_cone, qhull_body, same_rows
+from oracles import (
+    gauge_by_bisection,
+    nnls_project_onto_ray_cone,
+    qhull_body,
+    same_rows,
+    sampled_set_from_points,
+)
 
 SPECS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "specs")
 
@@ -235,7 +240,7 @@ def test_support_examples(quarter_body, square):
     assert support(quarter_body, [1, 0]) == np.inf
     assert support(quarter_body, [0, 0]) == 0.0
     assert support(square, [2, 1]) == pytest.approx(3.0)  # max over vertices
-    sample = SampledSet.from_points([[0.0, 1.0], [2.0, 2.0]], (-2.0, 2.0), 0.5)
+    sample = sampled_set_from_points([[0.0, 1.0], [2.0, 2.0]], (-2.0, 2.0), 0.5)
     assert support(sample, [1.0, 0.0]) == pytest.approx(2.0)
 
 

@@ -13,11 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conewh.errors import OffLatticeError
 from conewh.exact import as_float
 from conewh.limits import (
     _BLOCK,
-    SampledSet,
     _sq_distance,
     hausdorff_distance,
     pk_converged,
@@ -26,12 +24,14 @@ from conewh.limits import (
 from conewh.strata import ray_limit
 
 from oracles import (
+    OffLatticeError,
     full_dist_to_set,
     full_hausdorff,
     full_pk_liminf,
     full_pk_limsup,
     full_sample_cone,
     per_row_sq_distance,
+    sampled_set_from_points,
     window_grid,
 )
 
@@ -45,7 +45,7 @@ def _same(a, b):
 
 
 def _set(points):
-    return SampledSet.from_points(points, BOUNDS, STEP)
+    return sampled_set_from_points(points, BOUNDS, STEP)
 
 
 @st.composite

@@ -21,7 +21,7 @@ from conewh.errors import (
     NotSolidError,
 )
 from conewh.exact import as_float, rvec, vdot
-from conewh.limits import SampledSet, hausdorff_distance, pk_converged, sample_cone
+from conewh.limits import hausdorff_distance, pk_converged, sample_cone
 from conewh.strata import (
     incidence_pairs,
     order_point,
@@ -33,6 +33,8 @@ from conewh.strata import (
     spectrum_poset,
     strata,
 )
+
+from oracles import sampled_set_from_points
 
 
 def F(*vals):
@@ -231,7 +233,7 @@ def test_spectrum_poset(quarter, half_line, simplicial):
 
 
 def test_pk_constant_sequence():
-    A = SampledSet.from_points([[0.0, 0.0], [1.0, 0.5]], (-2, 2), 0.1, tag="A")
+    A = sampled_set_from_points([[0.0, 0.0], [1.0, 0.5]], (-2, 2), 0.1, tag="A")
     converged, lo, hi, dist = pk_converged([A] * 6, 0.3, bounds=(-2, 2), step=0.1)
     assert converged
     assert hausdorff_distance(lo, A) < 0.3
@@ -239,7 +241,7 @@ def test_pk_constant_sequence():
 
 
 def test_pk_escaping_point():
-    seq = [SampledSet.from_points([[float(k)], [0.0]], (-2, 14), 0.2) for k in range(1, 13)]
+    seq = [sampled_set_from_points([[float(k)], [0.0]], (-2, 14), 0.2) for k in range(1, 13)]
     _, lo, hi, _ = pk_converged(seq, 0.3, bounds=(-2, 14), step=0.2)
     assert np.abs(lo.points).max() < 0.3
     assert np.abs(hi.points).max() < 0.3
@@ -258,7 +260,7 @@ def test_pk_translated_cones_match_ray_limit(quarter):
 
 def test_pk_liminf_subset_limsup():
     rng = np.random.default_rng(5)
-    seq = [SampledSet.from_points(rng.integers(-4, 5, (20, 2)) * 0.25, (-1.5, 1.5), 0.25)
+    seq = [sampled_set_from_points(rng.integers(-4, 5, (20, 2)) * 0.25, (-1.5, 1.5), 0.25)
            for _ in range(8)]
     _, lo, hi, _ = pk_converged(seq, 0.4, bounds=(-1.5, 1.5), step=0.25)
     lo_set = {tuple(p) for p in np.round(lo.points, 9)}
@@ -267,12 +269,12 @@ def test_pk_liminf_subset_limsup():
 
 
 def test_pk_errors():
-    A = SampledSet.from_points(np.zeros((1, 1)), (-1, 1), 0.5)
+    A = sampled_set_from_points(np.zeros((1, 1)), (-1, 1), 0.5)
     with pytest.raises(DomainError):
         pk_converged([A], 0.5)
     with pytest.raises(DomainError):
         pk_converged([A, A], -1.0)
-    B = SampledSet.from_points(np.zeros((1, 1)), (-1, 1), 0.25)
+    B = sampled_set_from_points(np.zeros((1, 1)), (-1, 1), 0.25)
     with pytest.raises(DomainError):
         pk_converged([A, B], 0.5)
     with pytest.raises(DomainError):

@@ -560,7 +560,9 @@ def test_flipped_section_singular_values_match_dense_svd(factorizations, w, N):
     S, section, form, flip = _singular_values(c)
     assert factorizations == [("eigvalsh", np.float64)]
     assert np.array_equal(factorizations.args[0], W[:, ::-1])
-    assert flip and form is factorizations.args[0] and _same_bits(section, W)
+    assert flip and form is factorizations.args[0]
+    # the Hankel form is a view of the generator, and no section is built
+    assert section is None and np.shares_memory(form, c)
     ref = complex_singular_split(W)
     assert np.abs(S - ref["sigma"]).max() <= N * np.finfo(float).eps * ref["sigma_max"]
     k = int(np.sum(S < 1e-8 * S[0]))
@@ -828,7 +830,10 @@ def test_generator_dispatch_matches_dense_form(factorizations, kind, N):
         assert calls == [("eigvalsh", np.float64)] * 2
     else:
         assert _same_bits(S, ref_S) if S is not None else ref_S is None
-        assert _same_bits(section, W)
+        if form == "real":              # the Hankel form is a view of c; no section
+            assert section is None and np.shares_memory(S, c)
+        else:
+            assert _same_bits(section, W) and np.shares_memory(section, c)
         assert len(calls) == 1 and calls[0][0] == ("svdvals" if form == "complex-general"
                                                    else "eigvalsh")
     assert flip is (form == "real")
@@ -847,6 +852,40 @@ def test_generator_dispatch_matches_dense_form(factorizations, kind, N):
     if k:
         assert [name for name, _ in calls][-4:] == ["solve", "qr", "qr", "svd"]
 
+
+
+def test_real_section_factors_with_no_section_copy(monkeypatch):
+    """A real section at N = 1024 is factored and solved from views of its
+    generator: numpy holds under a quarter of one N x N array when eigvalsh
+    and the solve start, and at most one N x N array, the section built for
+    the pairing product, when the pairing svd starts.  LAPACK's own work
+    arrays are not traced, so this bounds the module's arrays only."""
+    import tracemalloc
+
+    import conewh.wiener_hopf as wh
+
+    N = 1024
+    c = _seeded_rational_section(-1, N, 39)
+    held = []
+
+    def traced(name, fn):
+        def wrapper(*args, **kwargs):
+            held.append((name, tracemalloc.get_traced_memory()[0]))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigvalsh", "solve", "svd"):
+        monkeypatch.setattr(wh, name, traced(name, getattr(wh, name)))
+    tracemalloc.start()
+    try:
+        split = wh._small_singular_split(c, 1e-8, 1e3)
+    finally:
+        tracemalloc.stop()
+    assert split[:2] == (1, 0)
+    assert [name for name, _ in held] == ["eigvalsh", "solve", "svd"]
+    section = N * N * 8
+    assert all(size < section / 4 for name, size in held if name != "svd")
+    assert held[-1][1] <= section
 
 _INDEX_PRESETS = ["rational-w-1", "rational-w+1", "rational-w-2", "rational-w+2",
                   "gauss-small", "singular-zero", "zero"]
