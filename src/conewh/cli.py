@@ -25,9 +25,10 @@ import numpy as np
 
 from . import __version__
 from .cones import face_lattice, is_solid
-from .errors import ConfigError, DomainError, EmptySampleError
+from .errors import ConfigError, DimensionMismatchError, DomainError, EmptySampleError
 from .exact import as_float
 from .io import (
+    check_keys,
     cone_report_object,
     dumps_report,
     face_object,
@@ -73,42 +74,9 @@ def _parse_tolerances(pairs):
     return tols
 
 
-def _check_tolerances(config):
-    allowed = TOLERANCE_KEYS.get(config.command, ())
-    unknown = sorted(set(config.tolerances) - set(allowed))
-    if unknown:
-        accepted = ", ".join(allowed) or "none"
-        raise ConfigError(f"unknown --tol key(s) for '{config.command}': "
-                          f"{', '.join(unknown)} (accepted: {accepted})")
-
-
 def _resolve_input(name, kind):
-    """A literal path, or a packaged preset spec under presets/<kind>/; a JSON object."""
-    spec = load_json(name) if os.path.exists(name) else preset_spec(kind, name)
-    if not isinstance(spec, dict):
-        raise ConfigError(f"spec {name} must be a JSON object, got {type(spec).__name__}")
-    return spec
-
-
-def _require(spec, *keys):
-    missing = [key for key in keys if key not in spec]
-    if missing:
-        raise ConfigError(f"spec is missing key(s): {', '.join(missing)}")
-
-
-def _finite(spec, key, default):
-    """A finite JSON number (not a boolean or a string) spec value, as a float;
-    default when the key is absent."""
-    value = spec.get(key, default)
-    return float(_finite_numbers([value], f"'{key}' must be a finite number, got {value!r}")[0])
-
-
-def _positive(spec, key, default):
-    """A finite, positive float spec value; default when the key is absent."""
-    value = _finite(spec, key, default)
-    if value <= 0:
-        raise ConfigError(f"'{key}' must be positive, got {value}")
-    return value
+    """A literal path, or a packaged preset spec under presets/<kind>/."""
+    return load_json(name) if os.path.exists(name) else preset_spec(kind, name)
 
 
 def _floats(values, message):
@@ -140,25 +108,6 @@ def _check_margins(cone, shifts, window, message):
             raise ConfigError(message)
 
 
-def _spec_cone(spec):
-    """An experiment's cone, a preset name or an inline spec, whose rays and
-    facet normals and their norms lie in the float range."""
-    _require(spec, "cone")
-    cone = spec["cone"]
-    cone = cone_preset(cone) if isinstance(cone, str) else read_cone_spec(cone)[1]
-    message = "the cone's rays and facet normals, and their norms, must lie in the float range"
-    rows = _floats(sum(cone.generators + cone.inequalities, ()), message)
-    _check_norms(rows.reshape(-1, cone.ambient_dim), message)
-    return cone
-
-
-def _positive_int(value, what):
-    """A JSON integer (not a boolean) above zero."""
-    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
-        raise ConfigError(f"{what} must be a positive integer, got {value!r}")
-    return value
-
-
 def _finite_numbers(values, message):
     """The float array of a list of finite JSON numbers (not booleans or
     strings); any other entry is a ConfigError with the message."""
@@ -166,15 +115,6 @@ def _finite_numbers(values, message):
         floats = _floats(values, message)
         if np.isfinite(floats).all():
             return floats
-    raise ConfigError(message)
-
-
-def _finite_list(value, what, length=None):
-    """A non-empty list of finite JSON numbers (not booleans), as floats; of
-    `length` entries when given."""
-    message = f"{what} must be a list of {length or 'some'} finite numbers, got {value!r}"
-    if isinstance(value, list) and value and len(value) == (length or len(value)):
-        return _finite_numbers(value, message).tolist()
     raise ConfigError(message)
 
 
@@ -189,24 +129,70 @@ def _check_size(what, side, dim=1):
                           f"limit of 2**26 = {MAX_ENTRIES}")
 
 
-def _symbol_grid(spec):
-    """(symbol, truncations) of an experiment spec: h and T finite and positive,
-    N a strictly increasing list of at least two positive integers, and the
-    kernel grid and the largest section within MAX_ENTRIES."""
-    _require(spec, "symbol", "h", "T", "N")
-    h, T = _positive(spec, "h", None), _positive(spec, "T", None)
-    sizes = spec["N"]
-    if not isinstance(sizes, list) or len(sizes) < 2:
-        raise ConfigError(f"'N' must list at least two truncation sizes, got {sizes!r}")
-    truncations = tuple(_positive_int(n, "each truncation size in 'N'") for n in sizes)
-    if any(a >= b for a, b in zip(truncations, truncations[1:])):
-        raise ConfigError(f"'N' must be strictly increasing, got {sizes!r}")
-    _check_size("the kernel grid", 2 * T / h + 1, symbol_dim(spec["symbol"]))
-    _check_size("the largest section", truncations[-1], 2)
-    return resolve_symbol(spec["symbol"], h, T), truncations
+def _number(value, key):
+    """A finite JSON number (not a boolean or a string), as a float."""
+    return float(_finite_numbers([value], f"'{key}' must be a finite number, got {value!r}")[0])
 
 
-def _report_name(name):
+def _positive(value, key):
+    """A finite, positive JSON number, as a float."""
+    value = _number(value, key)
+    if value <= 0:
+        raise ConfigError(f"'{key}' must be positive, got {value}")
+    return value
+
+
+def _count(value, key):
+    """A JSON integer (not a boolean) above zero and at most MAX_ENTRIES."""
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise ConfigError(f"'{key}' must be a positive integer, got {value!r}")
+    _check_size(f"'{key}'", value)
+    return value
+
+
+def _numbers(value, key):
+    """A non-empty list of finite JSON numbers (not booleans), as floats."""
+    message = f"'{key}' must be a list of finite numbers, got {value!r}"
+    if isinstance(value, list) and value:
+        return _finite_numbers(value, message).tolist()
+    raise ConfigError(message)
+
+
+def _sizes(value, key):
+    """A strictly increasing list of at least two positive JSON integers, as a tuple."""
+    if (not isinstance(value, list) or len(value) < 2
+            or any(isinstance(n, bool) or not isinstance(n, int) or n <= 0 for n in value)):
+        raise ConfigError(f"'{key}' must list two or more positive integers, got {value!r}")
+    if any(a >= b for a, b in zip(value, value[1:])):
+        raise ConfigError(f"'{key}' must be strictly increasing, got {value!r}")
+    return tuple(value)
+
+
+def _rationals(value, key):
+    """A list of exact rationals: JSON integers or strings such as "3/2"."""
+    if not isinstance(value, list):
+        raise ConfigError(f"'{key}' must be a list of rationals, got {value!r}")
+    try:
+        return parse_vector(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad {key} in spec: {exc}") from None
+
+
+def _cone(value, key):
+    """A cone preset name or inline spec, its rays, facet normals and norms in float range."""
+    cone = cone_preset(value) if isinstance(value, str) else read_cone_spec(value)[1]
+    message = "the cone's rays and facet normals, and their norms, must lie in the float range"
+    rows = _floats(sum(cone.generators + cone.inequalities, ()), message)
+    _check_norms(rows.reshape(-1, cone.ambient_dim), message)
+    return cone
+
+
+def _symbol(value, key):
+    """(kernel dimension, symbol) of a preset name or an expression object."""
+    return symbol_dim(value), value
+
+
+def _report_name(name, key="name"):
     """A spec's "name", which names its report files: one file name inside --out."""
     if (not isinstance(name, str) or name in ("", ".", "..")
             or any(c in name for c in ("/", os.sep, "\0"))):
@@ -215,10 +201,45 @@ def _report_name(name):
     return name
 
 
+REQUIRED = object()         # the default of a key that a spec must hold
+_SYMBOL_KEYS = {"symbol": (_symbol, REQUIRED), "h": (_positive, REQUIRED),
+                "T": (_positive, REQUIRED), "N": (_sizes, REQUIRED)}
+# SPEC_KEYS[command][key] = (rule, default): every key an experiment spec of
+# the command may hold, in the order they are read; any other is a ConfigError.
+SPEC_KEYS = {command: {"name": (_report_name, command), **keys} for command, keys in {
+    "trivialize": {"cone": (_cone, REQUIRED), "angle_deg": (_number, 5.0),
+                   "samples": (_count, 500), "xi0": (_numbers, None)},
+    "index1d": _SYMBOL_KEYS,
+    "hierarchy2d": {**_SYMBOL_KEYS, "y_values": (_numbers, None)},
+    "pklimit": {"cone": (_cone, REQUIRED), "direction": (_rationals, REQUIRED),
+                "scales": (_numbers, [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]),
+                "eps": (_positive, 0.5), "window": (_positive, 4.0), "step": (_positive, None)},
+}.items()}
+
+
 def _experiment(config):
-    """An experiment spec and its name (the command name by default)."""
+    """(name, values) of an experiment spec: each key of SPEC_KEYS[command]
+    read through its rule, or its default when the spec does not hold it."""
     spec = _resolve_input(config.input, "experiments")
-    return spec, _report_name(spec.get("name", config.command))
+    keys = SPEC_KEYS[config.command]
+    check_keys(spec, keys, f"'{config.command}' spec")
+    missing = [key for key in keys if keys[key][1] is REQUIRED and key not in spec]
+    if missing:
+        raise ConfigError(f"spec is missing key(s): {', '.join(missing)}")
+    values = {key: rule(spec[key], key) if key in spec else default
+              for key, (rule, default) in keys.items()}
+    return values.pop("name"), values
+
+
+def _sample_symbol(values, command, dim):
+    """The SymbolGrid of a command's spec values; the kernel grid, the largest
+    section and the symbol's dimension are checked before any sample is taken."""
+    found, symbol = values["symbol"]
+    _check_size("the kernel grid", 2 * values["T"] / values["h"] + 1, found)
+    _check_size("the largest section", values["N"][-1], 2)
+    if found != dim:
+        raise DimensionMismatchError(f"{command} needs a {dim}-D symbol, got a {found}-D one")
+    return resolve_symbol(symbol, values["h"], values["T"])
 
 
 def _load_cone(config):
@@ -297,33 +318,27 @@ def _cmd_spectrum(config):
     st = strata(cone)
     sp = spectrum_poset(st)
     objs = _face_objects(st)
-    levels = []
-    for bundle in sp.levels:
-        levels.append({
-            "level": bundle.level,
-            "rank": bundle.rank,
-            "fibers": [{
-                "face": objs[f.active_set],
-                "basis": [vector_strings(b) for b in basis],
-            } for f, basis in bundle.fibers],
-        })
-    incid = []
-    for ip in sp.incidences:
-        incid.append({
-            "level": ip.level,
-            "pairs": [[objs[e.active_set], objs[f.active_set]] for e, f in ip.pairs],
-            "xi": list(ip.xi),
-            "eta": list(ip.eta),
-            "uncovered": [objs[f.active_set] for f in ip.uncovered],
-        })
     return _write_report(config, name, {
         "name": name,
         "solvable_length": st.length,
         "levels_finite": sp.levels_finite,
         "dense_level": sp.dense_level,
         "dag_edges": [list(e) for e in sp.dag_edges],
-        "levels": levels,
-        "incidences": incid,
+        "levels": [{
+            "level": bundle.level,
+            "rank": bundle.rank,
+            "fibers": [{
+                "face": objs[f.active_set],
+                "basis": [vector_strings(b) for b in basis],
+            } for f, basis in bundle.fibers],
+        } for bundle in sp.levels],
+        "incidences": [{
+            "level": ip.level,
+            "pairs": [[objs[e.active_set], objs[f.active_set]] for e, f in ip.pairs],
+            "xi": list(ip.xi),
+            "eta": list(ip.eta),
+            "uncovered": [objs[f.active_set] for f in ip.uncovered],
+        } for ip in sp.incidences],
     })
 
 
@@ -338,16 +353,13 @@ def _cmd_trivialize(config):
         triv_target_margin,
     )
 
-    spec, name = _experiment(config)
-    cone = _spec_cone(spec)
-    angle = _finite(spec, "angle_deg", 5.0)
-    samples = _positive_int(spec.get("samples", 500), "'samples'")
-    _check_size("'samples'", samples)
+    name, values = _experiment(config)
+    cone, angle, samples, xi0 = values.values()
     rng = np.random.default_rng(config.seed)
-    xi0 = None
-    if "xi0" in spec:
-        xi0 = np.asarray(_finite_list(spec["xi0"], "'xi0'", cone.ambient_dim))
-        _check_norms(xi0, f"the norm of 'xi0' must lie in the float range, got {spec['xi0']!r}")
+    if xi0 is not None:
+        if len(xi0) != cone.ambient_dim:
+            raise ConfigError(f"'xi0' must hold {cone.ambient_dim} numbers, got {xi0!r}")
+        _check_norms(xi0, f"the norm of 'xi0' must lie in the float range, got {xi0!r}")
 
     rotated = PolyhedralConeBody.from_exact(cone).rotated(np.deg2rad(angle))
     triv = build_trivialization(cone, rotated, xi0=xi0)
@@ -375,24 +387,21 @@ def _cmd_trivialize(config):
 
 
 def _cmd_index1d(config):
+    name, values = _experiment(config)
+    symbol = _sample_symbol(values, "index1d", 1)
     from .wiener_hopf import classical_index
 
-    spec, name = _experiment(config)
-    symbol, truncations = _symbol_grid(spec)
-    report_obj = classical_index(symbol, truncations=truncations)
-
-    rows = []
-    for N in truncations:
-        rows.append({
-            "experiment": name,
-            "N": N,
-            "sigma_min": repr(report_obj.diagnostics["sigma_min"][N]),
-            "dim_ker": report_obj.diagnostics.get("dim_ker", ""),
-            "dim_coker": report_obj.diagnostics.get("dim_coker", ""),
-            "index": "" if report_obj.numerical_index is None else report_obj.numerical_index,
-            "winding": "" if report_obj.winding is None else report_obj.winding,
-            "verdict": report_obj.verdict,
-        })
+    report_obj = classical_index(symbol, truncations=values["N"])
+    rows = [{
+        "experiment": name,
+        "N": N,
+        "sigma_min": repr(report_obj.diagnostics["sigma_min"][N]),
+        "dim_ker": report_obj.diagnostics.get("dim_ker", ""),
+        "dim_coker": report_obj.diagnostics.get("dim_coker", ""),
+        "index": "" if report_obj.numerical_index is None else report_obj.numerical_index,
+        "winding": "" if report_obj.winding is None else report_obj.winding,
+        "verdict": report_obj.verdict,
+    } for N in values["N"]]
     return _write_report(config, name, {
         "name": name,
         "symbol_nonvanishing": report_obj.symbol_nonvanishing,
@@ -406,27 +415,18 @@ def _cmd_index1d(config):
 
 
 def _cmd_hierarchy2d(config):
+    name, values = _experiment(config)
+    symbol = _sample_symbol(values, "hierarchy2d", 2)
     from .wiener_hopf import hierarchy_fredholm
 
-    spec, name = _experiment(config)
-    symbol, truncations = _symbol_grid(spec)
-    kwargs = {}
-    if "margin_tol" in config.tolerances:
-        kwargs["margin_tol"] = config.tolerances["margin_tol"]
-    if "y_values" in spec:
-        kwargs["y_values"] = _finite_list(spec["y_values"], "'y_values'")
-    rep = hierarchy_fredholm(symbol, truncations=truncations, **kwargs)
-
-    rows = []
-    for fr in rep.face_reports:
-        for r in fr["rows"]:
-            for N, smin in r["sigma_min"].items():
-                rows.append({
-                    "experiment": f"{name}:face-{fr['face']}@y={r['y']}",
-                    "N": N,
-                    "sigma_min": repr(smin),
-                    "verdict": "ok" if fr["ok"] else "failing-face",
-                })
+    rep = hierarchy_fredholm(symbol, truncations=values["N"], y_values=values["y_values"],
+                             **config.tolerances)
+    rows = [{
+        "experiment": f"{name}:face-{fr['face']}@y={r['y']}",
+        "N": N,
+        "sigma_min": repr(smin),
+        "verdict": "ok" if fr["ok"] else "failing-face",
+    } for fr in rep.face_reports for r in fr["rows"] for N, smin in r["sigma_min"].items()]
     return _write_report(config, name, {
         "name": name,
         "symbol_nonvanishing": rep.symbol_nonvanishing,
@@ -447,33 +447,25 @@ def _cmd_hierarchy2d(config):
 
 
 def _cmd_pklimit(config):
-    spec, name = _experiment(config)
-    cone = _spec_cone(spec)
-    _require(spec, "direction")
-    direction = spec["direction"]
-    try:
-        direction = parse_vector(direction) if isinstance(direction, list) else ()
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad direction in spec: {exc}") from None
+    name, values = _experiment(config)
+    cone, direction, scales, eps, window, step = values.values()
+    shown = vector_strings(direction)
     if len(direction) != cone.ambient_dim:
-        raise ConfigError(f"'direction' must be a list of {cone.ambient_dim} rationals, "
-                          f"got {spec['direction']!r}")
-    scales = _finite_list(spec.get("scales", [2, 4, 8, 16, 32, 64]), "'scales'")
-    eps = _positive(config.tolerances if "eps" in config.tolerances else spec, "eps", 0.5)
-    window = _positive(spec, "window", 4.0)
-    step = _positive(spec, "step", eps / 2)
+        raise ConfigError(f"'direction' must hold {cone.ambient_dim} rationals, got {shown}")
+    eps = _positive(config.tolerances.get("eps", eps), "eps")
+    step = step or eps / 2
     _check_size("the window lattice", 2 * window / step + 1, cone.ambient_dim)
     _check_size("the eps stencil", 2 * eps / step + 1, cone.ambient_dim)
     bounds = (-window, window)
 
-    xf = _floats(direction, f"'direction' must lie in the float range, got {spec['direction']!r}")
+    xf = _floats(direction, f"'direction' must lie in the float range, got {shown}")
     with np.errstate(over="ignore"):
         shifts = [s * xf for s in scales]
     if not np.isfinite(shifts).all():
         raise ConfigError(f"each scale times 'direction' must lie in the float range, got "
-                          f"scales {scales} and direction {spec['direction']!r}")
+                          f"scales {scales} and direction {xf.tolist()}")
     margins = (f"the facet margins of the cone and of its exact limit over the window must lie "
-               f"in the float range, got window {window}, direction {spec['direction']!r} "
+               f"in the float range, got window {window}, direction {xf.tolist()} "
                f"and scales {scales}")
     _check_margins(cone, shifts, window, margins)
     seq = [sample_cone(cone, bounds, step, shift=shift, tag=f"scale-{s}")
@@ -493,7 +485,7 @@ def _cmd_pklimit(config):
             f"lies in every s*x - C")
     return _write_report(config, name, {
         "name": name,
-        "direction": vector_strings(direction),
+        "direction": shown,
         "eps": eps,
         "converged": bool(converged),
         "liminf_size": len(lo),
@@ -522,7 +514,8 @@ def run(config: RunConfig) -> int:
             raise ConfigError(f"unknown command '{config.command}'")
         if config.command in SAMPLING_COMMANDS and config.seed is None:
             raise ConfigError(f"--seed is required for '{config.command}'")
-        _check_tolerances(config)
+        check_keys(config.tolerances, TOLERANCE_KEYS.get(config.command, ()),
+                   f"'{config.command}' --tol")
         return _DISPATCH[config.command](config)
     except DomainError as exc:
         print(f"error [{exc.category}]: {exc}", file=sys.stderr)
@@ -549,8 +542,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    config = RunConfig(args.command, args.input, args.outdir, args.seed, tols)
-    return run(config)
+    return run(RunConfig(args.command, args.input, args.outdir, args.seed, tols))
 
 
 if __name__ == "__main__":

@@ -30,19 +30,26 @@ def parse_vector(entries):
     return tuple(rational(e) for e in entries)
 
 
-def read_cone_spec(text_or_obj):
-    """Parse a cone spec (JSON text or dict) to (name, PolyhedralCone)."""
-    obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
-    try:
-        name = obj["name"]
-        dim = obj["dim"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"cone spec needs 'name' and integer 'dim': {exc}")
+def check_keys(obj, accepted, what):
+    """A ConfigError naming what obj is unless it is a JSON object of accepted keys."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - set(accepted))
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)} "
+                          f"(accepted: {', '.join(accepted) or 'none'})")
+
+
+def read_cone_spec(obj):
+    """Parse a cone spec, a JSON object, to (name, PolyhedralCone)."""
+    check_keys(obj, ("name", "dim", "generators", "inequalities"), "cone spec")
+    if "name" not in obj or "dim" not in obj:
+        raise ConfigError("cone spec needs 'name' and integer 'dim'")
+    name, dim = obj["name"], obj["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int):
         raise ConfigError(f"cone spec 'dim' must be an integer, got {dim!r}")
     has_gen = "generators" in obj
-    has_ineq = "inequalities" in obj
-    if has_gen == has_ineq:
+    if has_gen == ("inequalities" in obj):
         raise ConfigError("cone spec needs exactly one of generators/inequalities")
     key = "generators" if has_gen else "inequalities"
     rows = obj[key]
@@ -55,11 +62,8 @@ def read_cone_spec(text_or_obj):
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad row {row} in cone spec '{key}': "
                               f"{type(exc).__name__}: {exc}") from None
-    if has_gen:
-        cone = cone_from_generators(parsed, dim)
-    else:
-        cone = cone_from_inequalities(parsed, dim)
-    return name, cone
+    build = cone_from_generators if has_gen else cone_from_inequalities
+    return name, build(parsed, dim)
 
 
 def cone_report_object(cone: PolyhedralCone):

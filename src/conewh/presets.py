@@ -20,7 +20,7 @@ import numpy as np
 
 from .cones import PolyhedralCone
 from .errors import ConfigError
-from .io import read_cone_spec
+from .io import check_keys, read_cone_spec
 
 _EXP_CLIP = 60.0  # arguments beyond this give exp underflow warnings only
 
@@ -232,12 +232,14 @@ def symbol_dim(spec):
     object, read before any sample is taken."""
     if isinstance(spec, str):
         return 2 if spec in _SYMBOLS_2D else 1      # symbol_preset rejects other names
-    if isinstance(spec, dict) and "expr" in spec:
-        dim = spec.get("dim", 1)
-        if type(dim) is not int or dim not in (1, 2):
-            raise ConfigError(f"symbol 'dim' must be the integer 1 or 2, got {dim!r}")
-        return dim
-    raise ConfigError("symbol must be a preset name or an expression object")
+    if isinstance(spec, dict):
+        check_keys(spec, ("expr", "dim", "name"), "symbol")
+    if not isinstance(spec, dict) or "expr" not in spec:
+        raise ConfigError("symbol must be a preset name or an expression object")
+    dim = spec.get("dim", 1)
+    if type(dim) is not int or dim not in (1, 2):
+        raise ConfigError(f"symbol 'dim' must be the integer 1 or 2, got {dim!r}")
+    return dim
 
 
 def resolve_symbol(spec, h, T):

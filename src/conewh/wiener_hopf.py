@@ -302,19 +302,29 @@ def _singular_values(c):
     return svdvals(W), W, None, False
 
 
+def _shifted_solve(A, B, smax):
+    """solve(A, B), or for an exactly singular A, on a copy shifted by eps * smax I."""
+    try:
+        return solve(A, B)
+    except LinAlgError:
+        A = np.array(A)
+        A[range(len(A)), range(len(A))] += np.finfo(float).eps * smax
+        return solve(A, B)
+
+
 def _near_null_pairs(W, S, flip, k, smax, c=None):
     """Paired left and right vectors (U, V) of the k smallest singular triples
-    of W, by an oversampled range finder on one solve (Halko, Martinsson &
-    Tropp, SIAM Review 53, 2011): V spans W^-1 and U spans W^-H applied to
+    of W, by an oversampled range finder (Halko, Martinsson & Tropp, SIAM
+    Review 53, 2011): V spans W^-1 and U spans W^-H applied to
     k + 8 seeded columns each, which the gap above the k near-null values
     makes dominant; the SVD of the projected U^H W V pairs the k smallest.
 
     With W = S P for the Hermitian form S of _singular_values (P = I or J,
     J = J^-1), W^-1 = P S^-1 and W^-H = S^-1 P, so both blocks come from one
     solve against S (P times a seeded block is another seeded block).  A
-    section with no Hermitian form solves W and W^H in one stacked call.  An
-    exactly singular matrix is solved once more, on a copy whose diagonal is
-    shifted by eps * sigma_max.  At N = 1024 the one solve of 2 (k + 8)
+    section with no Hermitian form solves W, and W^T for the conjugate of U:
+    the seeds are real, so W^H x = b is the conjugate of W^T conj(x) = b,
+    and W is copied only by LAPACK.  At N = 1024 the one solve of 2 (k + 8)
     columns takes 26 ms, a third of the eigvalsh before it (2-core Xeon,
     OpenBLAS on two threads).  The product reads W, or for a generator c its
     contiguous section _toeplitz(c), which numpy hands to BLAS (37 times
@@ -324,19 +334,10 @@ def _near_null_pairs(W, S, flip, k, smax, c=None):
     m = min(k + 8, N)
     seeds = np.random.default_rng(0).standard_normal((N, 2 * m))
     if S is None:
-        A, B = np.stack([W, W.T.conj()]), np.stack([seeds[:, :m], seeds[:, m:]])
+        V = _shifted_solve(W, seeds[:, :m], smax)
+        U = _shifted_solve(W.T, seeds[:, m:], smax).conj()
     else:
-        A, B = S, seeds
-    try:
-        X = solve(A, B)
-    except LinAlgError:                                 # exactly singular
-        A = np.array(A)
-        A[..., range(N), range(N)] += np.finfo(float).eps * smax
-        X = solve(A, B)
-    del A                                               # before the section is built
-    if S is None:
-        V, U = X
-    else:
+        X = _shifted_solve(S, seeds, smax)
         V, U = X[:, :m], X[:, m:]
         if flip:
             V = V[::-1]                                 # W^-1 = J S^-1

@@ -23,6 +23,9 @@ def test_cone_spec_validation():
         read_cone_spec({"name": "x", "dim": 2})
     with pytest.raises(ConfigError):
         read_cone_spec({"name": "x", "dim": 2, "generators": [], "inequalities": []})
+    with pytest.raises(ConfigError, match=r"unknown cone spec key\(s\): gens \(accepted: "
+                                          r"name, dim, generators, inequalities\)"):
+        read_cone_spec({"name": "x", "dim": 2, "gens": [["1", "0"]]})
 
 
 @pytest.mark.parametrize("generators", [
@@ -433,6 +436,21 @@ _GAUSS = {"name": "gauss", "symbol": {"expr": "0.3*exp(-pi*x**2)", "dim": 1}, **
     ("hierarchy2d", {**_GAUSS, "name": None}, "got None"),
     ("pklimit", {**_PK, "name": ["pk"]}, "got ['pk']"),
     ("trivialize", {**_TRIV, "name": "/abs"}, "got '/abs'"),
+    # A key that no command reads, at any depth: it and the accepted keys.
+    ("pklimit", {**_PK, "epsilon": 0.01, "windw": 9}, "unknown 'pklimit' spec key(s): "
+     "epsilon, windw (accepted: name, cone, direction, scales, eps, window, step)"),
+    ("index1d", {**_GAUSS, "tolerance": 1e-3},
+     "unknown 'index1d' spec key(s): tolerance (accepted: name, symbol, h, T, N)"),
+    ("hierarchy2d", {**_GAUSS, "y_value": [0.5]}, "unknown 'hierarchy2d' spec key(s): "
+     "y_value (accepted: name, symbol, h, T, N, y_values)"),
+    ("trivialize", {**_TRIV, "xi": [1, 1]}, "unknown 'trivialize' spec key(s): "
+     "xi (accepted: name, cone, angle_deg, samples, xi0)"),
+    ("index1d", {**_GAUSS, "symbol": {**_GAUSS["symbol"], "dimm": 1}},
+     "unknown symbol key(s): dimm (accepted: expr, dim, name)"),
+    ("pklimit", {**_PK, "cone": {**_CONE, "gens": []}},
+     "unknown cone spec key(s): gens (accepted: name, dim, generators, inequalities)"),
+    ("lattice", {**_CONE, "generator": [["1", "1"]]},
+     "unknown cone spec key(s): generator (accepted: name, dim, generators, inequalities)"),
 ])
 def test_unreadable_spec_or_escaping_name_is_config_error(tmp_path, capsys, command, spec,
                                                           message):
@@ -520,9 +538,14 @@ def _never_called(*args, **kwargs):
      "error: bad symbol expression: constant power"),
     pytest.param("index1d", f"exp(-x*x)*3**{'9' * 400}", 1, 2,
                  "error: bad symbol expression: constant power", id="400-digit-exponent"),
+    # A symbol of the other dimension: a domain error found before any sample.
+    ("index1d", "exp(-pi*(x**2+y**2))", 2, 1,
+     "error [dimension-mismatch]: index1d needs a 1-D symbol, got a 2-D one"),
+    ("hierarchy2d", "0.3*exp(-pi*x**2)", 1, 1,
+     "error [dimension-mismatch]: hierarchy2d needs a 2-D symbol, got a 1-D one"),
 ])
 def test_input_boundary_probe(tmp_path, capsys, monkeypatch, command, expr, dim, code, message):
-    if code == 2:
+    if code == 2 or "dimension-mismatch" in message:
         monkeypatch.setattr("conewh.wiener_hopf.make_symbol", _never_called)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"name": "probe", "symbol": {"expr": expr, "dim": dim}, **_GRID}))

@@ -8,11 +8,15 @@ one value of an input, at any depth, by one of a fixed pool (0, -1, huge,
 tiny and non-finite floats, integers beyond the float range, booleans, null,
 strings, empty and ragged lists, an empty object), or deletes one key or
 list entry.  The full case list is fixed; a seeded sample of CASES cases of
-it runs here, which bounds the suite's time by the case list.
+it runs here, which bounds the suite's time by the case list.  Apart from
+that sample, every object of every input, and of each symbol experiment
+with its symbol written as an expression object, is run once with a key
+added that no command reads, and once with each of its keys misspelt.
 
 Every run must end in exit 0, 1 or 2 within ALARM_S seconds, never in
 another exception.  Exit 0 writes reports of valid JSON; exit 1 names a
 category and exit 2 is a one-line config error, and neither leaves --out.
+A run with an unknown or misspelt key must end in exit 2, naming that key.
 """
 
 import contextlib
@@ -105,6 +109,40 @@ def _sample():
     return by_input
 
 
+def _key_inputs():
+    """(command, label, spec) of every input, and of each symbol experiment
+    once more with an expression object for its symbol."""
+    for command, label, spec in _inputs():
+        yield command, label, spec
+        if "symbol" in spec:
+            dim = symbol_dim(spec["symbol"])
+            expr = "0.3*exp(-pi*x**2)" if dim == 1 else "0.3*exp(-pi*(x**2+y**2))"
+            symbol = {"expr": expr, "dim": dim, "name": "expr"}
+            yield command, f"{label}+inline-symbol", {**spec, "symbol": symbol}
+
+
+def _key_cases():
+    """Lists of (mutated spec, bad key, case id) by (command, input label): one
+    key added to each object of an input, and each key of each object
+    misspelt by appending "_"."""
+    by_input = {}
+    for command, label, spec in _key_inputs():
+        cases = by_input.setdefault((command, label), [])
+        for path in _paths(spec):
+            obj = spec
+            for key in path:
+                obj = obj[key]
+            if not isinstance(obj, dict):
+                continue
+            where = "/".join(map(str, path)) or "<root>"
+            cases.append((_mutated(spec, path, {**obj, "unread": 0}), "unread",
+                          f"{where}+unread"))
+            for bad in obj:
+                renamed = {k + "_" if k == bad else k: v for k, v in obj.items()}
+                cases.append((_mutated(spec, path, renamed), bad + "_", f"{where}/{bad}_"))
+    return by_input
+
+
 class _Alarm(Exception):
     """A run took more than ALARM_S seconds."""
 
@@ -162,4 +200,19 @@ def test_fuzzed_specs_end_in_a_typed_exit(tmp_path, command, label):
             fault = f"raised {exc!r}"
         if fault:
             faults.append(f"{case}: {fault}")
+    assert not faults, "\n".join(faults)
+
+
+_KEY_CASES = _key_cases()
+
+
+@pytest.mark.parametrize("command, label", sorted(_KEY_CASES))
+def test_unknown_or_misspelt_keys_end_in_exit_2(tmp_path, command, label):
+    faults = []
+    for i, (spec, bad, case) in enumerate(_KEY_CASES[command, label]):
+        outdir = tmp_path / str(i)
+        outdir.mkdir()
+        code, err, out = run_case(outdir, command, spec)
+        if code != 2 or _fault(code, err, out) or f"key(s): {bad} (accepted: " not in err:
+            faults.append(f"{case}: exit {code} with the error stream {err!r}")
     assert not faults, "\n".join(faults)

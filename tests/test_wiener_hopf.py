@@ -669,18 +669,19 @@ def test_symmetric_section_that_is_not_persymmetric_skips_the_split(factorizatio
 
 
 def test_exactly_singular_section_is_solved_shifted(factorizations):
-    """The zero-pivot section has no Hermitian form: W and W^H are solved in
-    one stacked call, which meets the exactly zero pivot, and once more
-    shifted by eps * sigma_max * I; the split still matches the oracle."""
+    """The zero-pivot section has no Hermitian form: W and W^T are solved in
+    turn, each meets the exactly zero pivot and is solved once more shifted
+    by eps * sigma_max * I; the split still matches the oracle."""
     W = _zero_pivot_section()
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(W, np.ones(512))
     dim_ker, dim_coker, diag = _dense_split(W, 1e-8, 1e3)
-    assert factorizations == ([("svdvals", np.float64)] + [("solve", np.float64)] * 2
+    assert factorizations == ([("svdvals", np.float64)] + [("solve", np.float64)] * 4
                               + _pairing())
-    stacked, shifted = factorizations.args[1:3]
-    assert np.array_equal(stacked, np.stack([W, W.T]))
-    assert np.array_equal(shifted, stacked + np.finfo(float).eps * diag["sigma_max"] * np.eye(512))
+    plain, shifted, plain_t, shifted_t = factorizations.args[1:5]
+    shift = np.finfo(float).eps * diag["sigma_max"] * np.eye(512)
+    assert np.array_equal(plain, W) and np.array_equal(shifted, W + shift)
+    assert np.array_equal(plain_t, W.T) and np.array_equal(shifted_t, W.T + shift)
     ref = complex_singular_split(W)
     assert (diag["count"], dim_ker, dim_coker) == (ref["count"], ref["dim_ker"],
                                                     ref["dim_coker"]) == (1, 1, 0)
@@ -886,6 +887,50 @@ def test_real_section_factors_with_no_section_copy(monkeypatch):
     section = N * N * 8
     assert all(size < section / 4 for name, size in held if name != "svd")
     assert held[-1][1] <= section
+
+
+def test_complex_general_solve_copies_no_section(monkeypatch):
+    """A complex section with no Hermitian form (an e^{3ix}-modulated rational
+    section at N = 1024) is solved against W and against W^T, whose solution
+    is the conjugate of W^-H applied to the real seeds: numpy's traced peak
+    from the start of the near-null pairing to its first qr stays under an
+    eighth of one complex N x N array (a stacked copy of W and W^H held
+    three), and both blocks equal that stacked solve's to the last bit (a
+    zero imaginary part may change sign under the conjugation)."""
+    import tracemalloc
+
+    import conewh.wiener_hopf as wh
+
+    N = 1024
+    c = _seeded_rational_section(-1, N, 49, modulation=3.0)
+    near_null_pairs, qr = wh._near_null_pairs, wh.qr
+    blocks, peaks = [], []
+
+    def traced_pairs(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return near_null_pairs(*args, **kwargs)
+        finally:
+            tracemalloc.stop()
+
+    def traced_qr(a, *args, **kwargs):
+        if not blocks:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        blocks.append(a)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(wh, "_near_null_pairs", traced_pairs)
+    monkeypatch.setattr(wh, "qr", traced_qr)
+    assert wh._small_singular_split(c, 1e-8, 1e3)[:2] == (1, 0)
+    W = _toeplitz(c)
+    assert W.dtype == np.complex128 and not np.array_equal(W, W.T.conj())
+    U, V = blocks
+    m = U.shape[1]
+    seeds = np.random.default_rng(0).standard_normal((N, 2 * m))
+    ref_V, ref_U = np.linalg.solve(np.stack([W, W.T.conj()]),
+                                   np.stack([seeds[:, :m], seeds[:, m:]]))
+    assert _same_bits(V, ref_V) and np.array_equal(U, ref_U)
+    assert peaks[0] < N * N * 16 / 8
 
 _INDEX_PRESETS = ["rational-w-1", "rational-w+1", "rational-w-2", "rational-w+2",
                   "gauss-small", "singular-zero", "zero"]
