@@ -46,6 +46,8 @@ def read_cone_spec(obj):
     if "name" not in obj or "dim" not in obj:
         raise ConfigError("cone spec needs 'name' and integer 'dim'")
     name, dim = obj["name"], obj["dim"]
+    if not isinstance(name, str):
+        raise ConfigError(f"cone spec 'name' must be a string, got {name!r}")
     if isinstance(dim, bool) or not isinstance(dim, int):
         raise ConfigError(f"cone spec 'dim' must be an integer, got {dim!r}")
     has_gen = "generators" in obj

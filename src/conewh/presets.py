@@ -236,6 +236,8 @@ def symbol_dim(spec):
         check_keys(spec, ("expr", "dim", "name"), "symbol")
     if not isinstance(spec, dict) or "expr" not in spec:
         raise ConfigError("symbol must be a preset name or an expression object")
+    if not isinstance(spec.get("name", ""), str):
+        raise ConfigError(f"symbol 'name' must be a string, got {spec['name']!r}")
     dim = spec.get("dim", 1)
     if type(dim) is not int or dim not in (1, 2):
         raise ConfigError(f"symbol 'dim' must be the integer 1 or 2, got {dim!r}")

@@ -403,6 +403,13 @@ _TRIV = {"name": "bad-triv", "cone": "quarter-plane", "angle_deg": 8.0, "samples
     # An angle given as a boolean or a string.
     ("trivialize", {**_TRIV, "angle_deg": True}),
     ("trivialize", {**_TRIV, "angle_deg": "8.0"}),
+    # A symbol object's or an inline cone's "name" that is not a string.
+    *[("index1d", {"name": "named", "symbol": {"expr": "0.3*exp(-pi*x**2)", "dim": 1,
+                                               "name": name}, **_GRID})
+      for name in (["x"], 7, None)],
+    *[("pklimit", {**_PK, "cone": {"name": name, "dim": 2,
+                                   "generators": [["1", "0"], ["0", "1"]]}})
+      for name in (["x"], 7, None)],
 ])
 def test_malformed_experiment_spec_is_config_error(tmp_path, capsys, command, spec):
     path = tmp_path / "spec.json"
@@ -451,6 +458,12 @@ _GAUSS = {"name": "gauss", "symbol": {"expr": "0.3*exp(-pi*x**2)", "dim": 1}, **
      "unknown cone spec key(s): gens (accepted: name, dim, generators, inequalities)"),
     ("lattice", {**_CONE, "generator": [["1", "1"]]},
      "unknown cone spec key(s): generator (accepted: name, dim, generators, inequalities)"),
+    # A symbol object's or an inline cone's "name" that is not a string: the key.
+    ("hierarchy2d", {**_GAUSS, "symbol": {"expr": "exp(-pi*(x**2+y**2))", "dim": 2,
+                                          "name": ["x"]}},
+     "symbol 'name' must be a string, got ['x']"),
+    ("trivialize", {**_TRIV, "cone": {**_CONE, "name": 7}},
+     "cone spec 'name' must be a string, got 7"),
 ])
 def test_unreadable_spec_or_escaping_name_is_config_error(tmp_path, capsys, command, spec,
                                                           message):

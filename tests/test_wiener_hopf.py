@@ -93,8 +93,109 @@ def test_non_finite_samples_rejected_with_position():
     vals[121, 3] = np.nan
     with pytest.raises(NonFiniteKernelError, match=r"x = 0, y = -5.3 \(index \[120, 67\]\)"):
         make_symbol(vals, 2, 0.1, 12.0)
-    with pytest.raises(NonFiniteKernelError, match=r"x = -2 \(index \[160\]\) is \(nan"):
+    with pytest.raises(NonFiniteKernelError,
+                       match=r"x = -2 \(index \[160\]\) is nan, not finite"):
         make_symbol(lambda x: np.where(np.arange(len(x)) == 160, np.nan, 0.0), 1, 0.05, 10.0)
+
+
+_GRIDS = {1: (0.05, 20.0), 2: (0.1, 12.0)}
+_A, _B, _M = np.random.default_rng(28).uniform([0.2, -1.0, 1.0], [0.8, 1.0, 4.0])
+# name: (dim, callable); some return integers, some a shape that broadcasts
+# to the grid.  Only kernels below the decay gate everywhere may be constant
+# along an axis.
+_CALLABLES = {
+    "real-1d": (1, lambda x: _A * gauss(x - _B)),
+    "complex-1d": (1, lambda x: _A * gauss(x - _B) * np.exp(1j * _M * x)),
+    "zero-imaginary-1d": (1, lambda x: _A * gauss(x) + 0j),
+    "integer-1d": (1, lambda x: np.where(np.abs(x) <= 2, 3, -1 * (np.abs(x) <= 4))),
+    "broadcast-scalar-1d": (1, lambda x: 0.0),
+    "real-2d": (2, lambda x, y: _A * np.exp(-np.pi * (x**2 + _B * x * y + 2 * y**2))),
+    "complex-2d": (2, lambda x, y: _A * np.exp(-np.pi * ((x - _B)**2 + y**2) + 1j * _M * x * y)),
+    "integer-2d": (2, lambda x, y: np.where((np.abs(x) <= 1) & (np.abs(y) <= 2), 2, 0)),
+    "broadcast-row-2d": (2, lambda x, y: 1e-9 * _A * gauss(x)),
+    "broadcast-complex-2d": (2, lambda x, y: 1e-9j * _A * gauss(y - _B) * np.exp(1j * _M * y)),
+    "broadcast-zeros-2d": (2, lambda x, y: np.zeros_like(x)),
+    "broadcast-scaled-2d": (2, lambda x, y: 0 * x),
+}
+_ARRAYS = {"real": lambda rng, n: rng.standard_normal(n),
+           "complex": lambda rng, n: rng.standard_normal(n) + 1j * rng.standard_normal(n),
+           "integer": lambda rng, n: rng.integers(-5, 6, n)}
+SAMPLING_CASES = list(_CALLABLES) + [f"array-{kind}-{dim}d" for kind in _ARRAYS for dim in (1, 2)]
+
+
+def _seeded_samples(case):
+    """(f, dim, h, T) of a sampling case: a callable of _CALLABLES, or seeded
+    samples that vanish outside [-T/2, T/2]^dim."""
+    if case in _CALLABLES:
+        dim, f = _CALLABLES[case]
+        return (f, dim, *_GRIDS[dim])
+    _, kind, d = case.split("-")
+    dim = int(d[0])
+    h, T = _GRIDS[dim]
+    xs = np.arange(-round(T / h), round(T / h) + 1) * h
+    inside = np.abs(xs) <= T / 2
+    if dim == 2:
+        inside = inside[:, None] & inside[None, :]
+    vals = _ARRAYS[kind](np.random.default_rng(sum(map(ord, case))), (len(xs),) * dim)
+    return np.where(inside, vals, 0), dim, h, T
+
+
+@pytest.mark.parametrize("case", SAMPLING_CASES)
+def test_sampling_contract(case):
+    """The kernel holds the samples, float64 exactly when every sample is real
+    and complex128 otherwise, and fhat is the shifted FFT of the complex
+    kernel scaled by h^dim, bit for bit."""
+    f, dim, h, T = _seeded_samples(case)
+    S = make_symbol(f, dim, h, T)
+    shape = (S.npoints,) * dim
+    samples = np.broadcast_to(f(*np.meshgrid(*[S.xs] * dim, indexing="ij"))
+                              if callable(f) else f, shape)
+    real = not np.iscomplexobj(samples) or not samples.imag.any()
+    assert S.kernel.dtype == (np.float64 if real else np.complex128)
+    assert S.kernel.shape == shape and S.kernel.flags.writeable and S.kernel.flags.owndata
+    assert np.array_equal(S.kernel, samples)
+    ref = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(S.kernel.astype(complex)))) * h**dim
+    assert S.fhat.dtype == np.complex128
+    assert S.fhat.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("case", [c for c in SAMPLING_CASES if c.endswith("2d")])
+def test_hierarchy_symbol_min_is_the_full_minimum(case):
+    """symbol_min, taken over blocks of rows of fhat, equals the minimum of
+    |1 + fhat| over the whole grid, capped at 1, bit for bit."""
+    S = make_symbol(*_seeded_samples(case))
+    report = hierarchy_fredholm(S, truncations=(8, 16), y_values=[0.0])
+    assert report.symbol_min == float(min(np.abs(1 + S.fhat).min(), 1.0))
+
+
+def test_kernel_array_of_another_shape_rejected():
+    """An array of samples must fill the grid; only a callable's result is
+    broadcast to it."""
+    with pytest.raises(DimensionMismatchError, match=r"must have shape \(121,\)"):
+        make_symbol(np.zeros(120), 1, 0.05, 3.0)
+    with pytest.raises(DimensionMismatchError, match=r"must have shape \(121, 121\)"):
+        make_symbol(np.zeros((121, 1)), 2, 0.1, 6.0)
+
+
+def test_sampling_peak_on_the_finest_hierarchy_grid():
+    """Sampling the perfbench hierarchy kernel on 481 x 481 points holds the
+    float kernel, one complex FFT buffer and the shifted fhat at most: numpy's
+    traced peak stays under 9.5 MiB (14.1 MiB while the kernel was sampled as
+    complex on a meshgrid and transformed out of place)."""
+    import tracemalloc
+
+    from conewh.presets import symbol_from_expression
+
+    expr = "0.5*exp(-pi*(x**2+y**2))"
+    symbol_from_expression(expr, 2, 0.05, 12.0)
+    tracemalloc.start()
+    try:
+        S = symbol_from_expression(expr, 2, 0.05, 12.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert S.kernel.shape == (481, 481) and S.kernel.dtype == np.float64
+    assert peak <= 9.5 * 2**20
 
 
 def _never_sampled(*coords):
@@ -180,6 +281,7 @@ def test_wh_matrix_decides_realness_on_the_used_lags():
     """Imaginary samples beyond the lags a section uses leave it real."""
     S = symbol_preset("gauss-small", 0.1, 12.0)
     M = (S.npoints - 1) // 2
+    S.kernel = S.kernel.astype(complex)
     S.kernel[M + 60] += 1e-12j
     assert wh_matrix(S, "half-line", 60).dtype == np.float64
     assert wh_matrix(S, "half-line", 61).dtype == np.complex128
