@@ -3,10 +3,9 @@ finite sections on cones, winding numbers, kernel/cokernel index estimation,
 face-restricted symbols and the stratified Fredholm report for the quarter
 plane.
 
-A symbol is sampled straight into its final arrays (make_symbol): at 481^2
-points numpy's traced peak is 8.8 MiB in make_symbol and 7.1 MiB in
-hierarchy_fredholm, against 14.1 and 12.4 MiB for complex meshgrid samples
-and an out-of-place DFT.
+A symbol is sampled straight into its final arrays (make_symbol): the
+kernel is float64 when every sample is real, else complex128, and its DFT
+is taken in one complex buffer, transformed and scaled in place.
 
 Every finite section (index pipeline, non-Fredholm sigma_min trend,
 hierarchy face) is held as its generator c, the 2N - 1 lag samples with
@@ -522,8 +521,8 @@ def hierarchy_fredholm(symbol: SymbolGrid, truncations=(48, 96), y_values=None,
     """
     if symbol.dim != 2:
         raise DimensionMismatchError("hierarchy report needs a 2-D symbol")
-    symbol_min = float(min([np.abs(1.0 + symbol.fhat[i:i + 32]).min()    # no full 1 + fhat
-                            for i in range(0, len(symbol.fhat), 32)] + [1.0]))
+    symbol_min = float(min(np.min([np.abs(1.0 + symbol.fhat[i:i + 32]).min()  # no full 1 + fhat
+                                   for i in range(0, len(symbol.fhat), 32)]), 1.0))
     nonvanishing = symbol_min > _NONVANISHING_TOL
 
     if y_values is None:

@@ -45,10 +45,9 @@ most 3.0e-16, margin_at_infinity by at most 5.6e-16 and the CSV sigma_min
 by at most 8.0e-16, against N * eps * sigma_max >= 1.1e-14.  The hierarchy2d
 reports still hold on one BLAS thread; the index1d ones still do not.
 
-Two reports of inline expression kernels (specs under golden/specs) were
-written while make_symbol still sampled every kernel as complex128 on a full
-meshgrid; they pin the sampling path byte for byte.  index1d-modulated-rational
-is the e^{3ix}-modulated rational kernel of winding -1, a complex kernel whose
+Two reports of inline expression kernels (specs under golden/specs) pin the
+sampling path byte for byte.  index1d-modulated-rational is the
+e^{3ix}-modulated rational kernel of winding -1, a complex kernel whose
 sections have no Hermitian form, so its near-null pair comes from the solves
 against W and W^T.  hierarchy2d-expr-fine is a real, non-separable kernel
 even in each coordinate on the finest hierarchy grid (h = 0.05, T = 12,

@@ -168,6 +168,17 @@ def test_hierarchy_symbol_min_is_the_full_minimum(case):
     assert report.symbol_min == float(min(np.abs(1 + S.fhat).min(), 1.0))
 
 
+def test_hierarchy_symbol_min_keeps_a_nan_of_a_later_block():
+    """A NaN in fhat past the first block of rows (an overflowing DFT of
+    finite samples) makes symbol_min NaN, as the full minimum does, so the
+    symbol is not reported nonvanishing."""
+    S = make_symbol(*_seeded_samples("real-2d"))
+    S.fhat[len(S.fhat) - 3, 5] = np.nan
+    report = hierarchy_fredholm(S, truncations=(8, 16), y_values=[0.0])
+    assert np.isnan(float(min(np.abs(1 + S.fhat).min(), 1.0)))
+    assert np.isnan(report.symbol_min) and not report.symbol_nonvanishing
+
+
 def test_kernel_array_of_another_shape_rejected():
     """An array of samples must fill the grid; only a callable's result is
     broadcast to it."""
@@ -180,8 +191,7 @@ def test_kernel_array_of_another_shape_rejected():
 def test_sampling_peak_on_the_finest_hierarchy_grid():
     """Sampling the perfbench hierarchy kernel on 481 x 481 points holds the
     float kernel, one complex FFT buffer and the shifted fhat at most: numpy's
-    traced peak stays under 9.5 MiB (14.1 MiB while the kernel was sampled as
-    complex on a meshgrid and transformed out of place)."""
+    traced peak stays under 9.5 MiB."""
     import tracemalloc
 
     from conewh.presets import symbol_from_expression
