@@ -20,21 +20,30 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .cones import face_lattice, is_solid
 from .errors import ConfigError, DimensionMismatchError, DomainError, EmptySampleError
-from .exact import as_float
 from .io import (
-    check_keys,
+    MAX_ENTRIES,
+    REQUIRED,
+    _count,
+    _floats,
+    _increasing,
+    _number,
+    _numbers,
+    _positive,
+    _rationals,
+    _report_name,
     cone_report_object,
     dumps_report,
     face_object,
     load_json,
-    parse_vector,
     read_cone_spec,
+    read_fields,
     vector_strings,
     write_csv,
 )
@@ -45,11 +54,6 @@ from .strata import ray_limit, spectrum_poset, strata
 COMMANDS = ("lattice", "strata", "spectrum", "trivialize", "index1d",
             "hierarchy2d", "pklimit")
 SAMPLING_COMMANDS = ("trivialize",)
-# --tol keys each command reads; any other key is a configuration error.
-TOLERANCE_KEYS = {"hierarchy2d": ("margin_tol",), "pklimit": ("eps",)}
-# The most entries of one array a spec may ask for; the largest any preset or
-# benchmark job needs have N = 1024 squared, 2**20 entries.
-MAX_ENTRIES = 2**26
 
 
 @dataclass
@@ -61,17 +65,14 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
 
 
-def _parse_tolerances(pairs):
-    tols = {}
-    for item in pairs or []:
-        if "=" not in item:
-            raise ConfigError(f"--tol expects key=val, got '{item}'")
-        key, val = item.split("=", 1)
-        try:
-            tols[key] = float(val)
-        except ValueError:
-            raise ConfigError(f"--tol {key} expects a number, got '{val}'") from None
-    return tols
+def _tolerance(item):
+    """(key, value) of a --tol key=value pair; a value that is not a number
+    stays text, which every --tol rule rejects."""
+    key, _, value = item.partition("=")
+    try:
+        return key, float(value)
+    except ValueError:
+        return key, value
 
 
 def _resolve_input(name, kind):
@@ -79,13 +80,15 @@ def _resolve_input(name, kind):
     return load_json(name) if os.path.exists(name) else preset_spec(kind, name)
 
 
-def _floats(values, message):
-    """The float array of exact or JSON numbers; one beyond the float range is
-    a ConfigError with the message."""
-    try:
-        return as_float(values)
-    except OverflowError:
-        raise ConfigError(message) from None
+def _check_size(what, side, dim=1):
+    """Reject an array of side**dim entries above MAX_ENTRIES before it is made;
+    an integer side is compared and printed exactly, so one beyond the float
+    range (such as 10**400) is rejected like any other."""
+    if not (side <= MAX_ENTRIES and side**dim <= MAX_ENTRIES):
+        power = "" if dim == 1 else f"**{dim}"
+        count = side if isinstance(side, int) else f"{side:.6g}"
+        raise ConfigError(f"{what} would hold {count}{power} entries, more than the "
+                          f"limit of 2**26 = {MAX_ENTRIES}")
 
 
 def _check_norms(rows, message):
@@ -108,77 +111,7 @@ def _check_margins(cone, shifts, window, message):
             raise ConfigError(message)
 
 
-def _finite_numbers(values, message):
-    """The float array of a list of finite JSON numbers (not booleans or
-    strings); any other entry is a ConfigError with the message."""
-    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-        floats = _floats(values, message)
-        if np.isfinite(floats).all():
-            return floats
-    raise ConfigError(message)
-
-
-def _check_size(what, side, dim=1):
-    """Reject an array of side**dim entries above MAX_ENTRIES before it is made;
-    an integer side is compared and printed exactly, so one beyond the float
-    range (such as 10**400) is rejected like any other."""
-    if not (side <= MAX_ENTRIES and side**dim <= MAX_ENTRIES):
-        power = "" if dim == 1 else f"**{dim}"
-        count = side if isinstance(side, int) else f"{side:.6g}"
-        raise ConfigError(f"{what} would hold {count}{power} entries, more than the "
-                          f"limit of 2**26 = {MAX_ENTRIES}")
-
-
-def _number(value, key):
-    """A finite JSON number (not a boolean or a string), as a float."""
-    return float(_finite_numbers([value], f"'{key}' must be a finite number, got {value!r}")[0])
-
-
-def _positive(value, key):
-    """A finite, positive JSON number, as a float."""
-    value = _number(value, key)
-    if value <= 0:
-        raise ConfigError(f"'{key}' must be positive, got {value}")
-    return value
-
-
-def _count(value, key):
-    """A JSON integer (not a boolean) above zero and at most MAX_ENTRIES."""
-    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
-        raise ConfigError(f"'{key}' must be a positive integer, got {value!r}")
-    _check_size(f"'{key}'", value)
-    return value
-
-
-def _numbers(value, key):
-    """A non-empty list of finite JSON numbers (not booleans), as floats."""
-    message = f"'{key}' must be a list of finite numbers, got {value!r}"
-    if isinstance(value, list) and value:
-        return _finite_numbers(value, message).tolist()
-    raise ConfigError(message)
-
-
-def _sizes(value, key):
-    """A strictly increasing list of at least two positive JSON integers, as a tuple."""
-    if (not isinstance(value, list) or len(value) < 2
-            or any(isinstance(n, bool) or not isinstance(n, int) or n <= 0 for n in value)):
-        raise ConfigError(f"'{key}' must list two or more positive integers, got {value!r}")
-    if any(a >= b for a, b in zip(value, value[1:])):
-        raise ConfigError(f"'{key}' must be strictly increasing, got {value!r}")
-    return tuple(value)
-
-
-def _rationals(value, key):
-    """A list of exact rationals: JSON integers or strings such as "3/2"."""
-    if not isinstance(value, list):
-        raise ConfigError(f"'{key}' must be a list of rationals, got {value!r}")
-    try:
-        return parse_vector(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad {key} in spec: {exc}") from None
-
-
-def _cone(value, key):
+def _cone(value, what):
     """A cone preset name or inline spec, its rays, facet normals and norms in float range."""
     cone = cone_preset(value) if isinstance(value, str) else read_cone_spec(value)[1]
     message = "the cone's rays and facet normals, and their norms, must lie in the float range"
@@ -187,23 +120,13 @@ def _cone(value, key):
     return cone
 
 
-def _symbol(value, key):
+def _symbol(value, what):
     """(kernel dimension, symbol) of a preset name or an expression object."""
     return symbol_dim(value), value
 
 
-def _report_name(name, key="name"):
-    """A spec's "name", which names its report files: one file name inside --out."""
-    if (not isinstance(name, str) or name in ("", ".", "..")
-            or any(c in name for c in ("/", os.sep, "\0"))):
-        raise ConfigError(f"spec 'name' must be a file name other than '.' and '..', "
-                          f"with no '/', got {name!r}")
-    return name
-
-
-REQUIRED = object()         # the default of a key that a spec must hold
 _SYMBOL_KEYS = {"symbol": (_symbol, REQUIRED), "h": (_positive, REQUIRED),
-                "T": (_positive, REQUIRED), "N": (_sizes, REQUIRED)}
+                "T": (_positive, REQUIRED), "N": (partial(_increasing, int), REQUIRED)}
 # SPEC_KEYS[command][key] = (rule, default): every key an experiment spec of
 # the command may hold, in the order they are read; any other is a ConfigError.
 SPEC_KEYS = {command: {"name": (_report_name, command), **keys} for command, keys in {
@@ -212,22 +135,20 @@ SPEC_KEYS = {command: {"name": (_report_name, command), **keys} for command, key
     "index1d": _SYMBOL_KEYS,
     "hierarchy2d": {**_SYMBOL_KEYS, "y_values": (_numbers, None)},
     "pklimit": {"cone": (_cone, REQUIRED), "direction": (_rationals, REQUIRED),
-                "scales": (_numbers, [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]),
+                "scales": (partial(_increasing, float), [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]),
                 "eps": (_positive, 0.5), "window": (_positive, 4.0), "step": (_positive, None)},
 }.items()}
+# TOLERANCE_KEYS[command][key] = (rule, default): the --tol keys the command
+# reads, passed to it as keyword arguments; a --tol eps overrides the spec's.
+TOLERANCE_KEYS = {"hierarchy2d": {"margin_tol": (_positive, 1e-6)},
+                  "pklimit": {"eps": (_positive, None)}}
 
 
 def _experiment(config):
     """(name, values) of an experiment spec: each key of SPEC_KEYS[command]
     read through its rule, or its default when the spec does not hold it."""
-    spec = _resolve_input(config.input, "experiments")
-    keys = SPEC_KEYS[config.command]
-    check_keys(spec, keys, f"'{config.command}' spec")
-    missing = [key for key in keys if keys[key][1] is REQUIRED and key not in spec]
-    if missing:
-        raise ConfigError(f"spec is missing key(s): {', '.join(missing)}")
-    values = {key: rule(spec[key], key) if key in spec else default
-              for key, (rule, default) in keys.items()}
+    values = read_fields(_resolve_input(config.input, "experiments"),
+                         SPEC_KEYS[config.command], f"'{config.command}' spec")
     return values.pop("name"), values
 
 
@@ -242,15 +163,10 @@ def _sample_symbol(values, command, dim):
     return resolve_symbol(symbol, values["h"], values["T"])
 
 
-def _load_cone(config):
-    name, cone = read_cone_spec(_resolve_input(config.input, "cones"))
-    return _report_name(name), cone
-
-
 def _write_report(config, name, fields, rows=None):
-    """Write rows, if given, as <name>_<command>.csv, then a header echoing the
-    configuration and the fields as <name>_<command>.json, making --out only
-    now that there is a result; returns exit code 0."""
+    """Write a header echoing the configuration and the fields as
+    <name>_<command>.json, and rows, if given, as <name>_<command>.csv, making
+    --out only once the report has serialized; returns exit code 0."""
     report = {
         "toolkit": "conewh",
         "version": __version__,
@@ -262,12 +178,13 @@ def _write_report(config, name, fields, rows=None):
         },
         **fields,
     }
+    text = dumps_report(report)
     os.makedirs(config.outdir, exist_ok=True)
     stem = os.path.join(config.outdir, f"{name}_{config.command}")
     if rows is not None:
         write_csv(stem + ".csv", rows)
     with open(stem + ".json", "w") as fh:
-        fh.write(dumps_report(report))
+        fh.write(text)
     return 0
 
 
@@ -275,7 +192,7 @@ def _write_report(config, name, fields, rows=None):
 
 
 def _cmd_lattice(config):
-    name, cone = _load_cone(config)
+    name, cone = read_cone_spec(_resolve_input(config.input, "cones"))
     lat = face_lattice(cone)
     fields = {
         "name": name,
@@ -300,7 +217,7 @@ def _face_objects(st):
 
 
 def _cmd_strata(config):
-    name, cone = _load_cone(config)
+    name, cone = read_cone_spec(_resolve_input(config.input, "cones"))
     st = strata(cone)
     objs = _face_objects(st)
     return _write_report(config, name, {
@@ -314,7 +231,7 @@ def _cmd_strata(config):
 
 
 def _cmd_spectrum(config):
-    name, cone = _load_cone(config)
+    name, cone = read_cone_spec(_resolve_input(config.input, "cones"))
     st = strata(cone)
     sp = spectrum_poset(st)
     objs = _face_objects(st)
@@ -414,13 +331,13 @@ def _cmd_index1d(config):
     }, rows)
 
 
-def _cmd_hierarchy2d(config):
+def _cmd_hierarchy2d(config, margin_tol):
     name, values = _experiment(config)
     symbol = _sample_symbol(values, "hierarchy2d", 2)
     from .wiener_hopf import hierarchy_fredholm
 
     rep = hierarchy_fredholm(symbol, truncations=values["N"], y_values=values["y_values"],
-                             **config.tolerances)
+                             margin_tol=margin_tol)
     rows = [{
         "experiment": f"{name}:face-{fr['face']}@y={r['y']}",
         "N": N,
@@ -446,13 +363,13 @@ def _cmd_hierarchy2d(config):
     }, rows)
 
 
-def _cmd_pklimit(config):
+def _cmd_pklimit(config, eps):
     name, values = _experiment(config)
-    cone, direction, scales, eps, window, step = values.values()
+    cone, direction, scales, spec_eps, window, step = values.values()
+    eps = eps or spec_eps
     shown = vector_strings(direction)
     if len(direction) != cone.ambient_dim:
         raise ConfigError(f"'direction' must hold {cone.ambient_dim} rationals, got {shown}")
-    eps = _positive(config.tolerances.get("eps", eps), "eps")
     step = step or eps / 2
     _check_size("the window lattice", 2 * window / step + 1, cone.ambient_dim)
     _check_size("the eps stencil", 2 * eps / step + 1, cone.ambient_dim)
@@ -514,9 +431,9 @@ def run(config: RunConfig) -> int:
             raise ConfigError(f"unknown command '{config.command}'")
         if config.command in SAMPLING_COMMANDS and config.seed is None:
             raise ConfigError(f"--seed is required for '{config.command}'")
-        check_keys(config.tolerances, TOLERANCE_KEYS.get(config.command, ()),
-                   f"'{config.command}' --tol")
-        return _DISPATCH[config.command](config)
+        tols = read_fields(config.tolerances, TOLERANCE_KEYS.get(config.command, {}),
+                           f"'{config.command}' --tol")
+        return _DISPATCH[config.command](config, **tols)
     except DomainError as exc:
         print(f"error [{exc.category}]: {exc}", file=sys.stderr)
         return 1
@@ -534,15 +451,10 @@ def main(argv=None):
                         help="spec file path or packaged preset name")
     parser.add_argument("--out", dest="outdir", required=True)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--tol", action="append", default=[],
+    parser.add_argument("--tol", action="append", default=[], type=_tolerance,
                         metavar="KEY=VAL", help="tolerance overrides")
     args = parser.parse_args(argv)
-    try:
-        tols = _parse_tolerances(args.tol)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return run(RunConfig(args.command, args.input, args.outdir, args.seed, tols))
+    return run(RunConfig(args.command, args.input, args.outdir, args.seed, dict(args.tol)))
 
 
 if __name__ == "__main__":

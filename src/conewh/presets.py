@@ -14,13 +14,14 @@ import ast
 import json
 import math
 import operator
+from functools import partial
 from importlib import resources
 
 import numpy as np
 
 from .cones import PolyhedralCone
 from .errors import ConfigError
-from .io import check_keys, read_cone_spec
+from .io import REQUIRED, _count, _string, read_cone_spec, read_fields
 
 _EXP_CLIP = 60.0  # arguments beyond this give exp underflow warnings only
 
@@ -227,26 +228,21 @@ def symbol_from_expression(expr, dim, h, T, name="expr"):
     return make_symbol(f, dim, h, T, name=name)
 
 
+SYMBOL_KEYS = {"expr": (_string, REQUIRED), "dim": (partial(_count, most=2), 1),
+               "name": (_string, "expr")}
+
+
 def symbol_dim(spec):
-    """The kernel dimension of a preset name or an {'expr': ..., 'dim': ...}
-    object, read before any sample is taken."""
+    """The kernel dimension of a preset name or a symbol object of SYMBOL_KEYS,
+    read before any sample is taken."""
     if isinstance(spec, str):
         return 2 if spec in _SYMBOLS_2D else 1      # symbol_preset rejects other names
-    if isinstance(spec, dict):
-        check_keys(spec, ("expr", "dim", "name"), "symbol")
-    if not isinstance(spec, dict) or "expr" not in spec:
-        raise ConfigError("symbol must be a preset name or an expression object")
-    if not isinstance(spec.get("name", ""), str):
-        raise ConfigError(f"symbol 'name' must be a string, got {spec['name']!r}")
-    dim = spec.get("dim", 1)
-    if type(dim) is not int or dim not in (1, 2):
-        raise ConfigError(f"symbol 'dim' must be the integer 1 or 2, got {dim!r}")
-    return dim
+    return read_fields(spec, SYMBOL_KEYS, "symbol")["dim"]
 
 
 def resolve_symbol(spec, h, T):
-    """The SymbolGrid of a preset name or an {'expr': ..., 'dim': ...} object."""
-    dim = symbol_dim(spec)
+    """The SymbolGrid of a preset name or a symbol object of SYMBOL_KEYS."""
     if isinstance(spec, str):
         return symbol_preset(spec, h, T)
-    return symbol_from_expression(spec["expr"], dim, h, T, name=spec.get("name", "expr"))
+    expr, dim, name = read_fields(spec, SYMBOL_KEYS, "symbol").values()
+    return symbol_from_expression(expr, dim, h, T, name=name)

@@ -108,7 +108,7 @@ def _check_samples(vals, T, coords, grid_axes):
     """The gates of sampled kernel values, whose axes coords names as (label,
     coordinates): every sample is finite, else the first that is not is
     named; and |f| < 1e-8 wherever one of the leading grid_axes coordinates
-    lies outside [-T/2, T/2]."""
+    lies outside [-T/2, T/2].  Returns sum |f|, inf where it overflows."""
     bad = ~np.isfinite(vals)
     if bad.any():
         first = np.unravel_index(np.argmax(bad), vals.shape)
@@ -120,6 +120,8 @@ def _check_samples(vals, T, coords, grid_axes):
         outside = np.abs(coords[axis][1]) > T / 2
         if np.compress(outside, mags, axis=axis).max(initial=0.0) >= _DECAY_TOL:
             raise KernelWindowError("kernel not window-compatible")
+    with np.errstate(over="ignore"):
+        return mags.sum()
 
 
 def make_symbol(f, dim, h, T, name="") -> SymbolGrid:
@@ -129,8 +131,9 @@ def make_symbol(f, dim, h, T, name="") -> SymbolGrid:
     broadcast to the grid once (zeros_like(x) is (2M+1, 1) in 2-D); an array
     must have the grid's shape.  The kernel is float64 (integers included)
     unless a sample has an imaginary part, and the DFT transforms one complex
-    buffer in place.  Every sample must be finite, and decay |f| < 1e-8 is
-    required outside [-T/2, T/2]^dim, for dim 1 or 2.
+    buffer in place.  Every sample must be finite, and so must the discrete
+    L1 norm h^dim * sum |f|, which bounds every DFT value; decay |f| < 1e-8
+    is required outside [-T/2, T/2]^dim, for dim 1 or 2.
     """
     if dim not in (1, 2):
         raise DimensionMismatchError(f"kernel dimension must be 1 or 2, got {dim!r}")
@@ -146,7 +149,11 @@ def make_symbol(f, dim, h, T, name="") -> SymbolGrid:
     real = not (np.iscomplexobj(vals) and vals.imag.any())
     vals = np.array(np.broadcast_to(vals.real if real else vals, shape),
                     dtype=float if real else complex)
-    _check_samples(vals, T, [("x", xs), ("y", xs)][:dim], dim)
+    total = _check_samples(vals, T, [("x", xs), ("y", xs)][:dim], dim)
+    with np.errstate(over="ignore"):
+        l1 = h**dim * total
+    if not np.isfinite(l1):
+        raise NonFiniteKernelError(f"kernel L1 norm h^{dim} * sum |f| is {l1}, not finite")
     return SymbolGrid(dim, h, T, xs, vals, *_dft(vals, h), name=name)
 
 

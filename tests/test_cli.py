@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from conewh.cli import RunConfig, main, run
+from conewh.cli import SPEC_KEYS, RunConfig, _write_report, main, run
 from conewh.io import read_cone_spec
 
 
@@ -253,6 +253,32 @@ def test_unknown_tolerance_key_rejected(tmp_path, capsys, command, preset, seed,
     assert list(tmp_path.iterdir()) == []       # rejected before any work
 
 
+@pytest.mark.parametrize("command, preset, tol", [
+    # A margin of 0.0 on a singular face must not pass as a certificate.
+    ("hierarchy2d", "hierarchy-singular-face", "margin_tol=-1"),
+    ("hierarchy2d", "hierarchy-singular-face", "margin_tol=0"),
+    ("hierarchy2d", "hierarchy-singular-face", "margin_tol=nan"),
+    ("hierarchy2d", "hierarchy-singular-face", "margin_tol=inf"),
+    ("pklimit", "pklimit-translated-quarter", "eps=-1"),
+])
+def test_bad_tolerance_value_rejected(tmp_path, capsys, command, preset, tol):
+    out = tmp_path / "out"
+    assert main([command, "--in", preset, "--out", str(out), "--tol", tol]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: '{command}' --tol '{tol.split('=')[0]}' must be ")
+    assert len(err.strip().splitlines()) == 1 and not out.exists()
+
+
+def test_report_that_does_not_serialize_writes_nothing(tmp_path):
+    """A NaN field fails the JSON encoder before --out, the CSV or the JSON
+    file is made."""
+    config = RunConfig("index1d", "nan-report", str(tmp_path / "out"))
+    rows = [{"experiment": "nan-report", "N": 16, "sigma_min": "nan", "verdict": "fredholm"}]
+    with pytest.raises(ValueError, match="Out of range float values"):
+        _write_report(config, "nan-report", {"symbol_min": float("nan")}, rows)
+    assert list(tmp_path.iterdir()) == []
+
+
 _GRID = {"h": 0.05, "T": 30.0, "N": [64, 128]}
 
 
@@ -315,6 +341,10 @@ _PK = {"name": "bad-pk", "cone": "quarter-plane", "direction": ["1", "0"],
     pytest.param({**_PK, "direction": "10"}, None, id="direction-string"),
     pytest.param({**_PK, "scales": ["big", 4]}, None, id="scales-word"),
     pytest.param({**_PK, "scales": [2, "inf"]}, None, id="scales-inf"),
+    pytest.param({**_PK, "scales": [4.0]}, None, id="scales-one"),
+    pytest.param({**_PK, "scales": [64, 32, 2]}, None, id="scales-decreasing"),
+    pytest.param({**_PK, "scales": [-2, -4]}, None, id="scales-negative"),
+    pytest.param({**_PK, "scales": [0, 0]}, None, id="scales-zero"),
     pytest.param({k: v for k, v in _PK.items() if k != "cone"}, None, id="cone-missing"),
     pytest.param({**_PK, "window": 1e6}, None, id="lattice-too-large"),
     pytest.param({**_PK, "window": 4.0, "step": 1e-300}, None, id="step-tiny"),
@@ -327,6 +357,12 @@ def test_bad_pklimit_spec_is_config_error(tmp_path, capsys, spec, tol):
     assert main(argv + (["--tol", tol] if tol else [])) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_integer_scales_read_as_the_default_floats():
+    rule, default = SPEC_KEYS["pklimit"]["scales"]
+    scales = rule([2, 4, 8, 16, 32, 64], "'pklimit' spec 'scales'")
+    assert scales == default and all(type(s) is float for s in scales)
 
 
 # A cone so thin that no point of this window lattice, which misses the origin
@@ -464,6 +500,11 @@ _GAUSS = {"name": "gauss", "symbol": {"expr": "0.3*exp(-pi*x**2)", "dim": 1}, **
      "symbol 'name' must be a string, got ['x']"),
     ("trivialize", {**_TRIV, "cone": {**_CONE, "name": 7}},
      "cone spec 'name' must be a string, got 7"),
+    # An integer beyond the interpreter's limit of 4300 digits for reading one.
+    pytest.param("lattice", b'{"name": "x", "dim": 2, "generators": [[1, 1' + b"0" * 5000
+                 + b"], [1, 0]]}", "Exceeds the limit (4300 digits)", id="5001-digits",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="no integer digit limit before 3.10.7")),
 ])
 def test_unreadable_spec_or_escaping_name_is_config_error(tmp_path, capsys, command, spec,
                                                           message):
@@ -526,6 +567,24 @@ def test_overflowing_spec_is_config_error(tmp_path, capsys, command, spec):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, expr, dim", [
+    ("index1d", "where(abs(x) < 1, 1e308, 0*x)", 1),
+    ("hierarchy2d", "where(abs(x) + abs(y) < 1, 1e308, 0*x)", 2),
+])
+def test_kernel_with_infinite_l1_norm_is_domain_error(tmp_path, capsys, command, expr, dim):
+    """Finite samples whose L1 norm overflows end in exit 1 before the DFT,
+    with no RuntimeWarning (an error here) and no --out."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"name": "huge", "symbol": {"expr": expr, "dim": dim},
+                                "h": 0.25, "T": 12.0, "N": [16, 32]}))
+    out = tmp_path / "out"
+    assert main([command, "--in", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error [non-finite-kernel]: kernel L1 norm h^{dim} * sum |f| is inf, not finite\n")
+    assert not out.exists()
 
 
 def _never_called(*args, **kwargs):

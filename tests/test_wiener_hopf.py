@@ -1164,10 +1164,18 @@ def test_restrictions_are_real_for_even_and_conjugate_symmetric_for_hermitian_ke
 def test_restriction_block_gates():
     """The batched restriction keeps the gates of make_symbol: a column that
     overflows is a non-finite sample, and a constant floor below the 2-D decay
-    tolerance adds up to a restriction tail above it."""
+    tolerance adds up to a restriction tail above it.  make_symbol itself
+    rejects a kernel whose L1 norm overflows, so the overflowing kernel is
+    put on a grid that make_symbol built from zeros."""
+    def disc(x, y):
+        return np.where(x**2 + y**2 < 4, 1e308, 0.0)
+
+    with pytest.raises(NonFiniteKernelError, match=r"kernel L1 norm h\^2 \* sum \|f\| is inf"):
+        make_symbol(disc, 2, 0.1, 12.0)
+    huge = make_symbol(lambda x, y: 0 * x * y, 2, 0.1, 12.0)
+    huge.kernel = disc(huge.xs[:, None], huge.xs)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NonFiniteKernelError, match=r"kernel sample at t = -1.9, y = 0 "):
-        huge = make_symbol(lambda x, y: np.where(x**2 + y**2 < 4, 1e308, 0.0), 2, 0.1, 12.0)
         hierarchy_fredholm(huge, truncations=(16, 32), y_values=[0.0])
     floor = make_symbol(lambda x, y: 9e-9 + 0.3 * np.exp(-np.pi * (x**2 + y**2)), 2, 0.1, 12.0)
     with pytest.raises(KernelWindowError, match="not window-compatible"):
