@@ -139,7 +139,9 @@ SPEC_KEYS = {command: {"name": (_report_name, command), **keys} for command, key
                 "eps": (_positive, 0.5), "window": (_positive, 4.0), "step": (_positive, None)},
 }.items()}
 # TOLERANCE_KEYS[command][key] = (rule, default): the --tol keys the command
-# reads, passed to it as keyword arguments; a --tol eps overrides the spec's.
+# reads, passed to it as keyword arguments; a --tol eps overrides the spec's,
+# and margin_tol's default is that of wiener_hopf.hierarchy_fredholm, a module
+# the CLI loads only inside the command.
 TOLERANCE_KEYS = {"hierarchy2d": {"margin_tol": (_positive, 1e-6)},
                   "pklimit": {"eps": (_positive, None)}}
 
