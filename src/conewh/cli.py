@@ -104,7 +104,7 @@ def _check_margins(cone, shifts, window, message):
     limits.sample_cone forms for the cone, at each shift (a row) over the
     window [-window, window], stays in the float range: the bound
     sum_i (|shift_i| + window) |a_i| of every facet normal a must be finite."""
-    normals = _floats(sum(cone.inequalities, ()), message).reshape(-1, cone.ambient_dim)
+    normals = _floats(cone.inequalities, message).reshape(-1, cone.ambient_dim)
     with np.errstate(over="ignore"):
         bounds = (np.abs(shifts)[:, None] + window) * np.abs(normals)
         if not np.isfinite(bounds.sum(axis=-1)).all():
@@ -115,7 +115,7 @@ def _cone(value, what):
     """A cone preset name or inline spec, its rays, facet normals and norms in float range."""
     cone = cone_preset(value) if isinstance(value, str) else read_cone_spec(value)[1]
     message = "the cone's rays and facet normals, and their norms, must lie in the float range"
-    rows = _floats(sum(cone.generators + cone.inequalities, ()), message)
+    rows = _floats(cone.generators + cone.inequalities, message)
     _check_norms(rows.reshape(-1, cone.ambient_dim), message)
     return cone
 

@@ -10,13 +10,14 @@ V <-> H conversion uses the double description method, run on the pointed
 quotient after splitting off the lineality space; the face lattice is built
 from facet bitmasks.  Both hot loops work on coprime integer rays and
 bitmasks; the initial Gram inverse and the lineality space come from the
-fraction-free elimination of :mod:`conewh.exact`, and results are returned as
-Fraction tuples.
+fraction-free elimination of :mod:`conewh.exact`.  Every generator and facet
+normal, of a cone or of a face, is stored as that primitive int tuple; a
+point given to a cone (a membership test, an exposed face) is read as a
+Fraction tuple.
 """
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
@@ -93,19 +94,6 @@ def _dedupe_sorted(vectors):
     return tuple(sorted(set(vectors)))
 
 
-def _ints(v):
-    """Coprime integer coordinates of a nonzero rational vector, sign kept."""
-    return tuple(a.numerator for a in canonical_ray(v))
-
-
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
-def _rational(vectors):
-    return tuple(tuple(Fraction(a) for a in v) for v in vectors)
-
-
 def _validate_rows(rows, ambient_dim, what):
     vecs = []
     for i, r in enumerate(rows):
@@ -116,7 +104,7 @@ def _validate_rows(rows, ambient_dim, what):
             raise DimensionMismatchError(f"{what}: row {i} has {len(v)} entries, "
                                          f"expected dimension {ambient_dim}")
         if not is_zero_vec(v):
-            vecs.append(_ints(v))
+            vecs.append(canonical_ray(v))
     if ambient_dim is None:
         raise DimensionMismatchError("ambient dimension required")
     if ambient_dim < 1:
@@ -126,8 +114,8 @@ def _validate_rows(rows, ambient_dim, what):
 
 def _extreme_rays(rows, n):
     """Double description: extreme rays of the pointed part of {x : rows @ x >= 0},
-    plus a basis of the lineality space.  Returns (rays, lineality_basis); rows
-    and rays are coprime int tuples, the basis is canonical over Q.
+    plus a basis of the lineality space.  Returns (rays, lineality_basis); rows,
+    rays and the canonical basis are coprime int tuples.
 
     Each ray carries the bitmask of the processed rows it lies on.  Two rays
     of the pointed k-dimensional cone are adjacent iff their common mask has
@@ -146,8 +134,9 @@ def _extreme_rays(rows, n):
     # base row but the j-th.
     idx = rref(list(zip(*rows)))[1]
     base = [rows[i] for i in idx]
-    ginv = invert([[_dot(a, b) for b in base] for a in base])
-    rays = [_ints([_dot(_ints(g), col) for col in zip(*base)]) for g in ginv]
+    ginv = invert([[vdot(a, b) for b in base] for a in base])
+    rays = [canonical_ray([vdot(g, col) for col in zip(*base)])
+            for g in map(canonical_ray, ginv)]
     processed = sum(1 << i for i in idx)
     masks = [processed & ~(1 << i) for i in idx]
 
@@ -155,7 +144,7 @@ def _extreme_rays(rows, n):
         if processed >> t & 1:
             continue
         bit = 1 << t
-        vals = [_dot(a, r) for r in rays]
+        vals = [vdot(a, r) for r in rays]
         keep = [i for i, v in enumerate(vals) if v >= 0]
         pos = [i for i in keep if vals[i] > 0]
         neg = [j for j, v in enumerate(vals) if v < 0]
@@ -179,8 +168,8 @@ def _generators_from_inequalities(rows, n):
     """Canonical int generators of {x : rows @ x >= 0} from int rows."""
     rays, lin = _extreme_rays(rows, n)
     gens = set(rays)
-    for b in map(_ints, lin):
-        gens |= {b, tuple(-a for a in b)}
+    for b in lin:
+        gens |= {b, vneg(b)}
     return sorted(gens)
 
 
@@ -195,9 +184,9 @@ def cone_from_generators(rays, ambient_dim=None) -> PolyhedralCone:
     # Inequalities of C = generators of C*, whose H-rep rows are the rays.
     ineqs = _generators_from_inequalities(vecs, n)
     gens = _generators_from_inequalities(ineqs, n)
-    if any(_dot(a, v) < 0 for v in vecs for a in ineqs):
+    if any(vdot(a, v) < 0 for v in vecs for a in ineqs):
         raise MembershipError("internal: input ray violates derived inequality")
-    return PolyhedralCone(n, _rational(gens), _rational(ineqs))
+    return PolyhedralCone(n, tuple(gens), tuple(ineqs))
 
 
 def cone_from_inequalities(rows, ambient_dim=None) -> PolyhedralCone:
@@ -205,7 +194,7 @@ def cone_from_inequalities(rows, ambient_dim=None) -> PolyhedralCone:
     vecs, n = _validate_rows(rows, ambient_dim, "inequalities")
     gens = _generators_from_inequalities(vecs, n)
     ineqs = _generators_from_inequalities(gens, n)
-    return PolyhedralCone(n, _rational(gens), _rational(ineqs))
+    return PolyhedralCone(n, tuple(gens), tuple(ineqs))
 
 
 def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
@@ -265,11 +254,10 @@ def face_lattice(cone: PolyhedralCone) -> FaceLattice:
     from its vertex-facet incidences", 2002).
     """
     require_pointed(cone, "face lattice")
-    ineqs = [_ints(a) for a in cone.inequalities]
-    m = len(ineqs)
+    m = len(cone.inequalities)
     full = (1 << m) - 1
-    zero_patterns = [sum(1 << i for i, a in enumerate(ineqs) if _dot(a, g) == 0)
-                     for g in map(_ints, cone.generators)]
+    zero_patterns = [sum(1 << i for i, a in enumerate(cone.inequalities) if vdot(a, g) == 0)
+                     for g in cone.generators]
 
     # Breadth-first from the bottom face: each face's covers are its minimal
     # closures, and a face's dim is its grade.

@@ -22,7 +22,6 @@ from .errors import (
     ProjectionError,
     RankDeficientError,
 )
-from .exact import as_float
 
 _TOL = 1e-9
 _EPS = np.finfo(float).eps
@@ -208,8 +207,8 @@ class PolyhedralConeBody:
 
     @classmethod
     def from_exact(cls, cone):
-        rays = np.reshape([as_float(g) for g in cone.generators], (-1, cone.ambient_dim))
-        return cls(rays, [as_float(a) for a in cone.inequalities])
+        rays = np.array(cone.generators, dtype=float).reshape(-1, cone.ambient_dim)
+        return cls(rays, cone.inequalities)
 
     def rotated(self, theta):
         """Planar rotation of a 2-D cone by theta radians."""

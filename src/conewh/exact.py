@@ -1,35 +1,35 @@
 """Exact rational vectors and small dense linear algebra over Q.
 
-Vectors are tuples of :class:`fractions.Fraction`; matrices are lists/tuples
-of such row vectors.  Everything here is exact; floats never enter.
+Vectors are tuples of ints or :class:`fractions.Fraction`; matrices are
+lists/tuples of such row vectors.  Everything here is exact; floats never
+enter.  A line or ray (`canonical_ray`, `nullspace`, `gram_schmidt`,
+`span_basis`) is a primitive int tuple; a truly rational result (`rref`,
+`solve_linear`, `invert`, `project_onto_span`) is a Fraction tuple.
 
 Every elimination (`rref`, `rank`, `nullspace`, `solve_linear`, `invert`,
 `span_basis`) is one fraction-free Gauss-Jordan pass on integer rows, in the
 spirit of Bareiss (Math. Comp. 22, 1968): each input row is scaled to
 integers by the lcm of its denominators, each row is divided by the gcd of
-its entries after every update, and Fractions are built only for the rows
-that are returned.  `gram_schmidt` and `canonical_ray` work on integer rows
+its entries after every update, and Fractions are built only for the
+rational results.  `gram_schmidt` and `canonical_ray` work on integer rows
 too.  Ambient dimensions are small (<= ~7) and row counts moderate (tens,
 e.g. 48 rays of a polygonal cone).  The hot loops of the cone layer (double
-description, face lattice) do not come here: they run on coprime integer
-rays and bitmasks in :mod:`conewh.cones`.
+description, face lattice) run on coprime integer rays and bitmasks in
+:mod:`conewh.cones`; `vdot` is their one product.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
-import numpy as np
-
-Vec = tuple  # tuple of Fraction
+Vec = tuple  # tuple of int or Fraction
 
 
 def rational(x) -> Fraction:
     """Coerce ints, strings like '3/2', and Fractions to Fraction (floats rejected)."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"exact rational expected, got {type(x).__name__}")
 
@@ -38,24 +38,16 @@ def rvec(coords) -> Vec:
     return tuple(rational(c) for c in coords)
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def vneg(v):
     return tuple(-a for a in v)
 
 
-def vdot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+def vdot(u, v):
+    return sum(map(mul, u, v))
 
 
 def is_zero_vec(v) -> bool:
     return all(a == 0 for a in v)
-
-
-def as_float(v) -> np.ndarray:
-    return np.array([float(a) for a in v], dtype=float)
 
 
 def _primitive(row):
@@ -71,14 +63,14 @@ def _int_row(v):
 
 
 def _line(ints):
-    """Fraction tuple of a primitive integer row, first nonzero entry made positive."""
+    """A primitive integer row as a tuple, first nonzero entry made positive."""
     if next((a for a in ints if a), 0) < 0:
         ints = [-a for a in ints]
-    return tuple(map(Fraction, ints))
+    return tuple(ints)
 
 
 def canonical_ray(v) -> Vec:
-    """Scale by a positive rational to coprime integer coordinates (sign kept).
+    """Scale by a positive rational to a coprime int tuple (sign kept).
 
     The direction of a ray is only defined up to positive scaling, so the
     sign pattern must be preserved.
@@ -86,7 +78,7 @@ def canonical_ray(v) -> Vec:
     ints = _int_row(v)
     if not any(ints):
         raise ValueError("zero vector has no ray direction")
-    return tuple(map(Fraction, ints))
+    return tuple(ints)
 
 
 def _echelon(rows):
@@ -201,4 +193,4 @@ def gram_schmidt(vectors):
 def span_basis(vectors, n):
     """Canonical basis of the span of the given vectors in Q^n."""
     # A primitive RREF row is canonical: its pivot, the first nonzero entry, is positive.
-    return [tuple(map(Fraction, row)) for row in _echelon(vectors)[0]]
+    return [tuple(row) for row in _echelon(vectors)[0]]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cones import PolyhedralCone, cone_from_generators, cone_from_inequalities
 from .errors import ConfigError
-from .exact import as_float, format_rational, rational
+from .exact import rational
 
 _INDENT = "  "
 CSV_COLUMNS = ["experiment", "N", "sigma_min", "dim_ker", "dim_coker",
@@ -30,7 +30,7 @@ MAX_ENTRIES = 2**26
 
 
 def vector_strings(vec):
-    return [format_rational(c) for c in vec]
+    return [str(c) for c in vec]
 
 
 def check_keys(obj, accepted, what):
@@ -63,10 +63,10 @@ def read_fields(obj, table, what):
 
 
 def _floats(values, message):
-    """The float array of exact or JSON numbers; one beyond the float range is
-    a ConfigError with the message."""
+    """The float array of exact or JSON numbers, or of rows of them; one beyond
+    the float range is a ConfigError with the message."""
     try:
-        return as_float(values)
+        return np.array(values, dtype=float)
     except OverflowError:
         raise ConfigError(message) from None
 

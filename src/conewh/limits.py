@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .exact import as_float
 
 _BLOCK = 2**18             # elements of one broadcast block of the distance transform
 
@@ -170,7 +169,7 @@ def sample_cone(cone, bounds, step, shift=None, tag="") -> SampledSet:
     coords = [axis] * dim if shift is None else [float(s) - axis for s in shift]
     keep = np.ones((len(axis),) * dim, dtype=bool)
     margin, hit = np.empty(keep.shape), np.empty(keep.shape, dtype=bool)
-    for normal in map(as_float, cone.inequalities):
+    for normal in np.array(cone.inequalities, dtype=float):
         terms = [(c * w).reshape((-1,) + (1,) * (dim - 1 - i))
                  for i, (c, w) in enumerate(zip(coords, normal))]
         np.add(sum(terms[:-1]), terms[-1], out=margin)

@@ -10,7 +10,6 @@ emitted data rather than tested.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cones import (
     Face,
@@ -36,6 +35,7 @@ from .exact import (
     is_zero_vec,
     nullspace,
     project_onto_span,
+    rational,
     rvec,
     solve_linear,
     vdot,
@@ -154,14 +154,14 @@ def recover_face_point(omega: PolyhedralCone, rows, offsets):
     """
     _check_pointed_solid(omega)
     rows = [rvec(r) for r in rows]
-    offsets = [Fraction(b) for b in offsets]
+    offsets = [rational(b) for b in offsets]
     n = omega.ambient_dim
     if rows:
         x0 = solve_linear(rows, offsets)
         if x0 is None:
             raise NotOrderPointError("not an order point")
     else:
-        x0 = tuple(Fraction(0) for _ in range(n))
+        x0 = (0,) * n
 
     g_cone = dual_cone(cone_from_inequalities(rows, n))
     lat = face_lattice(dual_cone(omega))

@@ -34,7 +34,7 @@ import numpy as np
 from .cones import Face, PolyhedralCone, dual_cone, is_pointed, is_solid, relative_dual
 from .convex import HPolytopeBody, PolyhedralConeBody, _perp_basis
 from .errors import DimensionMismatchError, TrivializationError
-from .exact import as_float, span_basis
+from .exact import span_basis
 
 _FD_STEP = 1e-6                   # central-difference step of triv_det
 
@@ -55,7 +55,7 @@ def _side_data(obj):
     solid 2-D float cone body (the only float inputs supported)."""
     if isinstance(obj, Face):
         rd = relative_dual(obj)
-        span = np.array([as_float(b) for b in span_basis(list(rd.generators), rd.ambient_dim)])
+        span = np.array(span_basis(list(rd.generators), rd.ambient_dim), dtype=float)
         return PolyhedralConeBody.from_exact(rd), span, obj.dim
     if isinstance(obj, PolyhedralCone):
         if not (is_pointed(obj) and is_solid(obj)):

@@ -108,7 +108,8 @@ def _check_samples(vals, T, coords, grid_axes):
     """The gates of sampled kernel values, whose axes coords names as (label,
     coordinates): every sample is finite, else the first that is not is
     named; and |f| < 1e-8 wherever one of the leading grid_axes coordinates
-    lies outside [-T/2, T/2].  Returns sum |f|, inf where it overflows."""
+    lies outside [-T/2, T/2], else the largest |f| there and the axis are
+    named.  Returns sum |f|, inf where it overflows."""
     bad = ~np.isfinite(vals)
     if bad.any():
         first = np.unravel_index(np.argmax(bad), vals.shape)
@@ -117,9 +118,12 @@ def _check_samples(vals, T, coords, grid_axes):
                                    f"is {vals[first]}, not finite")
     mags = np.abs(vals)
     for axis in range(grid_axes):
-        outside = np.abs(coords[axis][1]) > T / 2
-        if np.compress(outside, mags, axis=axis).max(initial=0.0) >= _DECAY_TOL:
-            raise KernelWindowError("kernel not window-compatible")
+        label, c = coords[axis]
+        peak = np.compress(np.abs(c) > T / 2, mags, axis=axis).max(initial=0.0)
+        if peak >= _DECAY_TOL:
+            raise KernelWindowError(f"kernel not window-compatible: |f| reaches {peak:.3g} "
+                                    f"where |{label}| > T/2 = {T / 2:g}, not below the "
+                                    f"decay tolerance {_DECAY_TOL:g}")
     with np.errstate(over="ignore"):
         return mags.sum()
 
@@ -165,7 +169,8 @@ def _generator(kernel, h, T, N, identity_shift):
     imaginary part.  Every finite section, the face sections included, starts
     here."""
     if N * h > T + 1e-12:
-        raise KernelWindowError("truncation exceeds the kernel window: N*h <= T required")
+        raise KernelWindowError(f"truncation exceeds the kernel window: N*h <= T required, "
+                                f"got N = {N}, h = {h}: N*h = {N * h} > T = {T}")
     M = (len(kernel) - 1) // 2
     lags = slice(M - N + 1, M + N)                  # x_i - x_j for i, j < N
     c = h**kernel.ndim * kernel[(lags,) * kernel.ndim]

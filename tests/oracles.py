@@ -582,11 +582,10 @@ def cone_section_transform(cone):
     plane: the generator matrix M (columns = extreme rays) and its determinant,
     for use with cone_transform_symbol."""
     from conewh.cones import is_pointed, is_solid
-    from conewh.exact import as_float
 
     if cone.ambient_dim != 2 or not (is_pointed(cone) and is_solid(cone)):
         raise DimensionMismatchError("section transform needs a solid pointed 2-D cone")
-    rays = [as_float(g) for g in cone.generators]
+    rays = np.array(cone.generators, dtype=float)
     if len(rays) != 2:
         raise DimensionMismatchError("section transform needs a simplicial cone")
     M = np.column_stack(rays)

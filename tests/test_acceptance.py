@@ -28,7 +28,7 @@ from conewh.convex import (
     projection_form_applies,
 )
 from conewh.errors import NotDifferentiableError
-from conewh.exact import as_float, nullspace, vneg
+from conewh.exact import nullspace, vneg
 from conewh.limits import hausdorff_distance, sample_cone
 from conewh.presets import symbol_preset
 from conewh.strata import ray_limit, strata
@@ -168,7 +168,7 @@ def test_criterion_5_ray_limit_vs_sampled_limit():
         for x in dirs:
             limit = ray_limit(omega, x)
             exact = sample_cone(limit, bounds, step)
-            approx = sample_cone(omega, bounds, step, shift=lam * as_float(x))
+            approx = sample_cone(omega, bounds, step, shift=lam * np.array(x, dtype=float))
             ok &= hausdorff_distance(approx, exact) < 10.0 * step
     _verdict(5, "ray limit vs sampled limit", ok)
 

@@ -624,3 +624,20 @@ def test_input_boundary_probe(tmp_path, capsys, monkeypatch, command, expr, dim,
     assert main([command, "--in", str(path), "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert err.startswith(message) and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, spec, message", [
+    ("index1d", {"symbol": "gauss-small", "h": 0.05, "T": 30.0, "N": [512, 1024]},
+     "error [kernel-window]: truncation exceeds the kernel window: N*h <= T required, "
+     "got N = 1024, h = 0.05: N*h = 51.2 > T = 30.0\n"),
+    ("hierarchy2d", {"symbol": {"expr": "0.3*exp(-pi*(x**2+y**2)/400)", "dim": 2},
+                     "h": 0.5, "T": 12.0, "N": [16, 24]},
+     "error [kernel-window]: kernel not window-compatible: |f| reaches 0.215 where "
+     "|x| > T/2 = 6, not below the decay tolerance 1e-08\n"),
+])
+def test_window_errors_name_their_numbers(tmp_path, capsys, command, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"name": "window", **spec}))
+    assert main([command, "--in", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conewh.exact import (
     canonical_ray,
-    format_rational,
     gram_schmidt,
     invert,
     nullspace,
@@ -39,13 +38,11 @@ def test_rational_parsing():
     assert rational(4) == Fraction(4)
     with pytest.raises(TypeError):
         rational(0.5)
-    assert format_rational(Fraction(3, 2)) == "3/2"
-    assert format_rational(Fraction(-4)) == "-4"
 
 
 def test_canonical_ray_preserves_sign():
     v = rvec(("-3/2", "9/4"))
-    assert canonical_ray(v) == rvec((-2, 3))
+    assert canonical_ray(v) == (-2, 3) and _all_ints([canonical_ray(v)])
     with pytest.raises(ValueError):
         canonical_ray(rvec((0, 0)))
 
@@ -128,6 +125,10 @@ def _all_fractions(vectors):
     return all(type(a) is Fraction for v in vectors for a in v)
 
 
+def _all_ints(vectors):
+    return all(type(a) is int for v in vectors for a in v)
+
+
 @seed(13)
 @settings(max_examples=200, deadline=None)
 @given(_matrices())
@@ -137,16 +138,16 @@ def test_elimination_matches_fraction_oracle(case):
     assert (red, pivots) == fraction_rref(rows) and _all_fractions(red)
     assert rank(rows) == fraction_rank(rows)
     basis = nullspace(rows, n)
-    assert basis == fraction_nullspace(rows, n) and _all_fractions(basis)
+    assert basis == fraction_nullspace(rows, n) and _all_ints(basis)
     assert all(vdot(r, b) == 0 for r in rows for b in basis)
     span = span_basis(rows, n)
-    assert span == fraction_span_basis(rows, n) and _all_fractions(span)
+    assert span == fraction_span_basis(rows, n) and _all_ints(span)
     ortho = gram_schmidt(rows)
-    assert ortho == fraction_gram_schmidt(rows) and _all_fractions(ortho)
+    assert ortho == fraction_gram_schmidt(rows) and _all_ints(ortho)
     for v in rows:
         if any(v):
             assert canonical_ray(v) == fraction_canonical_ray(v)
-            assert _all_fractions([canonical_ray(v)])
+            assert _all_ints([canonical_ray(v)])
         else:
             with pytest.raises(ValueError):
                 canonical_ray(v)

@@ -4,11 +4,12 @@ across depths, and the same error types on values JSON cannot hold."""
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conewh.io import dumps_report, face_object
+from conewh.io import dumps_report, face_object, vector_strings
 from conewh.strata import strata
 
 from oracles import json_dumps_report
@@ -59,6 +60,10 @@ def test_shared_objects_at_one_depth_and_across_depths():
     }
     assert dumps_report(obj) == json_dumps_report(obj)
     assert dumps_report(face) == json_dumps_report(face)
+
+
+def test_vector_strings_print_ints_and_fractions_alike():
+    assert vector_strings((Fraction(3, 2), Fraction(-4), 7)) == ["3/2", "-4", "7"]
 
 
 def test_writer_matches_json_dumps_on_a_strata_report(fourgonal):

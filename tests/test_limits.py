@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conewh.exact import as_float
 from conewh.limits import (
     _BLOCK,
     _sq_distance,
@@ -159,7 +158,7 @@ def test_hausdorff_on_preset_samples_equals_full_oracle(request, cone, direction
     """On the 33**3 window of the 3-D pklimit goldens (window 4, step 0.25),
     where the transform runs in int16, each distance is the full
     nearest-distance value bit for bit, as a Python float."""
-    cone, bounds, x = request.getfixturevalue(cone), (-4.0, 4.0), as_float(direction)
+    cone, bounds, x = request.getfixturevalue(cone), (-4.0, 4.0), np.array(direction, dtype=float)
     seq = [sample_cone(cone, bounds, STEP, shift=s * x) for s in (2, 4, 8, 16, 32, 64)]
     _, lo, _, _ = pk_converged(seq, 0.5)
     exact = sample_cone(ray_limit(cone, direction), bounds, STEP)
@@ -200,14 +199,14 @@ def test_sample_cone_equals_matrix_product_membership(request, cone, direction, 
     """Margins summed axis by axis decide membership as the full product does,
     for every scale of the pklimit default and for the ray limit."""
     cone, bounds = request.getfixturevalue(cone), (-4.0, 4.0)
-    x = as_float(direction)
+    x = np.array(direction, dtype=float)
     limit = ray_limit(cone, direction)
-    normals = np.array([as_float(a) for a in cone.inequalities])
+    normals = np.array(cone.inequalities, dtype=float)
     for s in (None, 2, 4, 8, 16, 32, 64):
         shift = None if s is None else s * x
         assert _same(sample_cone(cone, bounds, step, shift).mask.ravel(),
                      full_sample_cone(normals, bounds, step, shift))
     if limit.inequalities:
-        limit_normals = np.array([as_float(a) for a in limit.inequalities])
+        limit_normals = np.array(limit.inequalities, dtype=float)
         assert _same(sample_cone(limit, bounds, step).mask.ravel(),
                      full_sample_cone(limit_normals, bounds, step))

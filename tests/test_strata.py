@@ -20,7 +20,7 @@ from conewh.errors import (
     NotPointedError,
     NotSolidError,
 )
-from conewh.exact import as_float, rvec, vdot
+from conewh.exact import rvec, vdot
 from conewh.limits import hausdorff_distance, pk_converged, sample_cone
 from conewh.strata import (
     incidence_pairs,
@@ -154,6 +154,12 @@ def test_recover_rejects_non_order_points(quarter):
         recover_face_point(quarter, [(1, 0)], [-2])
 
 
+def test_recover_rejects_float_offsets(quarter):
+    """Offsets are exact rationals: 0.1 is not read as 3602879701896397/2**55."""
+    with pytest.raises(TypeError, match="exact rational expected, got float"):
+        recover_face_point(quarter, [(1, 0)], [0.1])
+
+
 def test_ray_limit_examples(quarter, half_line):
     interior = ray_limit(quarter, (1, 1))
     assert interior.inequalities == ()  # the whole plane
@@ -179,7 +185,7 @@ def test_ray_limit_errors(quarter):
 
 def test_ray_limit_sampled_convergence(quarter):
     """Hausdorff distance of lambda*x - Omega to the limit set decreases."""
-    x = as_float(rvec((1, 0)))
+    x = np.array(rvec((1, 0)), dtype=float)
     limit = ray_limit(quarter, (1, 0))
     bounds, step = (-4.0, 4.0), 0.25
     exact = sample_cone(limit, bounds, step)
