@@ -29,13 +29,13 @@ from .errors import (
     RankDeficientError,
 )
 from .exact import (
+    _echelon,
     canonical_ray,
     invert,
     is_zero_vec,
     nullspace,
     project_onto_span,
     rank,
-    rref,
     rvec,
     vdot,
     vneg,
@@ -132,7 +132,7 @@ def _extreme_rays(rows, n):
     # first k independent rows (the pivot columns of rows^T), via the exact
     # Gram inverse, each row of it scaled to integers.  Ray j lies on every
     # base row but the j-th.
-    idx = rref(list(zip(*rows)))[1]
+    idx = _echelon(list(zip(*rows)))[1]
     base = [rows[i] for i in idx]
     ginv = invert([[vdot(a, b) for b in base] for a in base])
     rays = [canonical_ray([vdot(g, col) for col in zip(*base)])

@@ -14,13 +14,14 @@ factorization chosen by O(N) tests on c: two eigvalsh of half order when c
 is real and even (W symmetric and equal to its reversal J W J), eigvalsh of
 the Hankel matrix W J when c is real (a real Toeplitz W is persymmetric, so
 W J is symmetric), eigvalsh of W when c is conjugate-even (W Hermitian), a
-values-only SVD otherwise; sigma = |lambda|.  Each branch hands LAPACK a
-strided view of c, so the work copy LAPACK makes is the only N x N array
+values-only SVD otherwise; sigma = |lambda|.  Generators are factored in
+stacks, one numpy call per structure class, which runs LAPACK once per
+matrix; a single section is a stack of one.  Each branch hands LAPACK
+strided views of c, so the work copy LAPACK makes is the only N x N array
 alive while it factors.  The index pipeline adds one solve, against the same
 view, only for a section with near-null singular triples, to find their
 vectors, and builds the section once, after that solve, for the product
-that pairs them.  Sections with real kernel samples are factored in real
-arithmetic.
+that pairs them.  Real kernel samples are factored in real arithmetic.
 
 All of it runs on numpy.linalg, so the module loads no SciPy and every
 factorization runs on one BLAS.  SciPy bundles a second OpenBLAS whose
@@ -31,8 +32,9 @@ right after one numpy matrix product, against 0.47 ms for numpy's.
 The hierarchy report takes the twisted face restrictions g_y for every fibre
 frequency y of a face in one pass, as matrix products against cos and sin
 tables over w > 0 in folded form, so a kernel even across the face gives
-exactly real restrictions, and factors each bit-identical column once (the
-+-y columns of such a kernel).
+exactly real restrictions.  It factors each bit-identical column once over
+both faces (the +-y columns of such a kernel, and the e2 columns of a kernel
+symmetric in x and y): a face's new columns in one stack per truncation.
 
 Conventions, fixed once: Fourier transform with kernel e^{-2*pi*i*<x,xi>}.
 With this transform the half-line space maps to the Hardy space of the
@@ -161,23 +163,23 @@ def make_symbol(f, dim, h, T, name="") -> SymbolGrid:
     return SymbolGrid(dim, h, T, xs, vals, *_dft(vals, h), name=name)
 
 
-def _generator(kernel, h, T, N, identity_shift):
+def _generator(kernel, h, T, N, identity_shift, dim=1):
     """The generator c of a finite section, from kernel samples centred on the
-    window: the h^dim-scaled samples at the lags -(N-1), ..., N-1 along each
-    axis, with the identity shift added at lag 0, so that (per axis)
-    W[i, j] = c[N - 1 + i - j].  It is real when the samples it uses have no
-    imaginary part.  Every finite section, the face sections included, starts
-    here."""
+    window: the h^dim-scaled samples at the lags -(N-1), ..., N-1 along each of
+    the last dim axes (leading axes stack 1-D generators), with the identity
+    shift added at lag 0, so that (per axis) W[i, j] = c[N - 1 + i - j].  It is
+    real when the samples it uses have no imaginary part.  Every finite
+    section, the face sections included, starts here."""
     if N * h > T + 1e-12:
         raise KernelWindowError(f"truncation exceeds the kernel window: N*h <= T required, "
                                 f"got N = {N}, h = {h}: N*h = {N * h} > T = {T}")
-    M = (len(kernel) - 1) // 2
+    M = (kernel.shape[-1] - 1) // 2
     lags = slice(M - N + 1, M + N)                  # x_i - x_j for i, j < N
-    c = h**kernel.ndim * kernel[(lags,) * kernel.ndim]
+    c = h**dim * kernel[(..., *(lags,) * dim)]
     if not c.imag.any():
         c = c.real
     if identity_shift:
-        c[(N - 1,) * kernel.ndim] += 1.0
+        c[(..., *(N - 1,) * dim)] += 1.0
     return c
 
 
@@ -210,26 +212,32 @@ def wh_matrix(symbol: SymbolGrid, cone: str, N: int, identity_shift=False) -> np
         raise DimensionMismatchError(f"unsupported cone '{cone}'")
     if symbol.dim != dims[cone]:
         raise DimensionMismatchError(f"{cone} needs a {dims[cone]}-D symbol")
-    return _toeplitz(_generator(symbol.kernel, symbol.h, symbol.T, N, identity_shift))
+    return _toeplitz(_generator(symbol.kernel, symbol.h, symbol.T, N, identity_shift,
+                                symbol.dim))
 
 
 def winding_number(curve) -> int:
     """Winding of a sampled closed complex curve about the origin.
 
     Total unwrapped phase increment over 2*pi, rounded to the nearest
-    integer; the curve must stay away from 0 and close up.
+    integer; the curve must stay away from 0 and close up, against the
+    scale max |curve|, and each error names its numbers.
     """
     curve = np.asarray(curve, dtype=complex)
-    scale = np.abs(curve).max()
-    if np.abs(curve).min() <= _ZERO_TOL * max(scale, 1.0):
-        raise WindingUndefinedError("winding undefined")
-    if abs(curve[0] - curve[-1]) > 1e-6 * max(scale, 1.0):
-        raise WindingUndefinedError("curve does not close")
+    scale, least, gap = np.abs(curve).max(), np.abs(curve).min(), abs(curve[0] - curve[-1])
+    if least <= _ZERO_TOL * max(scale, 1.0):
+        raise WindingUndefinedError(f"winding undefined: least |curve| = {least:.3g} <= "
+                                    f"{_ZERO_TOL * max(scale, 1.0):.3g} = {_ZERO_TOL:g} * "
+                                    f"max(scale, 1), scale = {scale:.3g}")
+    if gap > 1e-6 * max(scale, 1.0):
+        raise WindingUndefinedError(f"curve does not close: |curve[0] - curve[-1]| = {gap:.3g} > "
+                                    f"{1e-6 * max(scale, 1.0):.3g} = 1e-06 * max(scale, 1)")
     phase = np.unwrap(np.angle(curve))
     total = (phase[-1] - phase[0]) / (2 * np.pi)
     w = int(round(total))
     if abs(total - w) > 0.05:
-        raise WindingUndefinedError("phase increment is not an integer multiple of 2*pi")
+        raise WindingUndefinedError(f"phase increment is not an integer multiple of 2*pi: "
+                                    f"{total:.6g} turns, {abs(total - w):.3g} from {w}, above 0.05")
     return w
 
 
@@ -266,57 +274,69 @@ def svdvals(a):
     return svd(a, compute_uv=False)
 
 
-def _centrosymmetric_blocks(c):
-    """The half-order blocks A11 + A12 J and A11 - A12 J of the section W of a
-    real even generator c (W = W^T = J W J), whose eigenvalues together are
-    those of W (Cantoni & Butler, Linear Algebra Appl. 13, 1976), read off c
-    without W: over the leading n = ceil(N/2) rows and columns, A11 is the
-    Toeplitz window c[N - 1 + i - j] and A12 J the Hankel window c[i + j].
-    For odd N the middle row and column enter the + block scaled by sqrt 2,
-    its diagonal entry unscaled."""
-    N = (len(c) + 1) // 2
+def _centrosymmetric_block(C, sign):
+    """The half-order block A11 + A12 J (sign 1) or A11 - A12 J (sign -1) of
+    the section W of each real even generator c of the stack C (W = W^T =
+    J W J); both blocks' eigenvalues are those of W (Cantoni & Butler, Linear
+    Algebra Appl. 13, 1976).  Read off c without W: over the leading
+    n = ceil(N/2) rows and columns, A11 is the Toeplitz window c[N - 1 + i - j]
+    and A12 J the Hankel window c[i + j].  For odd N the middle row and column
+    enter the + block scaled by sqrt 2, its diagonal entry unscaled."""
+    N = (C.shape[-1] + 1) // 2
     h = N // 2
     n = N - h
-    toeplitz = sliding_window_view(c[::-1], n)[N - n:N][::-1]
-    hankel = sliding_window_view(c, n)[:n]
+    toeplitz = sliding_window_view(C[:, ::-1], n, axis=-1)[:, N - n:N][:, ::-1]
+    hankel = sliding_window_view(C, n, axis=-1)[:, :n]
+    if sign < 0:
+        return toeplitz[:, :h, :h] - hankel[:, :h, :h]
     plus = toeplitz + hankel
     if n > h:
-        plus[:h, h] = np.sqrt(2) * toeplitz[:h, h]
-        plus[h, :h] = np.sqrt(2) * toeplitz[h, :h]
-        plus[h, h] = toeplitz[h, h]
-    return plus, toeplitz[:h, :h] - hankel[:h, :h]
+        plus[:, :h, h] = np.sqrt(2) * toeplitz[:, :h, h]
+        plus[:, h, :h] = np.sqrt(2) * toeplitz[:, h, :h]
+        plus[:, h, h] = toeplitz[:, h, h]
+    return plus
 
 
-def _singular_values(c):
-    """(sigma, W, S, flip) of the section W[i, j] = c[N - 1 + i - j] of a 1-D
-    generator c: its singular values, descending, from the one factorization
-    its structure allows; the section W as a view of c, or None when c is
-    real; and its Hermitian form S = W P as a view of c, with P = J (columns
-    reversed) when flip, else the identity, or None when W has none or when c
-    is real and even.
+def _singular_values(C):
+    """(sigma, forms) of the sections W[i, j] = c[N - 1 + i - j] of a stack C
+    (m, 2N - 1) of 1-D generators c (one c is the stack c[None]): sigma
+    (m, N), each section's singular values, descending, and per structure
+    class present (rows, W, S, flip): its row mask, its sections W as views of
+    C (None for a real class), and their Hermitian forms S = W P as views of
+    C, P = J (columns reversed) when flip, else I (None when W has none, or
+    for real even c).
 
-    The structure is read off c by O(N) tests:
+    Realness and class are read off each generator by O(N) tests, realness as
+    _generator decides it for one generator:
       * c real and even (W symmetric, so also J W J = W): two eigvalsh of
-        half order (_centrosymmetric_blocks), with no N x N matrix: 30
+        half order (_centrosymmetric_block), with no N x N matrix: 30
         against 77 ms for one eigvalsh of full order at N = 1024, 1.1
         against 2.0 ms at N = 192 (2-core Xeon, OpenBLAS on two threads);
       * c real (J W J = W^T, so W J is symmetric): eigvalsh of the Hankel
         matrix S = W J, S[i, j] = c[i + j], the length-N windows of c;
       * c conjugate-even (W Hermitian): eigvalsh of W;
       * otherwise a values-only SVD of W.
-    No branch copies c into an N x N array: LAPACK's work copy of the view
-    is the only one, 8 MB at N = 1024.  sigma is the sorted |lambda| of the
-    eigenvalues."""
-    if not np.iscomplexobj(c):
-        if np.array_equal(c, c[::-1]):
-            lam = np.concatenate([eigvalsh(B) for B in _centrosymmetric_blocks(c)])
-            return np.sort(np.abs(lam))[::-1], None, None, False
-        S = sliding_window_view(c, (len(c) + 1) // 2)
-        return np.sort(np.abs(eigvalsh(S)))[::-1], None, S, True
-    W = _toeplitz_view(c)
-    if np.array_equal(c, c[::-1].conj()):
-        return np.sort(np.abs(eigvalsh(W)))[::-1], W, W, False
-    return svdvals(W), W, None, False
+    Each class is one stacked call (per block: the + block is freed before
+    the - block is built); numpy runs LAPACK once per matrix of a stack, so
+    each row gets the bits of a call on it alone, and LAPACK's work copy of
+    one matrix, 8 MB at N = 1024, is the only N x N array.  sigma = |lambda|."""
+    m, N = len(C), (C.shape[-1] + 1) // 2
+    real, mirror = ~C.imag.any(axis=-1), np.equal(C, C[:, ::-1].conj()).all(axis=-1)
+    sigma, forms = np.empty((m, N)), []
+    for is_real, is_mirror in ((True, True), (True, False), (False, True), (False, False)):
+        rows = (real == is_real) & (mirror == is_mirror)
+        if rows.any():
+            c = C if rows.all() else C[rows]
+            W = None if is_real else sliding_window_view(c[:, ::-1], N, axis=-1)[:, ::-1]
+            S = W if is_mirror else sliding_window_view(c.real, N, axis=-1) if is_real else None
+            if is_real and is_mirror:
+                lam = np.concatenate([eigvalsh(_centrosymmetric_block(c.real, sign))
+                                      for sign in (1, -1)], axis=-1)
+            else:
+                lam = None if S is None else eigvalsh(S)
+            sigma[rows] = svdvals(W) if lam is None else np.sort(np.abs(lam), axis=-1)[:, ::-1]
+            forms.append((rows, W, S, is_real and not is_mirror))
+    return sigma, forms
 
 
 def _shifted_solve(A, B, smax):
@@ -365,16 +385,18 @@ def _near_null_pairs(W, S, flip, k, smax, c=None):
 
 def _small_singular_split(c, delta_factor, gap_ratio):
     """(dim_ker, dim_coker, diag) of the finite section with generator c: the
-    split of _split_form on the factorization of _singular_values."""
-    return _split_form(*_singular_values(c), delta_factor, gap_ratio, c)
+    split of _split_form on the factorization of c[None] by _singular_values."""
+    sigma, [(_, W, S, flip)] = _singular_values(c[None])
+    W, S = (None if a is None else a[0] for a in (W, S))
+    return _split_form(sigma[0], W, S, flip, delta_factor, gap_ratio, c)
 
 
 def _split_form(sigma, W, S, flip, delta_factor, gap_ratio, c=None):
     """(dim_ker, dim_coker, diag) of a section from (sigma, W, S, flip) as
-    _singular_values returns them for the generator c, or as an assembled
-    section W gives them with c None.  The near-null solve of a real even c
-    runs against the Toeplitz view of c, its own Hermitian form; the pairing
-    product of a generator reads its section, built by _toeplitz.
+    _singular_values gives them for the stack of one c[None], unstacked, or
+    as an assembled section W gives them with c None.  The near-null solve of
+    a real even c runs against the Toeplitz view of c, its own Hermitian form;
+    the pairing product of a generator reads its section, built by _toeplitz.
 
     sigma gives the count k of the singular values below
     delta_factor * sigma_max and the gap above them.  Each of the k near-null
@@ -432,8 +454,8 @@ def classical_index(symbol: SymbolGrid, truncations=(512, 1024)) -> FredholmRepo
     nonvanishing = symbol_min > _NONVANISHING_TOL
     report = FredholmReport(nonvanishing, symbol_min)
     if not nonvanishing:
-        report.diagnostics["sigma_min"] = {N: float(_singular_values(_section(symbol, N))[0][-1])
-                                           for N in truncations}
+        report.diagnostics["sigma_min"] = {
+            N: float(_singular_values(_section(symbol, N)[None])[0][0, -1]) for N in truncations}
         report.verdict = "non-fredholm"
         return report
     report.winding = winding_number(curve)
@@ -530,6 +552,11 @@ def hierarchy_fredholm(symbol: SymbolGrid, truncations=(48, 96), y_values=None,
     A discrete L1 norm below 1 certifies the verdict outright with Neumann
     margin 1 - ||f||_1, when that margin exceeds margin_tol: a margin at
     rounding level cannot rule out a vanishing symbol.
+
+    Each bit-identical column of restrictions (the +-y columns of a kernel
+    even across a face, every e2 column of a kernel symmetric in x and y) is
+    factored once over both faces, face by face: a face's new columns at one
+    truncation are one stack of generators, one call per structure class.
     """
     if symbol.dim != 2:
         raise DimensionMismatchError("hierarchy report needs a 2-D symbol")
@@ -548,17 +575,16 @@ def hierarchy_fredholm(symbol: SymbolGrid, truncations=(48, 96), y_values=None,
 
     face_reports = []
     all_ok = True
+    sigma_min = {}                      # column bytes -> {N: sigma_min}, over both faces
     for axis, label in ((0, "e1"), (1, "e2")):
-        G = _twisted_restrictions(symbol, axis, y_values)
-        # Bit-identical columns (the +-y columns of a kernel even across the
-        # face) are factored once.
-        sigma_min, rows = {}, []
-        for y, g in zip(y_values, G.T):
-            key = g.tobytes()
-            if key not in sigma_min:
-                sigma_min[key] = {N: float(_singular_values(
-                    _generator(g, symbol.h, symbol.T, N, True))[0][-1]) for N in truncations}
-            rows.append({"y": float(y), "sigma_min": dict(sigma_min[key])})
+        G = _twisted_restrictions(symbol, axis, y_values).T        # one row per y
+        keys = [g.tobytes() for g in G]
+        new = dict.fromkeys(key for key in keys if key not in sigma_min)
+        cols = G[[keys.index(key) for key in new]]
+        mins = [_singular_values(_generator(cols, symbol.h, symbol.T, N, True))[0][:, -1].tolist()
+                for N in truncations]
+        sigma_min.update((key, dict(zip(truncations, col))) for key, *col in zip(new, *mins))
+        rows = [{"y": float(y), "sigma_min": dict(sigma_min[k])} for y, k in zip(y_values, keys)]
         n1, n2 = min(truncations), max(truncations)
         margin = min(min(r["sigma_min"].values()) for r in rows)
         decreasing = [r["y"] for r in rows

@@ -331,6 +331,28 @@ def test_winding_errors():
         winding_number(np.exp(1j * theta[:50]))  # not closed
 
 
+def test_winding_errors_name_their_numbers():
+    """Each winding error keeps its prefix and category and names its numbers:
+    the least |curve| against the threshold 1e-8 * max(scale, 1) and the scale
+    max |curve|, the closure gap against its tolerance, and the phase total in
+    turns with its distance from the nearest integer."""
+    theta = np.linspace(0, 2 * np.pi, 100)
+    cases = [
+        (1e-10 * np.exp(1j * theta), "winding undefined: least |curve| = 1e-10 <= 1e-08 = "
+                                     "1e-08 * max(scale, 1), scale = 1e-10"),
+        ([1e3, 5e-6, 1e3], "winding undefined: least |curve| = 5e-06 <= 1e-05 = "
+                           "1e-08 * max(scale, 1), scale = 1e+03"),
+        (np.exp(1j * theta[:50]), "curve does not close: |curve[0] - curve[-1]| = 2 > 1e-06 = "
+                                  "1e-06 * max(scale, 1)"),
+        ([2e-7, 1.0, 2e-7j], "phase increment is not an integer multiple of 2*pi: 0.25 turns, "
+                             "0.25 from 0, above 0.05"),
+    ]
+    for curve, message in cases:
+        with pytest.raises(WindingUndefinedError) as err:
+            winding_number(curve)
+        assert str(err.value) == message and err.value.category == "winding-undefined"
+
+
 @pytest.mark.parametrize("name", sorted(RATIONAL_ZERO_POLE))
 def test_winding_matches_zero_pole_oracle(name):
     S = symbol_preset(name, 0.05, 52.0)
@@ -395,8 +417,15 @@ def test_numerical_index_unresolved_at_small_truncation():
         numerical_index(S, truncations=(256, 384))
 
 
+def _stack(a):
+    """The matrices of a factorization's argument, one matrix or a stack of
+    them, as a stack."""
+    return a.reshape(int(np.prod(a.shape[:-2])), *a.shape[-2:])
+
+
 class _Calls(list):
-    """(routine, dtype) of each factorization, with its argument in args."""
+    """(routine, dtype) of each factorization call, with its argument in args:
+    one matrix, or a stack of them that numpy factors one by one."""
 
     def __init__(self):
         super().__init__()
@@ -407,18 +436,25 @@ class _Calls(list):
         super().clear()
         self.args.clear()
 
+    def matrices(self, routine=None):
+        """Every matrix factored by routine (by any routine when None), in
+        order: a stacked argument gives its matrices in stack order."""
+        return [m for (name, _), a in zip(self, self.args) if routine in (None, name)
+                for m in _stack(a)]
+
     def exactly_hermitian(self, routine):
-        """Whether every argument of routine equals its conjugate transpose."""
-        return all(np.array_equal(a, a.conj().T)
-                   for call, a in zip(self, self.args) if call[0] == routine)
+        """Whether every matrix routine factored equals its conjugate transpose."""
+        return all(np.array_equal(a, a.conj().T) for a in self.matrices(routine))
 
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """(routine, dtype) of every factorization the wiener_hopf module makes:
-    its eigvalsh, solve, values-only svdvals, and the qr and full svd of the
-    near-null pairing, each bound in the module.  A factorization made inside
-    a counted one (the svd that svdvals calls) is part of it, not another."""
+    """(routine, dtype) of every factorization call the wiener_hopf module
+    makes: its eigvalsh, solve, values-only svdvals, and the qr and full svd of
+    the near-null pairing, each bound in the module, with the argument of each
+    call, so that the number and order of the matrices in a stacked argument
+    are recorded too.  A factorization made inside a counted one (the svd that
+    svdvals calls) is part of it, not another."""
     import conewh.wiener_hopf as wh
 
     calls = _Calls()
@@ -454,9 +490,13 @@ def _same_bits(a, b):
 
 
 def _half_orders(calls):
-    """The orders of the eigvalsh arguments, in pairs."""
-    orders = [len(a) for a in calls.args]
-    return list(zip(orders[::2], orders[1::2]))
+    """The orders of the half-order blocks of each centrosymmetric split, one
+    (+ block, - block) pair per section: the eigvalsh calls come in pairs, a
+    stack of the + blocks of one or more sections, then a stack of their
+    - blocks."""
+    stacks = [_stack(a) for (name, _), a in zip(calls, calls.args) if name == "eigvalsh"]
+    return [(p.shape[-1], q.shape[-1]) for plus, minus in zip(stacks[::2], stacks[1::2])
+            for p, q in zip(plus, minus, strict=True)]
 
 
 def test_classical_index_one_factorization_per_truncation(factorizations):
@@ -479,7 +519,9 @@ def test_classical_index_one_factorization_per_truncation(factorizations):
                                      factorizations.args[1::5]):
         W = wh_matrix(S, "half-line", N, identity_shift=True)
         assert not np.array_equal(W, W.T)
-        assert np.array_equal(eig_arg, W[:, ::-1]) and np.array_equal(solve_arg, eig_arg)
+        # the index pipeline factors a stack of one section
+        assert eig_arg.shape == (1, N, N)
+        assert np.array_equal(eig_arg[0], W[:, ::-1]) and np.array_equal(solve_arg, eig_arg[0])
     # k + 8 = 9 seeded columns per side, and the 9 x 9 projection
     assert [a.shape for call, a in zip(factorizations, factorizations.args)
             if call[0] in ("qr", "svd")] == [(128, 9), (128, 9), (9, 9),
@@ -669,9 +711,10 @@ def test_flipped_section_singular_values_match_dense_svd(factorizations, w, N):
     c = _seeded_rational_section(w, N, 40 + w)
     W = _toeplitz(c)
     assert W.dtype == np.float64 and not np.array_equal(W, W.T)
-    S, section, form, flip = _singular_values(c)
-    assert factorizations == [("eigvalsh", np.float64)]
-    assert np.array_equal(factorizations.args[0], W[:, ::-1])
+    sigma, [(rows, section, form, flip)] = _singular_values(c[None])
+    S = sigma[0]
+    assert factorizations == [("eigvalsh", np.float64)] and rows.tolist() == [True]
+    assert np.array_equal(factorizations.args[0], W[None, :, ::-1])
     assert flip and form is factorizations.args[0]
     # the Hankel form is a view of the generator, and no section is built
     assert section is None and np.shares_memory(form, c)
@@ -717,7 +760,8 @@ def test_centrosymmetric_split_matches_complex_oracle(factorizations, N, shifted
     c = _symmetric_toeplitz(N, 70 + N, shifted)
     W = _toeplitz(c)
     assert np.array_equal(W, W.T) and np.array_equal(W, W[::-1, ::-1])
-    S, section, form, flip = _singular_values(c)
+    sigma, [(_, section, form, flip)] = _singular_values(c[None])
+    S = sigma[0]
     assert factorizations == [("eigvalsh", np.float64)] * 2
     assert factorizations.exactly_hermitian("eigvalsh")
     assert _half_orders(factorizations) == [((N + 1) // 2, N // 2)]
@@ -837,13 +881,16 @@ def test_split_with_every_value_near_zero_is_unresolved(c, delta_factor):
 
 def test_twisted_face_sections_factor_by_structure(factorizations):
     """An even kernel gives real symmetric face sections that equal their
-    reversal, factored by two half-order eigvalsh; a kernel shifted across
-    the face keeps complex sections and svdvals."""
+    reversal, factored by two half-order eigvalsh, each on the stack of a
+    face's distinct columns at one truncation; a kernel symmetric in x and y
+    gives e2 the columns of e1, factored once.  A kernel shifted across the
+    face keeps complex sections and svdvals, one stacked call per structure
+    class."""
     S = symbol_preset("gauss2d-small", 0.1, 12.0)
     y = S.freqs[1] - S.freqs[0]
     hierarchy_fredholm(S, truncations=(16, 32), y_values=[0.0, y])
-    assert factorizations == [("eigvalsh", np.float64)] * 16
-    assert _half_orders(factorizations) == [(8, 8), (16, 16)] * 4
+    assert factorizations == [("eigvalsh", np.float64)] * 4
+    assert _half_orders(factorizations) == [(8, 8)] * 2 + [(16, 16)] * 2
     for face in ("e1", "e2"):
         for twist in (0.0, y):
             W = wh_matrix(face_symbol_twisted(S, face, twist), "half-line", 32,
@@ -858,12 +905,17 @@ def test_twisted_face_sections_factor_by_structure(factorizations):
     # face e1 restricts across y, where the kernel is shifted: at y = 0 its
     # sections are real symmetric Toeplitz, split in halves.  Face e2 restricts
     # along it, with real sections that are not symmetric: eigvalsh factors
-    # their column-reversed form.  The complex ones are complex symmetric when
-    # reversed, not Hermitian, and keep svdvals.
-    assert factorizations == [real_symmetric] * 4 + [cplx] * 2 + [real] * 4
+    # their column-reversed form, both columns in one stack.  The complex ones
+    # are complex symmetric when reversed, not Hermitian, and keep svdvals.
+    # Each face factors its classes at one truncation, then at the next.
+    assert factorizations == ([real_symmetric] * 2 + [cplx]) * 2 + [real] * 2
+    assert [len(_stack(a)) for a in factorizations.args] == [1] * 6 + [2] * 2
     assert factorizations.exactly_hermitian("eigvalsh")
-    assert [len(a) for a in factorizations.args[:4]] == [8, 8, 16, 16]
-    assert not any(np.array_equal(a[:, ::-1], a[:, ::-1].T) for a in factorizations.args[6:])
+    halves, hankels = (factorizations.matrices("eigvalsh")[:4],
+                       factorizations.matrices("eigvalsh")[4:])
+    assert [len(a) for a in halves] == [8, 8, 16, 16]
+    assert [len(a) for a in hankels] == [16, 16, 32, 32]
+    assert not any(np.array_equal(a[:, ::-1], a[:, ::-1].T) for a in hankels)
     e1 = next(fr for fr in rep.face_reports if fr["face"] == "e1")
     twisted = next(r for r in e1["rows"] if r["y"] != 0.0)
     W = wh_matrix(face_symbol_twisted(shifted, "e1", twisted["y"]), "half-line", 32,
@@ -875,25 +927,33 @@ def test_twisted_face_sections_factor_by_structure(factorizations):
 
 def test_hierarchy_factors_each_distinct_face_column_once(factorizations):
     """The default fibre grid is symmetric in y and the hierarchy-gauss2d-small
-    kernel is even across both faces, so its +-y restrictions are bit-identical:
-    each face factors 6 distinct columns of 9, at both truncations, and every
-    row reads the sigma_min of its own section."""
+    kernel is even across both faces, so its +-y restrictions are
+    bit-identical, and symmetric in x and y, so the columns of e2 are those of
+    e1: 6 distinct columns of 18 over both faces, each factored once at both
+    truncations, as 24 half-order matrices in 4 stacked eigvalsh calls (one
+    per block and truncation; 48 calls of one matrix each before the stacks),
+    and every row reads the sigma_min of its own section."""
     from conewh.presets import preset_spec
     from conewh.wiener_hopf import _generator, _singular_values, _twisted_restrictions
 
     spec = preset_spec("experiments", "hierarchy-gauss2d-small")
     S = symbol_preset(spec["symbol"], spec["h"], spec["T"])
     rep = hierarchy_fredholm(S, truncations=tuple(spec["N"]))
-    assert factorizations == [("eigvalsh", np.float64)] * (2 * 6 * 2 * 2)
-    assert _half_orders(factorizations) == [(24, 24), (48, 48)] * 12
+    assert len(factorizations) <= 4
+    assert factorizations == [("eigvalsh", np.float64)] * len(factorizations)
+    assert len(factorizations.matrices("eigvalsh")) == 6 * 2 * 2
+    assert _half_orders(factorizations) == [(24, 24)] * 6 + [(48, 48)] * 6
+    columns = set()
     for axis, fr in enumerate(rep.face_reports):
         ys = [r["y"] for r in fr["rows"]]
         assert len(ys) == 9 and sorted(ys) == sorted(-y for y in ys)
         G = _twisted_restrictions(S, axis, ys)
         assert len({g.tobytes() for g in G.T}) == 6
+        columns |= {g.tobytes() for g in G.T}
         for r, g in zip(fr["rows"], G.T):
             assert r["sigma_min"] == {N: float(_singular_values(
-                _generator(g, S.h, S.T, N, True))[0][-1]) for N in spec["N"]}
+                _generator(g, S.h, S.T, N, True)[None])[0][0, -1]) for N in spec["N"]}
+    assert len(columns) == 6
 
 
 def _seeded_generator(kind, N, seed):
@@ -930,12 +990,13 @@ def test_generator_dispatch_matches_dense_form(factorizations, kind, N):
 
     c = _seeded_generator(kind, N, 90 + N)
     W = _toeplitz(c)
-    sigma, section, S, flip = _singular_values(c)
-    calls, args = list(factorizations), list(factorizations.args)
+    sigma, [(_, section, S, flip)] = _singular_values(c[None])
+    sigma, section, S = sigma[0], *(None if a is None else a[0] for a in (section, S))
+    calls, matrices = list(factorizations), factorizations.matrices()
     factorizations.clear()
     ref_sigma, _, ref_S, ref_flip = dense_section_form(W)
-    assert calls == factorizations
-    assert all(_same_bits(a, b) for a, b in zip(args, factorizations.args))
+    assert calls == factorizations and len(matrices) == len(factorizations.matrices())
+    assert all(_same_bits(a, b) for a, b in zip(matrices, factorizations.matrices()))
     assert _same_bits(sigma, ref_sigma) and flip == ref_flip
     form = kind if N > 1 or kind == "complex-general" else "real-even"
     if form == "real-even":                 # two half-order blocks, no N x N matrix
@@ -956,12 +1017,12 @@ def test_generator_dispatch_matches_dense_form(factorizations, kind, N):
     delta_factor = (sigma[-k - 1] + sigma[-k]) / 2 / sigma[0] if k else 1e-8
     factorizations.clear()
     split = _small_singular_split(c, delta_factor, 1.0)
-    calls, args = list(factorizations), list(factorizations.args)
+    calls, matrices = list(factorizations), factorizations.matrices()
     factorizations.clear()
     assert _split_form(*dense_section_form(W), delta_factor, 1.0) == split
     assert split[2]["count"] == k
-    assert calls == factorizations
-    assert all(_same_bits(a, b) for a, b in zip(args, factorizations.args))
+    assert calls == factorizations and len(matrices) == len(factorizations.matrices())
+    assert all(_same_bits(a, b) for a, b in zip(matrices, factorizations.matrices()))
     if k:
         assert [name for name, _ in calls][-4:] == ["solve", "qr", "qr", "svd"]
 
@@ -1052,46 +1113,50 @@ _INDEX_PRESETS = ["rational-w-1", "rational-w+1", "rational-w-2", "rational-w+2"
                          + [("hierarchy2d", "hierarchy-gauss2d-small")])
 def test_structure_checks_read_the_generator_only(tmp_path, monkeypatch, command, preset):
     """On every packaged section, no structure comparison in the module reads
-    more than the 2N - 1 entries of the generator, and a centrosymmetric
-    section (a real even generator) is factored without an N x N array: it
-    takes no window of c longer than ceil(N/2), and its traced allocations
-    peak below one N x N array beyond the two buffers of numpy's ufunc loops
-    (np.getbufsize() elements each)."""
+    more than the 2N - 1 entries of each generator of the stack it factors,
+    and a stack of centrosymmetric sections (real even generators) is
+    factored without an N x N array per section: it takes no window of a
+    generator longer than ceil(N/2), and its traced allocations peak below one
+    N x N array per section (m * N^2 * 8 bytes for a stack of m) beyond the
+    two buffers of numpy's ufunc loops (np.getbufsize() elements each)."""
     import sys
     import tracemalloc
 
     import conewh.wiener_hopf as wh
     from conewh.cli import RunConfig, run
 
-    array_equal, singular_values, window_view = (np.array_equal, wh._singular_values,
-                                                 wh.sliding_window_view)
+    array_equal, equal, singular_values, window_view = (
+        np.array_equal, np.equal, wh._singular_values, wh.sliding_window_view)
     sections, compared, windows, peaks = [], [], [], []
-    factoring = [None]                  # N of the centrosymmetric section in the dispatch
+    factoring = [None]                  # N of the centrosymmetric stack in the dispatch
 
-    def counted_equal(a, b, *args, **kwargs):
-        if sys._getframe(1).f_globals["__name__"] == wh.__name__:
-            compared.append((max(np.size(a), np.size(b)), len(sections[-1])))
-        return array_equal(a, b, *args, **kwargs)
+    def counted(compare):
+        def wrapper(a, b, *args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == wh.__name__:
+                compared.append((max(np.size(a), np.size(b)), np.size(sections[-1])))
+            return compare(a, b, *args, **kwargs)
+        return wrapper
 
     def counted_window_view(x, window_shape, *args, **kwargs):
         windows.append((factoring[0], int(np.max(window_shape))))
         return window_view(x, window_shape, *args, **kwargs)
 
-    def traced_singular_values(c):
-        sections.append(c)
-        if np.iscomplexobj(c) or not array_equal(c, c[::-1]):
-            return singular_values(c)
-        factoring[0] = N = (len(c) + 1) // 2
+    def traced_singular_values(C):
+        sections.append(C)
+        if np.iscomplexobj(C) or not array_equal(C, C[:, ::-1]):
+            return singular_values(C)
+        factoring[0] = N = (C.shape[-1] + 1) // 2
         tracemalloc.start()
         try:
-            out = singular_values(c)
-            peaks.append((N, tracemalloc.get_traced_memory()[1]))
+            out = singular_values(C)
+            peaks.append((len(C), N, tracemalloc.get_traced_memory()[1]))
         finally:
             tracemalloc.stop()
             factoring[0] = None
         return out
 
-    monkeypatch.setattr(np, "array_equal", counted_equal)
+    monkeypatch.setattr(np, "array_equal", counted(array_equal))
+    monkeypatch.setattr(np, "equal", counted(equal))
     monkeypatch.setattr(wh, "_singular_values", traced_singular_values)
     monkeypatch.setattr(wh, "sliding_window_view", counted_window_view)
     assert run(RunConfig(command, preset, str(tmp_path), None)) == 0
@@ -1100,7 +1165,7 @@ def test_structure_checks_read_the_generator_only(tmp_path, monkeypatch, command
     even = preset in ("gauss-small", "singular-zero", "zero") or command == "hierarchy2d"
     assert len(peaks) == (len(sections) if even else 0)
     buffers = 2 * np.getbufsize() * 8
-    assert all(peak - buffers < N * N * 8 for N, peak in peaks)
+    assert all(peak - buffers < m * N * N * 8 for m, N, peak in peaks)
     assert all(length <= (N + 1) // 2 for N, length in windows if N is not None)
     if even:                            # no near-null triple, so no section built later
         assert windows and all(N is not None for N, _ in windows)
@@ -1142,6 +1207,35 @@ def test_batched_restrictions_match_direct_sum(f):
                 W = wh_matrix(g, "half-line", N, identity_shift=True)
                 s = np.linalg.svd(W.astype(complex), compute_uv=False)
                 assert abs(row["sigma_min"][N] - s[-1]) <= N * np.finfo(float).eps * s[0]
+
+
+@pytest.mark.parametrize("f, mixed", [pytest.param(p.values[0], False, id=p.id)
+                                      for p in _FACE_KERNELS] + [
+    pytest.param(lambda x, y: 0.6 * np.exp(-np.pi * (x**2 + x * y + 2 * y**2)), True,
+                 id="mixed")])
+def test_stacked_face_rows_match_their_own_sections(f, mixed):
+    """Each row's sigma_min, taken from the stacks of its face's distinct
+    columns, equals bit for bit that of its own column's generator factored
+    alone.  Realness and structure class are decided per column: the y = 0
+    column of the mixed kernel is real and even in a complex Hermitian face,
+    so each of its faces stacks two classes at each truncation."""
+    from conewh.wiener_hopf import _generator, _singular_values, _twisted_restrictions
+
+    S = make_symbol(f, 2, 0.1, 12.0)
+    M = (S.npoints - 1) // 2
+    y_values = sorted([-2.3, -0.5, 0.0, 0.5, S.freqs[M + 7], 1.9])
+    truncations = (16, 48)
+    rep = hierarchy_fredholm(S, truncations=truncations, y_values=y_values)
+    for axis, fr in enumerate(rep.face_reports):
+        G = _twisted_restrictions(S, axis, y_values)
+        for r, g in zip(fr["rows"], G.T):
+            assert r["sigma_min"] == {N: float(_singular_values(
+                _generator(g, S.h, S.T, N, True)[None])[0][0, -1]) for N in truncations}
+        if mixed:
+            for N in truncations:
+                assert len(_singular_values(_generator(G.T, S.h, S.T, N, True))[1]) == 2
+                assert [np.iscomplexobj(_generator(g, S.h, S.T, N, True)) for g in G.T] == [
+                    y != 0.0 for y in y_values]
 
 
 def test_restrictions_are_real_for_even_and_conjugate_symmetric_for_hermitian_kernels():
