@@ -57,10 +57,6 @@ class PolyhedralCone:
                 f"point has dimension {len(x)}, cone lives in Q^{self.ambient_dim}")
         return all(vdot(a, x) >= 0 for a in self.inequalities)
 
-    def __repr__(self):
-        return (f"PolyhedralCone(n={self.ambient_dim}, "
-                f"{len(self.generators)} generators, {len(self.inequalities)} inequalities)")
-
 
 @dataclass(frozen=True)
 class Face:
@@ -75,9 +71,6 @@ class Face:
     def mask(self) -> int:
         """The active set as a bitmask over parent.inequalities."""
         return sum(1 << i for i in self.active_set)
-
-    def __repr__(self):
-        return f"Face(dim={self.dim}, active={list(self.active_set)})"
 
 
 @dataclass(frozen=True)

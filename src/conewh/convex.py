@@ -213,7 +213,7 @@ class PolyhedralConeBody:
     def rotated(self, theta):
         """Planar rotation of a 2-D cone by theta radians."""
         if self.dim != 2:
-            raise DimensionMismatchError("rotation helper is 2-D only")
+            raise DimensionMismatchError(f"rotation helper is 2-D only, got a {self.dim}-D cone")
         c, s = np.cos(theta), np.sin(theta)
         R = np.array([[c, -s], [s, c]])
         return PolyhedralConeBody(self.rays @ R.T, self.normals @ R.T)

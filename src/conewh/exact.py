@@ -3,18 +3,19 @@
 Vectors are tuples of ints or :class:`fractions.Fraction`; matrices are
 lists/tuples of such row vectors.  Everything here is exact; floats never
 enter.  A line or ray (`canonical_ray`, `nullspace`, `gram_schmidt`,
-`span_basis`) is a primitive int tuple; a truly rational result (`rref`,
-`solve_linear`, `invert`, `project_onto_span`) is a Fraction tuple.
+`span_basis`) is a primitive int tuple; a truly rational result
+(`solve_linear`, `invert`, `project_onto_span`) is a Fraction tuple.
 
-Every elimination (`rref`, `rank`, `nullspace`, `solve_linear`, `invert`,
-`span_basis`) is one fraction-free Gauss-Jordan pass on integer rows, in the
-spirit of Bareiss (Math. Comp. 22, 1968): each input row is scaled to
-integers by the lcm of its denominators, each row is divided by the gcd of
-its entries after every update, and Fractions are built only for the
-rational results.  `gram_schmidt` and `canonical_ray` work on integer rows
-too.  Ambient dimensions are small (<= ~7) and row counts moderate (tens,
-e.g. 48 rays of a polygonal cone).  The hot loops of the cone layer (double
-description, face lattice) run on coprime integer rays and bitmasks in
+Every elimination (`rank`, `nullspace`, `solve_linear`, `invert`,
+`span_basis`, and the pivots of the double description) is one
+fraction-free Gauss-Jordan pass on integer rows, in the spirit of Bareiss
+(Math. Comp. 22, 1968): each input row is scaled to integers by the lcm of
+its denominators, each row is divided by the gcd of its entries after every
+update, and Fractions are built only for the rational results.
+`gram_schmidt` and `canonical_ray` work on integer rows too.  Ambient
+dimensions are small (<= ~7) and row counts moderate (tens, e.g. 48 rays of
+a polygonal cone).  The hot loops of the cone layer (double description,
+face lattice) run on coprime integer rays and bitmasks in
 :mod:`conewh.cones`; `vdot` is their one product.
 """
 
@@ -107,12 +108,6 @@ def _echelon(rows):
             break
     ints = [row if row[c] > 0 else [-a for a in row] for row, c in zip(mat, pivots)]
     return ints, pivots
-
-
-def rref(rows):
-    """Reduced row echelon form. Returns (new_rows, pivot_column_indices)."""
-    ints, pivots = _echelon(rows)
-    return [tuple(Fraction(a, row[c]) for a in row) for row, c in zip(ints, pivots)], pivots
 
 
 def rank(rows) -> int:

@@ -6,14 +6,15 @@ Every input object is read by read_fields from a table that gives each key
 a rule and a default: CONE_KEYS here, presets.SYMBOL_KEYS, and cli.SPEC_KEYS
 and cli.TOLERANCE_KEYS; the rules live here.
 Reports reuse the same dialect (rationals as strings, floats as repr) with
-stable key ordering so runs diff cleanly.
+stable key ordering so runs diff cleanly.  A report is written one member per
+line, indented 2; a member whose value is a non-empty list has one element
+per line, indented 4; every other value, and each element, is one line
+written by json's encoder (C-accelerated) with ", " and ": " separators.
 """
 
 import csv
 import json
-import math
 import os
-from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .cones import PolyhedralCone, cone_from_generators, cone_from_inequalities
 from .errors import ConfigError
 from .exact import rational
 
-_INDENT = "  "
 CSV_COLUMNS = ["experiment", "N", "sigma_min", "dim_ker", "dim_coker",
                "index", "winding", "verdict"]
 # The most entries of one array a spec may ask for; the largest any preset or
@@ -187,74 +187,28 @@ def face_object(face):
     }
 
 
-def _key(k):
-    """A dict key as json converts it: a str as is, a number, bool or None
-    as its JSON text."""
-    if isinstance(k, str):
-        return k
-    if k is None or isinstance(k, (int, float)):
-        return _scalar(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
-def _scalar(o):
-    """A value that is not a list, tuple or dict, checked in json's order."""
-    if isinstance(o, str):
-        return _quote(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if not math.isfinite(o):
-            raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
-        return float.__repr__(o)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+# Every value of a report line, with json's key conversion and its refusal of
+# NaN and infinities.
+_ENCODER = json.JSONEncoder(separators=(", ", ": "), allow_nan=False)
 
 
 def dumps_report(obj) -> str:
-    """Deterministic JSON text: insertion-ordered dicts, 2-space indent; the
-    same string as json.dumps(obj, indent=2, allow_nan=False) + "\\n".
-
-    The text of a container met a second time at one depth is kept for the
-    rest of the call, so a face object that a report names many times is not
-    encoded again at that depth."""
-    memo = {}
-    seen = set()
-
-    def encode(o, depth):
-        t = type(o)
-        if t is str:
-            return _quote(o)
-        if t is int:
-            return int.__repr__(o)
-        if not isinstance(o, (list, tuple, dict)):
-            return _scalar(o)
-        key = (id(o), depth)
-        text = memo.get(key)
-        if text is not None:
-            return text
-        brackets = "{}" if isinstance(o, dict) else "[]"
-        if not o:
-            return brackets
-        inner = "\n" + _INDENT * (depth + 1)
-        if isinstance(o, dict):
-            items = [_quote(_key(k)) + ": " + encode(v, depth + 1) for k, v in o.items()]
+    """JSON text of a report object: one member per line, indented 2, and each
+    element of a non-empty list or tuple member on a line of its own, indented
+    4; every other value, and each element, on one line.  Any other obj is
+    one line."""
+    encode = _ENCODER.encode
+    if not isinstance(obj, dict) or not obj:
+        return encode(obj) + "\n"
+    members = []
+    for key, value in obj.items():
+        if isinstance(value, (list, tuple)) and value:
+            # '"key": [' from {key: []}, so the key goes through json's conversion
+            members.append(encode({key: ()})[1:-2] + "\n    "
+                           + ",\n    ".join(map(encode, value)) + "\n  ]")
         else:
-            items = [encode(v, depth + 1) for v in o]
-        text = (brackets[0] + inner + ("," + inner).join(items)
-                + "\n" + _INDENT * depth + brackets[1])
-        if key in seen:
-            memo[key] = text
-        else:
-            seen.add(key)
-        return text
-
-    return encode(obj, 0) + "\n"
+            members.append(encode({key: value})[1:-1])
+    return "{\n  " + ",\n  ".join(members) + "\n}\n"
 
 
 def write_csv(path, rows):

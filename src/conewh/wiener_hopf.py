@@ -144,9 +144,10 @@ def make_symbol(f, dim, h, T, name="") -> SymbolGrid:
     if dim not in (1, 2):
         raise DimensionMismatchError(f"kernel dimension must be 1 or 2, got {dim!r}")
     if h <= 0:
-        raise KernelWindowError("grid step must be positive")
+        raise KernelWindowError(f"grid step must be positive, got h = {h}")
     if T < 10 * h:
-        raise KernelWindowError("window too small: T >= 10*h required")
+        raise KernelWindowError(f"window too small: T >= 10*h required, "
+                                f"got T = {T}, h = {h}: T < 10*h = {10 * h}")
     M = int(round(T / h))
     xs, shape = np.arange(-M, M + 1) * h, (2 * M + 1,) * dim
     vals = np.asarray(f(*np.ix_(*[xs] * dim)) if callable(f) else f)

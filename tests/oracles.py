@@ -25,9 +25,10 @@ earlier nonnegative least squares on its rays, and a convex hull is the
 library's earlier Qhull hull with its duplicate facets merged.  The
 face-projection oracles of criterion 4 are the span basis of a face and the
 Minkowski sum of two cones from their generators.  The report text oracle is
-the standard library's indented `json.dumps`.  Sampled sets that tests build
-from lattice points come from `sampled_set_from_points`, once
-`SampledSet.from_points` of the library, which no command called.
+the standard library's indented `json.dumps`, compared by parsed value.
+Sampled sets that tests build from lattice points come from
+`sampled_set_from_points`, once `SampledSet.from_points` of the library,
+which no command called.
 """
 
 import itertools

@@ -634,10 +634,23 @@ def test_input_boundary_probe(tmp_path, capsys, monkeypatch, command, expr, dim,
                      "h": 0.5, "T": 12.0, "N": [16, 24]},
      "error [kernel-window]: kernel not window-compatible: |f| reaches 0.215 where "
      "|x| > T/2 = 6, not below the decay tolerance 1e-08\n"),
+    ("index1d", {"symbol": "gauss-small", "h": 1, "T": 5, "N": [2, 4]},
+     "error [kernel-window]: window too small: T >= 10*h required, "
+     "got T = 5.0, h = 1.0: T < 10*h = 10.0\n"),
 ])
 def test_window_errors_name_their_numbers(tmp_path, capsys, command, spec, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"name": "window", **spec}))
     assert main([command, "--in", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
+
+
+def test_trivialize_on_a_3d_cone_names_its_dimension(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**_TRIV, "cone": "fourgonal-r3"}))
+    argv = ["trivialize", "--in", str(path), "--out", str(tmp_path / "out"), "--seed", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error [dimension-mismatch]: rotation helper is 2-D only, got a 3-D cone\n")
     assert not (tmp_path / "out").exists()

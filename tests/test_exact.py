@@ -7,6 +7,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conewh.exact import (
+    _echelon,
     canonical_ray,
     gram_schmidt,
     invert,
@@ -14,7 +15,6 @@ from conewh.exact import (
     project_onto_span,
     rank,
     rational,
-    rref,
     rvec,
     solve_linear,
     span_basis,
@@ -49,8 +49,7 @@ def test_canonical_ray_preserves_sign():
 
 def test_rref_and_rank():
     rows = [rvec((1, 2, 3)), rvec((2, 4, 6)), rvec((0, 1, 1))]
-    red, pivots = rref(rows)
-    assert pivots == [0, 1]
+    assert _echelon(rows)[1] == [0, 1]
     assert rank(rows) == 2
 
 
@@ -134,8 +133,9 @@ def _all_ints(vectors):
 @given(_matrices())
 def test_elimination_matches_fraction_oracle(case):
     n, rows = case
-    red, pivots = rref(rows)
-    assert (red, pivots) == fraction_rref(rows) and _all_fractions(red)
+    ints, pivots = _echelon(rows)
+    red = [tuple(Fraction(a, row[c]) for a in row) for row, c in zip(ints, pivots)]
+    assert (red, pivots) == fraction_rref(rows) and _all_ints(ints)
     assert rank(rows) == fraction_rank(rows)
     basis = nullspace(rows, n)
     assert basis == fraction_nullspace(rows, n) and _all_ints(basis)

@@ -1,7 +1,9 @@
-"""The report writer against the standard library encoder: byte-identical text
-on seeded random nested objects whose sub-objects are shared at one depth and
-across depths, and the same error types on values JSON cannot hold."""
+"""The report writer against the standard library encoder: text that parses
+to the same value on seeded random nested objects whose sub-objects are
+shared at one depth and across depths, the writer's line layout, and the same
+error types on values JSON cannot hold."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -46,7 +48,7 @@ def test_writer_matches_json_dumps_on_random_objects(seed):
     pool = []
     for _ in range(5):
         obj = _random_object(rng, pool, rng.randint(1, 6))
-        assert dumps_report(obj) == json_dumps_report(obj)
+        assert json.loads(dumps_report(obj)) == json.loads(json_dumps_report(obj))
 
 
 def test_shared_objects_at_one_depth_and_across_depths():
@@ -58,8 +60,8 @@ def test_shared_objects_at_one_depth_and_across_depths():
         "uncovered": [face, face, face],
         "top": face,
     }
-    assert dumps_report(obj) == json_dumps_report(obj)
-    assert dumps_report(face) == json_dumps_report(face)
+    for o in (obj, face):
+        assert json.loads(dumps_report(o)) == json.loads(json_dumps_report(o))
 
 
 def test_vector_strings_print_ints_and_fractions_alike():
@@ -71,7 +73,26 @@ def test_writer_matches_json_dumps_on_a_strata_report(fourgonal):
             for f in level}
     report = {"faces": list(objs.values()), "again": [list(objs.values())] * 3,
               "by_size": {len(k): v for k, v in objs.items()}}
-    assert dumps_report(report) == json_dumps_report(report)
+    assert json.loads(dumps_report(report)) == json.loads(json_dumps_report(report))
+
+
+def test_report_layout_one_member_and_one_element_per_line(fourgonal):
+    """Members on lines indented 2, each element of a non-empty list or tuple
+    member on a line indented 4 that json.dumps writes alike, and no other
+    line break."""
+    faces = [face_object(f) for level in strata(fourgonal).levels for f in level]
+    report = {"toolkit": "conewh", "config": {"seed": None, "tolerances": {}},
+              "faces": faces, "pairs": ((0, 1), (1, 2)), "none": [], "name": "日本語",
+              "margin": 0.1, 3: [{}]}
+    members = []
+    for key, value in report.items():
+        head = "  " + json.dumps(str(key)) + ": "
+        if isinstance(value, (list, tuple)) and value:
+            elements = ["    " + json.dumps(e, separators=(", ", ": ")) for e in value]
+            members.append(head + "[\n" + ",\n".join(elements) + "\n  ]")
+        else:
+            members.append(head + json.dumps(value, separators=(", ", ": ")))
+    assert dumps_report(report) == "{\n" + ",\n".join(members) + "\n}\n"
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
