@@ -8,10 +8,12 @@ pklimit.  <spec> is a JSON file path or the name of a packaged preset.
 Exit codes: 0 success, 1 domain error (category on stderr), 2 I/O or usage.
 
 Every command runs in a fresh process, so it imports only the layers it runs:
-the exact layer (cones, strata, limits, io) at module level, the float layers
-inside the commands that call them.  No command on a packaged preset loads
-SciPy: `index1d` and `hierarchy2d` factor on numpy.linalg, and `trivialize`
-matches 2-D cones, whose slice bodies are intervals and need no convex hull.
+the exact layer (cones, strata, io) at module level, numpy and the float
+layers inside the commands and rules that use them, so that `lattice`,
+`strata` and `spectrum` start without numpy.  No command on a packaged
+preset loads SciPy: `index1d` and `hierarchy2d` factor on numpy.linalg, and
+`trivialize` matches 2-D cones, whose slice bodies are intervals and need no
+convex hull.
 An unknown preset, named by `--in` or by an experiment's "cone", is one
 ConfigError (exit 2) from `presets.preset_spec`.
 """
@@ -21,8 +23,6 @@ import os
 import sys
 from dataclasses import dataclass, field
 from functools import partial
-
-import numpy as np
 
 from . import __version__
 from .cones import face_lattice, is_solid
@@ -47,7 +47,6 @@ from .io import (
     vector_strings,
     write_csv,
 )
-from .limits import hausdorff_distance, pk_converged, pk_tail, sample_cone
 from .presets import cone_preset, preset_spec, resolve_symbol, symbol_dim
 from .strata import ray_limit, spectrum_poset, strata
 
@@ -94,6 +93,8 @@ def _check_size(what, side, dim=1):
 def _check_norms(rows, message):
     """A ConfigError with the message unless every float row has a norm in the
     float range: its sum of squares must not overflow."""
+    import numpy as np
+
     with np.errstate(over="ignore"):
         if not np.isfinite(np.linalg.norm(rows, axis=-1)).all():
             raise ConfigError(message)
@@ -104,6 +105,8 @@ def _check_margins(cone, shifts, window, message):
     limits.sample_cone forms for the cone, at each shift (a row) over the
     window [-window, window], stays in the float range: the bound
     sum_i (|shift_i| + window) |a_i| of every facet normal a must be finite."""
+    import numpy as np
+
     normals = _floats(cone.inequalities, message).reshape(-1, cone.ambient_dim)
     with np.errstate(over="ignore"):
         bounds = (np.abs(shifts)[:, None] + window) * np.abs(normals)
@@ -262,6 +265,8 @@ def _cmd_spectrum(config):
 
 
 def _cmd_trivialize(config):
+    import numpy as np
+
     from .convex import PolyhedralConeBody
     from .trivialization import (
         build_trivialization,
@@ -366,6 +371,10 @@ def _cmd_hierarchy2d(config, margin_tol):
 
 
 def _cmd_pklimit(config, eps):
+    import numpy as np
+
+    from .limits import hausdorff_distance, pk_converged, pk_tail, sample_cone
+
     name, values = _experiment(config)
     cone, direction, scales, spec_eps, window, step = values.values()
     eps = eps or spec_eps

@@ -10,8 +10,10 @@ Every elimination (`rank`, `nullspace`, `solve_linear`, `invert`,
 `span_basis`, and the pivots of the double description) is one
 fraction-free Gauss-Jordan pass on integer rows, in the spirit of Bareiss
 (Math. Comp. 22, 1968): each input row is scaled to integers by the lcm of
-its denominators, each row is divided by the gcd of its entries after every
-update, and Fractions are built only for the rational results.
+its denominators (a row of ints is taken as it is), each row is divided by
+the gcd of its entries after every update, and Fractions are built only for
+the rational results.  `rational` reads an integer as an int, so rows parsed
+from integer entries stay ints end to end.
 `gram_schmidt` and `canonical_ray` work on integer rows too.  Ambient
 dimensions are small (<= ~7) and row counts moderate (tens, e.g. 48 rays of
 a polygonal cone).  The hot loops of the cone layer (double description,
@@ -26,17 +28,29 @@ from operator import mul
 Vec = tuple  # tuple of int or Fraction
 
 
-def rational(x) -> Fraction:
-    """Coerce ints, strings like '3/2', and Fractions to Fraction (floats rejected)."""
-    if isinstance(x, Fraction):
+def rational(x):
+    """An exact rational from an int, a string like '3' or '3/2', or a Fraction
+    (floats rejected): an int or an integer string gives an int, anything
+    else a Fraction."""
+    if type(x) is int or isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, str):
+        try:
+            return int(x)
+        except ValueError:
+            return Fraction(x)
+    if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"exact rational expected, got {type(x).__name__}")
 
 
 def rvec(coords) -> Vec:
     return tuple(rational(c) for c in coords)
+
+
+def vector_text(v) -> str:
+    """A vector as text for a message: (1, -3/2)."""
+    return f"({', '.join(map(str, v))})"
 
 
 def vneg(v):
@@ -58,9 +72,13 @@ def _primitive(row):
 
 
 def _int_row(v):
-    """The primitive integer row on the ray of the rational row v."""
-    den = lcm(*(a.denominator for a in v))
-    return _primitive([a.numerator * (den // a.denominator) for a in v])
+    """The primitive integer row on the ray of the rational row v: a row of
+    ints as it is, any other scaled by the lcm of its denominators."""
+    try:
+        return _primitive(list(v))          # gcd refuses a Fraction
+    except TypeError:
+        den = lcm(*(a.denominator for a in v))
+        return _primitive([a.numerator * (den // a.denominator) for a in v])
 
 
 def _line(ints):

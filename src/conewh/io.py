@@ -15,8 +15,7 @@ written by json's encoder (C-accelerated) with ", " and ": " separators.
 import csv
 import json
 import os
-
-import numpy as np
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .cones import PolyhedralCone, cone_from_generators, cone_from_inequalities
 from .errors import ConfigError
@@ -30,7 +29,7 @@ MAX_ENTRIES = 2**26
 
 
 def vector_strings(vec):
-    return [str(c) for c in vec]
+    return list(map(str, vec))
 
 
 def check_keys(obj, accepted, what):
@@ -60,11 +59,14 @@ def read_fields(obj, table, what):
 
 
 # -- rules: rule(value, label) is the value read, or a ConfigError naming the label
+# The float rules import numpy; the exact commands read no float and start without it.
 
 
 def _floats(values, message):
     """The float array of exact or JSON numbers, or of rows of them; one beyond
     the float range is a ConfigError with the message."""
+    import numpy as np
+
     try:
         return np.array(values, dtype=float)
     except OverflowError:
@@ -74,6 +76,8 @@ def _floats(values, message):
 def _finite_numbers(values, message):
     """The float array of a list of finite JSON numbers (not booleans or
     strings); any other entry is a ConfigError with the message."""
+    import numpy as np
+
     if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
         floats = _floats(values, message)
         if np.isfinite(floats).all():
@@ -187,9 +191,21 @@ def face_object(face):
     }
 
 
-# Every value of a report line, with json's key conversion and its refusal of
-# NaN and infinities.
-_ENCODER = json.JSONEncoder(separators=(", ", ": "), allow_nan=False)
+# The encoder of every report line, built once: json's C encoder, which
+# JSONEncoder(separators=(", ", ": "), allow_nan=False).encode builds anew for
+# each call, with json's key conversion, its refusal of NaN and infinities,
+# and JSONEncoder.default's TypeError for any other value.  It keeps no cycle
+# markers (a report is a tree its command builds), so it holds no state.
+_LINE = c_make_encoder and c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring_ascii, None, ": ", ", ",
+    False, False, False)
+
+
+def _encode(value):
+    """One line of JSON text for the value."""
+    if _LINE is None:       # no C accelerator: json's Python encoder
+        return json.dumps(value, separators=(", ", ": "), allow_nan=False)
+    return "".join(_LINE(value, 0))
 
 
 def dumps_report(obj) -> str:
@@ -197,17 +213,16 @@ def dumps_report(obj) -> str:
     element of a non-empty list or tuple member on a line of its own, indented
     4; every other value, and each element, on one line.  Any other obj is
     one line."""
-    encode = _ENCODER.encode
     if not isinstance(obj, dict) or not obj:
-        return encode(obj) + "\n"
+        return _encode(obj) + "\n"
     members = []
     for key, value in obj.items():
         if isinstance(value, (list, tuple)) and value:
             # '"key": [' from {key: []}, so the key goes through json's conversion
-            members.append(encode({key: ()})[1:-2] + "\n    "
-                           + ",\n    ".join(map(encode, value)) + "\n  ]")
+            members.append(_encode({key: ()})[1:-2] + "\n    "
+                           + ",\n    ".join(map(_encode, value)) + "\n  ]")
         else:
-            members.append(encode({key: value})[1:-1])
+            members.append(_encode({key: value})[1:-1])
     return "{\n  " + ",\n  ".join(members) + "\n}\n"
 
 

@@ -7,7 +7,8 @@ from the upper-half-plane zero/pole counts of the rational symbol (winding
 
 `make_symbol` is imported inside the symbol builders: `cone_preset` serves
 `pklimit` and `trivialize`, which never sample a symbol and so need not load
-wiener_hopf.
+wiener_hopf.  numpy is imported inside the kernels and the expression
+evaluator, so that `preset_spec` serves the exact commands without it.
 """
 
 import ast
@@ -17,8 +18,6 @@ import operator
 from functools import partial
 from importlib import resources
 
-import numpy as np
-
 from .cones import PolyhedralCone
 from .errors import ConfigError
 from .io import REQUIRED, _count, _string, read_cone_spec, read_fields
@@ -27,14 +26,20 @@ _EXP_CLIP = 60.0  # arguments beyond this give exp underflow warnings only
 
 
 def _exp_pos(x):
+    import numpy as np
+
     return np.where(x > 0, np.exp(-np.minimum(np.abs(x), _EXP_CLIP)), 0.0)
 
 
 def _exp_neg(x):
+    import numpy as np
+
     return np.where(x < 0, np.exp(-np.minimum(np.abs(x), _EXP_CLIP)), 0.0)
 
 
 def _gauss(x):
+    import numpy as np
+
     return np.exp(-np.pi * x**2)
 
 
@@ -62,24 +67,38 @@ def cone_preset(name: str) -> PolyhedralCone:
 
 
 def _blaschke_minus(x):  # symbol b: winding +1 under the frozen orientation
+    import numpy as np
+
     return np.where(x == 0, -1.0, -2.0 * _exp_pos(x))
 
 
 def _blaschke_plus(x):   # symbol 1/b: winding -1
+    import numpy as np
+
     return np.where(x == 0, -1.0, -2.0 * _exp_neg(x))
 
 
 def _blaschke_minus_sq(x):  # b^2: winding +2, kernel 4 e^{-x}(x-1) 1_{x>0}
+    import numpy as np
+
     return np.where(x == 0, -2.0, 4.0 * _exp_pos(x) * (x - 1.0))
 
 
 def _blaschke_plus_sq(x):   # 1/b^2: winding -2, kernel 4 e^{x}(-x-1) 1_{x<0}
+    import numpy as np
+
     return np.where(x == 0, -2.0, 4.0 * _exp_neg(x) * (-x - 1.0))
+
+
+def _zero(x):
+    import numpy as np
+
+    return np.zeros_like(x, dtype=float)
 
 
 _SYMBOLS_1D = {
     # name: (callable, expected winding or None, description)
-    "zero": (lambda x: np.zeros_like(x, dtype=float), 0, "identity operator"),
+    "zero": (_zero, 0, "identity operator"),
     "rational-w-1": (_blaschke_plus, -1, "(2 pi i xi+1)/(2 pi i xi-1)"),
     "rational-w+1": (_blaschke_minus, +1, "(2 pi i xi-1)/(2 pi i xi+1)"),
     "rational-w-2": (_blaschke_plus_sq, -2, "((2 pi i xi+1)/(2 pi i xi-1))^2"),
@@ -103,6 +122,8 @@ RATIONAL_ZERO_POLE = {
 
 
 def _gauss2(x, y):
+    import numpy as np
+
     return np.exp(-np.pi * (x**2 + y**2))
 
 
@@ -138,9 +159,9 @@ def symbol_preset(name, h, T):
         f"(have {sorted(_SYMBOLS_1D) + sorted(_SYMBOLS_2D)})")
 
 
-_NAMES = {"exp": np.exp, "cos": np.cos, "sin": np.sin, "sqrt": np.sqrt,
-          "abs": np.abs, "where": np.where, "pi": np.pi, "e": np.e}
-_FUNCTIONS = tuple(name for name, value in _NAMES.items() if callable(value))
+# The names an expression may use besides its variables, each numpy's.
+_FUNCTIONS = ("exp", "cos", "sin", "sqrt", "abs", "where")
+_NAMES = _FUNCTIONS + ("pi", "e")
 _NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Compare, ast.Load,
           ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
           ast.UAdd, ast.USub, ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
@@ -213,15 +234,18 @@ def symbol_from_expression(expr, dim, h, T, name="expr"):
     """
     from .wiener_hopf import make_symbol
 
+    import numpy as np
+
     variables = ("x", "y")[:dim]
     code = _check_expression(expr, variables)
+    names = {name: getattr(np, name) for name in _NAMES}
 
     def f(*coords):
         try:
             # A NaN or inf sample is reported by make_symbol, not as a warning.
             with np.errstate(all="ignore"):
                 return eval(code, {"__builtins__": {}},  # noqa: S307 - checked tree
-                            {**_NAMES, **dict(zip(variables, coords))})
+                            {**names, **dict(zip(variables, coords))})
         except Exception as exc:
             raise ConfigError(f"bad symbol expression: {exc}")
 

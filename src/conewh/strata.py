@@ -24,6 +24,7 @@ from .cones import (
     relative_dual,
     require_pointed,
     require_solid,
+    violation,
 )
 from .errors import (
     LevelRangeError,
@@ -39,6 +40,7 @@ from .exact import (
     rvec,
     solve_linear,
     vdot,
+    vector_text,
 )
 
 
@@ -49,6 +51,8 @@ class Strata:
     cone: PolyhedralCone          # Omega
     dims: tuple                   # distinct face dims of Omega*, increasing
     levels: tuple                 # levels[j] = faces of Omega* of dim dims[d-j]
+    covers: tuple                 # covers[j-1] = ((ie, jf), ...), sorted: levels[j][jf]
+                                  # is covered by levels[j-1][ie]
 
     @property
     def length(self):
@@ -101,7 +105,18 @@ def strata(omega: PolyhedralCone) -> Strata:
     levels = tuple(
         tuple(f for f in lat.faces if f.dim == dims[d - j]) for j in range(d + 1)
     )
-    return Strata(omega, dims, levels)
+    # lat.faces runs through the levels from d down to 0, each in its order:
+    # face i is face i - start[dim] of level level[dim].  A cover joins
+    # consecutive levels (see incidence_pairs).
+    level = {dim: d - i for i, dim in enumerate(dims)}
+    start = {}
+    for i, f in enumerate(lat.faces):
+        start.setdefault(f.dim, i)
+    covers = [[] for _ in range(d)]
+    for i, h in lat.order:
+        lower, upper = lat.faces[i].dim, lat.faces[h].dim
+        covers[level[lower] - 1].append((h - start[upper], i - start[lower]))
+    return Strata(omega, dims, levels, tuple(tuple(sorted(c)) for c in covers))
 
 
 def solvable_length(omega: PolyhedralCone) -> int:
@@ -132,8 +147,10 @@ def sigma_bundle(omega, j) -> SigmaBundle:
 def order_point(face: Face, x) -> OrderPoint:
     """Pair (F, x) with exact membership x in F-circledast enforced."""
     x = rvec(x)
-    if not relative_dual(face).contains(x):
-        raise MembershipError("point is not in the relative dual of the face")
+    rdual = relative_dual(face)
+    if not rdual.contains(x):
+        raise MembershipError(f"point {vector_text(x)} is not in the relative dual of the face "
+                              f"with active set {face.active_set}: {violation(rdual, x)}")
     return OrderPoint(face, x)
 
 
@@ -159,7 +176,8 @@ def recover_face_point(omega: PolyhedralCone, rows, offsets):
     if rows:
         x0 = solve_linear(rows, offsets)
         if x0 is None:
-            raise NotOrderPointError("not an order point")
+            raise NotOrderPointError(f"not an order point: its {len(rows)} rows and offsets "
+                                     f"have no common solution")
     else:
         x0 = (0,) * n
 
@@ -167,10 +185,15 @@ def recover_face_point(omega: PolyhedralCone, rows, offsets):
     lat = face_lattice(dual_cone(omega))
     match = next((f for f in lat.faces if f.generators == g_cone.generators), None)
     if match is None:
-        raise NotOrderPointError("not an order point")
+        rays = ", ".join(map(vector_text, g_cone.generators)) or "no rays"
+        raise NotOrderPointError(f"not an order point: its rows generate the cone of {rays}, "
+                                 f"no face of the dual cone")
     x = project_onto_span(list(match.generators), x0)
-    if not relative_dual(match).contains(x):
-        raise NotOrderPointError("not an order point")
+    rdual = relative_dual(match)
+    if not rdual.contains(x):
+        raise NotOrderPointError(
+            f"not an order point: its point {vector_text(x)} of the face's span is not in the "
+            f"relative dual of the face with active set {match.active_set}: {violation(rdual, x)}")
     return match, x
 
 
@@ -178,31 +201,34 @@ def ray_limit(omega: PolyhedralCone, x) -> PolyhedralCone:
     """Limit of the translates lambda*x - Omega as lambda grows: -(F-check)*."""
     x = rvec(x)
     if is_zero_vec(x):
-        raise MembershipError("ray limit needs a nonzero direction")
+        raise MembershipError(f"ray limit needs a nonzero direction, got {vector_text(x)}")
     if not omega.contains(x):
-        raise MembershipError("point is not in the cone")
+        raise MembershipError(f"point {vector_text(x)} is not in the cone: {violation(omega, x)}")
     face = exposed_face(omega, x)
     fcheck = dual_face(face)
     return negate_cone(dual_cone(face_as_cone(fcheck)))
 
 
 def incidence_pairs(omega, j) -> IncidencePairs:
-    """Exact containment pairs (E, F) between levels j-1 and j."""
+    """Exact containment pairs (E, F) between levels j-1 and j, in the order
+    of (index of E, index of F).
+
+    The strata of a pointed, solid cone hold every dual face dimension from 0
+    to n, and a face lattice is graded, so a face of level j inside one of
+    level j-1 is covered by it: the pairs are the lattice's covers.
+    """
     st = _strata_of(omega)
     if not 1 <= j <= st.length:
         raise LevelRangeError(f"level {j} out of range 1..{st.length}")
     upper = st.levels[j - 1]
     lower = st.levels[j]
-    pairs, xi, eta = [], [], []
-    for ie, e_face in enumerate(upper):
-        for jf, f_face in enumerate(lower):
-            if f_face.mask & e_face.mask == e_face.mask:
-                pairs.append((e_face, f_face))
-                xi.append(ie)
-                eta.append(jf)
+    covers = st.covers[j - 1]
+    pairs = tuple((upper[ie], lower[jf]) for ie, jf in covers)
+    xi = tuple(ie for ie, _ in covers)
+    eta = tuple(jf for _, jf in covers)
     covered = set(eta)
     uncovered = tuple(f for jf, f in enumerate(lower) if jf not in covered)
-    return IncidencePairs(j, tuple(pairs), tuple(xi), tuple(eta), uncovered)
+    return IncidencePairs(j, pairs, xi, eta, uncovered)
 
 
 @dataclass(frozen=True)

@@ -379,6 +379,8 @@ def _near_null_pairs(W, S, flip, k, smax, c=None):
         V, U = X[:, :m], X[:, m:]
         if flip:
             V = V[::-1]                                 # W^-1 = J S^-1
+    if not (np.isfinite(U).all() and np.isfinite(V).all()):
+        raise LinAlgError("the range finder's solve is not finite")
     U, V = qr(U)[0], qr(V)[0]
     P, _, Qh = svd(U.conj().T @ (W if c is None else _toeplitz(c)) @ V)
     return U @ P[:, -k:], V @ Qh[-k:].conj().T
@@ -418,7 +420,13 @@ def _split_form(sigma, W, S, flip, delta_factor, gap_ratio, c=None):
                                        f"{k} near-zero singular values is below {gap_ratio:g}")
         if W is None and S is None:
             S = _toeplitz_view(c)
-        U, V = _near_null_pairs(W, S, flip, k, smax, c)
+        try:
+            U, V = _near_null_pairs(W, S, flip, k, smax, c)
+        except LinAlgError as exc:
+            raise IndexUnresolvedError(
+                f"index not resolved at N={N}: the split of the {k} near-zero singular "
+                f"values failed ({exc}); smallest sigma {sigma[-1]:.3g}, sigma_max "
+                f"{smax:.3g}") from None
         half = N // 2
         dim_ker = int(np.count_nonzero(
             np.linalg.norm(V[:half], axis=0) >= np.linalg.norm(U[:half], axis=0)))

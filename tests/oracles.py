@@ -6,6 +6,11 @@ closure over all facet subsets, windings by upper-half-plane zero/pole
 counts, projections by parametrized gradient descent.  The double description
 and covering-relation oracles are the library's earlier rational
 implementations: per-pair exact-rank adjacency and the O(F^3) covering loop.
+The library's earlier integer construction of a cone is kept here too: a
+second double description, of the derived inequalities, for the generators,
+the generator-facet incidence by one product per (generator, facet) pair,
+and the incidence pairs of the strata by a containment test of every pair of
+faces on adjacent levels.
 The sampled-limit oracles take the full nearest distance of every grid point
 to every set, and of every sample row in a Hausdorff distance; the distance
 transform oracle is the library's earlier int64 transform, one minimum per
@@ -42,9 +47,9 @@ from scipy.optimize import nnls
 from scipy.signal import fftconvolve
 from scipy.spatial import ConvexHull, cKDTree
 
-from conewh.cones import cone_from_generators
+from conewh.cones import _extreme_rays, cone_from_generators
 from conewh.errors import DimensionMismatchError, DomainError, KernelWindowError
-from conewh.exact import is_zero_vec, rvec, span_basis, vdot, vneg
+from conewh.exact import canonical_ray, is_zero_vec, rvec, span_basis, vdot, vneg
 from conewh.limits import SampledSet, _axis
 from conewh.wiener_hopf import SymbolGrid, make_symbol, wh_matrix
 
@@ -311,6 +316,34 @@ def fraction_dd_cone(rays, n):
     vecs = [rvec(r) for r in rays]
     ineqs = _fraction_dual_generators(vecs, n)
     return _fraction_dual_generators(ineqs, n), ineqs
+
+
+def _int_dd_generators(rows, n):
+    """Canonical int generators of {x : rows @ x >= 0} by the library's DD."""
+    rays, _, lin = _extreme_rays(list(dict.fromkeys(rows)), n)
+    return sorted(set(rays) | {v for b in lin for v in (b, vneg(b))})
+
+
+def two_dd_cone(rays, n):
+    """(generators, inequalities) of cone{rays} in Q^n by two integer double
+    descriptions: rays -> facets, then facets -> rays."""
+    vecs = [canonical_ray(v) for v in map(rvec, rays) if not is_zero_vec(v)]
+    ineqs = _int_dd_generators(vecs, n)
+    return tuple(_int_dd_generators(ineqs, n)), tuple(ineqs)
+
+
+def pairwise_incidence(cone):
+    """Per generator, the bitmask of the inequalities vanishing on it, by one
+    product per (generator, facet) pair."""
+    return tuple(sum(1 << i for i, a in enumerate(cone.inequalities) if vdot(a, g) == 0)
+                 for g in cone.generators)
+
+
+def containment_pairs(st, j):
+    """(index of E, index of F) of every face F of level j inside a face E of
+    level j - 1 of the strata st, by testing every pair."""
+    return [(ie, jf) for ie, e in enumerate(st.levels[j - 1])
+            for jf, f in enumerate(st.levels[j]) if set(f.active_set) >= set(e.active_set)]
 
 
 def cubic_covers(faces):

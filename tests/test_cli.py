@@ -152,12 +152,54 @@ _RAY = {"name": "ray", "dim": 2, "generators": [["1", "0"]]}
      "its inequalities have rank 1 in dimension 2"),
     ("pklimit", {"name": "p", "cone": _RAY, "direction": ["1", "0"]},
      "error [not-solid]: dual face: cone is not solid, its generators have rank 1 in dimension 2"),
+    # A ray limit along no direction, or along one outside the cone: the
+    # direction, and the inequality it violates with their product.
+    ("pklimit", {"name": "p", "cone": "quarter-plane", "direction": ["0", "0"]},
+     "error [membership]: ray limit needs a nonzero direction, got (0, 0)"),
+    ("pklimit", {"name": "p", "cone": "quarter-plane", "direction": ["-1", "1/2"]},
+     "error [membership]: point (-1, 1/2) is not in the cone: inequality (1, 0) gives -1 < 0"),
 ])
 def test_cone_domain_error_carries_numbers(tmp_path, capsys, command, spec, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert main([command, "--in", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == message + "\n"
+
+
+def _blaschke_power_kernel(a, k):
+    """The kernel of b_a^k, b_a(xi) = (s - a)/(s + a) with s = 2 pi i xi, as an
+    expression: sum_j C(k, j) (-2a)^j x^(j-1) e^(-ax) / (j-1)! on x > 0, and the
+    midpoint -k a at x = 0; its symbol winds k times."""
+    from fractions import Fraction
+    from math import comb, factorial
+
+    poly = " + ".join(f"({Fraction(comb(k, j) * (-2 * a) ** j, factorial(j - 1))})*x**{j - 1}"
+                      for j in range(1, k + 1))
+    return f"where(x > 0, ({poly})*exp(-{a}*x), where(x == 0, {-k * a}.0, 0*x))"
+
+
+def test_index1d_range_finder_breakdown_is_index_unresolved(tmp_path, capsys):
+    """The b_2^8 kernel at T = 52: at N = 1024 the section's near-null solve
+    overflows, which is an index-unresolved error naming N, the near-null
+    count, the smallest sigma and sigma_max, not a LinAlgError traceback.
+    The smallest sigma lies at the rounding floor, where its digits depend
+    on the BLAS build, so the expected line takes it from the same
+    factorization of the section."""
+    from conewh.presets import symbol_from_expression
+    from conewh.wiener_hopf import _section, _singular_values
+
+    expr = _blaschke_power_kernel(2, 8)
+    path = tmp_path / "w8.json"
+    path.write_text(json.dumps({"name": "blaschke-w+8", "h": 0.05, "T": 52.0, "N": [512, 1024],
+                                "symbol": {"expr": expr, "dim": 1}}))
+    assert main(["index1d", "--in", str(path), "--out", str(tmp_path / "out")]) == 1
+    sigma = _singular_values(_section(symbol_from_expression(expr, 1, 0.05, 52.0), 1024)[None])[0][0]
+    assert (sigma < 1e-8 * sigma[0]).sum() == 5 and 1.115 < sigma[0] < 1.125
+    assert capsys.readouterr().err == (
+        "error [index-unresolved]: index not resolved at N=1024: the split of the 5 near-zero "
+        "singular values failed (the range finder's solve is not finite); smallest sigma "
+        f"{sigma[-1]:.3g}, sigma_max 1.12\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_input_exit_code(tmp_path, capsys):

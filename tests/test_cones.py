@@ -205,7 +205,8 @@ def test_exposed_face_examples(quarter, simplicial):
 
 
 def test_exposed_face_outside_errors(quarter):
-    with pytest.raises(MembershipError):
+    with pytest.raises(MembershipError, match=r"^point \(-1, 0\) is not in the cone: "
+                                              r"inequality \(1, 0\) gives -1 < 0$"):
         exposed_face(quarter, (-1, 0))
 
 
@@ -275,7 +276,7 @@ def test_project_cone_examples(quarter):
 
 
 def test_project_cone_rank_deficient(quarter):
-    with pytest.raises(RankDeficientError):
+    with pytest.raises(RankDeficientError, match="rank-deficient: 2 vectors of rank 1$"):
         project_cone(quarter, [(1, 0), (2, 0)])
 
 

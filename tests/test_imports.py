@@ -1,6 +1,7 @@
 """Import footprint: each CLI command, run in a fresh interpreter as the
 `conewh` script runs it, loads no SciPy, and runs with SciPy unimportable;
-`import conewh` loads none, and its lazy exports are the submodules' objects.
+`import conewh` loads none, and its lazy exports are the submodules' objects;
+`lattice`, `strata` and `spectrum` load no numpy either.
 """
 
 import json
@@ -54,6 +55,16 @@ def test_command_loads_only_its_scipy_subpackages(tmp_path, command, preset, sci
     argv = [command, "--in", preset, "--out", str(tmp_path), "--seed", "1"]
     loaded = _fresh(f"from conewh.cli import main\nassert main({argv!r}) == 0")
     assert loaded == {"scipy": scipy, "heavy": heavy}
+
+
+@pytest.mark.parametrize("command", ["lattice", "strata", "spectrum"])
+def test_exact_command_loads_no_numpy(tmp_path, command):
+    """The exact commands run on ints and bitmasks: numpy is imported only on
+    the float paths of cli, io, presets and limits."""
+    argv = [command, "--in", "fourgonal-r3", "--out", str(tmp_path)]
+    body = (f"from conewh.cli import main\nassert main({argv!r}) == 0\n"
+            "assert 'numpy' not in sys.modules, sorted(sys.modules)")
+    assert _fresh(body) == {"scipy": False, "heavy": []}
 
 
 def test_commands_and_slice_bodies_run_with_scipy_blocked(tmp_path):

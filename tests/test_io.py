@@ -51,6 +51,22 @@ def test_writer_matches_json_dumps_on_random_objects(seed):
         assert json.loads(dumps_report(obj)) == json.loads(json_dumps_report(obj))
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_line_encoder_writes_the_text_of_json_encoder(monkeypatch, seed):
+    """The one line encoder, built once, and the json.dumps it falls back to
+    without json's C accelerator, write the text JSONEncoder.encode writes."""
+    import conewh.io as io
+
+    rng = random.Random(seed)
+    pool = []
+    objs = [_random_object(rng, pool, rng.randint(1, 6)) for _ in range(5)]
+    encode = json.JSONEncoder(separators=(", ", ": "), allow_nan=False).encode
+    texts = [encode(obj) for obj in objs]
+    assert [io._encode(obj) for obj in objs] == texts
+    monkeypatch.setattr(io, "_LINE", None)
+    assert [io._encode(obj) for obj in objs] == texts
+
+
 def test_shared_objects_at_one_depth_and_across_depths():
     face = {"active_set": [0, 2], "dim": 1, "generators": [["1", "0"]]}
     empty = []

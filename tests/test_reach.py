@@ -29,7 +29,7 @@ GOLDEN = ROOT / "tests" / "golden" / "specs"
 UNREACHED = {
     "__init__": ("__dir__", "__getattr__"),
     "cli": ("_tolerance",),
-    "cones": ("cone_from_inequalities", "project_cone", "relative_dual"),
+    "cones": ("cone_from_inequalities", "project_cone", "relative_dual", "violation"),
     "convex": ("BallBody.__init__", "BallBody.gauge", "BallBody.gauge_normal_set",
                "BallBody.normal_generators", "BallBody.project", "BallBody.support",
                "HPolytopeBody._violation", "HPolytopeBody.active_indices",
@@ -42,7 +42,7 @@ UNREACHED = {
                "gauge_gradient_projection_form", "metric_project", "normal_cone",
                "projection_form_applies", "support"),
     "errors": ("NotDifferentiableError.__init__", "ProjectionError.__init__"),
-    "exact": ("project_onto_span", "solve_linear", "span_basis"),
+    "exact": ("project_onto_span", "solve_linear", "span_basis", "vector_text"),
     "limits": ("SampledSet.points", "pk_liminf", "pk_limsup"),
     "strata": ("order_point", "order_point_hrep", "recover_face_point", "solvable_length"),
     "trivialization": ("_facet_normals",),

@@ -1,5 +1,6 @@
 """Strata, compactification points, ray limits, incidence, spectrum, pk limits."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -105,7 +106,9 @@ def test_order_point_membership(quarter):
     direction = ray.generators[0]
     order_point(ray, direction)
     perp = (direction[1], -direction[0])
-    with pytest.raises(MembershipError):
+    with pytest.raises(MembershipError, match=re.escape(
+            "point (0, -1) is not in the relative dual of the face with active set (0,): "
+            "inequality (0, 1) gives -1 < 0")):
         order_point(ray, perp)
 
 
@@ -144,13 +147,17 @@ def test_recover_examples(quarter):
 
 def test_recover_rejects_non_order_points(quarter):
     # inconsistent offsets: not a translate of a cone
-    with pytest.raises(NotOrderPointError):
+    with pytest.raises(NotOrderPointError, match="its 2 rows and offsets have no common "
+                                                 "solution"):
         recover_face_point(quarter, [(1, 0), (2, 0)], [1, 3])
     # homogeneous part is not a face of the dual lattice
-    with pytest.raises(NotOrderPointError):
+    with pytest.raises(NotOrderPointError, match=re.escape(
+            "its rows generate the cone of (1, 1), no face of the dual cone")):
         recover_face_point(quarter, [(1, 1)], [0])
     # point outside the relative dual
-    with pytest.raises(NotOrderPointError):
+    with pytest.raises(NotOrderPointError, match=re.escape(
+            "its point (-2, 0) of the face's span is not in the relative dual of the face "
+            "with active set (0,): inequality (1, 0) gives -2 < 0")):
         recover_face_point(quarter, [(1, 0)], [-2])
 
 

@@ -879,6 +879,25 @@ def test_split_with_every_value_near_zero_is_unresolved(c, delta_factor):
         _small_singular_split(c, delta_factor, 1e3)
 
 
+def test_linalg_error_in_the_near_null_split_is_unresolved(monkeypatch):
+    """A LinAlgError inside the range finder's split is an index-unresolved
+    error naming N, the near-null count, the smallest sigma and sigma_max."""
+    import conewh.wiener_hopf as wh
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    c = _section(symbol_preset("rational-w+1", 0.05, 52.0), 512)
+    sigma = wh._small_singular_split(c, 1e-8, 1e3)[2]
+    monkeypatch.setattr(wh, "svd", no_convergence)
+    with pytest.raises(IndexUnresolvedError) as info:
+        wh._small_singular_split(c, 1e-8, 1e3)
+    assert str(info.value) == (
+        f"index not resolved at N=512: the split of the 1 near-zero singular values failed "
+        f"(SVD did not converge); smallest sigma {sigma['sigma_min']:.3g}, sigma_max "
+        f"{sigma['sigma_max']:.3g}")
+
+
 def test_twisted_face_sections_factor_by_structure(factorizations):
     """An even kernel gives real symmetric face sections that equal their
     reversal, factored by two half-order eigvalsh, each on the stack of a
