@@ -18,10 +18,14 @@ values-only SVD otherwise; sigma = |lambda|.  Generators are factored in
 stacks, one numpy call per structure class, which runs LAPACK once per
 matrix; a single section is a stack of one.  Each branch hands LAPACK
 strided views of c, so the work copy LAPACK makes is the only N x N array
-alive while it factors.  The index pipeline adds one solve, against the same
-view, only for a section with near-null singular triples, to find their
-vectors, and builds the section once, after that solve, for the product
-that pairs them.  Real kernel samples are factored in real arithmetic.
+alive while it factors.  The index pipeline finds the vectors of a section's
+near-null singular triples, if it has any, in one of two ways.  A triangular
+section (c zero at every negative lag, or at every positive one: a one-sided
+kernel) takes a blocked substitution over 64-row windows of it, and the
+product that pairs the vectors reads the same windows, so no N x N array is
+made.  Any other section takes one solve, against the same view, and is
+built once, after that solve, for the pairing product.  Real kernel samples
+are factored in real arithmetic.
 
 All of it runs on numpy.linalg, so the module loads no SciPy and every
 factorization runs on one BLAS.  SciPy bundles a second OpenBLAS whose
@@ -66,6 +70,7 @@ _ZERO_TOL = 1e-8          # winding: a zero at |curve| <= _ZERO_TOL * max(|curve
 _DELTA_FACTOR = 1e-8      # near-null singular values: below _DELTA_FACTOR * sigma_max
 _GAP_RATIO = 1e3          # least gap above the near-null values that resolves an index
 _STABILITY_RATIO = 0.5    # stable face row: sigma_min(n2) >= _STABILITY_RATIO * sigma_min(n1)
+_BLOCK = 64               # rows per window of a triangular section's substitution
 
 
 @dataclass
@@ -246,7 +251,7 @@ def symbol_curve(symbol: SymbolGrid):
     """1 + fhat along the frozen orientation (xi decreasing), compactified
     by the value 1 at the point at infinity."""
     if symbol.dim != 1:
-        raise DimensionMismatchError("symbol curve is 1-D only")
+        raise DimensionMismatchError(f"symbol curve is 1-D only, got a {symbol.dim}-D one")
     vals = 1.0 + symbol.fhat[::-1]
     return np.concatenate([[1.0 + 0j], vals, [1.0 + 0j]])
 
@@ -350,6 +355,52 @@ def _shifted_solve(A, B, smax):
         return solve(A, B)
 
 
+def _lower_generator(c):
+    """(g, reverse) for a triangular section W[i, j] = c[N - 1 + i - j] with a
+    nonzero diagonal, read off c in O(N): W is lower triangular when c
+    vanishes at every negative lag (a kernel on x >= 0), g = c and W is the
+    section L of g; W is upper triangular when c vanishes at every positive
+    lag, g = c reversed and W = J L J.  None for any other c, and for a zero
+    diagonal: W is then exactly singular, and keeps _shifted_solve."""
+    N = (len(c) + 1) // 2
+    if c[N - 1] != 0:
+        if not c[:N - 1].any():
+            return c, False
+        if not c[N:].any():
+            return c[::-1], True
+    return None
+
+
+def _row_windows(g):
+    """(lo, hi, L[lo:hi, :hi]) for each window of _BLOCK rows of the lower
+    triangular section L of the generator g, top first.  L is Toeplitz, so
+    each window is the trailing columns of its last rows: one contiguous
+    copy of the last _BLOCK rows of _toeplitz_view(g) holds them all, as
+    slices BLAS reads in place."""
+    N = (len(g) + 1) // 2
+    b = min(_BLOCK, N)
+    last = np.ascontiguousarray(_toeplitz_view(g)[N - b:])
+    windows = []
+    for lo in range(0, N, b):
+        hi = min(lo + b, N)
+        windows.append((lo, hi, last[b - (hi - lo):, N - hi:]))
+    return windows
+
+
+def _substitute(windows, B):
+    """L^-1 B by blocked forward substitution over the row windows of L: each
+    window subtracts its product with the solved rows above, then solves its
+    diagonal block (LU with partial pivoting, _BLOCK rows).  A window that is
+    not finite raises LinAlgError at once, before it feeds the next."""
+    X = np.empty(B.shape, np.result_type(windows[0][2], B))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, rows in windows:
+            X[lo:hi] = solve(rows[:, lo:], B[lo:hi] - rows[:, :lo] @ X[:lo])
+            if not np.isfinite(X[lo:hi]).all():
+                raise LinAlgError("the range finder's solve is not finite")
+    return X
+
+
 def _near_null_pairs(W, S, flip, k, smax, c=None):
     """Paired left and right vectors (U, V) of the k smallest singular triples
     of W, by an oversampled range finder (Halko, Martinsson & Tropp, SIAM
@@ -357,21 +408,39 @@ def _near_null_pairs(W, S, flip, k, smax, c=None):
     k + 8 seeded columns each, which the gap above the k near-null values
     makes dominant; the SVD of the projected U^H W V pairs the k smallest.
 
-    With W = S P for the Hermitian form S of _singular_values (P = I or J,
-    J = J^-1), W^-1 = P S^-1 and W^-H = S^-1 P, so both blocks come from one
-    solve against S (P times a seeded block is another seeded block).  A
-    section with no Hermitian form solves W, and W^T for the conjugate of U:
-    the seeds are real, so W^H x = b is the conjugate of W^T conj(x) = b,
-    and W is copied only by LAPACK.  At N = 1024 the one solve of 2 (k + 8)
-    columns takes 26 ms, a third of the eigvalsh before it (2-core Xeon,
-    OpenBLAS on two threads).  The product reads W, or for a generator c its
-    contiguous section _toeplitz(c), which numpy hands to BLAS (37 times
-    faster than a reversed view at N = 512); it is built only after the solve
-    has returned, so that it and LAPACK's work copy are never alive at once."""
+    A triangular section (_lower_generator: a one-sided kernel) gets both
+    blocks from one blocked forward substitution of its lower triangular
+    form L (_substitute), and the product from the same row windows of L:
+    no N x N array and no LAPACK call of order N.  A Toeplitz W satisfies
+    W^H = J conj(W) J, so W^-H applied to real seeds is J conj(W^-1 J seeds),
+    and W = J L J turns each block into one against L by row reversals.  At
+    N = 1024 this whole pairing of a rational section takes 3 ms, against
+    23 ms with the solve of an N x N LU and the section built for the product
+    (2-core Xeon, OpenBLAS on two threads).
+
+    Any other W comes from a solve.  With W = S P for the Hermitian form S of
+    _singular_values (P = I or J, J = J^-1), W^-1 = P S^-1 and
+    W^-H = S^-1 P, so both blocks come from one solve against S (P times a
+    seeded block is another seeded block).  A section with no Hermitian form
+    solves W, and W^T for the conjugate of U: the seeds are real, so
+    W^H x = b is the conjugate of W^T conj(x) = b, and W is copied only by
+    LAPACK.  The product reads W, or for a generator c its contiguous section
+    _toeplitz(c), which numpy hands to BLAS (37 times faster than a reversed
+    view at N = 512); it is built only after the solve has returned, so that
+    it and LAPACK's work copy are never alive at once."""
     N = len(W if S is None else S)
     m = min(k + 8, N)
     seeds = np.random.default_rng(0).standard_normal((N, 2 * m))
-    if S is None:
+    lower = None if c is None else _lower_generator(c)
+    if lower is not None:
+        g, reverse = lower
+        windows = _row_windows(g)
+        B = np.concatenate([seeds[:, :m], seeds[::-1, m:]], axis=1)
+        X = _substitute(windows, B[::-1] if reverse else B)
+        V, U = X[:, :m], X[::-1, m:].conj()
+        if reverse:
+            V, U = V[::-1], U[::-1]
+    elif S is None:
         V = _shifted_solve(W, seeds[:, :m], smax)
         U = _shifted_solve(W.T, seeds[:, m:], smax).conj()
     else:
@@ -382,7 +451,13 @@ def _near_null_pairs(W, S, flip, k, smax, c=None):
     if not (np.isfinite(U).all() and np.isfinite(V).all()):
         raise LinAlgError("the range finder's solve is not finite")
     U, V = qr(U)[0], qr(V)[0]
-    P, _, Qh = svd(U.conj().T @ (W if c is None else _toeplitz(c)) @ V)
+    if lower is None:
+        product = U.conj().T @ (W if c is None else _toeplitz(c)) @ V
+    else:
+        VL = np.ascontiguousarray(V[::-1]) if reverse else V      # W V = J L J V
+        WV = np.concatenate([rows @ VL[:hi] for _, hi, rows in windows])
+        product = U.conj().T @ (WV[::-1] if reverse else WV)
+    P, _, Qh = svd(product)
     return U @ P[:, -k:], V @ Qh[-k:].conj().T
 
 
@@ -397,9 +472,11 @@ def _small_singular_split(c, delta_factor, gap_ratio):
 def _split_form(sigma, W, S, flip, delta_factor, gap_ratio, c=None):
     """(dim_ker, dim_coker, diag) of a section from (sigma, W, S, flip) as
     _singular_values gives them for the stack of one c[None], unstacked, or
-    as an assembled section W gives them with c None.  The near-null solve of
-    a real even c runs against the Toeplitz view of c, its own Hermitian form;
-    the pairing product of a generator reads its section, built by _toeplitz.
+    as an assembled section W gives them with c None.  A triangular c takes
+    the substitution of _near_null_pairs.  The near-null solve of any other
+    real even c runs against the Toeplitz view of c, its own Hermitian form;
+    the pairing product of such a generator reads its section, built by
+    _toeplitz.
 
     sigma gives the count k of the singular values below
     delta_factor * sigma_max and the gap above them.  Each of the k near-null
@@ -438,7 +515,8 @@ def numerical_index(symbol: SymbolGrid, truncations=(512, 1024)):
     """Finite-section index dim ker - dim coker, accepted only when the
     kernel/cokernel counts agree at both truncation sizes."""
     if len(truncations) < 2:
-        raise IndexUnresolvedError("need two truncation sizes")
+        raise IndexUnresolvedError(f"need two truncation sizes, got {len(truncations)}: "
+                                    f"{list(truncations)}")
     diags = {N: _small_singular_split(_section(symbol, N), _DELTA_FACTOR, _GAP_RATIO)[2]
              for N in truncations}
     counts = {N: (d["dim_ker"], d["dim_coker"]) for N, d in diags.items()}
@@ -457,7 +535,7 @@ def classical_index(symbol: SymbolGrid, truncations=(512, 1024)) -> FredholmRepo
     from the one factorization per truncation that numerical_index makes.
     """
     if symbol.dim != 1:
-        raise DimensionMismatchError("classical index is 1-D")
+        raise DimensionMismatchError(f"classical index is 1-D, got a {symbol.dim}-D one")
     curve = symbol_curve(symbol)
     symbol_min = float(np.abs(curve).min())
     nonvanishing = symbol_min > _NONVANISHING_TOL
@@ -489,7 +567,8 @@ def _face_axis(face):
     """Axis index of a quarter-plane face, given as the axis 0/1 or "e1"/"e2"."""
     if isinstance(face, (int, str)) and face in _FACE_AXES:
         return _FACE_AXES[face]
-    raise DimensionMismatchError("unsupported face: the axis 0/1 or 'e1'/'e2' only")
+    got = repr(face) if isinstance(face, (int, str)) else f"a {type(face).__name__}"
+    raise DimensionMismatchError(f"unsupported face: the axis 0/1 or 'e1'/'e2' only, got {got}")
 
 
 def _real_product(A, B):
@@ -534,7 +613,7 @@ def face_symbol_twisted(symbol: SymbolGrid, face, y) -> SymbolGrid:
     y along the orthocomplement), exactly on the frequency grid.
     """
     if symbol.dim != 2:
-        raise DimensionMismatchError("face symbol needs a 2-D symbol")
+        raise DimensionMismatchError(f"face symbol needs a 2-D symbol, got a {symbol.dim}-D one")
     axis = _face_axis(face)
     g = _twisted_restrictions(symbol, axis, [y])[:, 0]
     return SymbolGrid(1, symbol.h, symbol.T, symbol.xs, g, *_dft(g, symbol.h),
@@ -568,7 +647,8 @@ def hierarchy_fredholm(symbol: SymbolGrid, truncations=(48, 96), y_values=None,
     truncation are one stack of generators, one call per structure class.
     """
     if symbol.dim != 2:
-        raise DimensionMismatchError("hierarchy report needs a 2-D symbol")
+        raise DimensionMismatchError(f"hierarchy report needs a 2-D symbol, "
+                                     f"got a {symbol.dim}-D one")
     symbol_min = float(min(np.min([np.abs(1.0 + symbol.fhat[i:i + 32]).min()  # no full 1 + fhat
                                    for i in range(0, len(symbol.fhat), 32)]), 1.0))
     nonvanishing = symbol_min > _NONVANISHING_TOL

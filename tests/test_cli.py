@@ -202,6 +202,34 @@ def test_index1d_range_finder_breakdown_is_index_unresolved(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("a", [1, 2])
+@pytest.mark.parametrize("winding", [1, -1, 2, -2, 3, -3, 4, -4])
+def test_blaschke_power_index_agrees_or_is_a_typed_error(tmp_path, capsys, winding, a):
+    """A slice of the index pipeline's map at the default truncations: the
+    kernel of b_a^w (mirrored, x -> -x, for w < 0) at h = 0.05, T = 52,
+    N = 512/1024.  Its sections are triangular, so the near-null vectors of
+    up to 4 triples come from the blocked substitution.  Each case either
+    reports a finite-section index equal to -w, or ends in a domain error
+    with its category: at a = 1 and |w| >= 3 the kernel has not decayed
+    below 1e-8 at T/2, a kernel-window error.  None disagrees silently."""
+    import re
+
+    expr = _blaschke_power_kernel(a, abs(winding))
+    if winding < 0:
+        expr = re.sub(r"\bx\b", "(-x)", expr)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"name": "b", "h": 0.05, "T": 52.0, "N": [512, 1024],
+                                "symbol": {"expr": expr, "dim": 1}}))
+    code = main(["index1d", "--in", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if a == 1 and abs(winding) >= 3:
+        assert code == 1 and err.startswith("error [kernel-window]: kernel not window-compatible")
+        return
+    assert code == 0 and err == ""
+    report = json.loads((tmp_path / "out" / "b_index1d.json").read_text())
+    assert report["winding"] == winding and report["verdict"] == "fredholm"
+    assert report["numerical_index"] == report["index"] == -winding
+
 def test_missing_input_exit_code(tmp_path, capsys):
     code = run(RunConfig("lattice", "no-such-spec", str(tmp_path)))
     assert code == 2

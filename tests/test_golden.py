@@ -48,8 +48,12 @@ reports still hold on one BLAS thread; the index1d ones still do not.
 Two reports of inline expression kernels (specs under golden/specs) pin the
 sampling path byte for byte.  index1d-modulated-rational is the
 e^{3ix}-modulated rational kernel of winding -1, a complex kernel whose
-sections have no Hermitian form, so its near-null pair comes from the solves
-against W and W^T.  hierarchy2d-expr-fine is a real, non-separable kernel
+sections have no Hermitian form; once one-sided kernels moved to blocked
+substitution, its sections, which are triangular, took it.
+index1d-two-sided-rational, the rational kernel of winding +1 (pole scale 2)
+plus 0.3 e^{-pi x^2} at h = 0.05, T = 52, N = 512/1024, keeps a near-null
+pair that comes from a solve: its sections are two-sided, and its report was
+written before the substitution.  hierarchy2d-expr-fine is a real, non-separable kernel
 even in each coordinate on the finest hierarchy grid (h = 0.05, T = 12,
 N = 96/192) with explicit fibre frequencies; like the preset hierarchy2d
 reports it holds on one and on two BLAS threads.  hierarchy2d-expr-mixed,
@@ -63,7 +67,7 @@ realness test for a whole stack moves them to 0.9999999999999974 and
 only the CSV shows that.  At N = 192 its complex rows differ between one
 and two BLAS threads; up to N = 160 they do not, hence N = 128.
 
-All 36 JSON goldens were rewritten once, in whitespace only, when the report
+The 36 JSON goldens of that time were rewritten once, in whitespace only, when the report
 writer moved from the layout of json.dumps(indent=2) to one member per line
 and one line per element of each list member; each parses to the same value
 as before.  The 12 CSV goldens did not change.
@@ -129,6 +133,7 @@ def test_index_report_matches_golden(tmp_path, monkeypatch, command, preset):
 
 @pytest.mark.parametrize("command, name", [
     ("index1d", "index1d-modulated-rational"),
+    ("index1d", "index1d-two-sided-rational"),
     ("hierarchy2d", "hierarchy2d-expr-fine"),
     ("hierarchy2d", "hierarchy2d-expr-mixed"),
 ])

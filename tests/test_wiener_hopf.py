@@ -313,6 +313,28 @@ def test_wh_matrix_errors():
         wh_matrix(S, "quarter-plane", 8)
 
 
+def test_index_and_face_errors_name_what_they_got():
+    """Each domain error of the index and face entry points names the
+    dimension, truncations or face it was given."""
+    S1 = make_symbol(gauss, 1, 0.1, 12.0)
+    S2 = symbol_preset("gauss2d-small", 0.1, 12.0)
+    with pytest.raises(DimensionMismatchError, match="symbol curve is 1-D only, got a 2-D one"):
+        symbol_curve(S2)
+    with pytest.raises(IndexUnresolvedError, match=r"need two truncation sizes, got 1: \[64\]"):
+        numerical_index(S1, truncations=(64,))
+    with pytest.raises(DimensionMismatchError, match="classical index is 1-D, got a 2-D one"):
+        classical_index(S2)
+    with pytest.raises(DimensionMismatchError,
+                       match="the axis 0/1 or 'e1'/'e2' only, got 'e3'"):
+        face_symbol(S2, "e3")
+    with pytest.raises(DimensionMismatchError,
+                       match="face symbol needs a 2-D symbol, got a 1-D one"):
+        face_symbol_twisted(S1, "e1", 0.0)
+    with pytest.raises(DimensionMismatchError,
+                       match="hierarchy report needs a 2-D symbol, got a 1-D one"):
+        hierarchy_fredholm(S1)
+
+
 # -- winding ---------------------------------------------------------------------
 
 
@@ -499,16 +521,31 @@ def _half_orders(calls):
             for p, q in zip(plus, minus, strict=True)]
 
 
+_TWO_SIDED = "where(x > 0, -4*exp(-2*abs(x)), where(x == 0, -2, 0*x)) + 0.3*exp(-pi*x**2)"
+
+
+def _two_sided_symbol(h, modulation=0.0):
+    """The kernel of the index1d-two-sided-rational golden, the rational
+    kernel of winding +1 and pole scale 2 plus a Gaussian, sampled at step h
+    on T = 52: its sections are two-sided, not triangular, so the near-null
+    vectors come from a solve.  Times e^{i m x} for a nonzero modulation m,
+    its sections are complex with no Hermitian form."""
+    from conewh.presets import symbol_from_expression
+
+    expr = f"({_TWO_SIDED})*exp({modulation}j*x)" if modulation else _TWO_SIDED
+    return symbol_from_expression(expr, 1, h, 52.0)
+
+
 def test_classical_index_one_factorization_per_truncation(factorizations):
     """One factorization per truncation, chosen by the section's structure,
-    plus one solve against its Hermitian form only for a section with
-    near-null singular triples; the sigma_min trend of a non-Fredholm symbol
+    plus, for a two-sided section with near-null singular triples, one solve
+    against its Hermitian form; the sigma_min trend of a non-Fredholm symbol
     takes the same one factorization per truncation."""
     # A real Toeplitz section that is not symmetric is persymmetric: its
     # column-reversed form is symmetric and goes to eigvalsh, and the
     # near-null vectors come from one solve against that same form.
     real_flipped, real_solve = ("eigvalsh", np.float64), ("solve", np.float64)
-    S = symbol_preset("rational-w+1", 0.2, 52.0)
+    S = _two_sided_symbol(0.2)
     rep = classical_index(S, truncations=(128, 256))
     assert rep.numerical_index == rep.index == -1
     assert [d["count"] for d in rep.diagnostics["per_truncation"].values()] == [1, 1]
@@ -543,6 +580,25 @@ def test_classical_index_one_factorization_per_truncation(factorizations):
     assert rep.verdict == "non-fredholm"
     assert factorizations == [("eigvalsh", np.float64)] * 4
     assert _half_orders(factorizations) == [(32, 32), (64, 64)]
+
+
+def test_one_sided_index_substitutes_with_no_order_n_factorization(factorizations):
+    """A one-sided kernel gives triangular sections: after the one eigvalsh
+    per truncation, the near-null vectors come from a blocked substitution,
+    one solve of a 64-row diagonal block per window, and then the pairing;
+    nothing of order N is factored, and the counts are the dense oracle's."""
+    S = symbol_preset("rational-w+1", 0.2, 52.0)
+    rep = classical_index(S, truncations=(128, 256))
+    assert rep.numerical_index == rep.index == -1
+    eig, window = ("eigvalsh", np.float64), ("solve", np.float64)
+    assert factorizations == ([eig] + [window] * 2 + _pairing()
+                              + [eig] + [window] * 4 + _pairing())
+    assert [a.shape for (name, _), a in zip(factorizations, factorizations.args)
+            if name == "solve"] == [(64, 64)] * 6
+    for N, d in rep.diagnostics["per_truncation"].items():
+        ref = complex_singular_split(wh_matrix(S, "half-line", N, identity_shift=True))
+        assert (d["count"], d["dim_ker"], d["dim_coker"]) == (
+            ref["count"], ref["dim_ker"], ref["dim_coker"]) == (1, 0, 1)
 
 
 @pytest.mark.parametrize("name", ["rational-w-1", "rational-w+1", "rational-w-2",
@@ -679,9 +735,10 @@ def _dense_split(W, delta_factor, gap_ratio):
 
 @pytest.mark.parametrize("section", _ORACLE_CASES)
 def test_split_matches_complex_oracle(section):
-    """The split (eigvalsh or values-only SVD, plus one solve) agrees with a
-    dense SVD with vectors on the count, the kernel/cokernel attribution and
-    the gap verdict.  A Toeplitz case is a generator and takes the generator
+    """The split (eigvalsh or values-only SVD, plus one solve, or the
+    substitution of a triangular section: the one-sided rational and
+    modulated cases) agrees with a dense SVD with vectors on the count, the
+    kernel/cokernel attribution and the gap verdict.  A Toeplitz case is a generator and takes the generator
     dispatch; the others take the back end through the dense one."""
     from conewh.wiener_hopf import _small_singular_split
 
@@ -1048,17 +1105,17 @@ def test_generator_dispatch_matches_dense_form(factorizations, kind, N):
 
 
 def test_real_section_factors_with_no_section_copy(monkeypatch):
-    """A real section at N = 1024 is factored and solved from views of its
-    generator: numpy holds under a quarter of one N x N array when eigvalsh
-    and the solve start, and at most one N x N array, the section built for
-    the pairing product, when the pairing svd starts.  LAPACK's own work
-    arrays are not traced, so this bounds the module's arrays only."""
+    """A real two-sided section at N = 1024 is factored and solved from views
+    of its generator: numpy holds under a quarter of one N x N array when
+    eigvalsh and the solve start, and at most one N x N array, the section
+    built for the pairing product, when the pairing svd starts.  LAPACK's own
+    work arrays are not traced, so this bounds the module's arrays only."""
     import tracemalloc
 
     import conewh.wiener_hopf as wh
 
     N = 1024
-    c = _seeded_rational_section(-1, N, 39)
+    c = _section(_two_sided_symbol(0.05), N)
     held = []
 
     def traced(name, fn):
@@ -1074,7 +1131,7 @@ def test_real_section_factors_with_no_section_copy(monkeypatch):
         split = wh._small_singular_split(c, 1e-8, 1e3)
     finally:
         tracemalloc.stop()
-    assert split[:2] == (1, 0)
+    assert split[:2] == (0, 1)
     assert [name for name, _ in held] == ["eigvalsh", "solve", "svd"]
     section = N * N * 8
     assert all(size < section / 4 for name, size in held if name != "svd")
@@ -1082,19 +1139,19 @@ def test_real_section_factors_with_no_section_copy(monkeypatch):
 
 
 def test_complex_general_solve_copies_no_section(monkeypatch):
-    """A complex section with no Hermitian form (an e^{3ix}-modulated rational
-    section at N = 1024) is solved against W and against W^T, whose solution
-    is the conjugate of W^-H applied to the real seeds: numpy's traced peak
-    from the start of the near-null pairing to its first qr stays under an
-    eighth of one complex N x N array (a stacked copy of W and W^H held
-    three), and both blocks equal that stacked solve's to the last bit (a
-    zero imaginary part may change sign under the conjugation)."""
+    """A complex section with no Hermitian form (the e^{3ix}-modulated
+    two-sided section at N = 1024) is solved against W and against W^T,
+    whose solution is the conjugate of W^-H applied to the real seeds:
+    numpy's traced peak from the start of the near-null pairing to its first
+    qr stays under an eighth of one complex N x N array (a stacked copy of W
+    and W^H held three), and both blocks equal that stacked solve's to the
+    last bit (a zero imaginary part may change sign under the conjugation)."""
     import tracemalloc
 
     import conewh.wiener_hopf as wh
 
     N = 1024
-    c = _seeded_rational_section(-1, N, 49, modulation=3.0)
+    c = _section(_two_sided_symbol(0.05, 3.0), N)
     near_null_pairs, qr = wh._near_null_pairs, wh.qr
     blocks, peaks = [], []
 
@@ -1113,7 +1170,7 @@ def test_complex_general_solve_copies_no_section(monkeypatch):
 
     monkeypatch.setattr(wh, "_near_null_pairs", traced_pairs)
     monkeypatch.setattr(wh, "qr", traced_qr)
-    assert wh._small_singular_split(c, 1e-8, 1e3)[:2] == (1, 0)
+    assert wh._small_singular_split(c, 1e-8, 1e3)[:2] == (0, 1)
     W = _toeplitz(c)
     assert W.dtype == np.complex128 and not np.array_equal(W, W.T.conj())
     U, V = blocks
@@ -1123,6 +1180,93 @@ def test_complex_general_solve_copies_no_section(monkeypatch):
                                    np.stack([seeds[:, :m], seeds[:, m:]]))
     assert _same_bits(V, ref_V) and np.array_equal(U, ref_U)
     assert peaks[0] < N * N * 16 / 8
+
+
+@pytest.mark.parametrize("modulation", [pytest.param(0.0, id="real"),
+                                        pytest.param(3.0, id="complex")])
+def test_one_sided_split_holds_no_section(factorizations, modulation):
+    """A one-sided section at N = 1024 (a rational kernel of winding -1, real,
+    or e^{3ix}-modulated, with no Hermitian form) is triangular: after the
+    factorization of its singular values, its split solves only 64-row
+    diagonal blocks and factors only the k + 8 columns of the pairing, and
+    numpy's traced peak over the whole split stays under half of one real
+    N x N array.  The counts are the dense oracle's."""
+    import tracemalloc
+
+    from conewh.wiener_hopf import _small_singular_split
+
+    N = 1024
+    c = _seeded_rational_section(-1, N, 39, modulation)
+    tracemalloc.start()
+    try:
+        split = _small_singular_split(c, 1e-8, 1e3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dtype = np.complex128 if modulation else np.float64
+    assert factorizations == ([("svdvals" if modulation else "eigvalsh", dtype)]
+                              + [("solve", dtype)] * (N // 64) + _pairing(dtype))
+    assert [a.shape for a in factorizations.args[1:]] == (
+        [(64, 64)] * (N // 64) + [(N, 9)] * 2 + [(9, 9)])
+    assert peak < N * N * 8 / 2
+    ref = complex_singular_split(_toeplitz(c))
+    assert split[:2] == (ref["dim_ker"], ref["dim_coker"]) == (1, 0)
+
+
+@pytest.mark.parametrize("N", [1, 2, 63, 64, 65, 200])
+@pytest.mark.parametrize("side", ["lower", "upper"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_triangular_section_windows_and_substitution(factorizations, N, side, dtype):
+    """The triangle is read off the generator: a lower triangular section is
+    its own L, an upper one is J L J with L from the reversed generator, and
+    a zero diagonal or a two-sided generator takes no substitution.  The row
+    windows are the blocks L[lo:hi, :hi], and the substitution solves
+    L X = B with one solve of order at most 64 per window."""
+    from conewh.wiener_hopf import _lower_generator, _row_windows, _substitute
+
+    rng = np.random.default_rng(100 + N)
+    g = 0.3 * rng.standard_normal(2 * N - 1) * np.exp(-np.abs(np.arange(1 - N, N)) / 2)
+    if dtype is np.complex128:
+        g = g + 0.3j * rng.standard_normal(2 * N - 1) * np.exp(-np.abs(np.arange(1 - N, N)) / 2)
+    g[:N - 1] = 0
+    g[N - 1] = 2.0
+    c = g if side == "lower" else g[::-1]
+    L, reverse = _lower_generator(c)
+    assert reverse == (side == "upper" and N > 1) and _same_bits(L, g)
+    # two_sided: c with lags -N and N set to 1, a generator of order N + 1
+    singular, two_sided = c.copy(), np.r_[0.0, c, 0.0] + np.r_[1.0, 0 * c, 1.0]
+    singular[N - 1] = 0
+    assert _lower_generator(singular) is None and _lower_generator(two_sided) is None
+    W = _toeplitz(g)
+    windows = _row_windows(g)
+    assert [(lo, hi) for lo, hi, _ in windows] == [(lo, min(lo + 64, N)) for lo in range(0, N, 64)]
+    assert all(_same_bits(rows, W[lo:hi, :hi]) for lo, hi, rows in windows)
+    B = rng.standard_normal((N, 5))
+    X = _substitute(windows, B)
+    assert factorizations == [("solve", dtype)] * len(windows)
+    assert all(len(a) <= 64 for a in factorizations.args)
+    assert np.allclose(X, np.linalg.solve(W, B), rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("growth, solved", [(1e200, 1), (1e4, 2)])
+def test_substitution_that_overflows_stops_at_its_window(factorizations, growth, solved):
+    """L^-1 B grows by a factor growth per row: the first window whose
+    solution is not finite (here the first at 1e200 per row; the second at
+    1e4, 1e4^63 being finite) raises LinAlgError, with no RuntimeWarning, and
+    no later window is solved.  The overflow may come inside the window's
+    own solve, where numpy raises its LinAlgError."""
+    import warnings
+
+    from conewh.wiener_hopf import _row_windows, _substitute
+
+    N = 200
+    g = np.zeros(2 * N - 1)
+    g[N - 1], g[N] = 1.0, -growth
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            _substitute(_row_windows(g), np.ones((N, 3)))
+    assert factorizations == [("solve", np.float64)] * solved
 
 _INDEX_PRESETS = ["rational-w-1", "rational-w+1", "rational-w-2", "rational-w+2",
                   "gauss-small", "singular-zero", "zero"]
@@ -1340,7 +1484,7 @@ def test_face_symbol_unsupported_orientation(g2d, quarter):
     from conewh.cones import exposed_face
 
     diag = exposed_face(quarter, (1, 1))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match="'e1'/'e2' only, got a Face$"):
         face_symbol(g2d, diag)
 
 
