@@ -76,14 +76,13 @@ class Incidence:
 class PolyhedralCone:
     """Dual pair of canonical representations of a closed convex cone in Q^n.
 
-    A cone built by this module carries the incidence of its pair; it takes
-    no part in comparisons.  A pair built by hand has none, and face_lattice
-    finds it by one DD of the generators."""
+    Every cone carries the incidence of its pair, as the DD that built it
+    found it; it takes no part in comparisons."""
 
     ambient_dim: int
-    generators: tuple = ()
-    inequalities: tuple = ()
-    incidence: Incidence = field(default=None, compare=False, repr=False)
+    generators: tuple
+    inequalities: tuple
+    incidence: Incidence = field(compare=False, repr=False)
 
     def contains(self, x) -> bool:
         x = rvec(x)
@@ -280,22 +279,18 @@ def cone_from_inequalities(rows, ambient_dim=None) -> PolyhedralCone:
 
 def dual_cone(cone: PolyhedralCone) -> PolyhedralCone:
     """C* = {y : <y, x> >= 0 for all x in C}; a swap of the two representations."""
-    incidence = None if cone.incidence is None else cone.incidence.dual()
-    return PolyhedralCone(cone.ambient_dim, cone.inequalities, cone.generators, incidence)
+    return PolyhedralCone(cone.ambient_dim, cone.inequalities, cone.generators,
+                          cone.incidence.dual())
 
 
 def is_pointed(cone: PolyhedralCone) -> bool:
     """No line in the cone: the inequality normals have full rank."""
-    if cone.incidence is not None:
-        return cone.incidence.pointed
-    return rank(list(cone.inequalities)) == cone.ambient_dim
+    return cone.incidence.pointed
 
 
 def is_solid(cone: PolyhedralCone) -> bool:
     """The generators span the ambient space."""
-    if cone.incidence is not None:
-        return cone.incidence.solid
-    return rank(list(cone.generators)) == cone.ambient_dim
+    return cone.incidence.solid
 
 
 def _reindexed(incidence, gens, ineqs, new_gens, new_ineqs):
@@ -308,28 +303,12 @@ def _reindexed(incidence, gens, ineqs, new_gens, new_ineqs):
     return Incidence.from_generators(masks, len(new_ineqs), incidence.pointed, incidence.solid)
 
 
-def _incidence(cone):
-    """The incidence of the cone's pair: the one it carries, or for a pair
-    built by hand, that of one DD of its generators, matched to its rows;
-    a pair that DD does not give back is not canonical, a ValueError."""
-    if cone.incidence is not None:
-        return cone.incidence
-    vecs = _validate_rows(cone.generators, cone.ambient_dim, "generators")[0]
-    gens, ineqs, incidence = _dual_pair(vecs, cone.ambient_dim)
-    if set(gens) != set(cone.generators) or set(ineqs) != set(cone.inequalities):
-        raise ValueError(f"not a canonical dual pair: its {len(cone.generators)} generators "
-                         f"span a cone with {len(gens)} generators and {len(ineqs)} "
-                         f"inequalities, against {len(cone.inequalities)} given")
-    return _reindexed(incidence, gens, ineqs, cone.generators, cone.inequalities)
-
-
 def negate_cone(cone: PolyhedralCone) -> PolyhedralCone:
     gens = [vneg(g) for g in cone.generators]
     ineqs = [vneg(a) for a in cone.inequalities]
     new_gens, new_ineqs = _dedupe_sorted(gens), _dedupe_sorted(ineqs)
-    incidence = None if cone.incidence is None else _reindexed(
-        cone.incidence, gens, ineqs, new_gens, new_ineqs)
-    return PolyhedralCone(cone.ambient_dim, new_gens, new_ineqs, incidence)
+    return PolyhedralCone(cone.ambient_dim, new_gens, new_ineqs,
+                          _reindexed(cone.incidence, gens, ineqs, new_gens, new_ineqs))
 
 
 def face_as_cone(face: Face) -> PolyhedralCone:
@@ -378,8 +357,7 @@ def face_lattice(cone: PolyhedralCone) -> FaceLattice:
     require_pointed(cone, "face lattice")
     m = len(cone.inequalities)
     full = (1 << m) - 1
-    incidence = _incidence(cone)
-    zero_patterns, on_facet = incidence.by_generator, incidence.by_inequality
+    zero_patterns, on_facet = cone.incidence.by_generator, cone.incidence.by_inequality
     every = (1 << len(zero_patterns)) - 1
 
     # Breadth-first from the bottom face: each face's covers are its minimal

@@ -19,13 +19,15 @@ stacks, one numpy call per structure class, which runs LAPACK once per
 matrix; a single section is a stack of one.  Each branch hands LAPACK
 strided views of c, so the work copy LAPACK makes is the only N x N array
 alive while it factors.  The index pipeline finds the vectors of a section's
-near-null singular triples, if it has any, in one of two ways.  A triangular
-section (c zero at every negative lag, or at every positive one: a one-sided
-kernel) takes a blocked substitution over 64-row windows of it, and the
-product that pairs the vectors reads the same windows, so no N x N array is
-made.  Any other section takes one solve, against the same view, and is
-built once, after that solve, for the pairing product.  Real kernel samples
-are factored in real arithmetic.
+near-null singular triples, if it has any, from one block W^-1 [s1 | J s2]
+of seeded columns, which gives both sides because a Toeplitz W is
+persymmetric (W^T = J W J).  A triangular section (c zero at every negative
+lag, or at every positive one: a one-sided kernel) takes that block by a
+blocked substitution over 64-row windows of it, and the product that pairs
+the vectors reads the same windows, so no N x N array is made.  Any other
+section takes it by one solve against the strided view of c, and is built
+once, after that solve, for the pairing product.  Real kernel samples are
+factored in real arithmetic.
 
 All of it runs on numpy.linalg, so the module loads no SciPy and every
 factorization runs on one BLAS.  SciPy bundles a second OpenBLAS whose
@@ -304,13 +306,9 @@ def _centrosymmetric_block(C, sign):
 
 
 def _singular_values(C):
-    """(sigma, forms) of the sections W[i, j] = c[N - 1 + i - j] of a stack C
-    (m, 2N - 1) of 1-D generators c (one c is the stack c[None]): sigma
-    (m, N), each section's singular values, descending, and per structure
-    class present (rows, W, S, flip): its row mask, its sections W as views of
-    C (None for a real class), and their Hermitian forms S = W P as views of
-    C, P = J (columns reversed) when flip, else I (None when W has none, or
-    for real even c).
+    """The singular values sigma (m, N), descending, of the sections
+    W[i, j] = c[N - 1 + i - j] of a stack C (m, 2N - 1) of 1-D generators c
+    (one c is the stack c[None]).
 
     Realness and class are read off each generator by O(N) tests, realness as
     _generator decides it for one generator:
@@ -319,30 +317,31 @@ def _singular_values(C):
         against 77 ms for one eigvalsh of full order at N = 1024, 1.1
         against 2.0 ms at N = 192 (2-core Xeon, OpenBLAS on two threads);
       * c real (J W J = W^T, so W J is symmetric): eigvalsh of the Hankel
-        matrix S = W J, S[i, j] = c[i + j], the length-N windows of c;
+        matrix W J, whose entries c[i + j] are the length-N windows of c;
       * c conjugate-even (W Hermitian): eigvalsh of W;
       * otherwise a values-only SVD of W.
-    Each class is one stacked call (per block: the + block is freed before
-    the - block is built); numpy runs LAPACK once per matrix of a stack, so
-    each row gets the bits of a call on it alone, and LAPACK's work copy of
-    one matrix, 8 MB at N = 1024, is the only N x N array.  sigma = |lambda|."""
+    Each class is one stacked call on views of C (per block: the + block is
+    freed before the - block is built); numpy runs LAPACK once per matrix of
+    a stack, so each row gets the bits of a call on it alone, and LAPACK's
+    work copy of one matrix, 8 MB at N = 1024, is the only N x N array.
+    sigma = |lambda|."""
     m, N = len(C), (C.shape[-1] + 1) // 2
     real, mirror = ~C.imag.any(axis=-1), np.equal(C, C[:, ::-1].conj()).all(axis=-1)
-    sigma, forms = np.empty((m, N)), []
+    sigma = np.empty((m, N))
     for is_real, is_mirror in ((True, True), (True, False), (False, True), (False, False)):
         rows = (real == is_real) & (mirror == is_mirror)
         if rows.any():
             c = C if rows.all() else C[rows]
-            W = None if is_real else sliding_window_view(c[:, ::-1], N, axis=-1)[:, ::-1]
-            S = W if is_mirror else sliding_window_view(c.real, N, axis=-1) if is_real else None
             if is_real and is_mirror:
                 lam = np.concatenate([eigvalsh(_centrosymmetric_block(c.real, sign))
                                       for sign in (1, -1)], axis=-1)
+            elif is_real:
+                lam = eigvalsh(sliding_window_view(c.real, N, axis=-1))
             else:
-                lam = None if S is None else eigvalsh(S)
+                W = sliding_window_view(c[:, ::-1], N, axis=-1)[:, ::-1]
+                lam = eigvalsh(W) if is_mirror else None
             sigma[rows] = svdvals(W) if lam is None else np.sort(np.abs(lam), axis=-1)[:, ::-1]
-            forms.append((rows, W, S, is_real and not is_mirror))
-    return sigma, forms
+    return sigma
 
 
 def _shifted_solve(A, B, smax):
@@ -391,68 +390,64 @@ def _substitute(windows, B):
     """L^-1 B by blocked forward substitution over the row windows of L: each
     window subtracts its product with the solved rows above, then solves its
     diagonal block (LU with partial pivoting, _BLOCK rows).  A window that is
-    not finite raises LinAlgError at once, before it feeds the next."""
+    not finite raises LinAlgError at once, before it feeds the next; so does
+    one whose own solve overflows, which numpy reports as a singular matrix,
+    though the diagonal blocks of L, with its nonzero diagonal, are not."""
     X = np.empty(B.shape, np.result_type(windows[0][2], B))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi, rows in windows:
-            X[lo:hi] = solve(rows[:, lo:], B[lo:hi] - rows[:, :lo] @ X[:lo])
-            if not np.isfinite(X[lo:hi]).all():
+            try:
+                X[lo:hi] = solve(rows[:, lo:], B[lo:hi] - rows[:, :lo] @ X[:lo])
+                finite = np.isfinite(X[lo:hi]).all()
+            except LinAlgError:
+                finite = False
+            if not finite:
                 raise LinAlgError("the range finder's solve is not finite")
     return X
 
 
-def _near_null_pairs(W, S, flip, k, smax, c=None):
+def _near_null_pairs(c, k, smax):
     """Paired left and right vectors (U, V) of the k smallest singular triples
-    of W, by an oversampled range finder (Halko, Martinsson & Tropp, SIAM
-    Review 53, 2011): V spans W^-1 and U spans W^-H applied to
-    k + 8 seeded columns each, which the gap above the k near-null values
-    makes dominant; the SVD of the projected U^H W V pairs the k smallest.
+    of the section W of the generator c, by an oversampled range finder
+    (Halko, Martinsson & Tropp, SIAM Review 53, 2011): V spans W^-1 and U
+    spans W^-H applied to k + 8 seeded columns each, which the gap above the
+    k near-null values makes dominant; the SVD of the projected U^H W V pairs
+    the k smallest.
 
-    A triangular section (_lower_generator: a one-sided kernel) gets both
-    blocks from one blocked forward substitution of its lower triangular
-    form L (_substitute), and the product from the same row windows of L:
-    no N x N array and no LAPACK call of order N.  A Toeplitz W satisfies
-    W^H = J conj(W) J, so W^-H applied to real seeds is J conj(W^-1 J seeds),
-    and W = J L J turns each block into one against L by row reversals.  At
-    N = 1024 this whole pairing of a rational section takes 3 ms, against
-    23 ms with the solve of an N x N LU and the section built for the product
-    (2-core Xeon, OpenBLAS on two threads).
-
-    Any other W comes from a solve.  With W = S P for the Hermitian form S of
-    _singular_values (P = I or J, J = J^-1), W^-1 = P S^-1 and
-    W^-H = S^-1 P, so both blocks come from one solve against S (P times a
-    seeded block is another seeded block).  A section with no Hermitian form
-    solves W, and W^T for the conjugate of U: the seeds are real, so
-    W^H x = b is the conjugate of W^T conj(x) = b, and W is copied only by
-    LAPACK.  The product reads W, or for a generator c its contiguous section
-    _toeplitz(c), which numpy hands to BLAS (37 times faster than a reversed
-    view at N = 512); it is built only after the solve has returned, so that
-    it and LAPACK's work copy are never alive at once."""
-    N = len(W if S is None else S)
+    A Toeplitz W is persymmetric, W^T = J W J (Boettcher & Silbermann, 1999),
+    so W^-H s = J conj(W^-1 J s) for real seeds s: one block
+    X = W^-1 [s1 | J s2] gives V = X[:, :m] and U = J conj(X[:, m:]).  A
+    triangular section (_lower_generator: a one-sided kernel) gets X from one
+    blocked forward substitution of its lower triangular form L
+    (_substitute; W = J L J turns X into one against L by row reversals),
+    and the product from the same row windows of L: no N x N array and no
+    LAPACK call of order N.  At N = 1024 this whole pairing of a rational
+    section takes 3 ms, against 23 ms with the solve of an N x N LU and the
+    section built for the product (2-core Xeon, OpenBLAS on two threads).
+    Any other section takes one solve against _toeplitz_view(c), copied only
+    by LAPACK; the product reads its contiguous section _toeplitz(c), which
+    numpy hands to BLAS (37 times faster than a reversed view at N = 512),
+    built only after the solve has returned, so that it and LAPACK's work
+    copy are never alive at once."""
+    N = (len(c) + 1) // 2
     m = min(k + 8, N)
     seeds = np.random.default_rng(0).standard_normal((N, 2 * m))
-    lower = None if c is None else _lower_generator(c)
-    if lower is not None:
+    B = np.concatenate([seeds[:, :m], seeds[::-1, m:]], axis=1)
+    lower = _lower_generator(c)
+    if lower is None:
+        X = _shifted_solve(_toeplitz_view(c), B, smax)
+    else:
         g, reverse = lower
         windows = _row_windows(g)
-        B = np.concatenate([seeds[:, :m], seeds[::-1, m:]], axis=1)
         X = _substitute(windows, B[::-1] if reverse else B)
-        V, U = X[:, :m], X[::-1, m:].conj()
         if reverse:
-            V, U = V[::-1], U[::-1]
-    elif S is None:
-        V = _shifted_solve(W, seeds[:, :m], smax)
-        U = _shifted_solve(W.T, seeds[:, m:], smax).conj()
-    else:
-        X = _shifted_solve(S, seeds, smax)
-        V, U = X[:, :m], X[:, m:]
-        if flip:
-            V = V[::-1]                                 # W^-1 = J S^-1
+            X = X[::-1]
+    V, U = X[:, :m], X[::-1, m:].conj()
     if not (np.isfinite(U).all() and np.isfinite(V).all()):
         raise LinAlgError("the range finder's solve is not finite")
     U, V = qr(U)[0], qr(V)[0]
     if lower is None:
-        product = U.conj().T @ (W if c is None else _toeplitz(c)) @ V
+        product = U.conj().T @ _toeplitz(c) @ V
     else:
         VL = np.ascontiguousarray(V[::-1]) if reverse else V      # W V = J L J V
         WV = np.concatenate([rows @ VL[:hi] for _, hi, rows in windows])
@@ -461,30 +456,18 @@ def _near_null_pairs(W, S, flip, k, smax, c=None):
     return U @ P[:, -k:], V @ Qh[-k:].conj().T
 
 
-def _small_singular_split(c, delta_factor, gap_ratio):
-    """(dim_ker, dim_coker, diag) of the finite section with generator c: the
-    split of _split_form on the factorization of c[None] by _singular_values."""
-    sigma, [(_, W, S, flip)] = _singular_values(c[None])
-    W, S = (None if a is None else a[0] for a in (W, S))
-    return _split_form(sigma[0], W, S, flip, delta_factor, gap_ratio, c)
+def _split(c, delta_factor, gap_ratio):
+    """(dim_ker, dim_coker, diag) of the finite section with generator c.
 
-
-def _split_form(sigma, W, S, flip, delta_factor, gap_ratio, c=None):
-    """(dim_ker, dim_coker, diag) of a section from (sigma, W, S, flip) as
-    _singular_values gives them for the stack of one c[None], unstacked, or
-    as an assembled section W gives them with c None.  A triangular c takes
-    the substitution of _near_null_pairs.  The near-null solve of any other
-    real even c runs against the Toeplitz view of c, its own Hermitian form;
-    the pairing product of such a generator reads its section, built by
-    _toeplitz.
-
-    sigma gives the count k of the singular values below
-    delta_factor * sigma_max and the gap above them.  Each of the k near-null
-    triples (_near_null_pairs) goes to the kernel when its right vector has at
-    least as much mass on the front half (the origin edge) as its left one,
-    else to the cokernel.  k = N (the zero section, or delta_factor > 1) has
-    nothing above the count: its gap is 0 and the split raises.
+    The singular values sigma of c[None] (_singular_values) give the count k
+    of those below delta_factor * sigma_max and the gap above them.  Each of
+    the k near-null triples (_near_null_pairs) goes to the kernel when its
+    right vector has at least as much mass on the front half (the origin
+    edge) as its left one, else to the cokernel.  k = N (the zero section,
+    or delta_factor > 1) has nothing above the count: its gap is 0 and the
+    split raises.
     """
+    sigma = _singular_values(c[None])[0]
     N = len(sigma)
     smax = sigma[0] if sigma[0] > 0 else 1.0
     k = int(np.sum(sigma < delta_factor * smax))
@@ -495,10 +478,8 @@ def _split_form(sigma, W, S, flip, delta_factor, gap_ratio, c=None):
         if gap < gap_ratio:
             raise IndexUnresolvedError(f"index not resolved at N={N}: gap {gap:.3g} above "
                                        f"{k} near-zero singular values is below {gap_ratio:g}")
-        if W is None and S is None:
-            S = _toeplitz_view(c)
         try:
-            U, V = _near_null_pairs(W, S, flip, k, smax, c)
+            U, V = _near_null_pairs(c, k, smax)
         except LinAlgError as exc:
             raise IndexUnresolvedError(
                 f"index not resolved at N={N}: the split of the {k} near-zero singular "
@@ -517,7 +498,7 @@ def numerical_index(symbol: SymbolGrid, truncations=(512, 1024)):
     if len(truncations) < 2:
         raise IndexUnresolvedError(f"need two truncation sizes, got {len(truncations)}: "
                                     f"{list(truncations)}")
-    diags = {N: _small_singular_split(_section(symbol, N), _DELTA_FACTOR, _GAP_RATIO)[2]
+    diags = {N: _split(_section(symbol, N), _DELTA_FACTOR, _GAP_RATIO)[2]
              for N in truncations}
     counts = {N: (d["dim_ker"], d["dim_coker"]) for N, d in diags.items()}
     if len(set(counts.values())) != 1:
@@ -542,7 +523,7 @@ def classical_index(symbol: SymbolGrid, truncations=(512, 1024)) -> FredholmRepo
     report = FredholmReport(nonvanishing, symbol_min)
     if not nonvanishing:
         report.diagnostics["sigma_min"] = {
-            N: float(_singular_values(_section(symbol, N)[None])[0][0, -1]) for N in truncations}
+            N: float(_singular_values(_section(symbol, N)[None])[0, -1]) for N in truncations}
         report.verdict = "non-fredholm"
         return report
     report.winding = winding_number(curve)
@@ -670,7 +651,7 @@ def hierarchy_fredholm(symbol: SymbolGrid, truncations=(48, 96), y_values=None,
         keys = [g.tobytes() for g in G]
         new = dict.fromkeys(key for key in keys if key not in sigma_min)
         cols = G[[keys.index(key) for key in new]]
-        mins = [_singular_values(_generator(cols, symbol.h, symbol.T, N, True))[0][:, -1].tolist()
+        mins = [_singular_values(_generator(cols, symbol.h, symbol.T, N, True))[:, -1].tolist()
                 for N in truncations]
         sigma_min.update((key, dict(zip(truncations, col))) for key, *col in zip(new, *mins))
         rows = [{"y": float(y), "sigma_min": dict(sigma_min[k])} for y, k in zip(y_values, keys)]

@@ -193,7 +193,7 @@ def test_index1d_range_finder_breakdown_is_index_unresolved(tmp_path, capsys):
     path.write_text(json.dumps({"name": "blaschke-w+8", "h": 0.05, "T": 52.0, "N": [512, 1024],
                                 "symbol": {"expr": expr, "dim": 1}}))
     assert main(["index1d", "--in", str(path), "--out", str(tmp_path / "out")]) == 1
-    sigma = _singular_values(_section(symbol_from_expression(expr, 1, 0.05, 52.0), 1024)[None])[0][0]
+    sigma = _singular_values(_section(symbol_from_expression(expr, 1, 0.05, 52.0), 1024)[None])[0]
     assert (sigma < 1e-8 * sigma[0]).sum() == 5 and 1.115 < sigma[0] < 1.125
     assert capsys.readouterr().err == (
         "error [index-unresolved]: index not resolved at N=1024: the split of the 5 near-zero "

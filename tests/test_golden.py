@@ -53,7 +53,10 @@ substitution, its sections, which are triangular, took it.
 index1d-two-sided-rational, the rational kernel of winding +1 (pole scale 2)
 plus 0.3 e^{-pi x^2} at h = 0.05, T = 52, N = 512/1024, keeps a near-null
 pair that comes from a solve: its sections are two-sided, and its report was
-written before the substitution.  hierarchy2d-expr-fine is a real, non-separable kernel
+written before the substitution.  index1d-two-sided-modulated is that kernel
+times e^{3ix}: its sections are two-sided, complex and not Hermitian, and
+its reports were written while such a section took two solves, against W
+and against W^T, before both blocks came from one.  hierarchy2d-expr-fine is a real, non-separable kernel
 even in each coordinate on the finest hierarchy grid (h = 0.05, T = 12,
 N = 96/192) with explicit fibre frequencies; like the preset hierarchy2d
 reports it holds on one and on two BLAS threads.  hierarchy2d-expr-mixed,
@@ -134,6 +137,7 @@ def test_index_report_matches_golden(tmp_path, monkeypatch, command, preset):
 @pytest.mark.parametrize("command, name", [
     ("index1d", "index1d-modulated-rational"),
     ("index1d", "index1d-two-sided-rational"),
+    ("index1d", "index1d-two-sided-modulated"),
     ("hierarchy2d", "hierarchy2d-expr-fine"),
     ("hierarchy2d", "hierarchy2d-expr-mixed"),
 ])

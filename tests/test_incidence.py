@@ -154,21 +154,6 @@ def test_lineality_cone_generators_from_the_second_dd():
     assert not half_plane.incidence.pointed and half_plane.incidence.solid
 
 
-def test_hand_built_pair_gets_the_incidence_of_one_dd(fourgonal):
-    """A pair built by hand, in any row order, gets its incidence from one DD
-    of its generators; rows that are not the canonical pair are a ValueError."""
-    shuffled = PolyhedralCone(3, fourgonal.generators[::-1], fourgonal.inequalities[1:]
-                              + fourgonal.inequalities[:1])
-    assert shuffled.incidence is None
-    lat = face_lattice(shuffled)
-    oracle = PolyhedralCone(3, shuffled.generators, shuffled.inequalities,
-                            Incidence.from_generators(pairwise_incidence(shuffled), 4, True, True))
-    assert lat == face_lattice(oracle)
-    with pytest.raises(ValueError, match="not a canonical dual pair: its 3 generators span a "
-                                         "cone with 3 generators and 3 inequalities, against 4"):
-        face_lattice(PolyhedralCone(3, fourgonal.generators[:3], fourgonal.inequalities))
-
-
 def test_internal_check_names_the_ray_the_inequality_and_their_product(monkeypatch):
     def bad_pair(vecs, n):
         return [(1, 0)], [(-1, 1), (0, 1)], None

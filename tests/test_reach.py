@@ -97,7 +97,7 @@ def test_unreached_functions_are_the_allowlist(tmp_path):
             calls.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
     runs = list(_runs())
-    assert len(runs) == 37
+    assert len(runs) == 38
     for i, (command, source) in enumerate(runs):
         argv = [command, "--in", source, "--out", str(tmp_path / str(i)), "--seed", "1"]
         sys.setprofile(profile)

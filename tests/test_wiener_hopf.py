@@ -539,11 +539,11 @@ def _two_sided_symbol(h, modulation=0.0):
 def test_classical_index_one_factorization_per_truncation(factorizations):
     """One factorization per truncation, chosen by the section's structure,
     plus, for a two-sided section with near-null singular triples, one solve
-    against its Hermitian form; the sigma_min trend of a non-Fredholm symbol
-    takes the same one factorization per truncation."""
+    against the section, a view of its generator; the sigma_min trend of a
+    non-Fredholm symbol takes the same one factorization per truncation."""
     # A real Toeplitz section that is not symmetric is persymmetric: its
     # column-reversed form is symmetric and goes to eigvalsh, and the
-    # near-null vectors come from one solve against that same form.
+    # near-null vectors of both sides come from one solve against the section.
     real_flipped, real_solve = ("eigvalsh", np.float64), ("solve", np.float64)
     S = _two_sided_symbol(0.2)
     rep = classical_index(S, truncations=(128, 256))
@@ -551,14 +551,14 @@ def test_classical_index_one_factorization_per_truncation(factorizations):
     assert [d["count"] for d in rep.diagnostics["per_truncation"].values()] == [1, 1]
     assert factorizations == ([real_flipped, real_solve] + _pairing()) * 2
     assert factorizations.exactly_hermitian("eigvalsh")
-    assert factorizations.exactly_hermitian("solve")
     for N, eig_arg, solve_arg in zip((128, 256), factorizations.args[::5],
                                      factorizations.args[1::5]):
         W = wh_matrix(S, "half-line", N, identity_shift=True)
         assert not np.array_equal(W, W.T)
         # the index pipeline factors a stack of one section
         assert eig_arg.shape == (1, N, N)
-        assert np.array_equal(eig_arg[0], W[:, ::-1]) and np.array_equal(solve_arg, eig_arg[0])
+        assert np.array_equal(eig_arg[0], W[:, ::-1]) and np.array_equal(solve_arg, W)
+        assert solve_arg.base is not None                   # a view: no section is built
     # k + 8 = 9 seeded columns per side, and the 9 x 9 projection
     assert [a.shape for call, a in zip(factorizations, factorizations.args)
             if call[0] in ("qr", "svd")] == [(128, 9), (128, 9), (9, 9),
@@ -606,13 +606,13 @@ def test_one_sided_index_substitutes_with_no_order_n_factorization(factorization
 def test_real_split_matches_complex_oracle(name):
     """The real-arithmetic split agrees with a dense SVD with vectors of the
     same section."""
-    from conewh.wiener_hopf import _small_singular_split
+    from conewh.wiener_hopf import _split
 
     S = symbol_preset(name, 0.05, 52.0)
     c = _section(S, 512)
     W = wh_matrix(S, "half-line", 512, identity_shift=True)
     assert not W.imag.any() and c.dtype == np.float64
-    dim_ker, dim_coker, diag = _small_singular_split(c, 1e-8, 1e3)
+    dim_ker, dim_coker, diag = _split(c, 1e-8, 1e3)
     ref = complex_singular_split(W)
     assert (diag["count"], dim_ker, dim_coker) == (ref["count"], ref["dim_ker"],
                                                     ref["dim_coker"])
@@ -656,55 +656,55 @@ def _seeded_rational_section(winding, N, seed, modulation=0.0):
     return _section(S, N)
 
 
-def _zero_pivot_section():
-    """The gauss-small section with its rows moved up by one and a zero last
-    row: LU with partial pivoting meets an exactly zero last pivot; the
-    null vector is at the front, the left one is e_N."""
-    W = wh_matrix(symbol_preset("gauss-small", 0.05, 52.0), "half-line", 512,
-                  identity_shift=True)
-    return np.vstack([W[1:], np.zeros(512)])
+def _zero_pivot_section(N=513):
+    """The generator with a zero diagonal, 1 at lag -1 and 2 at lag +1: at odd
+    N its tridiagonal section is exactly singular, and LU with partial
+    pivoting meets one exactly zero pivot.  The null vector grows by -2 every
+    two rows toward the back and the left one decays from the front: one
+    cokernel-type triple at sigma = 0."""
+    c = np.zeros(2 * N - 1)
+    c[N - 2], c[N] = 1.0, 2.0
+    return c
 
 
-def _unresolved_section():
-    """Singular values 1, ..., 1, 1.5e-8, 1e-9 in random bases: the one value
-    below 1e-8 sits under a gap of 15 < 1e3."""
-    rng = np.random.default_rng(3)
-    Q1, _ = np.linalg.qr(rng.standard_normal((64, 64)))
-    Q2, _ = np.linalg.qr(rng.standard_normal((64, 64)))
-    return (Q1 * np.r_[np.ones(62), 1.5e-8, 1e-9]) @ Q2.T
+def _planted_section(l1, l2, l3, modulation=0.0):
+    """The real even generator (c, b, a, b, c) of order N = 3 whose section
+    has the eigenvalues l1, l2 of its + block [[a + c, sqrt 2 b],
+    [sqrt 2 b, a]] and l3 = a - c of its - block (_centrosymmetric_block):
+    the trace and the determinant of the + block fix a and b^2 >= 0.  Times
+    e^{i m lag} for a nonzero modulation m it is conjugate-even, a Hermitian
+    section unitarily similar to the real one.  Near-null values of both
+    signs pair up: rounding mixes their two triples, which moves the front
+    masses of the right and left vectors apart (u = +-v for an exact
+    Hermitian triple)."""
+    a = (l1 + l2 + l3) / 3
+    c = a - l3
+    g = np.array([c, np.sqrt((a * (a + c) - l1 * l2) / 2), a])
+    g = np.concatenate([g, g[-2::-1]])
+    return g * np.exp(1j * modulation * np.arange(-2, 3)) if modulation else g
 
 
 def _kernel_and_cokernel_section():
-    """Two kernel-type triples (right e_0, e_1; left e_63, e_62) and one
-    cokernel-type triple (right e_61, left e_2) with singular values 1e-11,
-    1.1e-11 and 1.2e-11 beside a random orthogonal bulk.  The values are so
-    close that the iterated block still mixes the three triples, so the
-    attribution needs the k x k pairing."""
-    rows = [i for i in range(64) if i not in (2, 62, 63)]
-    cols = [i for i in range(64) if i not in (0, 1, 61)]
-    Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((61, 61)))
-    A = np.zeros((64, 64))
-    A[np.ix_(rows, cols)] = Q
-    A[63, 0], A[62, 1], A[2, 61] = 1e-11, 1.1e-11, 1.2e-11
-    return A
-
-
-def _hermitian_section(near_null, seed, complex_basis):
-    """A section equal to its conjugate transpose, so the split factors it by
-    eigvalsh: eigenvalues +-1 and the planted near-null ones, in a seeded real
-    orthogonal or complex unitary basis.  Near-null values of both signs pair
-    up: rounding mixes their two triples, which moves the front masses of the
-    right and left vectors apart (u = +-v for an exact Hermitian triple)."""
-    rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((64, 64))
-    if complex_basis:
-        Z = Z + 1j * rng.standard_normal((64, 64))
-    Q, _ = np.linalg.qr(Z)
-    lam = np.r_[rng.choice([-1.0, 1.0], 64 - len(near_null)), near_null]
-    A = (Q * lam) @ Q.conj().T
-    A = (A + A.conj().T) / 2
-    assert np.array_equal(A, A.conj().T)
-    return A
+    """A generator of order N = 4 with one kernel-type and one cokernel-type
+    near-null triple, at 1e-11 and 1.2e-11.  A Toeplitz section is
+    persymmetric, so the left vector of a simple triple is +-J times its
+    right one, and the triple is kernel-type iff its right vector has at
+    least half its mass on the front half.  The rank-2 section
+    0.05 * 0.3^(i - j) + 0.1 * 2.5^(i - j) has a 2-dimensional null space;
+    its vectors of most and least front mass (fractions 0.995 and 0.016)
+    are the right vectors of the two triples, planted by the least-norm
+    Toeplitz perturbation E with v^T J E w = 1e-11, 1.2e-11 and 0 on the
+    pairs (v1, v1), (v2, v2) and (v1, v2): J E is Hankel, so each is the
+    dot product of E's generator with the reversed convolution of v and w.
+    Coburn's lemma keeps this mix out of the sections of a Fredholm symbol
+    as N grows; here it is planted at one N."""
+    lags = np.arange(-3, 4)
+    c = 0.05 * 0.3**lags + 0.1 * 2.5**lags
+    null = np.linalg.svd(_toeplitz(c))[2][2:].T
+    front = np.diag([1.0, 1.0, 0.0, 0.0])
+    least, most = (null @ np.linalg.eigh(null.T @ front @ null)[1]).T
+    rows = [np.convolve(v, w)[::-1] for v, w in ((most, most), (least, least), (most, least))]
+    return c + np.linalg.lstsq(np.array(rows), [1e-11, 1.2e-11, 0.0], rcond=None)[0]
 
 
 _ORACLE_CASES = (
@@ -715,22 +715,18 @@ _ORACLE_CASES = (
                     id=f"modulated-w{w:+d}-N512") for w in (-2, -1, 1)]
     + [pytest.param(_kernel_and_cokernel_section, id="kernel-and-cokernel"),
        pytest.param(_zero_pivot_section, id="zero-pivot"),
-       pytest.param(_unresolved_section, id="gap-below-ratio")]
+       pytest.param(lambda: _zero_pivot_section(65), id="zero-pivot-N65"),
+       # 1e-9 under a gap of 15 < 1e3, complex with no Hermitian form (a
+       # phase times a real even generator)
+       pytest.param(lambda: np.exp(0.4j) * _planted_section(1.0, 1.5e-8, 1e-9),
+                    id="gap-below-ratio")]
     # resolved: gap 5e10 above 1e-11 and -2e-11; unresolved: 1.5e-8 sits 3x
-    # above -5e-9 and 2e-9
-    + [pytest.param(lambda v=v, c=c: _hermitian_section(v, 60 + c, c),
-                    id=f"{'hermitian' if c else 'symmetric'}-{case}")
-       for c in (False, True)
-       for case, v in (("resolved", [1e-11, -2e-11]),
-                       ("gap-below-ratio", [1.5e-8, -5e-9, 2e-9]))])
-
-
-def _dense_split(W, delta_factor, gap_ratio):
-    """The count, gap, pairing and attribution back end on a matrix that need
-    not be Toeplitz, through the dense structure dispatch of the oracles."""
-    from conewh.wiener_hopf import _split_form
-
-    return _split_form(*dense_section_form(W), delta_factor, gap_ratio)
+    # above -5e-9
+    + [pytest.param(lambda v=v, m=m: _planted_section(1.0, *v, modulation=m),
+                    id=f"{'hermitian' if m else 'symmetric'}-{case}")
+       for m in (0.0, 0.7)
+       for case, v in (("resolved", (1e-11, -2e-11)),
+                       ("gap-below-ratio", (1.5e-8, -5e-9)))])
 
 
 @pytest.mark.parametrize("section", _ORACLE_CASES)
@@ -738,19 +734,16 @@ def test_split_matches_complex_oracle(section):
     """The split (eigvalsh or values-only SVD, plus one solve, or the
     substitution of a triangular section: the one-sided rational and
     modulated cases) agrees with a dense SVD with vectors on the count, the
-    kernel/cokernel attribution and the gap verdict.  A Toeplitz case is a generator and takes the generator
-    dispatch; the others take the back end through the dense one."""
-    from conewh.wiener_hopf import _small_singular_split
+    kernel/cokernel attribution and the gap verdict."""
+    from conewh.wiener_hopf import _split
 
-    A = section()
-    W = _toeplitz(A) if A.ndim == 1 else A
-    split = _small_singular_split if A.ndim == 1 else _dense_split
-    ref = complex_singular_split(W)
+    c = section()
+    ref = complex_singular_split(_toeplitz(c))
     if ref["gap"] is not None and ref["gap"] < 1e3:
         with pytest.raises(IndexUnresolvedError):
-            split(A, 1e-8, 1e3)
+            _split(c, 1e-8, 1e3)
         return
-    dim_ker, dim_coker, diag = split(A, 1e-8, 1e3)
+    dim_ker, dim_coker, diag = _split(c, 1e-8, 1e3)
     assert (diag["count"], dim_ker, dim_coker) == (ref["count"], ref["dim_ker"],
                                                     ref["dim_coker"])
     assert ("gap" in diag) == (ref["gap"] is not None)
@@ -768,13 +761,11 @@ def test_flipped_section_singular_values_match_dense_svd(factorizations, w, N):
     c = _seeded_rational_section(w, N, 40 + w)
     W = _toeplitz(c)
     assert W.dtype == np.float64 and not np.array_equal(W, W.T)
-    sigma, [(rows, section, form, flip)] = _singular_values(c[None])
-    S = sigma[0]
-    assert factorizations == [("eigvalsh", np.float64)] and rows.tolist() == [True]
+    S = _singular_values(c[None])[0]
+    assert factorizations == [("eigvalsh", np.float64)]
     assert np.array_equal(factorizations.args[0], W[None, :, ::-1])
-    assert flip and form is factorizations.args[0]
     # the Hankel form is a view of the generator, and no section is built
-    assert section is None and np.shares_memory(form, c)
+    assert np.shares_memory(factorizations.args[0], c)
     ref = complex_singular_split(W)
     assert np.abs(S - ref["sigma"]).max() <= N * np.finfo(float).eps * ref["sigma_max"]
     k = int(np.sum(S < 1e-8 * S[0]))
@@ -784,9 +775,12 @@ def test_flipped_section_singular_values_match_dense_svd(factorizations, w, N):
 
 
 def test_real_section_that_is_not_persymmetric_gets_svdvals(factorizations):
-    """eigvalsh reads one triangle only, so a real section equal to neither
-    its transpose nor, column-reversed, its own transpose takes the SVD."""
-    W = _kernel_and_cokernel_section()
+    """eigvalsh reads one triangle only, so in the dense oracle a real matrix
+    equal to neither its transpose nor, column-reversed, its own transpose
+    takes the SVD."""
+    rng = np.random.default_rng(5)
+    Q1, Q2 = (np.linalg.qr(rng.standard_normal((64, 64)))[0] for _ in range(2))
+    W = (Q1 * np.linspace(1.0, 0.1, 64)) @ Q2.T
     assert not np.array_equal(W[:, ::-1], W[:, ::-1].T)
     S, _, form, _ = dense_section_form(W)
     assert factorizations == [("svdvals", np.float64)] and form is None
@@ -811,30 +805,30 @@ def test_centrosymmetric_split_matches_complex_oracle(factorizations, N, shifted
     """A real symmetric Toeplitz section equals its reversal J W J: its
     singular values come from two eigvalsh of orders ceil(N/2) and floor(N/2)
     and agree with a dense SVD to N * eps * sigma_max, with the same
-    near-null count; the near-null vectors come from one solve against W."""
-    from conewh.wiener_hopf import _singular_values, _small_singular_split
+    near-null count; the near-null vectors come from one solve against W, a
+    view of c."""
+    from conewh.wiener_hopf import _singular_values, _split
 
     c = _symmetric_toeplitz(N, 70 + N, shifted)
     W = _toeplitz(c)
     assert np.array_equal(W, W.T) and np.array_equal(W, W[::-1, ::-1])
-    sigma, [(_, section, form, flip)] = _singular_values(c[None])
-    S = sigma[0]
+    S = _singular_values(c[None])[0]
+    # two half-order blocks, and no N x N matrix
     assert factorizations == [("eigvalsh", np.float64)] * 2
     assert factorizations.exactly_hermitian("eigvalsh")
     assert _half_orders(factorizations) == [((N + 1) // 2, N // 2)]
-    # no N x N matrix is built; the Hermitian form is W itself, unflipped
-    assert section is None and form is None and not flip
     ref = complex_singular_split(W)
     assert np.abs(S - ref["sigma"]).max() <= N * np.finfo(float).eps * ref["sigma_max"]
     k = int(np.sum(S < 1e-8 * S[0]))
     assert k == ref["count"] == int(shifted)
     if shifted:
         factorizations.clear()
-        assert _small_singular_split(c, 1e-8, 1e3)[2]["count"] == 1
+        assert _split(c, 1e-8, 1e3)[2]["count"] == 1
         solves = factorizations.args[2:-3]
         assert factorizations[:2] == [("eigvalsh", np.float64)] * 2
         assert factorizations[2:-3] == [("solve", np.float64)] * len(solves)
-        assert np.array_equal(solves[0], W) and factorizations[-3:] == _pairing()
+        assert np.array_equal(solves[0], W) and np.shares_memory(solves[0], c)
+        assert factorizations[-3:] == _pairing()
         # A second solve, shifted, only when W is exactly singular (at N = 3
         # the shift can make the first and last rows equal).
         try:
@@ -863,8 +857,9 @@ def test_complex_hermitian_centrosymmetric_split_matches_complex_oracle(factoriz
 
 
 def test_symmetric_section_that_is_not_persymmetric_skips_the_split(factorizations):
-    """A real symmetric matrix that does not equal its reversal takes one
-    eigvalsh of full order, and its near-null vectors one solve against it."""
+    """In the dense oracle, a real symmetric matrix that does not equal its
+    reversal takes one eigvalsh of full order.  No Toeplitz section is such a
+    matrix: a symmetric one has a real even generator."""
     W = _toeplitz(_symmetric_toeplitz(64, 9, False))
     W[0, 5] = W[5, 0] = W[0, 5] + 0.25
     assert np.array_equal(W, W.T) and not np.array_equal(W, W[::-1, ::-1])
@@ -875,49 +870,51 @@ def test_symmetric_section_that_is_not_persymmetric_skips_the_split(factorizatio
     ref = complex_singular_split(W)
     assert np.abs(S - ref["sigma"]).max() <= 64 * np.finfo(float).eps * ref["sigma_max"]
     assert int(np.sum(S < 1e-8 * S[0])) == ref["count"] == 1
-    factorizations.clear()
-    assert _dense_split(W, 1e-8, 1e3)[2]["count"] == 1
-    assert factorizations == [("eigvalsh", np.float64), ("solve", np.float64)] + _pairing()
-    assert factorizations.args[1] is W
 
 
 def test_exactly_singular_section_is_solved_shifted(factorizations):
-    """The zero-pivot section has no Hermitian form: W and W^T are solved in
-    turn, each meets the exactly zero pivot and is solved once more shifted
-    by eps * sigma_max * I; the split still matches the oracle."""
-    W = _zero_pivot_section()
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(W, np.ones(512))
-    dim_ker, dim_coker, diag = _dense_split(W, 1e-8, 1e3)
-    assert factorizations == ([("svdvals", np.float64)] + [("solve", np.float64)] * 4
-                              + _pairing())
-    plain, shifted, plain_t, shifted_t = factorizations.args[1:5]
-    shift = np.finfo(float).eps * diag["sigma_max"] * np.eye(512)
-    assert np.array_equal(plain, W) and np.array_equal(shifted, W + shift)
-    assert np.array_equal(plain_t, W.T) and np.array_equal(shifted_t, W.T + shift)
-    ref = complex_singular_split(W)
-    assert (diag["count"], dim_ker, dim_coker) == (ref["count"], ref["dim_ker"],
-                                                    ref["dim_coker"]) == (1, 1, 0)
+    """The zero-pivot section is real, with no Hermitian form, and exactly
+    singular at odd N: the one solve against it (a view of its generator)
+    meets the exactly zero pivot and is made once more on a copy shifted by
+    eps * sigma_max * I; the split still matches the oracle."""
+    from conewh.wiener_hopf import _split
+
+    for N in (5, 7, 65, 513):
+        c = _zero_pivot_section(N)
+        W = _toeplitz(c)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(W, np.ones(N))
+        factorizations.clear()
+        dim_ker, dim_coker, diag = _split(c, 1e-8, 1e3)
+        assert factorizations == ([("eigvalsh", np.float64)] + [("solve", np.float64)] * 2
+                                  + _pairing())
+        plain, shifted = factorizations.args[1:3]
+        assert np.array_equal(plain, W) and np.shares_memory(plain, c)
+        assert np.array_equal(shifted, W + np.finfo(float).eps * diag["sigma_max"] * np.eye(N))
+        with np.errstate(divide="ignore"):          # the oracle's gap above an exact zero
+            ref = complex_singular_split(W)
+        assert (diag["count"], dim_ker, dim_coker) == (ref["count"], ref["dim_ker"],
+                                                        ref["dim_coker"]) == (1, 0, 1)
 
 
 def test_zero_pivot_section_is_exactly_singular():
     from scipy.linalg import LinAlgWarning, lu_factor
 
     with pytest.warns(LinAlgWarning):
-        lu, _ = lu_factor(_zero_pivot_section())
+        lu, _ = lu_factor(_toeplitz(_zero_pivot_section()))
     assert np.count_nonzero(lu.diagonal() == 0) == 1
 
 
 def test_modulated_section_is_complex_with_the_real_split():
     """e^{i m x} times the kernel is a diagonal unitary similarity of the real
     section: complex entries, the same count and attribution."""
-    from conewh.wiener_hopf import _small_singular_split
+    from conewh.wiener_hopf import _split
 
     cc = _seeded_rational_section(-1, 512, 7, modulation=3.0)
     cr = _seeded_rational_section(-1, 512, 7)
     assert cc.dtype == np.complex128 and cr.dtype == np.float64
-    split_c = _small_singular_split(cc, 1e-8, 1e3)
-    split_r = _small_singular_split(cr, 1e-8, 1e3)
+    split_c = _split(cc, 1e-8, 1e3)
+    split_r = _split(cr, 1e-8, 1e3)
     assert split_c[:2] == split_r[:2] == (1, 0)
 
 
@@ -930,10 +927,10 @@ def test_split_with_every_value_near_zero_is_unresolved(c, delta_factor):
     """k = N leaves no singular value above the count, so there is no gap to
     resolve the index: the split raises instead of attributing an arbitrary
     basis of the whole space."""
-    from conewh.wiener_hopf import _small_singular_split
+    from conewh.wiener_hopf import _split
 
     with pytest.raises(IndexUnresolvedError, match="gap 0 above"):
-        _small_singular_split(c, delta_factor, 1e3)
+        _split(c, delta_factor, 1e3)
 
 
 def test_linalg_error_in_the_near_null_split_is_unresolved(monkeypatch):
@@ -945,10 +942,10 @@ def test_linalg_error_in_the_near_null_split_is_unresolved(monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     c = _section(symbol_preset("rational-w+1", 0.05, 52.0), 512)
-    sigma = wh._small_singular_split(c, 1e-8, 1e3)[2]
+    sigma = wh._split(c, 1e-8, 1e3)[2]
     monkeypatch.setattr(wh, "svd", no_convergence)
     with pytest.raises(IndexUnresolvedError) as info:
-        wh._small_singular_split(c, 1e-8, 1e3)
+        wh._split(c, 1e-8, 1e3)
     assert str(info.value) == (
         f"index not resolved at N=512: the split of the 1 near-zero singular values failed "
         f"(SVD did not converge); smallest sigma {sigma['sigma_min']:.3g}, sigma_max "
@@ -1028,7 +1025,7 @@ def test_hierarchy_factors_each_distinct_face_column_once(factorizations):
         columns |= {g.tobytes() for g in G.T}
         for r, g in zip(fr["rows"], G.T):
             assert r["sigma_min"] == {N: float(_singular_values(
-                _generator(g, S.h, S.T, N, True)[None])[0][0, -1]) for N in spec["N"]}
+                _generator(g, S.h, S.T, N, True)[None])[0, -1]) for N in spec["N"]}
     assert len(columns) == 6
 
 
@@ -1058,50 +1055,48 @@ def _seeded_generator(kind, N, seed):
 
 @pytest.mark.parametrize("N", [1, 2, 3, 47, 48, 513, 1024])
 @pytest.mark.parametrize("kind", ["real-even", "real", "conjugate-even", "complex-general"])
-def test_generator_dispatch_matches_dense_form(factorizations, kind, N):
-    """The O(N) tests on a generator pick the form that the N x N equality
-    checks pick on its section, and every factorization, the solve and the
-    pairing included, reads the same bits on both paths."""
-    from conewh.wiener_hopf import _singular_values, _small_singular_split, _split_form
+def test_generator_dispatch_matches_dense_form(factorizations, monkeypatch, kind, N):
+    """The O(N) tests on a generator pick the factorization that the N x N
+    equality checks pick on its section, and it reads the same bits on both
+    paths.  Whatever the class, a split with near-null triples then makes
+    exactly one solve of order N, against the section as a view of c, and
+    builds the section only after that solve, for the pairing product."""
+    import conewh.wiener_hopf as wh
 
     c = _seeded_generator(kind, N, 90 + N)
     W = _toeplitz(c)
-    sigma, [(_, section, S, flip)] = _singular_values(c[None])
-    sigma, section, S = sigma[0], *(None if a is None else a[0] for a in (section, S))
-    calls, matrices = list(factorizations), factorizations.matrices()
+    sigma = wh._singular_values(c[None])[0]
+    calls, args, matrices = list(factorizations), list(factorizations.args), factorizations.matrices()
     factorizations.clear()
-    ref_sigma, _, ref_S, ref_flip = dense_section_form(W)
+    ref_sigma = dense_section_form(W)[0]
     assert calls == factorizations and len(matrices) == len(factorizations.matrices())
     assert all(_same_bits(a, b) for a, b in zip(matrices, factorizations.matrices()))
-    assert _same_bits(sigma, ref_sigma) and flip == ref_flip
+    assert _same_bits(sigma, ref_sigma)
     form = kind if N > 1 or kind == "complex-general" else "real-even"
     if form == "real-even":                 # two half-order blocks, no N x N matrix
-        assert section is S is None and ref_S is W
         assert calls == [("eigvalsh", np.float64)] * 2
     else:
-        assert _same_bits(S, ref_S) if S is not None else ref_S is None
-        if form == "real":              # the Hankel form is a view of c; no section
-            assert section is None and np.shares_memory(S, c)
-        else:
-            assert _same_bits(section, W) and np.shares_memory(section, c)
         assert len(calls) == 1 and calls[0][0] == ("svdvals" if form == "complex-general"
                                                    else "eigvalsh")
-    assert flip is (form == "real")
+        # the Hankel form of a real c, else the section: a view of c, no copy
+        assert np.shares_memory(args[0], c)
     # A count that takes the k = min(2, N - 1) smallest values under a gap
-    # ratio of 1, so that both paths solve and pair.
+    # ratio of 1, so that the split solves and pairs.
     k = min(2, N - 1)
     delta_factor = (sigma[-k - 1] + sigma[-k]) / 2 / sigma[0] if k else 1e-8
+    built, toeplitz = [], wh._toeplitz
+    monkeypatch.setattr(wh, "_toeplitz", lambda g: built.append(len(factorizations)) or toeplitz(g))
     factorizations.clear()
-    split = _small_singular_split(c, delta_factor, 1.0)
-    calls, matrices = list(factorizations), factorizations.matrices()
-    factorizations.clear()
-    assert _split_form(*dense_section_form(W), delta_factor, 1.0) == split
+    split = wh._split(c, delta_factor, 1.0)
     assert split[2]["count"] == k
-    assert calls == factorizations and len(matrices) == len(factorizations.matrices())
-    assert all(_same_bits(a, b) for a, b in zip(matrices, factorizations.matrices()))
+    assert factorizations[:len(calls)] == calls
     if k:
-        assert [name for name, _ in calls][-4:] == ["solve", "qr", "qr", "svd"]
-
+        assert [name for name, _ in factorizations[len(calls):]] == ["solve", "qr", "qr", "svd"]
+        solved = factorizations.args[len(calls)]
+        assert _same_bits(solved, W) and np.shares_memory(solved, c)
+        assert built == [len(calls) + 3]        # after the solve and both qr
+    else:
+        assert factorizations == calls and not built
 
 
 def test_real_section_factors_with_no_section_copy(monkeypatch):
@@ -1128,7 +1123,7 @@ def test_real_section_factors_with_no_section_copy(monkeypatch):
         monkeypatch.setattr(wh, name, traced(name, getattr(wh, name)))
     tracemalloc.start()
     try:
-        split = wh._small_singular_split(c, 1e-8, 1e3)
+        split = wh._split(c, 1e-8, 1e3)
     finally:
         tracemalloc.stop()
     assert split[:2] == (0, 1)
@@ -1140,20 +1135,21 @@ def test_real_section_factors_with_no_section_copy(monkeypatch):
 
 def test_complex_general_solve_copies_no_section(monkeypatch):
     """A complex section with no Hermitian form (the e^{3ix}-modulated
-    two-sided section at N = 1024) is solved against W and against W^T,
-    whose solution is the conjugate of W^-H applied to the real seeds:
-    numpy's traced peak from the start of the near-null pairing to its first
-    qr stays under an eighth of one complex N x N array (a stacked copy of W
-    and W^H held three), and both blocks equal that stacked solve's to the
-    last bit (a zero imaginary part may change sign under the conjugation)."""
+    two-sided section at N = 1024) takes both blocks from one solve of order
+    N, against a view of its generator: W is persymmetric, so
+    W^-H s = J conj(W^-1 J s) for real seeds s.  numpy's traced peak from
+    the start of the near-null pairing to its first qr stays under an eighth
+    of one complex N x N array, both blocks equal those of the same solve
+    against the assembled section to the last bit, and the left block is
+    W^-H applied to the seeds, to rounding."""
     import tracemalloc
 
     import conewh.wiener_hopf as wh
 
     N = 1024
     c = _section(_two_sided_symbol(0.05, 3.0), N)
-    near_null_pairs, qr = wh._near_null_pairs, wh.qr
-    blocks, peaks = [], []
+    near_null_pairs, qr, solve = wh._near_null_pairs, wh.qr, wh.solve
+    blocks, peaks, solved = [], [], []
 
     def traced_pairs(*args, **kwargs):
         tracemalloc.start()
@@ -1168,17 +1164,24 @@ def test_complex_general_solve_copies_no_section(monkeypatch):
         blocks.append(a)
         return qr(a, *args, **kwargs)
 
+    def counted_solve(a, b):
+        solved.append(a)
+        return solve(a, b)
+
     monkeypatch.setattr(wh, "_near_null_pairs", traced_pairs)
     monkeypatch.setattr(wh, "qr", traced_qr)
-    assert wh._small_singular_split(c, 1e-8, 1e3)[:2] == (0, 1)
+    monkeypatch.setattr(wh, "solve", counted_solve)
+    assert wh._split(c, 1e-8, 1e3)[:2] == (0, 1)
     W = _toeplitz(c)
     assert W.dtype == np.complex128 and not np.array_equal(W, W.T.conj())
+    assert len(solved) == 1 and _same_bits(solved[0], W) and np.shares_memory(solved[0], c)
     U, V = blocks
     m = U.shape[1]
     seeds = np.random.default_rng(0).standard_normal((N, 2 * m))
-    ref_V, ref_U = np.linalg.solve(np.stack([W, W.T.conj()]),
-                                   np.stack([seeds[:, :m], seeds[:, m:]]))
-    assert _same_bits(V, ref_V) and np.array_equal(U, ref_U)
+    X = np.linalg.solve(W, np.concatenate([seeds[:, :m], seeds[::-1, m:]], axis=1))
+    assert _same_bits(V, X[:, :m]) and _same_bits(U, X[::-1, m:].conj())
+    left = np.linalg.solve(W.T.conj(), seeds[:, m:])
+    assert np.linalg.norm(U - left) <= 1e-10 * np.linalg.norm(left)
     assert peaks[0] < N * N * 16 / 8
 
 
@@ -1193,13 +1196,13 @@ def test_one_sided_split_holds_no_section(factorizations, modulation):
     N x N array.  The counts are the dense oracle's."""
     import tracemalloc
 
-    from conewh.wiener_hopf import _small_singular_split
+    from conewh.wiener_hopf import _split
 
     N = 1024
     c = _seeded_rational_section(-1, N, 39, modulation)
     tracemalloc.start()
     try:
-        split = _small_singular_split(c, 1e-8, 1e3)
+        split = _split(c, 1e-8, 1e3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1254,7 +1257,8 @@ def test_substitution_that_overflows_stops_at_its_window(factorizations, growth,
     solution is not finite (here the first at 1e200 per row; the second at
     1e4, 1e4^63 being finite) raises LinAlgError, with no RuntimeWarning, and
     no later window is solved.  The overflow may come inside the window's
-    own solve, where numpy raises its LinAlgError."""
+    own solve, where numpy reports a singular matrix: the error names the
+    overflow instead, since a diagonal block of L is nonsingular."""
     import warnings
 
     from conewh.wiener_hopf import _row_windows, _substitute
@@ -1264,7 +1268,7 @@ def test_substitution_that_overflows_stops_at_its_window(factorizations, growth,
     g[N - 1], g[N] = 1.0, -growth
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
             _substitute(_row_windows(g), np.ones((N, 3)))
     assert factorizations == [("solve", np.float64)] * solved
 
@@ -1376,7 +1380,7 @@ def test_batched_restrictions_match_direct_sum(f):
                                       for p in _FACE_KERNELS] + [
     pytest.param(lambda x, y: 0.6 * np.exp(-np.pi * (x**2 + x * y + 2 * y**2)), True,
                  id="mixed")])
-def test_stacked_face_rows_match_their_own_sections(f, mixed):
+def test_stacked_face_rows_match_their_own_sections(factorizations, f, mixed):
     """Each row's sigma_min, taken from the stacks of its face's distinct
     columns, equals bit for bit that of its own column's generator factored
     alone.  Realness and structure class are decided per column: the y = 0
@@ -1393,10 +1397,14 @@ def test_stacked_face_rows_match_their_own_sections(f, mixed):
         G = _twisted_restrictions(S, axis, y_values)
         for r, g in zip(fr["rows"], G.T):
             assert r["sigma_min"] == {N: float(_singular_values(
-                _generator(g, S.h, S.T, N, True)[None])[0][0, -1]) for N in truncations}
+                _generator(g, S.h, S.T, N, True)[None])[0, -1]) for N in truncations}
         if mixed:
             for N in truncations:
-                assert len(_singular_values(_generator(G.T, S.h, S.T, N, True))[1]) == 2
+                factorizations.clear()
+                _singular_values(_generator(G.T, S.h, S.T, N, True))
+                # the real even column in two half-order blocks, the rest in one call
+                assert factorizations == ([("eigvalsh", np.float64)] * 2
+                                          + [("eigvalsh", np.complex128)])
                 assert [np.iscomplexobj(_generator(g, S.h, S.T, N, True)) for g in G.T] == [
                     y != 0.0 for y in y_values]
 
