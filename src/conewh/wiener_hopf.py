@@ -18,16 +18,15 @@ values-only SVD otherwise; sigma = |lambda|.  Generators are factored in
 stacks, one numpy call per structure class, which runs LAPACK once per
 matrix; a single section is a stack of one.  Each branch hands LAPACK
 strided views of c, so the work copy LAPACK makes is the only N x N array
-alive while it factors.  The index pipeline finds the vectors of a section's
-near-null singular triples, if it has any, from one block W^-1 [s1 | J s2]
-of seeded columns, which gives both sides because a Toeplitz W is
-persymmetric (W^T = J W J).  A triangular section (c zero at every negative
-lag, or at every positive one: a one-sided kernel) takes that block by a
-blocked substitution over 64-row windows of it, and the product that pairs
-the vectors reads the same windows, so no N x N array is made.  Any other
-section takes it by one solve against the strided view of c, and is built
-once, after that solve, for the pairing product.  Real kernel samples are
-factored in real arithmetic.
+alive while it factors.  The index pipeline splits a section's k near-null
+singular triples, if it has any, between kernel and cokernel.  A triangular
+section (c zero at every negative lag, or at every positive one: a
+one-sided kernel) splits by its structure alone, (0, k) when lower and
+(k, 0) when upper, with no vector and no factorization beyond the count.
+Any other section takes its k near-null vectors from one backward-stable
+factorization of the same strided view, eigh for a real or conjugate-even
+c and a full SVD otherwise, and attributes them by the front mass of their
+span.  Real kernel samples are factored in real arithmetic.
 
 All of it runs on numpy.linalg, so the module loads no SciPy and every
 factorization runs on one BLAS.  SciPy bundles a second OpenBLAS whose
@@ -56,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.linalg import LinAlgError, eigvalsh, qr, solve, svd
+from numpy.linalg import eigh, eigvalsh, svd
 
 from .errors import (
     DimensionMismatchError,
@@ -72,7 +71,6 @@ _ZERO_TOL = 1e-8          # winding: a zero at |curve| <= _ZERO_TOL * max(|curve
 _DELTA_FACTOR = 1e-8      # near-null singular values: below _DELTA_FACTOR * sigma_max
 _GAP_RATIO = 1e3          # least gap above the near-null values that resolves an index
 _STABILITY_RATIO = 0.5    # stable face row: sigma_min(n2) >= _STABILITY_RATIO * sigma_min(n1)
-_BLOCK = 64               # rows per window of a triangular section's substitution
 
 
 @dataclass
@@ -344,23 +342,19 @@ def _singular_values(C):
     return sigma
 
 
-def _shifted_solve(A, B, smax):
-    """solve(A, B), or for an exactly singular A, on a copy shifted by eps * smax I."""
-    try:
-        return solve(A, B)
-    except LinAlgError:
-        A = np.array(A)
-        A[range(len(A)), range(len(A))] += np.finfo(float).eps * smax
-        return solve(A, B)
-
-
 def _lower_generator(c):
     """(g, reverse) for a triangular section W[i, j] = c[N - 1 + i - j] with a
     nonzero diagonal, read off c in O(N): W is lower triangular when c
     vanishes at every negative lag (a kernel on x >= 0), g = c and W is the
     section L of g; W is upper triangular when c vanishes at every positive
     lag, g = c reversed and W = J L J.  None for any other c, and for a zero
-    diagonal: W is then exactly singular, and keeps _shifted_solve."""
+    diagonal, where W is exactly singular.
+
+    L with its nonzero diagonal is invertible, and (I + K)u = 0 for a kernel
+    on x >= 0 is a Volterra equation with only the trivial solution, so the
+    near-null triples of L belong to the cokernel and those of J L J to the
+    kernel: by Coburn's lemma (Boettcher & Silbermann, 1999) one side is
+    always trivial."""
     N = (len(c) + 1) // 2
     if c[N - 1] != 0:
         if not c[:N - 1].any():
@@ -370,102 +364,57 @@ def _lower_generator(c):
     return None
 
 
-def _row_windows(g):
-    """(lo, hi, L[lo:hi, :hi]) for each window of _BLOCK rows of the lower
-    triangular section L of the generator g, top first.  L is Toeplitz, so
-    each window is the trailing columns of its last rows: one contiguous
-    copy of the last _BLOCK rows of _toeplitz_view(g) holds them all, as
-    slices BLAS reads in place."""
-    N = (len(g) + 1) // 2
-    b = min(_BLOCK, N)
-    last = np.ascontiguousarray(_toeplitz_view(g)[N - b:])
-    windows = []
-    for lo in range(0, N, b):
-        hi = min(lo + b, N)
-        windows.append((lo, hi, last[b - (hi - lo):, N - hi:]))
-    return windows
-
-
-def _substitute(windows, B):
-    """L^-1 B by blocked forward substitution over the row windows of L: each
-    window subtracts its product with the solved rows above, then solves its
-    diagonal block (LU with partial pivoting, _BLOCK rows).  A window that is
-    not finite raises LinAlgError at once, before it feeds the next; so does
-    one whose own solve overflows, which numpy reports as a singular matrix,
-    though the diagonal blocks of L, with its nonzero diagonal, are not."""
-    X = np.empty(B.shape, np.result_type(windows[0][2], B))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi, rows in windows:
-            try:
-                X[lo:hi] = solve(rows[:, lo:], B[lo:hi] - rows[:, :lo] @ X[:lo])
-                finite = np.isfinite(X[lo:hi]).all()
-            except LinAlgError:
-                finite = False
-            if not finite:
-                raise LinAlgError("the range finder's solve is not finite")
-    return X
-
-
-def _near_null_pairs(c, k, smax):
-    """Paired left and right vectors (U, V) of the k smallest singular triples
-    of the section W of the generator c, by an oversampled range finder
-    (Halko, Martinsson & Tropp, SIAM Review 53, 2011): V spans W^-1 and U
-    spans W^-H applied to k + 8 seeded columns each, which the gap above the
-    k near-null values makes dominant; the SVD of the projected U^H W V pairs
-    the k smallest.
-
-    A Toeplitz W is persymmetric, W^T = J W J (Boettcher & Silbermann, 1999),
-    so W^-H s = J conj(W^-1 J s) for real seeds s: one block
-    X = W^-1 [s1 | J s2] gives V = X[:, :m] and U = J conj(X[:, m:]).  A
-    triangular section (_lower_generator: a one-sided kernel) gets X from one
-    blocked forward substitution of its lower triangular form L
-    (_substitute; W = J L J turns X into one against L by row reversals),
-    and the product from the same row windows of L: no N x N array and no
-    LAPACK call of order N.  At N = 1024 this whole pairing of a rational
-    section takes 3 ms, against 23 ms with the solve of an N x N LU and the
-    section built for the product (2-core Xeon, OpenBLAS on two threads).
-    Any other section takes one solve against _toeplitz_view(c), copied only
-    by LAPACK; the product reads its contiguous section _toeplitz(c), which
-    numpy hands to BLAS (37 times faster than a reversed view at N = 512),
-    built only after the solve has returned, so that it and LAPACK's work
-    copy are never alive at once."""
+def _near_null_pairs(c, k):
+    """Left and right vectors (U, V), N x k each, of the k smallest singular
+    triples of the section W of the generator c, from one backward-stable
+    factorization of the strided view that _singular_values factors for the
+    same structure class:
+      * c real: eigh of the symmetric Hankel form W J = Q diag(lambda) Q^T,
+        so that W (J q) = lambda q: v = J q;
+      * c conjugate-even: eigh of the Hermitian W, v = q;
+      * otherwise a full svd of W.
+    The eigh paths take the k eigenvalues of least modulus, and the left
+    vectors u = J conj(v): a Toeplitz W is persymmetric, W^T = J W J, so
+    ||W^H J conj(v)|| = ||J W v|| (u is the left singular vector up to a
+    unit factor).  Each residual ||W v||, ||W^H u|| is of order
+    N * eps * sigma_max above sigma."""
     N = (len(c) + 1) // 2
-    m = min(k + 8, N)
-    seeds = np.random.default_rng(0).standard_normal((N, 2 * m))
-    B = np.concatenate([seeds[:, :m], seeds[::-1, m:]], axis=1)
-    lower = _lower_generator(c)
-    if lower is None:
-        X = _shifted_solve(_toeplitz_view(c), B, smax)
-    else:
-        g, reverse = lower
-        windows = _row_windows(g)
-        X = _substitute(windows, B[::-1] if reverse else B)
-        if reverse:
-            X = X[::-1]
-    V, U = X[:, :m], X[::-1, m:].conj()
-    if not (np.isfinite(U).all() and np.isfinite(V).all()):
-        raise LinAlgError("the range finder's solve is not finite")
-    U, V = qr(U)[0], qr(V)[0]
-    if lower is None:
-        product = U.conj().T @ _toeplitz(c) @ V
-    else:
-        VL = np.ascontiguousarray(V[::-1]) if reverse else V      # W V = J L J V
-        WV = np.concatenate([rows @ VL[:hi] for _, hi, rows in windows])
-        product = U.conj().T @ (WV[::-1] if reverse else WV)
-    P, _, Qh = svd(product)
-    return U @ P[:, -k:], V @ Qh[-k:].conj().T
+    real = not c.imag.any()
+    if not (real or np.array_equal(c, c[::-1].conj())):
+        P, _, Qh = svd(_toeplitz_view(c))
+        return P[:, -k:], Qh[-k:].conj().T
+    lam, Q = eigh(sliding_window_view(c.real, N) if real else _toeplitz_view(c))
+    near = np.argsort(np.abs(lam), kind="stable")[:k]
+    V = Q[::-1, near] if real else Q[:, near]
+    return V[::-1].conj(), V
+
+
+def _front_excess(B):
+    """B_f^H B_f - B_b^H B_b for the front rows B_f = B[:N // 2] (the origin
+    edge) and the back rows B_b = B[::-1][:N // 2] of the columns B, whose
+    eigenvalues are the front mass minus the back mass of the span of B:
+    a mirrored column (B_b = +-B_f) gives exactly 0."""
+    front, back = B[:len(B) // 2], B[::-1][:len(B) // 2]
+    return front.conj().T @ front - back.conj().T @ back
 
 
 def _split(c, delta_factor, gap_ratio):
     """(dim_ker, dim_coker, diag) of the finite section with generator c.
 
     The singular values sigma of c[None] (_singular_values) give the count k
-    of those below delta_factor * sigma_max and the gap above them.  Each of
-    the k near-null triples (_near_null_pairs) goes to the kernel when its
-    right vector has at least as much mass on the front half (the origin
-    edge) as its left one, else to the cokernel.  k = N (the zero section,
-    or delta_factor > 1) has nothing above the count: its gap is 0 and the
-    split raises.
+    of those below delta_factor * sigma_max and the gap above them.  A
+    triangular section (_lower_generator) splits by its structure alone, as
+    (0, k) when lower and (k, 0) when upper, with no vector and no further
+    factorization.  Any other section with k > 0 takes its k near-null
+    vectors (_near_null_pairs) and attributes them by subspace, in one
+    eigvalsh of the two k x k matrices _front_excess: dim ker is the number
+    of eigenvalues of the right vectors' matrix that are >= 0 (at least half
+    of the mass of the two halves lies on the front half, the origin edge),
+    and dim coker the number of the left vectors' that are > 0, so that an
+    exact tie, as on a centrosymmetric section, goes to the kernel.  Counts
+    that do not add up to k leave the index unresolved.  k = N (the zero
+    section, or delta_factor > 1) has nothing above the count: its gap is 0
+    and the split raises.
     """
     sigma = _singular_values(c[None])[0]
     N = len(sigma)
@@ -478,16 +427,18 @@ def _split(c, delta_factor, gap_ratio):
         if gap < gap_ratio:
             raise IndexUnresolvedError(f"index not resolved at N={N}: gap {gap:.3g} above "
                                        f"{k} near-zero singular values is below {gap_ratio:g}")
-        try:
-            U, V = _near_null_pairs(c, k, smax)
-        except LinAlgError as exc:
-            raise IndexUnresolvedError(
-                f"index not resolved at N={N}: the split of the {k} near-zero singular "
-                f"values failed ({exc}); smallest sigma {sigma[-1]:.3g}, sigma_max "
-                f"{smax:.3g}") from None
-        half = N // 2
-        dim_ker = int(np.count_nonzero(
-            np.linalg.norm(V[:half], axis=0) >= np.linalg.norm(U[:half], axis=0)))
+        triangle = _lower_generator(c)
+        if triangle is not None:            # upper (reversed) triangular: all kernel
+            dim_ker = k if triangle[1] else 0
+        else:
+            left, right = eigvalsh(np.stack([_front_excess(B) for B in _near_null_pairs(c, k)]))
+            dim_ker, dim_coker = int(np.sum(right >= 0)), int(np.sum(left > 0))
+            if dim_ker + dim_coker != k:
+                raise IndexUnresolvedError(
+                    f"index not resolved at N={N}: the front-minus-back masses of the {k} "
+                    f"near-null right vectors {np.round(right, 3).tolist()} and left vectors "
+                    f"{np.round(left, 3).tolist()} give {dim_ker} kernel and {dim_coker} "
+                    f"cokernel directions, not {k}")
     diag.update(dim_ker=dim_ker, dim_coker=k - dim_ker)
     return dim_ker, k - dim_ker, diag
 

@@ -39,6 +39,7 @@ which no command called.
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -381,6 +382,18 @@ def winding_from_zero_pole(zeros_upper, poles_upper):
     return poles_upper - zeros_upper
 
 
+def blaschke_power_kernel(a, w):
+    """The kernel of b_a^w, b_a(xi) = (s - a)/(s + a) with s = 2 pi i xi, as an
+    expression in closed form: for w > 0, sum_j C(w, j) (-2a)^j x^(j-1)
+    e^(-ax) / (j-1)! on x > 0 and the midpoint -w a at x = 0, and its mirror
+    x -> -x for w < 0; its symbol winds w times."""
+    k = abs(w)
+    poly = " + ".join(f"({Fraction(math.comb(k, j) * (-2 * a) ** j, math.factorial(j - 1))})"
+                      f"*x**{j - 1}" for j in range(1, k + 1))
+    expr = f"where(x > 0, ({poly})*exp(-{a}*x), where(x == 0, {-k * a}.0, 0*x))"
+    return expr if w > 0 else re.sub(r"\bx\b", "(-x)", expr)
+
+
 def gauge_by_bisection(member, x, hi=1e6, iters=200):
     """inf{a > 0 : x/a in C} by bisection on a membership oracle."""
     lo = 0.0
@@ -403,7 +416,8 @@ def complex_singular_split(W, delta_factor=1e-8):
     The count of singular values below delta_factor * sigma_max, the
     kernel/cokernel attribution by which singular vector (right or left) has
     more mass on the front half, the singular values, sigma_max, and the gap
-    ratio above the count.
+    ratio above the count, taken over max(sigma, 1e-300) as the split takes
+    it, so that an exactly zero singular value gives a finite gap.
     """
     U, S, Vh = np.linalg.svd(np.asarray(W))
     n = len(S)
@@ -411,7 +425,7 @@ def complex_singular_split(W, delta_factor=1e-8):
     front = n // 2
     dim_ker = sum(np.linalg.norm(Vh[i, :front]) >= np.linalg.norm(U[:front, i])
                   for i in range(n - k, n))
-    gap = S[-k - 1] / S[-k] if 0 < k < n else None
+    gap = S[-k - 1] / max(S[-k], 1e-300) if 0 < k < n else None
     return {"count": k, "dim_ker": int(dim_ker), "dim_coker": k - int(dim_ker),
             "sigma": S, "sigma_max": float(S[0]), "gap": gap}
 

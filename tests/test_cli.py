@@ -10,6 +10,8 @@ import pytest
 from conewh.cli import SPEC_KEYS, RunConfig, _write_report, main, run
 from conewh.io import read_cone_spec
 
+from oracles import blaschke_power_kernel
+
 
 def _read(path):
     with open(path) as fh:
@@ -166,39 +168,27 @@ def test_cone_domain_error_carries_numbers(tmp_path, capsys, command, spec, mess
     assert capsys.readouterr().err == message + "\n"
 
 
-def _blaschke_power_kernel(a, k):
-    """The kernel of b_a^k, b_a(xi) = (s - a)/(s + a) with s = 2 pi i xi, as an
-    expression: sum_j C(k, j) (-2a)^j x^(j-1) e^(-ax) / (j-1)! on x > 0, and the
-    midpoint -k a at x = 0; its symbol winds k times."""
-    from fractions import Fraction
-    from math import comb, factorial
-
-    poly = " + ".join(f"({Fraction(comb(k, j) * (-2 * a) ** j, factorial(j - 1))})*x**{j - 1}"
-                      for j in range(1, k + 1))
-    return f"where(x > 0, ({poly})*exp(-{a}*x), where(x == 0, {-k * a}.0, 0*x))"
-
-
 def test_index1d_range_finder_breakdown_is_index_unresolved(tmp_path, capsys):
-    """The b_2^8 kernel at T = 52: at N = 1024 the section's near-null solve
-    overflows, which is an index-unresolved error naming N, the near-null
-    count, the smallest sigma and sigma_max, not a LinAlgError traceback.
-    The smallest sigma lies at the rounding floor, where its digits depend
-    on the BLAS build, so the expected line takes it from the same
-    factorization of the section."""
+    """The b_2^8 kernel at T = 52: its sections are lower triangular, with 3
+    near-null singular values at N = 512 and 5 at N = 1024, which split by
+    their structure alone as (0, 3) and (0, 5).  Counts that differ across
+    the truncations are an index-unresolved error naming both, not a
+    traceback and not a report."""
     from conewh.presets import symbol_from_expression
     from conewh.wiener_hopf import _section, _singular_values
 
-    expr = _blaschke_power_kernel(2, 8)
+    expr = blaschke_power_kernel(2, 8)
     path = tmp_path / "w8.json"
     path.write_text(json.dumps({"name": "blaschke-w+8", "h": 0.05, "T": 52.0, "N": [512, 1024],
                                 "symbol": {"expr": expr, "dim": 1}}))
     assert main(["index1d", "--in", str(path), "--out", str(tmp_path / "out")]) == 1
-    sigma = _singular_values(_section(symbol_from_expression(expr, 1, 0.05, 52.0), 1024)[None])[0]
-    assert (sigma < 1e-8 * sigma[0]).sum() == 5 and 1.115 < sigma[0] < 1.125
+    symbol = symbol_from_expression(expr, 1, 0.05, 52.0)
+    for N, k in ((512, 3), (1024, 5)):
+        sigma = _singular_values(_section(symbol, N)[None])[0]
+        assert (sigma < 1e-8 * sigma[0]).sum() == k and 1.115 < sigma[0] < 1.125
     assert capsys.readouterr().err == (
-        "error [index-unresolved]: index not resolved at N=1024: the split of the 5 near-zero "
-        "singular values failed (the range finder's solve is not finite); smallest sigma "
-        f"{sigma[-1]:.3g}, sigma_max 1.12\n")
+        "error [index-unresolved]: index not resolved: (dim_ker, dim_coker) differ across "
+        "truncations {512: (0, 3), 1024: (0, 5)}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -207,16 +197,12 @@ def test_index1d_range_finder_breakdown_is_index_unresolved(tmp_path, capsys):
 def test_blaschke_power_index_agrees_or_is_a_typed_error(tmp_path, capsys, winding, a):
     """A slice of the index pipeline's map at the default truncations: the
     kernel of b_a^w (mirrored, x -> -x, for w < 0) at h = 0.05, T = 52,
-    N = 512/1024.  Its sections are triangular, so the near-null vectors of
-    up to 4 triples come from the blocked substitution.  Each case either
+    N = 512/1024.  Its sections are triangular, so its up to 4 near-null
+    triples split by the triangle's side alone.  Each case either
     reports a finite-section index equal to -w, or ends in a domain error
     with its category: at a = 1 and |w| >= 3 the kernel has not decayed
     below 1e-8 at T/2, a kernel-window error.  None disagrees silently."""
-    import re
-
-    expr = _blaschke_power_kernel(a, abs(winding))
-    if winding < 0:
-        expr = re.sub(r"\bx\b", "(-x)", expr)
+    expr = blaschke_power_kernel(a, winding)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"name": "b", "h": 0.05, "T": 52.0, "N": [512, 1024],
                                 "symbol": {"expr": expr, "dim": 1}}))

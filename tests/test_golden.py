@@ -52,11 +52,13 @@ sections have no Hermitian form; once one-sided kernels moved to blocked
 substitution, its sections, which are triangular, took it.
 index1d-two-sided-rational, the rational kernel of winding +1 (pole scale 2)
 plus 0.3 e^{-pi x^2} at h = 0.05, T = 52, N = 512/1024, keeps a near-null
-pair that comes from a solve: its sections are two-sided, and its report was
-written before the substitution.  index1d-two-sided-modulated is that kernel
-times e^{3ix}: its sections are two-sided, complex and not Hermitian, and
-its reports were written while such a section took two solves, against W
-and against W^T, before both blocks came from one.  hierarchy2d-expr-fine is a real, non-separable kernel
+pair whose vectors come from eigh of the Hankel view: its sections are
+two-sided, and its report was written before the substitution.
+index1d-two-sided-modulated is that kernel times e^{3ix}: its sections are
+two-sided, complex and not Hermitian, their vectors come from a full SVD,
+and its reports were written while such a section took two solves, against
+W and against W^T.  Both reports were kept byte for byte when the range
+finder gave way to those eigensolves.  hierarchy2d-expr-fine is a real, non-separable kernel
 even in each coordinate on the finest hierarchy grid (h = 0.05, T = 12,
 N = 96/192) with explicit fibre frequencies; like the preset hierarchy2d
 reports it holds on one and on two BLAS threads.  hierarchy2d-expr-mixed,

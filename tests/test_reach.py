@@ -46,7 +46,8 @@ UNREACHED = {
     "limits": ("SampledSet.points", "pk_liminf", "pk_limsup"),
     "strata": ("order_point", "order_point_hrep", "recover_face_point", "solvable_length"),
     "trivialization": ("_facet_normals",),
-    "wiener_hopf": ("_face_axis", "face_symbol", "face_symbol_twisted", "wh_matrix"),
+    "wiener_hopf": ("_face_axis", "_toeplitz", "face_symbol", "face_symbol_twisted",
+                    "wh_matrix"),
 }
 
 

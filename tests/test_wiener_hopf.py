@@ -1,5 +1,8 @@
 """Symbols, finite sections, windings, indices, face restrictions, hierarchy."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,7 @@ from conewh.wiener_hopf import (
 )
 
 from oracles import (
+    blaschke_power_kernel,
     complex_singular_split,
     cone_section_transform,
     cone_transform_symbol,
@@ -36,6 +40,9 @@ from oracles import (
     rep_L,
     winding_from_zero_pole,
 )
+
+
+GOLDEN_SPECS = Path(__file__).resolve().parent / "golden" / "specs"
 
 
 def gauss(x):
@@ -472,8 +479,8 @@ class _Calls(list):
 @pytest.fixture
 def factorizations(monkeypatch):
     """(routine, dtype) of every factorization call the wiener_hopf module
-    makes: its eigvalsh, solve, values-only svdvals, and the qr and full svd of
-    the near-null pairing, each bound in the module, with the argument of each
+    makes: its eigvalsh, values-only svdvals, and the eigh or full svd of the
+    near-null vectors, each bound in the module, with the argument of each
     call, so that the number and order of the matrices in a stacked argument
     are recorded too.  A factorization made inside a counted one (the svd that
     svdvals calls) is part of it, not another."""
@@ -494,15 +501,16 @@ def factorizations(monkeypatch):
                 calls.depth -= 1
         return wrapper
 
-    for name in ("svdvals", "svd", "eigvalsh", "solve", "qr"):
+    for name in ("svdvals", "svd", "eigvalsh", "eigh"):
         monkeypatch.setattr(wh, name, counted(name, getattr(wh, name)))
     return calls
 
 
-def _pairing(dtype=np.float64):
-    """The factorizations of one near-null pairing after its solve: the qr of
-    each side's block and the svd of the projected section."""
-    return [("qr", dtype)] * 2 + [("svd", dtype)]
+def _attribution(dtype=np.float64):
+    """The factorization that attributes k near-null vectors after their eigh
+    or svd: one eigvalsh of the stack of the two k x k front-minus-back mass
+    matrices, right side then left."""
+    return [("eigvalsh", dtype)]
 
 
 def _same_bits(a, b):
@@ -528,7 +536,7 @@ def _two_sided_symbol(h, modulation=0.0):
     """The kernel of the index1d-two-sided-rational golden, the rational
     kernel of winding +1 and pole scale 2 plus a Gaussian, sampled at step h
     on T = 52: its sections are two-sided, not triangular, so the near-null
-    vectors come from a solve.  Times e^{i m x} for a nonzero modulation m,
+    vectors come from an eigensolve.  Times e^{i m x} for a nonzero modulation m,
     its sections are complex with no Hermitian form."""
     from conewh.presets import symbol_from_expression
 
@@ -538,31 +546,31 @@ def _two_sided_symbol(h, modulation=0.0):
 
 def test_classical_index_one_factorization_per_truncation(factorizations):
     """One factorization per truncation, chosen by the section's structure,
-    plus, for a two-sided section with near-null singular triples, one solve
-    against the section, a view of its generator; the sigma_min trend of a
-    non-Fredholm symbol takes the same one factorization per truncation."""
+    plus, for a two-sided section with near-null singular triples, one eigh
+    of the same view of its generator and the attribution of its k vectors;
+    the sigma_min trend of a non-Fredholm symbol takes the same one
+    factorization per truncation."""
     # A real Toeplitz section that is not symmetric is persymmetric: its
-    # column-reversed form is symmetric and goes to eigvalsh, and the
-    # near-null vectors of both sides come from one solve against the section.
-    real_flipped, real_solve = ("eigvalsh", np.float64), ("solve", np.float64)
+    # column-reversed form is symmetric and goes to eigvalsh for the count,
+    # then to eigh for the near-null vectors of both sides.
+    real_flipped, real_eigh = ("eigvalsh", np.float64), ("eigh", np.float64)
     S = _two_sided_symbol(0.2)
     rep = classical_index(S, truncations=(128, 256))
     assert rep.numerical_index == rep.index == -1
     assert [d["count"] for d in rep.diagnostics["per_truncation"].values()] == [1, 1]
-    assert factorizations == ([real_flipped, real_solve] + _pairing()) * 2
+    assert factorizations == ([real_flipped, real_eigh] + _attribution()) * 2
     assert factorizations.exactly_hermitian("eigvalsh")
-    for N, eig_arg, solve_arg in zip((128, 256), factorizations.args[::5],
-                                     factorizations.args[1::5]):
+    assert factorizations.exactly_hermitian("eigh")
+    for N, eig_arg, vec_arg, mass_arg in zip((128, 256), factorizations.args[::3],
+                                             factorizations.args[1::3],
+                                             factorizations.args[2::3]):
         W = wh_matrix(S, "half-line", N, identity_shift=True)
         assert not np.array_equal(W, W.T)
         # the index pipeline factors a stack of one section
         assert eig_arg.shape == (1, N, N)
-        assert np.array_equal(eig_arg[0], W[:, ::-1]) and np.array_equal(solve_arg, W)
-        assert solve_arg.base is not None                   # a view: no section is built
-    # k + 8 = 9 seeded columns per side, and the 9 x 9 projection
-    assert [a.shape for call, a in zip(factorizations, factorizations.args)
-            if call[0] in ("qr", "svd")] == [(128, 9), (128, 9), (9, 9),
-                                            (256, 9), (256, 9), (9, 9)]
+        assert np.array_equal(eig_arg[0], W[:, ::-1]) and np.array_equal(vec_arg, W[:, ::-1])
+        assert vec_arg.base is not None                     # a view: no section is built
+        assert mass_arg.shape == (2, 1, 1)                  # k = 1 on each side
     per = rep.diagnostics["per_truncation"]
     assert rep.diagnostics["sigma_min"] == {N: per[N]["sigma_min"] for N in (128, 256)}
 
@@ -582,19 +590,16 @@ def test_classical_index_one_factorization_per_truncation(factorizations):
     assert _half_orders(factorizations) == [(32, 32), (64, 64)]
 
 
-def test_one_sided_index_substitutes_with_no_order_n_factorization(factorizations):
-    """A one-sided kernel gives triangular sections: after the one eigvalsh
-    per truncation, the near-null vectors come from a blocked substitution,
-    one solve of a 64-row diagonal block per window, and then the pairing;
-    nothing of order N is factored, and the counts are the dense oracle's."""
+def test_one_sided_index_makes_one_factorization_per_truncation(factorizations):
+    """A one-sided kernel gives triangular sections, which split by their
+    structure alone: the eigvalsh that counts the near-null values is the
+    only factorization of each truncation, no vector is computed, and the
+    counts are the dense oracle's."""
     S = symbol_preset("rational-w+1", 0.2, 52.0)
     rep = classical_index(S, truncations=(128, 256))
     assert rep.numerical_index == rep.index == -1
-    eig, window = ("eigvalsh", np.float64), ("solve", np.float64)
-    assert factorizations == ([eig] + [window] * 2 + _pairing()
-                              + [eig] + [window] * 4 + _pairing())
-    assert [a.shape for (name, _), a in zip(factorizations, factorizations.args)
-            if name == "solve"] == [(64, 64)] * 6
+    assert factorizations == [("eigvalsh", np.float64)] * 2
+    assert [a.shape for a in factorizations.args] == [(1, 128, 128), (1, 256, 256)]
     for N, d in rep.diagnostics["per_truncation"].items():
         ref = complex_singular_split(wh_matrix(S, "half-line", N, identity_shift=True))
         assert (d["count"], d["dim_ker"], d["dim_coker"]) == (
@@ -659,7 +664,8 @@ def _seeded_rational_section(winding, N, seed, modulation=0.0):
 def _zero_pivot_section(N=513):
     """The generator with a zero diagonal, 1 at lag -1 and 2 at lag +1: at odd
     N its tridiagonal section is exactly singular, and LU with partial
-    pivoting meets one exactly zero pivot.  The null vector grows by -2 every
+    pivoting meets one exactly zero pivot; the dense SVD gives it a singular
+    value of exactly 0 at N = 5 and 7.  The null vector grows by -2 every
     two rows toward the back and the left one decays from the front: one
     cokernel-type triple at sigma = 0."""
     c = np.zeros(2 * N - 1)
@@ -715,6 +721,8 @@ _ORACLE_CASES = (
                     id=f"modulated-w{w:+d}-N512") for w in (-2, -1, 1)]
     + [pytest.param(_kernel_and_cokernel_section, id="kernel-and-cokernel"),
        pytest.param(_zero_pivot_section, id="zero-pivot"),
+       pytest.param(lambda: _zero_pivot_section(5), id="zero-pivot-N5"),
+       pytest.param(lambda: _zero_pivot_section(7), id="zero-pivot-N7"),
        pytest.param(lambda: _zero_pivot_section(65), id="zero-pivot-N65"),
        # 1e-9 under a gap of 15 < 1e3, complex with no Hermitian form (a
        # phase times a real even generator)
@@ -731,10 +739,10 @@ _ORACLE_CASES = (
 
 @pytest.mark.parametrize("section", _ORACLE_CASES)
 def test_split_matches_complex_oracle(section):
-    """The split (eigvalsh or values-only SVD, plus one solve, or the
-    substitution of a triangular section: the one-sided rational and
-    modulated cases) agrees with a dense SVD with vectors on the count, the
-    kernel/cokernel attribution and the gap verdict."""
+    """The split (eigvalsh or values-only SVD, plus one eigh or svd with
+    vectors, or the structure alone of a triangular section: the one-sided
+    rational and modulated cases) agrees with a dense SVD with vectors on the
+    count, the kernel/cokernel attribution and the gap verdict."""
     from conewh.wiener_hopf import _split
 
     c = section()
@@ -747,6 +755,65 @@ def test_split_matches_complex_oracle(section):
     assert (diag["count"], dim_ker, dim_coker) == (ref["count"], ref["dim_ker"],
                                                     ref["dim_coker"])
     assert ("gap" in diag) == (ref["gap"] is not None)
+
+
+def _golden_section(name, N):
+    """The generator of I + W_N for the expression kernel of a golden spec."""
+    from conewh.presets import symbol_from_expression
+
+    spec = json.loads((GOLDEN_SPECS / f"{name}.json").read_text())
+    return _section(symbol_from_expression(spec["symbol"]["expr"], 1, spec["h"], spec["T"]), N)
+
+
+def _planted_two_sided_section(w, a, modulation):
+    """The generator at N = 512 of the kernel of b_a^w plus 0.3 e^{-pi x^2}
+    (times e^{i m x} for a nonzero modulation m): two-sided, and its symbol
+    still winds w times, since the Gaussian's symbol stays below 0.3 < 1 =
+    |b_a^w| on the line; its sections have |w| near-null values."""
+    from conewh.presets import symbol_from_expression
+
+    expr = f"({blaschke_power_kernel(a, w)} + 0.3*exp(-pi*x**2))*exp({modulation}j*x)"
+    return _section(symbol_from_expression(expr, 1, 0.05, 52.0), 512)
+
+
+_NEAR_NULL_CASES = (
+    [pytest.param(lambda name=name, N=N: _golden_section(name, N), None, id=f"{name}-N{N}")
+     for name in ("index1d-two-sided-rational", "index1d-two-sided-modulated")
+     for N in (512, 1024)]
+    + [pytest.param(lambda w=w, a=a, m=m: _planted_two_sided_section(w, a, m), w,
+                    id=f"blaschke-w{w:+d}-a{a:g}-{'modulated' if m else 'real'}")
+       for w, a in ((1, 2), (-1, 2), (2, 2), (-2, 2), (3, 4), (-3, 4))
+       for m in (0.0, 3.0)])
+
+
+@pytest.mark.parametrize("section, winding", _NEAR_NULL_CASES)
+def test_near_null_vectors_are_near_null(section, winding):
+    """Every vector _near_null_pairs returns for a two-sided section (eigh of
+    W J for a real one, a full svd for a modulated one) is near-null: the
+    residuals ||W v_j|| and ||W^H u_j||, sorted, are at most the k near-null
+    singular values, sorted, plus N * eps * sigma_max.  The counts are the
+    dense oracle's, and a planted section of winding w has |w| near-null
+    values, all on the cokernel side for w > 0 and on the kernel side for
+    w < 0."""
+    from conewh.wiener_hopf import _near_null_pairs, _singular_values, _split
+
+    c = section()
+    N = (len(c) + 1) // 2
+    dim_ker, dim_coker, diag = _split(c, 1e-8, 1e3)
+    k = diag["count"]
+    ref = complex_singular_split(_toeplitz(c))
+    assert (k, dim_ker, dim_coker) == (ref["count"], ref["dim_ker"], ref["dim_coker"])
+    if winding is not None:
+        assert (dim_ker, dim_coker) == ((0, k) if winding > 0 else (k, 0)) and k == abs(winding)
+    assert k > 0
+    W = _toeplitz(c)
+    U, V = _near_null_pairs(c, k)
+    assert U.shape == V.shape == (N, k)
+    assert np.allclose(np.linalg.norm(U, axis=0), 1) and np.allclose(np.linalg.norm(V, axis=0), 1)
+    near = np.sort(_singular_values(c[None])[0][-k:])
+    bound = near + N * np.finfo(float).eps * diag["sigma_max"]
+    assert np.all(np.sort(np.linalg.norm(W @ V, axis=0)) <= bound)
+    assert np.all(np.sort(np.linalg.norm(W.conj().T @ U, axis=0)) <= bound)
 
 
 @pytest.mark.parametrize("N", [512, 1024])
@@ -805,8 +872,9 @@ def test_centrosymmetric_split_matches_complex_oracle(factorizations, N, shifted
     """A real symmetric Toeplitz section equals its reversal J W J: its
     singular values come from two eigvalsh of orders ceil(N/2) and floor(N/2)
     and agree with a dense SVD to N * eps * sigma_max, with the same
-    near-null count; the near-null vectors come from one solve against W, a
-    view of c."""
+    near-null count; the near-null vectors come from one eigh of W J, a view
+    of c.  Each near-null vector is mirrored, so its attribution is a tie
+    broken by rounding, and an exact tie goes to the kernel."""
     from conewh.wiener_hopf import _singular_values, _split
 
     c = _symmetric_toeplitz(N, 70 + N, shifted)
@@ -823,20 +891,15 @@ def test_centrosymmetric_split_matches_complex_oracle(factorizations, N, shifted
     assert k == ref["count"] == int(shifted)
     if shifted:
         factorizations.clear()
-        assert _split(c, 1e-8, 1e3)[2]["count"] == 1
-        solves = factorizations.args[2:-3]
-        assert factorizations[:2] == [("eigvalsh", np.float64)] * 2
-        assert factorizations[2:-3] == [("solve", np.float64)] * len(solves)
-        assert np.array_equal(solves[0], W) and np.shares_memory(solves[0], c)
-        assert factorizations[-3:] == _pairing()
-        # A second solve, shifted, only when W is exactly singular (at N = 3
-        # the shift can make the first and last rows equal).
-        try:
-            np.linalg.solve(W, np.ones(N))
-            assert len(solves) == 1
-        except np.linalg.LinAlgError:
-            assert len(solves) == 2
-            assert np.array_equal(solves[1], W + np.finfo(float).eps * S[0] * np.eye(N))
+        dim_ker, dim_coker, diag = _split(c, 1e-8, 1e3)
+        assert diag["count"] == dim_ker + dim_coker == 1
+        assert factorizations == ([("eigvalsh", np.float64)] * 2 + [("eigh", np.float64)]
+                                  + _attribution())
+        hankel = factorizations.args[2]
+        assert np.array_equal(hankel, W[:, ::-1]) and np.shares_memory(hankel, c)
+        if N == 2:                  # q = (1, +-1) / sqrt 2: an exact tie
+            assert factorizations.args[3].tolist() == [[[0.0]], [[0.0]]]
+            assert dim_ker == 1
 
 
 @pytest.mark.parametrize("N", [1, 2, 5, 8, 33])
@@ -872,11 +935,11 @@ def test_symmetric_section_that_is_not_persymmetric_skips_the_split(factorizatio
     assert int(np.sum(S < 1e-8 * S[0])) == ref["count"] == 1
 
 
-def test_exactly_singular_section_is_solved_shifted(factorizations):
+def test_exactly_singular_section_splits_with_one_eigh(factorizations):
     """The zero-pivot section is real, with no Hermitian form, and exactly
-    singular at odd N: the one solve against it (a view of its generator)
-    meets the exactly zero pivot and is made once more on a copy shifted by
-    eps * sigma_max * I; the split still matches the oracle."""
+    singular at odd N: its near-null vectors come from the one eigh of its
+    Hankel form W J, a view of its generator, which an exactly zero
+    eigenvalue does not disturb, and the split matches the oracle."""
     from conewh.wiener_hopf import _split
 
     for N in (5, 7, 65, 513):
@@ -886,13 +949,11 @@ def test_exactly_singular_section_is_solved_shifted(factorizations):
             np.linalg.solve(W, np.ones(N))
         factorizations.clear()
         dim_ker, dim_coker, diag = _split(c, 1e-8, 1e3)
-        assert factorizations == ([("eigvalsh", np.float64)] + [("solve", np.float64)] * 2
-                                  + _pairing())
-        plain, shifted = factorizations.args[1:3]
-        assert np.array_equal(plain, W) and np.shares_memory(plain, c)
-        assert np.array_equal(shifted, W + np.finfo(float).eps * diag["sigma_max"] * np.eye(N))
-        with np.errstate(divide="ignore"):          # the oracle's gap above an exact zero
-            ref = complex_singular_split(W)
+        assert factorizations == ([("eigvalsh", np.float64), ("eigh", np.float64)]
+                                  + _attribution())
+        hankel = factorizations.args[1]
+        assert np.array_equal(hankel, W[:, ::-1]) and np.shares_memory(hankel, c)
+        ref = complex_singular_split(W)
         assert (diag["count"], dim_ker, dim_coker) == (ref["count"], ref["dim_ker"],
                                                         ref["dim_coker"]) == (1, 0, 1)
 
@@ -933,23 +994,26 @@ def test_split_with_every_value_near_zero_is_unresolved(c, delta_factor):
         _split(c, delta_factor, 1e3)
 
 
-def test_linalg_error_in_the_near_null_split_is_unresolved(monkeypatch):
-    """A LinAlgError inside the range finder's split is an index-unresolved
-    error naming N, the near-null count, the smallest sigma and sigma_max."""
+@pytest.mark.parametrize("row, ker, coker", [(0, 1, 1), (-1, 0, 0)])
+def test_front_masses_that_do_not_add_up_are_unresolved(monkeypatch, row, ker, coker):
+    """Near-null vectors whose front-minus-back masses give k kernel and
+    cokernel directions between them are attributed; any other outcome (here
+    both sides on the front, or both on the back, of a two-sided section with
+    k = 1) is an index-unresolved error naming N and the masses."""
     import conewh.wiener_hopf as wh
 
-    def no_convergence(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    c = _section(symbol_preset("rational-w+1", 0.05, 52.0), 512)
-    sigma = wh._split(c, 1e-8, 1e3)[2]
-    monkeypatch.setattr(wh, "svd", no_convergence)
+    c = _section(_two_sided_symbol(0.2), 128)
+    assert wh._split(c, 1e-8, 1e3)[:2] == (0, 1)
+    e = np.zeros((128, 1))
+    e[row] = 1.0
+    monkeypatch.setattr(wh, "_near_null_pairs", lambda c, k: (e, e))
     with pytest.raises(IndexUnresolvedError) as info:
         wh._split(c, 1e-8, 1e3)
+    mass = 1.0 if row == 0 else -1.0
     assert str(info.value) == (
-        f"index not resolved at N=512: the split of the 1 near-zero singular values failed "
-        f"(SVD did not converge); smallest sigma {sigma['sigma_min']:.3g}, sigma_max "
-        f"{sigma['sigma_max']:.3g}")
+        f"index not resolved at N=128: the front-minus-back masses of the 1 near-null right "
+        f"vectors [{mass}] and left vectors [{mass}] give {ker} kernel and {coker} cokernel "
+        f"directions, not 1")
 
 
 def test_twisted_face_sections_factor_by_structure(factorizations):
@@ -1058,9 +1122,10 @@ def _seeded_generator(kind, N, seed):
 def test_generator_dispatch_matches_dense_form(factorizations, monkeypatch, kind, N):
     """The O(N) tests on a generator pick the factorization that the N x N
     equality checks pick on its section, and it reads the same bits on both
-    paths.  Whatever the class, a split with near-null triples then makes
-    exactly one solve of order N, against the section as a view of c, and
-    builds the section only after that solve, for the pairing product."""
+    paths.  A split with near-null triples then makes exactly one
+    factorization with vectors, of the view its class reads (eigh of the
+    Hankel form W J of a real c, eigh of a Hermitian W, a full svd of any
+    other W), and the eigvalsh of its attribution, and builds no section."""
     import conewh.wiener_hopf as wh
 
     c = _seeded_generator(kind, N, 90 + N)
@@ -1081,30 +1146,35 @@ def test_generator_dispatch_matches_dense_form(factorizations, monkeypatch, kind
         # the Hankel form of a real c, else the section: a view of c, no copy
         assert np.shares_memory(args[0], c)
     # A count that takes the k = min(2, N - 1) smallest values under a gap
-    # ratio of 1, so that the split solves and pairs.
+    # ratio of 1, so that the split takes their vectors.
     k = min(2, N - 1)
     delta_factor = (sigma[-k - 1] + sigma[-k]) / 2 / sigma[0] if k else 1e-8
     built, toeplitz = [], wh._toeplitz
     monkeypatch.setattr(wh, "_toeplitz", lambda g: built.append(len(factorizations)) or toeplitz(g))
     factorizations.clear()
     split = wh._split(c, delta_factor, 1.0)
-    assert split[2]["count"] == k
+    assert split[2]["count"] == k and not built
     assert factorizations[:len(calls)] == calls
     if k:
-        assert [name for name, _ in factorizations[len(calls):]] == ["solve", "qr", "qr", "svd"]
-        solved = factorizations.args[len(calls)]
-        assert _same_bits(solved, W) and np.shares_memory(solved, c)
-        assert built == [len(calls) + 3]        # after the solve and both qr
+        vectors = {"real-even": ("eigh", np.float64), "real": ("eigh", np.float64),
+                   "conjugate-even": ("eigh", np.complex128),
+                   "complex-general": ("svd", np.complex128)}[kind]
+        assert factorizations[len(calls):] == [vectors] + _attribution(vectors[1])
+        viewed = factorizations.args[len(calls)]
+        assert _same_bits(viewed, W[:, ::-1] if kind.startswith("real") else W)
+        assert np.shares_memory(viewed, c)
+        assert factorizations.args[-1].shape == (2, k, k)
     else:
-        assert factorizations == calls and not built
+        assert factorizations == calls
 
 
 def test_real_section_factors_with_no_section_copy(monkeypatch):
-    """A real two-sided section at N = 1024 is factored and solved from views
-    of its generator: numpy holds under a quarter of one N x N array when
-    eigvalsh and the solve start, and at most one N x N array, the section
-    built for the pairing product, when the pairing svd starts.  LAPACK's own
-    work arrays are not traced, so this bounds the module's arrays only."""
+    """A real two-sided section at N = 1024 is factored from views of its
+    generator: numpy holds under a quarter of one N x N array when eigvalsh
+    and eigh start and when the attribution's eigvalsh starts, and its traced
+    peak over the split is the eigenvector matrix that eigh returns, one
+    N x N array, plus under a quarter of one.  LAPACK's own work arrays are
+    not traced, so this bounds the module's arrays only."""
     import tracemalloc
 
     import conewh.wiener_hopf as wh
@@ -1119,79 +1189,49 @@ def test_real_section_factors_with_no_section_copy(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("eigvalsh", "solve", "svd"):
+    for name in ("eigvalsh", "eigh", "svd"):
         monkeypatch.setattr(wh, name, traced(name, getattr(wh, name)))
     tracemalloc.start()
     try:
         split = wh._split(c, 1e-8, 1e3)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert split[:2] == (0, 1)
-    assert [name for name, _ in held] == ["eigvalsh", "solve", "svd"]
+    assert [name for name, _ in held] == ["eigvalsh", "eigh", "eigvalsh"]
     section = N * N * 8
-    assert all(size < section / 4 for name, size in held if name != "svd")
-    assert held[-1][1] <= section
+    assert all(size < section / 4 for _, size in held)
+    assert peak < section * 5 / 4
 
 
-def test_complex_general_solve_copies_no_section(monkeypatch):
+def test_complex_general_split_takes_one_svd_of_a_view(factorizations):
     """A complex section with no Hermitian form (the e^{3ix}-modulated
-    two-sided section at N = 1024) takes both blocks from one solve of order
-    N, against a view of its generator: W is persymmetric, so
-    W^-H s = J conj(W^-1 J s) for real seeds s.  numpy's traced peak from
-    the start of the near-null pairing to its first qr stays under an eighth
-    of one complex N x N array, both blocks equal those of the same solve
-    against the assembled section to the last bit, and the left block is
-    W^-H applied to the seeds, to rounding."""
-    import tracemalloc
+    two-sided section at N = 512) takes its near-null vectors from one full
+    svd of the section as a view of its generator: they are the last singular
+    vectors of a dense SVD of the assembled section, to a unit factor."""
+    from conewh.wiener_hopf import _near_null_pairs, _split
 
-    import conewh.wiener_hopf as wh
-
-    N = 1024
+    N = 512
     c = _section(_two_sided_symbol(0.05, 3.0), N)
-    near_null_pairs, qr, solve = wh._near_null_pairs, wh.qr, wh.solve
-    blocks, peaks, solved = [], [], []
-
-    def traced_pairs(*args, **kwargs):
-        tracemalloc.start()
-        try:
-            return near_null_pairs(*args, **kwargs)
-        finally:
-            tracemalloc.stop()
-
-    def traced_qr(a, *args, **kwargs):
-        if not blocks:
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        blocks.append(a)
-        return qr(a, *args, **kwargs)
-
-    def counted_solve(a, b):
-        solved.append(a)
-        return solve(a, b)
-
-    monkeypatch.setattr(wh, "_near_null_pairs", traced_pairs)
-    monkeypatch.setattr(wh, "qr", traced_qr)
-    monkeypatch.setattr(wh, "solve", counted_solve)
-    assert wh._split(c, 1e-8, 1e3)[:2] == (0, 1)
     W = _toeplitz(c)
     assert W.dtype == np.complex128 and not np.array_equal(W, W.T.conj())
-    assert len(solved) == 1 and _same_bits(solved[0], W) and np.shares_memory(solved[0], c)
-    U, V = blocks
-    m = U.shape[1]
-    seeds = np.random.default_rng(0).standard_normal((N, 2 * m))
-    X = np.linalg.solve(W, np.concatenate([seeds[:, :m], seeds[::-1, m:]], axis=1))
-    assert _same_bits(V, X[:, :m]) and _same_bits(U, X[::-1, m:].conj())
-    left = np.linalg.solve(W.T.conj(), seeds[:, m:])
-    assert np.linalg.norm(U - left) <= 1e-10 * np.linalg.norm(left)
-    assert peaks[0] < N * N * 16 / 8
+    assert _split(c, 1e-8, 1e3)[:2] == (0, 1)
+    factorizations.clear()
+    U, V = _near_null_pairs(c, 1)
+    assert factorizations == [("svd", np.complex128)]
+    viewed = factorizations.args[0]
+    assert _same_bits(viewed, W) and np.shares_memory(viewed, c)
+    P, _, Qh = np.linalg.svd(W)
+    assert abs(np.vdot(P[:, -1], U[:, 0])) == pytest.approx(1.0, abs=1e-10)
+    assert abs(np.vdot(Qh[-1].conj(), V[:, 0])) == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("modulation", [pytest.param(0.0, id="real"),
                                         pytest.param(3.0, id="complex")])
 def test_one_sided_split_holds_no_section(factorizations, modulation):
     """A one-sided section at N = 1024 (a rational kernel of winding -1, real,
-    or e^{3ix}-modulated, with no Hermitian form) is triangular: after the
-    factorization of its singular values, its split solves only 64-row
-    diagonal blocks and factors only the k + 8 columns of the pairing, and
+    or e^{3ix}-modulated, with no Hermitian form) is triangular: its split
+    makes the factorization of its singular values and nothing else, and
     numpy's traced peak over the whole split stays under half of one real
     N x N array.  The counts are the dense oracle's."""
     import tracemalloc
@@ -1207,10 +1247,7 @@ def test_one_sided_split_holds_no_section(factorizations, modulation):
     finally:
         tracemalloc.stop()
     dtype = np.complex128 if modulation else np.float64
-    assert factorizations == ([("svdvals" if modulation else "eigvalsh", dtype)]
-                              + [("solve", dtype)] * (N // 64) + _pairing(dtype))
-    assert [a.shape for a in factorizations.args[1:]] == (
-        [(64, 64)] * (N // 64) + [(N, 9)] * 2 + [(9, 9)])
+    assert factorizations == [("svdvals" if modulation else "eigvalsh", dtype)]
     assert peak < N * N * 8 / 2
     ref = complex_singular_split(_toeplitz(c))
     assert split[:2] == (ref["dim_ker"], ref["dim_coker"]) == (1, 0)
@@ -1222,10 +1259,13 @@ def test_one_sided_split_holds_no_section(factorizations, modulation):
 def test_triangular_section_windows_and_substitution(factorizations, N, side, dtype):
     """The triangle is read off the generator: a lower triangular section is
     its own L, an upper one is J L J with L from the reversed generator, and
-    a zero diagonal or a two-sided generator takes no substitution.  The row
-    windows are the blocks L[lo:hi, :hi], and the substitution solves
-    L X = B with one solve of order at most 64 per window."""
-    from conewh.wiener_hopf import _lower_generator, _row_windows, _substitute
+    a zero diagonal or a two-sided generator is not triangular.  A triangular
+    section with near-null values (here L has diagonal 2 and 3 at lag 1, so
+    L^-1 grows like 1.5^N: one near-null value from N = 63 on) splits by its
+    side alone, all to the cokernel when lower and all to the kernel when
+    upper, with no factorization beyond the count's, as the dense SVD
+    attributes them."""
+    from conewh.wiener_hopf import _lower_generator, _singular_values, _split
 
     rng = np.random.default_rng(100 + N)
     g = 0.3 * rng.standard_normal(2 * N - 1) * np.exp(-np.abs(np.arange(1 - N, N)) / 2)
@@ -1233,6 +1273,8 @@ def test_triangular_section_windows_and_substitution(factorizations, N, side, dt
         g = g + 0.3j * rng.standard_normal(2 * N - 1) * np.exp(-np.abs(np.arange(1 - N, N)) / 2)
     g[:N - 1] = 0
     g[N - 1] = 2.0
+    if N > 1:
+        g[N] = 3.0
     c = g if side == "lower" else g[::-1]
     L, reverse = _lower_generator(c)
     assert reverse == (side == "upper" and N > 1) and _same_bits(L, g)
@@ -1240,37 +1282,17 @@ def test_triangular_section_windows_and_substitution(factorizations, N, side, dt
     singular, two_sided = c.copy(), np.r_[0.0, c, 0.0] + np.r_[1.0, 0 * c, 1.0]
     singular[N - 1] = 0
     assert _lower_generator(singular) is None and _lower_generator(two_sided) is None
-    W = _toeplitz(g)
-    windows = _row_windows(g)
-    assert [(lo, hi) for lo, hi, _ in windows] == [(lo, min(lo + 64, N)) for lo in range(0, N, 64)]
-    assert all(_same_bits(rows, W[lo:hi, :hi]) for lo, hi, rows in windows)
-    B = rng.standard_normal((N, 5))
-    X = _substitute(windows, B)
-    assert factorizations == [("solve", dtype)] * len(windows)
-    assert all(len(a) <= 64 for a in factorizations.args)
-    assert np.allclose(X, np.linalg.solve(W, B), rtol=1e-12, atol=1e-14)
+    _singular_values(c[None])
+    count = list(factorizations)
+    factorizations.clear()
+    dim_ker, dim_coker, diag = _split(c, 1e-8, 1e3)
+    k = diag["count"]
+    assert k == int(N >= 63)
+    assert (dim_ker, dim_coker) == ((k, 0) if reverse else (0, k))
+    assert factorizations == count
+    ref = complex_singular_split(_toeplitz(c))
+    assert (k, dim_ker, dim_coker) == (ref["count"], ref["dim_ker"], ref["dim_coker"])
 
-
-@pytest.mark.parametrize("growth, solved", [(1e200, 1), (1e4, 2)])
-def test_substitution_that_overflows_stops_at_its_window(factorizations, growth, solved):
-    """L^-1 B grows by a factor growth per row: the first window whose
-    solution is not finite (here the first at 1e200 per row; the second at
-    1e4, 1e4^63 being finite) raises LinAlgError, with no RuntimeWarning, and
-    no later window is solved.  The overflow may come inside the window's
-    own solve, where numpy reports a singular matrix: the error names the
-    overflow instead, since a diagonal block of L is nonsingular."""
-    import warnings
-
-    from conewh.wiener_hopf import _row_windows, _substitute
-
-    N = 200
-    g = np.zeros(2 * N - 1)
-    g[N - 1], g[N] = 1.0, -growth
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
-            _substitute(_row_windows(g), np.ones((N, 3)))
-    assert factorizations == [("solve", np.float64)] * solved
 
 _INDEX_PRESETS = ["rational-w-1", "rational-w+1", "rational-w-2", "rational-w+2",
                   "gauss-small", "singular-zero", "zero"]
