@@ -396,8 +396,8 @@ def _cmd_pklimit(config, eps):
                f"in the float range, got window {window}, direction {xf.tolist()} "
                f"and scales {scales}")
     _check_margins(cone, shifts, window, margins)
-    seq = [sample_cone(cone, bounds, step, shift=shift, tag=f"scale-{s}")
-           for s, shift in zip(scales, shifts)]
+    tail = pk_tail(list(zip(scales, shifts)))
+    seq = [sample_cone(cone, bounds, step, shift=shift, tag=f"scale-{s}") for s, shift in tail]
     converged, lo, hi, dist = pk_converged(seq, eps, bounds=bounds, step=step)
     limit_cone = ray_limit(cone, direction)
     _check_margins(limit_cone, np.zeros((1, cone.ambient_dim)), window, margins)
@@ -407,7 +407,7 @@ def _cmd_pklimit(config, eps):
     if empty:
         raise EmptySampleError(
             f"the sampled {' and '.join(empty)} {'is' if len(empty) == 1 else 'are'} empty "
-            f"(tail scales {list(pk_tail(scales))}, window {window}, step {step}), so no "
+            f"(tail scales {[s for s, _ in tail]}, window {window}, step {step}), so no "
             f"Hausdorff distance to {'it' if len(empty) == 1 else 'them'} is finite; a window "
             f"that is a multiple of the step puts the origin on the lattice, and the origin "
             f"lies in every s*x - C")

@@ -2,16 +2,17 @@
 
 A sampled set is a boolean mask over the lattice lo + k*step of [lo, hi]^dim.
 The limes inferior / superior of a sequence are approximated over its tail,
-the last max(2, ceil(len/2)) sets: "all but finitely many" means each tail
-set, "infinitely many" means at least one hit in every consecutive block of
-the tail, with at most three blocks and at least two sets in each.  Both read
-the same tail, so liminf <= limsup by construction, as for true set limits
-(Rockafellar & Wets, Variational Analysis, 4.A); two sets in a block keep a
-sequence that alternates between far-apart sets from reading as converged.
-"Within eps" of a set is one binary dilation of its mask by the stencil
-{k : |k|*step < eps}, made for all the tail masks at once; a Hausdorff
-distance is read from the exact Euclidean distance transform of a mask, in
-integers, times step.
+the last max(2, ceil(len/2)) sets, which pk_tail picks; a caller samples only
+those sets and hands them to pk_converged, which reads every set it is given.
+"All but finitely many" means each tail set, "infinitely many" means at least
+one hit in every consecutive block of the tail, with at most three blocks and
+at least two sets in each.  Both read the same tail, so liminf <= limsup by
+construction, as for true set limits (Rockafellar & Wets, Variational
+Analysis, 4.A); two sets in a block keep a sequence that alternates between
+far-apart sets from reading as converged.  "Within eps" of a set is one
+binary dilation of its mask by the stencil {k : |k|*step < eps}, made for all
+the tail masks at once; a Hausdorff distance is read from the exact Euclidean
+distance transform of a mask, in integers, times step.
 """
 
 from dataclasses import dataclass
@@ -122,25 +123,27 @@ def hausdorff_distance(a: SampledSet, b: SampledSet) -> float:
 
 def pk_tail(seq):
     """The tail of seq that the sampled limits read: its last max(2, ceil(len/2))
-    items."""
+    items.  A caller samples only these and passes them to pk_converged."""
     return seq[-max(2, (len(seq) + 1) // 2):]
 
 
 def pk_converged(seq, eps, bounds=None, step=None):
-    """Sampled liminf and limsup over the tail of seq, their Hausdorff distance,
+    """Sampled liminf and limsup of the sets of seq, their Hausdorff distance,
     and whether it is at most eps.
 
-    bounds and step, where given, must name the window lattice of the sets.
+    seq is the tail the limits read, as pk_tail picks it from a sequence, and
+    every set of it is read.  bounds and step, where given, must name the
+    window lattice of the sets.
     """
     if len(seq) < 2:
-        raise DomainError("need at least two sets")
+        raise DomainError(f"need at least two sets, got {len(seq)}")
     if eps <= 0:
-        raise DomainError("eps must be positive")
+        raise DomainError(f"eps must be positive, got {eps}")
     step = _lattice(seq, bounds, step)
     r = int(np.ceil(eps / step))
     sq = sum(np.meshgrid(*([np.arange(-r, r + 1) ** 2] * seq[0].dim), indexing="ij"))
     stencil = step * np.sqrt(sq) < eps
-    near = _dilate(np.stack([s.mask for s in pk_tail(seq)]), stencil)
+    near = _dilate(np.stack([s.mask for s in seq]), stencil)
     blocks = np.array_split(near, max(1, min(3, len(near) // 2)))
     lo = SampledSet(near.all(axis=0), seq[0].bounds, step, "pk-liminf")
     hi = SampledSet(np.all([b.any(axis=0) for b in blocks], axis=0), seq[0].bounds, step,
@@ -150,12 +153,14 @@ def pk_converged(seq, eps, bounds=None, step=None):
 
 
 def pk_liminf(seq, eps, bounds=None, step=None) -> SampledSet:
-    """The sampled liminf of pk_converged (a span name of perfbench/tracing.py)."""
+    """The sampled liminf of pk_converged over the sets of seq (a span name
+    of perfbench/tracing.py)."""
     return pk_converged(seq, eps, bounds, step)[1]
 
 
 def pk_limsup(seq, eps, bounds=None, step=None) -> SampledSet:
-    """The sampled limsup of pk_converged (a span name of perfbench/tracing.py)."""
+    """The sampled limsup of pk_converged over the sets of seq (a span name
+    of perfbench/tracing.py)."""
     return pk_converged(seq, eps, bounds, step)[2]
 
 
@@ -163,7 +168,10 @@ def sample_cone(cone, bounds, step, shift=None, tag="") -> SampledSet:
     """Window sample of shift - C (or of C when shift is None) for an exact cone.
 
     Membership of a lattice point p means shift - p in C, checked by float
-    margins against the canonical inequalities, summed axis by axis.
+    margins against the canonical inequalities, summed axis by axis: the
+    margin a.(shift - p) of each facet normal a must be at least -1e-9*|a|,
+    the tolerance -1e-9 on the unit normal's margin with no pass that divides
+    the margins by |a|.
     """
     dim, axis = cone.ambient_dim, _axis(bounds, step)
     coords = [axis] * dim if shift is None else [float(s) - axis for s in shift]
@@ -173,6 +181,5 @@ def sample_cone(cone, bounds, step, shift=None, tag="") -> SampledSet:
         terms = [(c * w).reshape((-1,) + (1,) * (dim - 1 - i))
                  for i, (c, w) in enumerate(zip(coords, normal))]
         np.add(sum(terms[:-1]), terms[-1], out=margin)
-        np.divide(margin, np.linalg.norm(normal), out=margin)
-        keep &= np.greater_equal(margin, -1e-9, out=hit)
+        keep &= np.greater_equal(margin, -1e-9 * np.linalg.norm(normal), out=hit)
     return SampledSet(keep, tuple(bounds), step, tag)

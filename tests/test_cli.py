@@ -448,6 +448,34 @@ def test_empty_pklimit_sample_is_domain_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_pklimit_samples_only_its_tail(tmp_path, monkeypatch):
+    """pklimit samples the cone at the scales pk_tail picks and once more for
+    the exact limit, never at the head scales: a copy of the spec whose head
+    scales differ gives the same report but for its name and config."""
+    from conewh import limits
+
+    spec = json.loads(_read(os.path.join(os.path.dirname(__file__), "golden", "specs",
+                                         "pklimit-fourgonal-r3-101.json")))
+    sample_cone, calls = limits.sample_cone, []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("tag"))
+        return sample_cone(*args, **kwargs)
+
+    monkeypatch.setattr(limits, "sample_cone", counted)
+    reports = []
+    for name, scales in (("tail", spec["scales"]), ("other-head", [1, 3, 5, 16, 32, 64])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**spec, "name": name, "scales": scales}))
+        del calls[:]
+        assert run(RunConfig("pklimit", str(path), str(tmp_path))) == 0
+        assert len(calls) == len(limits.pk_tail(scales)) + 1 == 4
+        assert calls == ["scale-16.0", "scale-32.0", "scale-64.0", "exact-limit"]
+        report = json.loads(_read(tmp_path / f"{name}_pklimit.json"))
+        reports.append({k: v for k, v in report.items() if k not in ("name", "config")})
+    assert reports[0] == reports[1]
+
+
 _TRIV = {"name": "bad-triv", "cone": "quarter-plane", "angle_deg": 8.0, "samples": 50}
 
 

@@ -16,7 +16,11 @@ pklimit reports, fourgonal-r3 along (0,0,1) and along (1,0,1), were written
 once the sampled limsup read the same tail of scales as the liminf (the
 last three scales, one limsup block); before that, both directions gave a
 liminf larger than the limsup and converged false.  They pin converged true
-with liminf_size == limsup_size.
+with liminf_size == limsup_size.  pklimit-fourgonal-r3-rational, fourgonal-r3
+along (1, 1/3, 1) on the 41^3 lattice of step 0.2, was written while every
+scale was sampled and each facet margin was divided by the normal's norm;
+its shifts are off the lattice, so its margins are not exact, and it pins
+the sampling of the tail scales only, with no division, byte for byte.
 
 The hierarchy2d reports (JSON and CSV) of the two packaged hierarchy presets
 were written once the twisted face restrictions were taken in one folded
@@ -116,6 +120,8 @@ def _check_golden(tmp_path, monkeypatch, command, spec, seed, name, suffixes=(".
     ("pklimit", "specs/pklimit-simplicial-r3-110.json", None, "pklimit-simplicial-r3-110"),
     ("pklimit", "specs/pklimit-fourgonal-r3-001.json", None, "pklimit-fourgonal-r3-001"),
     ("pklimit", "specs/pklimit-fourgonal-r3-101.json", None, "pklimit-fourgonal-r3-101"),
+    ("pklimit", "specs/pklimit-fourgonal-r3-rational.json", None,
+     "pklimit-fourgonal-r3-rational"),
 ])
 def test_sampled_report_matches_golden(tmp_path, monkeypatch, command, spec, seed, name):
     _check_golden(tmp_path, monkeypatch, command, spec, seed, name)

@@ -22,7 +22,7 @@ from conewh.errors import (
     NotSolidError,
 )
 from conewh.exact import rvec, vdot
-from conewh.limits import hausdorff_distance, pk_converged, sample_cone
+from conewh.limits import hausdorff_distance, pk_converged, pk_tail, sample_cone
 from conewh.strata import (
     incidence_pairs,
     order_point,
@@ -247,7 +247,7 @@ def test_spectrum_poset(quarter, half_line, simplicial):
 
 def test_pk_constant_sequence():
     A = sampled_set_from_points([[0.0, 0.0], [1.0, 0.5]], (-2, 2), 0.1, tag="A")
-    converged, lo, hi, dist = pk_converged([A] * 6, 0.3, bounds=(-2, 2), step=0.1)
+    converged, lo, hi, dist = pk_converged(pk_tail([A] * 6), 0.3, bounds=(-2, 2), step=0.1)
     assert converged
     assert hausdorff_distance(lo, A) < 0.3
     assert hausdorff_distance(hi, A) < 0.3
@@ -255,7 +255,7 @@ def test_pk_constant_sequence():
 
 def test_pk_escaping_point():
     seq = [sampled_set_from_points([[float(k)], [0.0]], (-2, 14), 0.2) for k in range(1, 13)]
-    _, lo, hi, _ = pk_converged(seq, 0.3, bounds=(-2, 14), step=0.2)
+    _, lo, hi, _ = pk_converged(pk_tail(seq), 0.3, bounds=(-2, 14), step=0.2)
     assert np.abs(lo.points).max() < 0.3
     assert np.abs(hi.points).max() < 0.3
     assert hausdorff_distance(lo, hi) <= 0.3
@@ -265,7 +265,7 @@ def test_pk_translated_cones_match_ray_limit(quarter):
     bounds, step, eps = (-4.0, 4.0), 0.25, 0.5
     x = np.array([1.0, 0.0])
     seq = [sample_cone(quarter, bounds, step, shift=k * x) for k in (2, 4, 8, 16, 32, 64)]
-    converged, lo, hi, dist = pk_converged(seq, eps, bounds=bounds, step=step)
+    converged, lo, hi, dist = pk_converged(pk_tail(seq), eps, bounds=bounds, step=step)
     assert converged
     exact = sample_cone(ray_limit(quarter, (1, 0)), bounds, step)
     assert hausdorff_distance(lo, exact) <= eps
@@ -275,7 +275,7 @@ def test_pk_liminf_subset_limsup():
     rng = np.random.default_rng(5)
     seq = [sampled_set_from_points(rng.integers(-4, 5, (20, 2)) * 0.25, (-1.5, 1.5), 0.25)
            for _ in range(8)]
-    _, lo, hi, _ = pk_converged(seq, 0.4, bounds=(-1.5, 1.5), step=0.25)
+    _, lo, hi, _ = pk_converged(pk_tail(seq), 0.4, bounds=(-1.5, 1.5), step=0.25)
     lo_set = {tuple(p) for p in np.round(lo.points, 9)}
     hi_set = {tuple(p) for p in np.round(hi.points, 9)}
     assert lo_set <= hi_set
@@ -283,9 +283,9 @@ def test_pk_liminf_subset_limsup():
 
 def test_pk_errors():
     A = sampled_set_from_points(np.zeros((1, 1)), (-1, 1), 0.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"at least two sets, got 1$"):
         pk_converged([A], 0.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"eps must be positive, got -1\.0$"):
         pk_converged([A, A], -1.0)
     B = sampled_set_from_points(np.zeros((1, 1)), (-1, 1), 0.25)
     with pytest.raises(DomainError):
