@@ -37,9 +37,9 @@ _EXPORTS = {
         "triv_det", "triv_det_formula"),
         "trivialization"),
     **dict.fromkeys((
-        "FredholmReport", "SymbolGrid", "classical_index", "face_symbol",
-        "face_symbol_twisted", "hierarchy_fredholm", "make_symbol", "numerical_index",
-        "symbol_curve", "wh_matrix", "winding_number"),
+        "FaceReport", "HierarchyReport", "IndexReport", "Section", "SymbolGrid",
+        "classical_index", "face_symbol", "face_symbol_twisted", "hierarchy_fredholm",
+        "make_symbol", "numerical_index", "symbol_curve", "wh_matrix", "winding_number"),
         "wiener_hopf"),
 }
 

@@ -21,7 +21,7 @@ ConfigError (exit 2) from `presets.preset_spec`.
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 from . import __version__
@@ -168,8 +168,8 @@ def _sample_symbol(values, command, dim):
     return resolve_symbol(symbol, values["h"], values["T"])
 
 
-def _write_report(config, name, fields, rows=None):
-    """Write a header echoing the configuration and the fields as
+def _write_report(config, name, members, rows=None):
+    """Write a header echoing the configuration and the members as
     <name>_<command>.json, and rows, if given, as <name>_<command>.csv, making
     --out only once the report has serialized; returns exit code 0."""
     report = {
@@ -181,7 +181,7 @@ def _write_report(config, name, fields, rows=None):
             "seed": config.seed,
             "tolerances": dict(sorted(config.tolerances.items())),
         },
-        **fields,
+        **members,
     }
     text = dumps_report(report)
     os.makedirs(config.outdir, exist_ok=True)
@@ -193,13 +193,29 @@ def _write_report(config, name, fields, rows=None):
     return 0
 
 
+def _members(record):
+    """The report members of a record's fields, in field order: a list of
+    records becomes a list of objects, sections their sigma_min per
+    truncation, and rows, the CSV's, are left out."""
+    members = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.name == "sections":
+            members["sigma_min"] = {str(N): s.sigma_min for N, s in value.items()}
+        elif f.name == "faces":
+            members["faces"] = [_members(face) for face in value]
+        elif f.name != "rows":
+            members[f.name] = value
+    return members
+
+
 # -- commands ----------------------------------------------------------------
 
 
 def _cmd_lattice(config):
     name, cone = read_cone_spec(_resolve_input(config.input, "cones"))
     lat = face_lattice(cone)
-    fields = {
+    members = {
         "name": name,
         "cone": cone_report_object(cone),
         "face_count": len(lat.faces),
@@ -211,8 +227,8 @@ def _cmd_lattice(config):
         # face_lattice needs a pointed cone; for a pointed, solid cone the dual
         # faces are the primal ones with dim n - dim F, so the dual lattice has
         # as many distinct dims as this one.
-        fields["solvable_length"] = len(set(lat.dims)) - 1
-    return _write_report(config, name, fields)
+        members["solvable_length"] = len(set(lat.dims)) - 1
+    return _write_report(config, name, members)
 
 
 def _face_objects(st):
@@ -315,27 +331,11 @@ def _cmd_index1d(config):
     symbol = _sample_symbol(values, "index1d", 1)
     from .wiener_hopf import classical_index
 
-    report_obj = classical_index(symbol, truncations=values["N"])
-    rows = [{
-        "experiment": name,
-        "N": N,
-        "sigma_min": repr(report_obj.diagnostics["sigma_min"][N]),
-        "dim_ker": report_obj.diagnostics.get("dim_ker", ""),
-        "dim_coker": report_obj.diagnostics.get("dim_coker", ""),
-        "index": "" if report_obj.numerical_index is None else report_obj.numerical_index,
-        "winding": "" if report_obj.winding is None else report_obj.winding,
-        "verdict": report_obj.verdict,
-    } for N in values["N"]]
-    return _write_report(config, name, {
-        "name": name,
-        "symbol_nonvanishing": report_obj.symbol_nonvanishing,
-        "symbol_min": report_obj.symbol_min,
-        "winding": report_obj.winding,
-        "index": report_obj.index,
-        "numerical_index": report_obj.numerical_index,
-        "sigma_min": {str(k): v for k, v in report_obj.diagnostics["sigma_min"].items()},
-        "verdict": report_obj.verdict,
-    }, rows)
+    rep = classical_index(symbol, truncations=values["N"])
+    rows = [{"experiment": name, "N": N, "sigma_min": s.sigma_min, "dim_ker": s.dim_ker,
+             "dim_coker": s.dim_coker, "index": rep.numerical_index, "winding": rep.winding,
+             "verdict": rep.verdict} for N, s in rep.sections.items()]
+    return _write_report(config, name, {"name": name, **_members(rep)}, rows)
 
 
 def _cmd_hierarchy2d(config, margin_tol):
@@ -345,29 +345,10 @@ def _cmd_hierarchy2d(config, margin_tol):
 
     rep = hierarchy_fredholm(symbol, truncations=values["N"], y_values=values["y_values"],
                              margin_tol=margin_tol)
-    rows = [{
-        "experiment": f"{name}:face-{fr['face']}@y={r['y']}",
-        "N": N,
-        "sigma_min": repr(smin),
-        "verdict": "ok" if fr["ok"] else "failing-face",
-    } for fr in rep.face_reports for r in fr["rows"] for N, smin in r["sigma_min"].items()]
-    return _write_report(config, name, {
-        "name": name,
-        "symbol_nonvanishing": rep.symbol_nonvanishing,
-        "symbol_min": rep.symbol_min,
-        "l1_norm": rep.diagnostics["l1_norm"],
-        "neumann_margin": rep.diagnostics["neumann_margin"],
-        "failing_faces": rep.diagnostics["failing_faces"],
-        "faces": [{
-            "face": fr["face"],
-            "margin": fr["margin"],
-            "stable": fr["stable"],
-            "ok": fr["ok"],
-            "margin_at_infinity": fr["margin_at_infinity"],
-            "decreasing_at": fr["decreasing_at"],
-        } for fr in rep.face_reports],
-        "verdict": rep.verdict,
-    }, rows)
+    rows = [{"experiment": f"{name}:face-{face.face}@y={y}", "N": N, "sigma_min": smin,
+             "verdict": "ok" if face.ok else "failing-face"}
+            for face in rep.faces for y, mins in face.rows for N, smin in mins.items()]
+    return _write_report(config, name, {"name": name, **_members(rep)}, rows)
 
 
 def _cmd_pklimit(config, eps):

@@ -41,6 +41,11 @@ exactly real restrictions.  It factors each bit-identical column once over
 both faces (the +-y columns of such a kernel, and the e2 columns of a kernel
 symmetric in x and y): a face's new columns in one stack per truncation.
 
+Each report is one typed record whose fields are in the order of its JSON
+members: classical_index returns an IndexReport, with the Section that
+_split reads off each truncation, and hierarchy_fredholm a HierarchyReport,
+with one FaceReport per face.
+
 Conventions, fixed once: Fourier transform with kernel e^{-2*pi*i*<x,xi>}.
 With this transform the half-line space maps to the Hardy space of the
 *lower* half plane, so the symbol curve is traversed with xi decreasing
@@ -89,16 +94,13 @@ class SymbolGrid:
     kernel: np.ndarray            # float64 or complex128, shape (2M+1,)*dim
     fhat: np.ndarray              # same shape, on freqs x ... x freqs
     freqs: np.ndarray
+    l1: float                     # discrete L1 norm h^dim * sum |f|
     name: str = ""
     meta: dict = field(default_factory=dict)
 
     @property
     def npoints(self):
         return len(self.xs)
-
-    def l1_norm(self):
-        """Discrete L1 norm h^dim * sum |f|."""
-        return float(np.sum(np.abs(self.kernel)) * self.h**self.dim)
 
 
 def _dft(kernel, h):
@@ -143,8 +145,8 @@ def make_symbol(f, dim, h, T, name="") -> SymbolGrid:
     must have the grid's shape.  The kernel is float64 (integers included)
     unless a sample has an imaginary part, and the DFT transforms one complex
     buffer in place.  Every sample must be finite, and so must the discrete
-    L1 norm h^dim * sum |f|, which bounds every DFT value; decay |f| < 1e-8
-    is required outside [-T/2, T/2]^dim, for dim 1 or 2.
+    L1 norm h^dim * sum |f|, which bounds every DFT value and is kept as l1;
+    decay |f| < 1e-8 is required outside [-T/2, T/2]^dim, for dim 1 or 2.
     """
     if dim not in (1, 2):
         raise DimensionMismatchError(f"kernel dimension must be 1 or 2, got {dim!r}")
@@ -166,7 +168,7 @@ def make_symbol(f, dim, h, T, name="") -> SymbolGrid:
         l1 = h**dim * total
     if not np.isfinite(l1):
         raise NonFiniteKernelError(f"kernel L1 norm h^{dim} * sum |f| is {l1}, not finite")
-    return SymbolGrid(dim, h, T, xs, vals, *_dft(vals, h), name=name)
+    return SymbolGrid(dim, h, T, xs, vals, *_dft(vals, h), float(l1), name=name)
 
 
 def _generator(kernel, h, T, N, identity_shift, dim=1):
@@ -256,17 +258,31 @@ def symbol_curve(symbol: SymbolGrid):
     return np.concatenate([[1.0 + 0j], vals, [1.0 + 0j]])
 
 
+@dataclass(frozen=True)
+class Section:
+    """What _split reads off one finite section: its extreme singular values,
+    the count of near-null ones, the gap above them (None when there are
+    none) and their split between kernel and cokernel.  A non-Fredholm
+    symbol's sections carry sigma_min only."""
+
+    sigma_min: float
+    sigma_max: float = None
+    count: int = None
+    gap: float = None
+    dim_ker: int = None
+    dim_coker: int = None
+
+
 @dataclass
-class FredholmReport:
-    """Outcome of the symbol / finite-section diagnostics."""
+class IndexReport:
+    """The index1d report, fields in the order of its JSON members."""
 
     symbol_nonvanishing: bool
     symbol_min: float             # min |1 + fhat| over grid and compactification
-    winding: object = None        # int when defined (1-D)
-    index: object = None          # -winding when Fredholm
-    numerical_index: object = None
-    diagnostics: dict = field(default_factory=dict)
-    face_reports: tuple = ()
+    winding: int = None           # None unless the symbol is nonvanishing
+    index: int = None             # -winding
+    numerical_index: int = None
+    sections: dict = field(default_factory=dict)      # N -> Section
     verdict: str = ""
 
 
@@ -399,7 +415,7 @@ def _front_excess(B):
 
 
 def _split(c, delta_factor, gap_ratio):
-    """(dim_ker, dim_coker, diag) of the finite section with generator c.
+    """The Section of the finite section with generator c.
 
     The singular values sigma of c[None] (_singular_values) give the count k
     of those below delta_factor * sigma_max and the gap above them.  A
@@ -420,10 +436,9 @@ def _split(c, delta_factor, gap_ratio):
     N = len(sigma)
     smax = sigma[0] if sigma[0] > 0 else 1.0
     k = int(np.sum(sigma < delta_factor * smax))
-    diag = {"sigma_min": float(sigma[-1]), "sigma_max": float(smax), "count": k}
-    dim_ker = 0
+    dim_ker, gap = 0, None
     if k:
-        diag["gap"] = gap = float(sigma[-k - 1] / max(sigma[-k], 1e-300)) if k < N else 0.0
+        gap = float(sigma[-k - 1] / max(sigma[-k], 1e-300)) if k < N else 0.0
         if gap < gap_ratio:
             raise IndexUnresolvedError(f"index not resolved at N={N}: gap {gap:.3g} above "
                                        f"{k} near-zero singular values is below {gap_ratio:g}")
@@ -439,54 +454,46 @@ def _split(c, delta_factor, gap_ratio):
                     f"near-null right vectors {np.round(right, 3).tolist()} and left vectors "
                     f"{np.round(left, 3).tolist()} give {dim_ker} kernel and {dim_coker} "
                     f"cokernel directions, not {k}")
-    diag.update(dim_ker=dim_ker, dim_coker=k - dim_ker)
-    return dim_ker, k - dim_ker, diag
+    return Section(float(sigma[-1]), float(smax), k, gap, dim_ker, k - dim_ker)
 
 
 def numerical_index(symbol: SymbolGrid, truncations=(512, 1024)):
-    """Finite-section index dim ker - dim coker, accepted only when the
-    kernel/cokernel counts agree at both truncation sizes."""
+    """(index, {N: Section}): the finite-section index dim ker - dim coker,
+    accepted only when the kernel/cokernel counts agree at every truncation
+    size, and the Section of each truncation."""
     if len(truncations) < 2:
         raise IndexUnresolvedError(f"need two truncation sizes, got {len(truncations)}: "
                                     f"{list(truncations)}")
-    diags = {N: _split(_section(symbol, N), _DELTA_FACTOR, _GAP_RATIO)[2]
-             for N in truncations}
-    counts = {N: (d["dim_ker"], d["dim_coker"]) for N, d in diags.items()}
+    sections = {N: _split(_section(symbol, N), _DELTA_FACTOR, _GAP_RATIO) for N in truncations}
+    counts = {N: (s.dim_ker, s.dim_coker) for N, s in sections.items()}
     if len(set(counts.values())) != 1:
         raise IndexUnresolvedError(
             f"index not resolved: (dim_ker, dim_coker) differ across truncations {counts}")
     dk, dc = counts[truncations[0]]
-    return dk - dc, {"per_truncation": diags, "dim_ker": dk, "dim_coker": dc}
+    return dk - dc, sections
 
 
-def classical_index(symbol: SymbolGrid, truncations=(512, 1024)) -> FredholmReport:
-    """Nonvanishing test of 1 + fhat, winding, and the finite-section index.
+def classical_index(symbol: SymbolGrid, truncations=(512, 1024)) -> IndexReport:
+    """The IndexReport of a 1-D symbol: nonvanishing test of 1 + fhat,
+    winding, and the finite-section index with the Section of each
+    truncation.
 
-    Non-Fredholm symbols get a report (not an error) with the sigma_min trend
-    recorded at the requested truncations.  A Fredholm symbol takes sigma_min
-    from the one factorization per truncation that numerical_index makes.
+    Non-Fredholm symbols get a report (not an error) whose sections hold the
+    sigma_min trend at the requested truncations.  A Fredholm symbol's
+    sections are those of numerical_index, one factorization per truncation.
     """
     if symbol.dim != 1:
         raise DimensionMismatchError(f"classical index is 1-D, got a {symbol.dim}-D one")
     curve = symbol_curve(symbol)
     symbol_min = float(np.abs(curve).min())
-    nonvanishing = symbol_min > _NONVANISHING_TOL
-    report = FredholmReport(nonvanishing, symbol_min)
-    if not nonvanishing:
-        report.diagnostics["sigma_min"] = {
-            N: float(_singular_values(_section(symbol, N)[None])[0, -1]) for N in truncations}
-        report.verdict = "non-fredholm"
-        return report
-    report.winding = winding_number(curve)
-    report.index = -report.winding
-    idx, diag = numerical_index(symbol, truncations)
-    report.numerical_index = idx
-    report.diagnostics["sigma_min"] = {N: d["sigma_min"]
-                                       for N, d in diag["per_truncation"].items()}
-    report.diagnostics.update(diag)
-    report.verdict = ("fredholm" if idx == report.index
-                      else "fredholm (numerical index disagrees)")
-    return report
+    if not symbol_min > _NONVANISHING_TOL:
+        return IndexReport(False, symbol_min, sections={
+            N: Section(float(_singular_values(_section(symbol, N)[None])[0, -1]))
+            for N in truncations}, verdict="non-fredholm")
+    winding = winding_number(curve)
+    idx, sections = numerical_index(symbol, truncations)
+    return IndexReport(True, symbol_min, winding, -winding, idx, sections,
+                       "fredholm" if idx == -winding else "fredholm (numerical index disagrees)")
 
 
 # -- face restrictions -------------------------------------------------------
@@ -549,6 +556,7 @@ def face_symbol_twisted(symbol: SymbolGrid, face, y) -> SymbolGrid:
     axis = _face_axis(face)
     g = _twisted_restrictions(symbol, axis, [y])[:, 0]
     return SymbolGrid(1, symbol.h, symbol.T, symbol.xs, g, *_dft(g, symbol.h),
+                      float(symbol.h * np.abs(g).sum()),
                       name=f"{symbol.name}|face-{'e1' if axis == 0 else 'e2'}@y={y}")
 
 
@@ -561,11 +569,39 @@ def face_symbol(symbol: SymbolGrid, face) -> SymbolGrid:
 # -- stratified Fredholm diagnostics for the quarter plane ------------------
 
 
+@dataclass(frozen=True)
+class FaceReport:
+    """One face of a HierarchyReport, fields in the order of its JSON members;
+    rows, (y, {N: sigma_min}) per fibre frequency, are the CSV's."""
+
+    face: str
+    margin: float
+    stable: bool
+    ok: bool
+    margin_at_infinity: float
+    decreasing_at: list
+    rows: list
+
+
+@dataclass
+class HierarchyReport:
+    """The hierarchy2d report, fields in the order of its JSON members."""
+
+    symbol_nonvanishing: bool
+    symbol_min: float
+    l1_norm: float
+    neumann_margin: float
+    failing_faces: list
+    faces: list                   # FaceReport per face, e1 then e2
+    verdict: str
+
+
 def hierarchy_fredholm(symbol: SymbolGrid, truncations=(48, 96), y_values=None,
-                       margin_tol=1e-6) -> FredholmReport:
-    """Level-wise Fredholm report: full-symbol nonvanishing plus, per 1-D
-    face, the invertibility margin of the twisted face operators over a
-    window of fibre frequencies, at two truncation sizes.
+                       margin_tol=1e-6) -> HierarchyReport:
+    """Level-wise Fredholm report, a HierarchyReport: full-symbol nonvanishing
+    plus, per 1-D face, a FaceReport of the invertibility margin of the
+    twisted face operators over a window of fibre frequencies, at two
+    truncation sizes.
 
     The verdict is "hierarchy-fredholm" iff the 2-D symbol stays away from
     -1 and every face family keeps a positive, truncation-stable margin.
@@ -591,11 +627,11 @@ def hierarchy_fredholm(symbol: SymbolGrid, truncations=(48, 96), y_values=None,
         y_values = np.concatenate([[0.0], picks * fstep, -picks * fstep])
     y_values = np.asarray(sorted(y_values), dtype=float)
 
-    l1 = symbol.l1_norm()
-    neumann_margin = 1.0 - l1
+    neumann_margin = 1.0 - symbol.l1
 
-    face_reports = []
-    all_ok = True
+    n1, n2 = min(truncations), max(truncations)
+    largest = max(y_values, key=abs)
+    faces = []
     sigma_min = {}                      # column bytes -> {N: sigma_min}, over both faces
     for axis, label in ((0, "e1"), (1, "e2")):
         G = _twisted_restrictions(symbol, axis, y_values).T        # one row per y
@@ -605,37 +641,17 @@ def hierarchy_fredholm(symbol: SymbolGrid, truncations=(48, 96), y_values=None,
         mins = [_singular_values(_generator(cols, symbol.h, symbol.T, N, True))[:, -1].tolist()
                 for N in truncations]
         sigma_min.update((key, dict(zip(truncations, col))) for key, *col in zip(new, *mins))
-        rows = [{"y": float(y), "sigma_min": dict(sigma_min[k])} for y, k in zip(y_values, keys)]
-        n1, n2 = min(truncations), max(truncations)
-        margin = min(min(r["sigma_min"].values()) for r in rows)
-        decreasing = [r["y"] for r in rows
-                      if r["sigma_min"][n2] < _STABILITY_RATIO * r["sigma_min"][n1]]
-        stable = not decreasing
-        ok = margin > margin_tol and stable
-        largest = max(y_values, key=abs)
-        far = next(r for r in rows if r["y"] == largest)
-        face_reports.append({
-            "face": label,
-            "margin": margin,
-            "stable": stable,
-            "ok": ok,
-            "rows": rows,
-            "decreasing_at": decreasing,
-            "margin_at_infinity": min(far["sigma_min"].values()),
-        })
-        all_ok &= ok
+        rows = [(float(y), dict(sigma_min[k])) for y, k in zip(y_values, keys)]
+        margin = min(min(mins.values()) for _, mins in rows)
+        decreasing = [y for y, mins in rows if mins[n2] < _STABILITY_RATIO * mins[n1]]
+        far = next(mins for y, mins in rows if y == largest)
+        faces.append(FaceReport(label, margin, not decreasing,
+                                margin > margin_tol and not decreasing,
+                                min(far.values()), decreasing, rows))
 
-    verdict_ok = nonvanishing and all_ok
-    if neumann_margin > margin_tol:
-        verdict_ok = True  # Neumann series certifies every stratum at once
-    report = FredholmReport(
-        nonvanishing, symbol_min,
-        face_reports=tuple(face_reports),
-        verdict="hierarchy-fredholm" if verdict_ok else "not-hierarchy-fredholm",
-    )
-    report.diagnostics["l1_norm"] = l1
-    report.diagnostics["neumann_margin"] = neumann_margin
-    report.diagnostics["failing_faces"] = [fr["face"] for fr in face_reports
-                                           if not fr["ok"]]
-    return report
+    # A Neumann margin certifies every stratum at once.
+    verdict_ok = (nonvanishing and all(f.ok for f in faces)) or neumann_margin > margin_tol
+    return HierarchyReport(nonvanishing, symbol_min, symbol.l1, neumann_margin,
+                           [f.face for f in faces if not f.ok], faces,
+                           "hierarchy-fredholm" if verdict_ok else "not-hierarchy-fredholm")
 

@@ -216,6 +216,34 @@ def test_blaschke_power_index_agrees_or_is_a_typed_error(tmp_path, capsys, windi
     assert report["winding"] == winding and report["verdict"] == "fredholm"
     assert report["numerical_index"] == report["index"] == -winding
 
+
+@pytest.mark.parametrize("winding", [6, -6])
+def test_saturated_count_is_the_disagreeing_verdict(tmp_path, capsys, winding):
+    """The kernel of b_2^{+-6} at h = 0.05, T = 52, N = 256/512: its
+    triangular sections have 3 near-null values at both truncations, a count
+    that saturates below |w| = 6, so the counts agree and the report is
+    written, with numerical index -+3 against winding +-6 and the verdict
+    that says so.  Each CSV row holds the saturated count on its side."""
+    import csv
+
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"name": "b", "h": 0.05, "T": 52.0, "N": [256, 512],
+                                "symbol": {"expr": blaschke_power_kernel(2, winding),
+                                           "dim": 1}}))
+    code = main(["index1d", "--in", str(path), "--out", str(tmp_path / "out")])
+    assert code == 0 and capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "out" / "b_index1d.json").read_text())
+    assert report["verdict"] == "fredholm (numerical index disagrees)"
+    assert report["winding"] == winding and report["index"] == -winding
+    assert report["numerical_index"] == (-3 if winding > 0 else 3)
+    with open(tmp_path / "out" / "b_index1d.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["N"] for row in rows] == ["256", "512"]
+    for row in rows:
+        assert (row["dim_ker"], row["dim_coker"]) == (("0", "3") if winding > 0 else ("3", "0"))
+        assert row["verdict"] == report["verdict"]
+
+
 def test_missing_input_exit_code(tmp_path, capsys):
     code = run(RunConfig("lattice", "no-such-spec", str(tmp_path)))
     assert code == 2

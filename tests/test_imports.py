@@ -132,7 +132,7 @@ assert sys.modules["conewh.wiener_hopf"].make_symbol.__wrapped__.__module__ == "
 
 
 def test_exports_are_the_submodule_objects():
-    assert conewh.__all__ == sorted(conewh.__all__) and len(conewh.__all__) == 56
+    assert conewh.__all__ == sorted(conewh.__all__) and len(conewh.__all__) == 59
     for name in conewh.__all__:
         obj = getattr(conewh, name)
         assert obj.__module__.startswith("conewh.")

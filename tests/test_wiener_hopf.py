@@ -428,8 +428,9 @@ def test_classical_index_non_fredholm_trend():
     rep = classical_index(S, truncations=(64, 128, 256))
     assert not rep.symbol_nonvanishing
     assert rep.winding is None and rep.verdict == "non-fredholm"
-    sig = rep.diagnostics["sigma_min"]
+    sig = {N: sec.sigma_min for N, sec in rep.sections.items()}
     assert sig[64] > sig[128] > sig[256]
+    assert all(sec.count is sec.gap is sec.dim_ker is None for sec in rep.sections.values())
 
 
 def test_numerical_index_additivity():
@@ -557,7 +558,7 @@ def test_classical_index_one_factorization_per_truncation(factorizations):
     S = _two_sided_symbol(0.2)
     rep = classical_index(S, truncations=(128, 256))
     assert rep.numerical_index == rep.index == -1
-    assert [d["count"] for d in rep.diagnostics["per_truncation"].values()] == [1, 1]
+    assert [sec.count for sec in rep.sections.values()] == [1, 1]
     assert factorizations == ([real_flipped, real_eigh] + _attribution()) * 2
     assert factorizations.exactly_hermitian("eigvalsh")
     assert factorizations.exactly_hermitian("eigh")
@@ -571,14 +572,16 @@ def test_classical_index_one_factorization_per_truncation(factorizations):
         assert np.array_equal(eig_arg[0], W[:, ::-1]) and np.array_equal(vec_arg, W[:, ::-1])
         assert vec_arg.base is not None                     # a view: no section is built
         assert mass_arg.shape == (2, 1, 1)                  # k = 1 on each side
-    per = rep.diagnostics["per_truncation"]
-    assert rep.diagnostics["sigma_min"] == {N: per[N]["sigma_min"] for N in (128, 256)}
+        # sigma_min is the least |lambda| of that one factorization
+        assert rep.sections[N].sigma_min == np.abs(np.linalg.eigvalsh(eig_arg)).min()
+    assert list(rep.sections) == [128, 256]
 
     factorizations.clear()
     # Even kernels give symmetric sections, which also equal their reversal:
     # their singular values are the |lambda| of two half-order blocks.
     rep = classical_index(symbol_preset("gauss-small", 0.05, 52.0), truncations=(64, 128))
-    assert rep.verdict == "fredholm" and rep.diagnostics["dim_ker"] == 0
+    assert rep.verdict == "fredholm"
+    assert [sec.dim_ker for sec in rep.sections.values()] == [0, 0]
     assert factorizations == [("eigvalsh", np.float64)] * 4
     assert factorizations.exactly_hermitian("eigvalsh")
     assert _half_orders(factorizations) == [(32, 32), (64, 64)]
@@ -600,9 +603,9 @@ def test_one_sided_index_makes_one_factorization_per_truncation(factorizations):
     assert rep.numerical_index == rep.index == -1
     assert factorizations == [("eigvalsh", np.float64)] * 2
     assert [a.shape for a in factorizations.args] == [(1, 128, 128), (1, 256, 256)]
-    for N, d in rep.diagnostics["per_truncation"].items():
+    for N, sec in rep.sections.items():
         ref = complex_singular_split(wh_matrix(S, "half-line", N, identity_shift=True))
-        assert (d["count"], d["dim_ker"], d["dim_coker"]) == (
+        assert (sec.count, sec.dim_ker, sec.dim_coker) == (
             ref["count"], ref["dim_ker"], ref["dim_coker"]) == (1, 0, 1)
 
 
@@ -617,19 +620,19 @@ def test_real_split_matches_complex_oracle(name):
     c = _section(S, 512)
     W = wh_matrix(S, "half-line", 512, identity_shift=True)
     assert not W.imag.any() and c.dtype == np.float64
-    dim_ker, dim_coker, diag = _split(c, 1e-8, 1e3)
+    sec = _split(c, 1e-8, 1e3)
+    dim_ker, dim_coker = sec.dim_ker, sec.dim_coker
     ref = complex_singular_split(W)
-    assert (diag["count"], dim_ker, dim_coker) == (ref["count"], ref["dim_ker"],
-                                                    ref["dim_coker"])
-    assert diag["sigma_max"] == pytest.approx(ref["sigma_max"], rel=1e-10)
-    k = diag["count"]
+    assert (sec.count, dim_ker, dim_coker) == (ref["count"], ref["dim_ker"], ref["dim_coker"])
+    assert sec.sigma_max == pytest.approx(ref["sigma_max"], rel=1e-10)
+    k = sec.count
     if name == "gauss-small":
-        assert k == 0 and "gap" not in diag
+        assert k == 0 and sec.gap is None
         return
     # The gap divides by a singular value at the rounding floor, which any
     # backward-stable SVD fixes only to about N * eps * sigma_max absolutely.
     floor = 512 * np.finfo(float).eps * ref["sigma_max"] / ref["sigma"][-k]
-    assert k > 0 and diag["gap"] == pytest.approx(ref["gap"], rel=1e-10 + floor)
+    assert k > 0 and sec.gap == pytest.approx(ref["gap"], rel=1e-10 + floor)
 
 
 def _rational_kernel(winding, a, c=None):
@@ -751,10 +754,10 @@ def test_split_matches_complex_oracle(section):
         with pytest.raises(IndexUnresolvedError):
             _split(c, 1e-8, 1e3)
         return
-    dim_ker, dim_coker, diag = _split(c, 1e-8, 1e3)
-    assert (diag["count"], dim_ker, dim_coker) == (ref["count"], ref["dim_ker"],
-                                                    ref["dim_coker"])
-    assert ("gap" in diag) == (ref["gap"] is not None)
+    sec = _split(c, 1e-8, 1e3)
+    dim_ker, dim_coker = sec.dim_ker, sec.dim_coker
+    assert (sec.count, dim_ker, dim_coker) == (ref["count"], ref["dim_ker"], ref["dim_coker"])
+    assert (sec.gap is not None) == (ref["gap"] is not None)
 
 
 def _golden_section(name, N):
@@ -799,8 +802,9 @@ def test_near_null_vectors_are_near_null(section, winding):
 
     c = section()
     N = (len(c) + 1) // 2
-    dim_ker, dim_coker, diag = _split(c, 1e-8, 1e3)
-    k = diag["count"]
+    sec = _split(c, 1e-8, 1e3)
+    dim_ker, dim_coker = sec.dim_ker, sec.dim_coker
+    k = sec.count
     ref = complex_singular_split(_toeplitz(c))
     assert (k, dim_ker, dim_coker) == (ref["count"], ref["dim_ker"], ref["dim_coker"])
     if winding is not None:
@@ -811,7 +815,7 @@ def test_near_null_vectors_are_near_null(section, winding):
     assert U.shape == V.shape == (N, k)
     assert np.allclose(np.linalg.norm(U, axis=0), 1) and np.allclose(np.linalg.norm(V, axis=0), 1)
     near = np.sort(_singular_values(c[None])[0][-k:])
-    bound = near + N * np.finfo(float).eps * diag["sigma_max"]
+    bound = near + N * np.finfo(float).eps * sec.sigma_max
     assert np.all(np.sort(np.linalg.norm(W @ V, axis=0)) <= bound)
     assert np.all(np.sort(np.linalg.norm(W.conj().T @ U, axis=0)) <= bound)
 
@@ -891,8 +895,9 @@ def test_centrosymmetric_split_matches_complex_oracle(factorizations, N, shifted
     assert k == ref["count"] == int(shifted)
     if shifted:
         factorizations.clear()
-        dim_ker, dim_coker, diag = _split(c, 1e-8, 1e3)
-        assert diag["count"] == dim_ker + dim_coker == 1
+        sec = _split(c, 1e-8, 1e3)
+        dim_ker, dim_coker = sec.dim_ker, sec.dim_coker
+        assert sec.count == dim_ker + dim_coker == 1
         assert factorizations == ([("eigvalsh", np.float64)] * 2 + [("eigh", np.float64)]
                                   + _attribution())
         hankel = factorizations.args[2]
@@ -948,14 +953,15 @@ def test_exactly_singular_section_splits_with_one_eigh(factorizations):
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(W, np.ones(N))
         factorizations.clear()
-        dim_ker, dim_coker, diag = _split(c, 1e-8, 1e3)
+        sec = _split(c, 1e-8, 1e3)
+        dim_ker, dim_coker = sec.dim_ker, sec.dim_coker
         assert factorizations == ([("eigvalsh", np.float64), ("eigh", np.float64)]
                                   + _attribution())
         hankel = factorizations.args[1]
         assert np.array_equal(hankel, W[:, ::-1]) and np.shares_memory(hankel, c)
         ref = complex_singular_split(W)
-        assert (diag["count"], dim_ker, dim_coker) == (ref["count"], ref["dim_ker"],
-                                                        ref["dim_coker"]) == (1, 0, 1)
+        assert (sec.count, dim_ker, dim_coker) == (ref["count"], ref["dim_ker"],
+                                                   ref["dim_coker"]) == (1, 0, 1)
 
 
 def test_zero_pivot_section_is_exactly_singular():
@@ -976,7 +982,7 @@ def test_modulated_section_is_complex_with_the_real_split():
     assert cc.dtype == np.complex128 and cr.dtype == np.float64
     split_c = _split(cc, 1e-8, 1e3)
     split_r = _split(cr, 1e-8, 1e3)
-    assert split_c[:2] == split_r[:2] == (1, 0)
+    assert (split_c.dim_ker, split_c.dim_coker) == (split_r.dim_ker, split_r.dim_coker) == (1, 0)
 
 
 @pytest.mark.parametrize("c, delta_factor", [
@@ -1003,7 +1009,8 @@ def test_front_masses_that_do_not_add_up_are_unresolved(monkeypatch, row, ker, c
     import conewh.wiener_hopf as wh
 
     c = _section(_two_sided_symbol(0.2), 128)
-    assert wh._split(c, 1e-8, 1e3)[:2] == (0, 1)
+    sec = wh._split(c, 1e-8, 1e3)
+    assert (sec.dim_ker, sec.dim_coker) == (0, 1)
     e = np.zeros((128, 1))
     e[row] = 1.0
     monkeypatch.setattr(wh, "_near_null_pairs", lambda c, k: (e, e))
@@ -1053,13 +1060,13 @@ def test_twisted_face_sections_factor_by_structure(factorizations):
     assert [len(a) for a in halves] == [8, 8, 16, 16]
     assert [len(a) for a in hankels] == [16, 16, 32, 32]
     assert not any(np.array_equal(a[:, ::-1], a[:, ::-1].T) for a in hankels)
-    e1 = next(fr for fr in rep.face_reports if fr["face"] == "e1")
-    twisted = next(r for r in e1["rows"] if r["y"] != 0.0)
-    W = wh_matrix(face_symbol_twisted(shifted, "e1", twisted["y"]), "half-line", 32,
+    e1 = next(fr for fr in rep.faces if fr.face == "e1")
+    y, mins = next(row for row in e1.rows if row[0] != 0.0)
+    W = wh_matrix(face_symbol_twisted(shifted, "e1", y), "half-line", 32,
                   identity_shift=True)
     assert W.imag.any()
     ref = np.linalg.svd(W, compute_uv=False)[-1]
-    assert twisted["sigma_min"][32] == pytest.approx(ref, rel=1e-10)
+    assert mins[32] == pytest.approx(ref, rel=1e-10)
 
 
 def test_hierarchy_factors_each_distinct_face_column_once(factorizations):
@@ -1081,14 +1088,14 @@ def test_hierarchy_factors_each_distinct_face_column_once(factorizations):
     assert len(factorizations.matrices("eigvalsh")) == 6 * 2 * 2
     assert _half_orders(factorizations) == [(24, 24)] * 6 + [(48, 48)] * 6
     columns = set()
-    for axis, fr in enumerate(rep.face_reports):
-        ys = [r["y"] for r in fr["rows"]]
+    for axis, fr in enumerate(rep.faces):
+        ys = [y for y, _ in fr.rows]
         assert len(ys) == 9 and sorted(ys) == sorted(-y for y in ys)
         G = _twisted_restrictions(S, axis, ys)
         assert len({g.tobytes() for g in G.T}) == 6
         columns |= {g.tobytes() for g in G.T}
-        for r, g in zip(fr["rows"], G.T):
-            assert r["sigma_min"] == {N: float(_singular_values(
+        for (_, mins), g in zip(fr.rows, G.T):
+            assert mins == {N: float(_singular_values(
                 _generator(g, S.h, S.T, N, True)[None])[0, -1]) for N in spec["N"]}
     assert len(columns) == 6
 
@@ -1153,7 +1160,7 @@ def test_generator_dispatch_matches_dense_form(factorizations, monkeypatch, kind
     monkeypatch.setattr(wh, "_toeplitz", lambda g: built.append(len(factorizations)) or toeplitz(g))
     factorizations.clear()
     split = wh._split(c, delta_factor, 1.0)
-    assert split[2]["count"] == k and not built
+    assert split.count == k and not built
     assert factorizations[:len(calls)] == calls
     if k:
         vectors = {"real-even": ("eigh", np.float64), "real": ("eigh", np.float64),
@@ -1197,7 +1204,7 @@ def test_real_section_factors_with_no_section_copy(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert split[:2] == (0, 1)
+    assert (split.dim_ker, split.dim_coker) == (0, 1)
     assert [name for name, _ in held] == ["eigvalsh", "eigh", "eigvalsh"]
     section = N * N * 8
     assert all(size < section / 4 for _, size in held)
@@ -1215,7 +1222,8 @@ def test_complex_general_split_takes_one_svd_of_a_view(factorizations):
     c = _section(_two_sided_symbol(0.05, 3.0), N)
     W = _toeplitz(c)
     assert W.dtype == np.complex128 and not np.array_equal(W, W.T.conj())
-    assert _split(c, 1e-8, 1e3)[:2] == (0, 1)
+    sec = _split(c, 1e-8, 1e3)
+    assert (sec.dim_ker, sec.dim_coker) == (0, 1)
     factorizations.clear()
     U, V = _near_null_pairs(c, 1)
     assert factorizations == [("svd", np.complex128)]
@@ -1250,7 +1258,7 @@ def test_one_sided_split_holds_no_section(factorizations, modulation):
     assert factorizations == [("svdvals" if modulation else "eigvalsh", dtype)]
     assert peak < N * N * 8 / 2
     ref = complex_singular_split(_toeplitz(c))
-    assert split[:2] == (ref["dim_ker"], ref["dim_coker"]) == (1, 0)
+    assert (split.dim_ker, split.dim_coker) == (ref["dim_ker"], ref["dim_coker"]) == (1, 0)
 
 
 @pytest.mark.parametrize("N", [1, 2, 63, 64, 65, 200])
@@ -1285,8 +1293,9 @@ def test_triangular_section_windows_and_substitution(factorizations, N, side, dt
     _singular_values(c[None])
     count = list(factorizations)
     factorizations.clear()
-    dim_ker, dim_coker, diag = _split(c, 1e-8, 1e3)
-    k = diag["count"]
+    sec = _split(c, 1e-8, 1e3)
+    dim_ker, dim_coker = sec.dim_ker, sec.dim_coker
+    k = sec.count
     assert k == int(N >= 63)
     assert (dim_ker, dim_coker) == ((k, 0) if reverse else (0, k))
     assert factorizations == count
@@ -1383,11 +1392,11 @@ def test_batched_restrictions_match_direct_sum(f):
     y_values = [-2.3, -0.5, 0.0, S.freqs[M + 7], 1.9]
     truncations = (16, 48)
     rep = hierarchy_fredholm(S, truncations=truncations, y_values=y_values)
-    for axis, fr in enumerate(rep.face_reports):
+    for axis, fr in enumerate(rep.faces):
         G = _twisted_restrictions(S, axis, y_values)
         # a sum of n terms rounds to within n * eps of the sum of their magnitudes
         tol = S.npoints * np.finfo(float).eps * S.h * np.abs(S.kernel).sum(axis=1 - axis).max()
-        for j, (y, row) in enumerate(zip(sorted(y_values), fr["rows"])):
+        for j, (y, (_, mins)) in enumerate(zip(sorted(y_values), fr.rows)):
             ref = direct_twisted_restriction(S, axis, y).kernel
             g = face_symbol_twisted(S, axis, y)
             for col in (G[:, j], g.kernel):
@@ -1395,7 +1404,7 @@ def test_batched_restrictions_match_direct_sum(f):
             for N in truncations:
                 W = wh_matrix(g, "half-line", N, identity_shift=True)
                 s = np.linalg.svd(W.astype(complex), compute_uv=False)
-                assert abs(row["sigma_min"][N] - s[-1]) <= N * np.finfo(float).eps * s[0]
+                assert abs(mins[N] - s[-1]) <= N * np.finfo(float).eps * s[0]
 
 
 @pytest.mark.parametrize("f, mixed", [pytest.param(p.values[0], False, id=p.id)
@@ -1415,10 +1424,10 @@ def test_stacked_face_rows_match_their_own_sections(factorizations, f, mixed):
     y_values = sorted([-2.3, -0.5, 0.0, 0.5, S.freqs[M + 7], 1.9])
     truncations = (16, 48)
     rep = hierarchy_fredholm(S, truncations=truncations, y_values=y_values)
-    for axis, fr in enumerate(rep.face_reports):
+    for axis, fr in enumerate(rep.faces):
         G = _twisted_restrictions(S, axis, y_values)
-        for r, g in zip(fr["rows"], G.T):
-            assert r["sigma_min"] == {N: float(_singular_values(
+        for (_, mins), g in zip(fr.rows, G.T):
+            assert mins == {N: float(_singular_values(
                 _generator(g, S.h, S.T, N, True)[None])[0, -1]) for N in truncations}
         if mixed:
             for N in truncations:
@@ -1586,8 +1595,9 @@ def test_face_family_trivial_at_infinity():
     # also pass the spatial decay gate of make_symbol
     from conewh.wiener_hopf import SymbolGrid
 
-    pert = SymbolGrid(2, h, T, base.xs, base.kernel + pk, base.fhat + bump,
-                      base.freqs, name="perturbed")
+    kernel = base.kernel + pk
+    pert = SymbolGrid(2, h, T, base.xs, kernel, base.fhat + bump, base.freqs,
+                      float(h**2 * np.abs(kernel).sum()), name="perturbed")
     M = (base.npoints - 1) // 2
     for k in (60, 90):  # fibre frequencies beyond y0
         y = base.freqs[M + k]
@@ -1617,10 +1627,10 @@ def test_hierarchy_singular_face():
     S = symbol_preset("separable-singular-face", 0.1, 12.0)
     rep = hierarchy_fredholm(S, truncations=(48, 96))
     assert rep.verdict == "not-hierarchy-fredholm"
-    assert "e1" in rep.diagnostics["failing_faces"]
-    e1 = next(fr for fr in rep.face_reports if fr["face"] == "e1")
-    row0 = next(r for r in e1["rows"] if r["y"] == 0.0)
-    assert row0["sigma_min"][96] < 0.5 * row0["sigma_min"][48]
+    assert "e1" in rep.failing_faces
+    e1 = next(fr for fr in rep.faces if fr.face == "e1")
+    row0 = next(mins for y, mins in e1.rows if y == 0.0)
+    assert row0[96] < 0.5 * row0[48]
 
 
 def test_hierarchy_face_verdicts_do_not_depend_on_truncation_order():
@@ -1629,12 +1639,10 @@ def test_hierarchy_face_verdicts_do_not_depend_on_truncation_order():
     S = symbol_preset("separable-singular-face", 0.1, 12.0)
     forward = hierarchy_fredholm(S, truncations=(48, 96))
     reverse = hierarchy_fredholm(S, truncations=(96, 48))
-    assert [(fr["face"], fr["stable"], fr["ok"], fr["decreasing_at"])
-            for fr in reverse.face_reports] == [
-        (fr["face"], fr["stable"], fr["ok"], fr["decreasing_at"])
-        for fr in forward.face_reports]
+    assert [(fr.face, fr.stable, fr.ok, fr.decreasing_at) for fr in reverse.faces] == [
+        (fr.face, fr.stable, fr.ok, fr.decreasing_at) for fr in forward.faces]
     assert reverse.verdict == forward.verdict == "not-hierarchy-fredholm"
-    assert reverse.diagnostics["failing_faces"] == forward.diagnostics["failing_faces"]
+    assert reverse.failing_faces == forward.failing_faces
 
 
 def test_hierarchy_neumann_certificate():
@@ -1642,9 +1650,11 @@ def test_hierarchy_neumann_certificate():
     rep = hierarchy_fredholm(S, truncations=(48, 96))
     assert rep.verdict == "hierarchy-fredholm"
     l1 = S.h**2 * np.abs(S.kernel).sum()
-    assert abs(rep.diagnostics["neumann_margin"] - (1.0 - l1)) < 1e-8
-    for fr in rep.face_reports:
-        assert fr["margin"] > rep.diagnostics["neumann_margin"] - 1e-9
+    assert abs(rep.neumann_margin - (1.0 - l1)) < 1e-8
+    # the L1 norm is the one make_symbol's gate summed, bit for bit
+    assert rep.l1_norm == S.l1 == float(l1)
+    for fr in rep.faces:
+        assert fr.margin > rep.neumann_margin - 1e-9
 
 
 def test_hierarchy_neumann_margin_at_rounding_level():
@@ -1654,7 +1664,7 @@ def test_hierarchy_neumann_margin_at_rounding_level():
 
     S = symbol_from_expression("-0.8*exp(-pi*(0.8*x)**2)*exp(-pi*y**2)", 2, 0.1, 12.0)
     rep = hierarchy_fredholm(S, truncations=(48, 96), y_values=[0.0])
-    assert 0 < rep.diagnostics["neumann_margin"] < 1e-12
+    assert 0 < rep.neumann_margin < 1e-12
     assert not rep.symbol_nonvanishing
     assert rep.verdict == "not-hierarchy-fredholm"
 

@@ -17,7 +17,9 @@ three classes:
     agrees     the report's numerical index and index both equal -w;
     error      a typed domain error, named by its category;
     disagrees  a report whose numerical index or winding is not -w or w,
-               with no error.
+               with no error; its detail names the near-null count of
+               each truncation (report.sections), so that a count that
+               saturates at both reads as one.
 
 For each case that does not agree, the scan then doubles the truncations,
 (N, 2N) with N = 512, 1024, 2048 above its own, on the window grown to fit
@@ -73,10 +75,11 @@ def classify(w, a, h, N):
                                  truncations=(N, 2 * N))
     except DomainError as exc:
         return "error", exc.category
-    got = (report.numerical_index, report.winding)
     if report.numerical_index == report.index == -w:
         return "agrees", ""
-    return "disagrees", f"numerical index {got[0]}, winding {got[1]}, verdict {report.verdict}"
+    counts = ", ".join(f"{s.count} at N = {M}" for M, s in report.sections.items())
+    return "disagrees", (f"numerical index {report.numerical_index}, winding {report.winding}, "
+                         f"near-null count {counts}, verdict {report.verdict}")
 
 
 def least_agreeing(w, a, h, N):
